@@ -2,8 +2,9 @@
 """End-to-end demo: generate the shipped scenarios, detect, summarize.
 
 Writes flow files, ground truth, reports, and curve dumps under out/demo/
-and prints a one-line verdict per scenario comparing the report against the
-planted ground truth.
+(generated, not tracked) and prints a one-line verdict per scenario
+comparing the report against the planted ground truth.  Exits 1 when any
+scenario's report does not match its ground truth.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "out" / "demo"
 
 
-def run(scenario: str) -> None:
+def run(scenario: str) -> bool:
     spec = ROOT / "scenarios" / f"{scenario}.spec"
     prefix = OUT / scenario
     report_path = OUT / f"{scenario}.report.json"
@@ -47,14 +48,14 @@ def run(scenario: str) -> None:
     verdict = "MATCH" if reported == truth_groups else "MISMATCH"
     print(f"{scenario:12s} flows={doc['counters']['flows_ingested']:5d} "
           f"reported={[sorted(h) for h in reported]} {verdict}")
+    return reported == truth_groups
 
 
 def main() -> int:
     OUT.mkdir(parents=True, exist_ok=True)
-    for scenario in ("benign", "p2p_botnet", "irc_botnet"):
-        run(scenario)
+    matched = [run(scenario) for scenario in ("benign", "p2p_botnet", "irc_botnet")]
     print(f"artifacts in {OUT}")
-    return 0
+    return 0 if all(matched) else 1
 
 
 if __name__ == "__main__":

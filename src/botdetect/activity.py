@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from ipaddress import IPv4Address, IPv4Network
 
 from .model import DetectorConfig, FlowRecord, HostId, OsdMode, Proto
@@ -208,33 +208,12 @@ def window_activity(
     for host in hosts:
         clean = outbound.get(host, [])
         failed = outbound_failed.get(host, [])
-        scores = osd_scores(host, clean, failed, cfg)
         inbound_fc = count_failed(inbound_failed.get(host, []), cfg.hs_ports)
         isd_s = isd_score(inbound_fc, cfg.w1, cfg.w2)
-        scores = ScanScores(
-            isd_s=isd_s,
-            s1=scores.s1,
-            s2=scores.s2,
-            s3=scores.s3,
-            scans=scores.scans,
-            targets=scores.targets,
-            flagged=scores.flagged,
-        )
         activity[host] = HostActivity(
             host=host,
-            scores=scores,
+            scores=replace(osd_scores(host, clean, failed, cfg), isd_s=isd_s),
             spam=spam_detect(host, clean, cfg),
             isd_flagged=isd_s >= cfg.isd_threshold,
         )
     return activity
-
-
-def malicious_hosts(
-    all_flows: list[FlowRecord],
-    failed_flows: list[FlowRecord],
-    internal: IPv4Network,
-    cfg: DetectorConfig,
-) -> list[HostId]:
-    """Hosts flagged by any detector (inbound scan, outbound scan, spam)."""
-    activity = window_activity(all_flows, failed_flows, internal, cfg)
-    return sorted(host for host, act in activity.items() if act.malicious)

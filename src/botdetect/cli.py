@@ -12,14 +12,13 @@ import sys
 from ipaddress import IPv4Network
 from pathlib import Path
 
-from .activity import window_activity
-from .classify import classify_flow, partition_by_label
-from .filtering import EMPTY_WHITELIST, Whitelist, WhitelistError, parse_whitelist, run_filter
+from .activity import HostActivity, window_activity
+from .classify import classify_flow
+from .filtering import EMPTY_WHITELIST, Whitelist, WhitelistError, parse_whitelist
 from .flowfile import FlowFileError, parse_flow_file, write_flow_file
 from .model import ConfigError, DetectorConfig, default_config, parse_config
-from .monitors import group_flows_irc, group_flows_p2p, window_partition
-from .pipeline import run_detection
-from .report import report_to_json
+from .pipeline import group_path, run_detection, window_streams
+from .report import BotPath, report_to_json
 from .similarity import build_curve
 from .synth import InvalidSpec, generate, parse_scenario, write_truth
 
@@ -82,48 +81,46 @@ def run_classify(flow_file: str, out_path: str) -> int:
     return 0
 
 
-def _window_activities(flow_file, whitelist_file, config_file, internal_cidr):
+def _run_activity_table(
+    flow_file, whitelist_file, config_file, internal_cidr, out_path, header, row
+) -> int:
+    """Write one CSV row per internal host per window, ``row`` formatting its activity."""
     cfg = _load_config(config_file)
     internal = _parse_internal(internal_cidr)
     flows = _load_flows(flow_file)
-    filtered = run_filter(flows, _load_whitelist(whitelist_file))
-    clean = {w.index: (w, fl) for w, fl in window_partition(filtered.clean, cfg.window_seconds)}
-    failed = {w.index: (w, fl) for w, fl in window_partition(filtered.failed, cfg.window_seconds)}
-    for index in sorted(set(clean) | set(failed)):
-        window = (clean.get(index) or failed[index])[0]
-        clean_flows = clean[index][1] if index in clean else []
-        failed_flows = failed[index][1] if index in failed else []
-        yield window, window_activity(clean_flows, failed_flows, internal, cfg)
+    lines = [header]
+    for streams in window_streams(flows, _load_whitelist(whitelist_file), cfg):
+        filtered = streams.filtered
+        activity = window_activity(filtered.clean, filtered.failed, internal, cfg)
+        lines.extend(
+            f"{streams.window.index},{host},{row(activity[host])}" for host in sorted(activity)
+        )
+    _write_text(out_path, "\n".join(lines) + "\n")
+    return 0
 
 
 def run_scan_score(flow_file, whitelist_file, config_file, internal_cidr, out_path) -> int:
-    lines = ["window,host,isd_s,s1,s2,s3,scans,targets,isd_flagged,osd_flagged"]
-    for window, activity in _window_activities(
-        flow_file, whitelist_file, config_file, internal_cidr
-    ):
-        for host in sorted(activity):
-            act = activity[host]
-            s = act.scores
-            lines.append(
-                f"{window.index},{host},{s.isd_s:.12g},{s.s1:.12g},{s.s2:.12g},"
-                f"{s.s3:.12g},{s.scans},{s.targets},{act.isd_flagged},{s.flagged}"
-            )
-    _write_text(out_path, "\n".join(lines) + "\n")
-    return 0
+    def row(act: HostActivity) -> str:
+        s = act.scores
+        return (
+            f"{s.isd_s:.12g},{s.s1:.12g},{s.s2:.12g},{s.s3:.12g},"
+            f"{s.scans},{s.targets},{act.isd_flagged},{s.flagged}"
+        )
+
+    header = "window,host,isd_s,s1,s2,s3,scans,targets,isd_flagged,osd_flagged"
+    return _run_activity_table(
+        flow_file, whitelist_file, config_file, internal_cidr, out_path, header, row
+    )
 
 
 def run_spam_score(flow_file, whitelist_file, config_file, internal_cidr, out_path) -> int:
-    lines = ["window,host,smtp_flows,distinct_servers,flagged"]
-    for window, activity in _window_activities(
-        flow_file, whitelist_file, config_file, internal_cidr
-    ):
-        for host in sorted(activity):
-            spam = activity[host].spam
-            lines.append(
-                f"{window.index},{host},{spam.smtp_flows},{spam.distinct_servers},{spam.flagged}"
-            )
-    _write_text(out_path, "\n".join(lines) + "\n")
-    return 0
+    def row(act: HostActivity) -> str:
+        return f"{act.spam.smtp_flows},{act.spam.distinct_servers},{act.spam.flagged}"
+
+    header = "window,host,smtp_flows,distinct_servers,flagged"
+    return _run_activity_table(
+        flow_file, whitelist_file, config_file, internal_cidr, out_path, header, row
+    )
 
 
 def run_synth(spec_file: str, out_prefix: str, seed: int | None = None) -> int:
@@ -139,18 +136,12 @@ def run_synth(spec_file: str, out_prefix: str, seed: int | None = None) -> int:
 def run_curves(flow_file: str, path: str, out_path: str, config_file: str | None = None) -> int:
     cfg = _load_config(config_file)
     flows = _load_flows(flow_file)
-    filtered = run_filter(flows, EMPTY_WHITELIST)
-    irc_flows, _, other_flows = partition_by_label(filtered.clean)
-    stream = irc_flows if path == "irc" else other_flows
     lines = ["key,x,y"]
-    for window, window_flows in window_partition(stream, cfg.window_seconds):
-        if path == "irc":
-            groups, _ = group_flows_irc(window_flows, cfg)
-        else:
-            groups, _ = group_flows_p2p(window_flows, cfg.duration_floor)
+    for streams in window_streams(flows, EMPTY_WHITELIST, cfg):
+        groups, _ = group_path(BotPath(path), streams, cfg)
         for group in groups:
             curve = build_curve(group.points, cfg.resample_points)
-            key = f"w{window.index}|{group.key.label()}"
+            key = f"w{streams.window.index}|{group.key.label()}"
             for x, y in zip(curve.xs, curve.ys):
                 lines.append(f"{key},{x:.12g},{y:.12g}")
     _write_text(out_path, "\n".join(lines) + "\n")

@@ -58,10 +58,14 @@ def _parse_seconds(name: str, text: str, lineno: int) -> float:
 
 
 def _parse_int(name: str, text: str, lineno: int) -> int:
+    # canonical decimal only: int() alone would also take "+80", "080" and "1_0"
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        raise MalformedRow(lineno, f"bad {name}: {text!r}") from None
+        value = None
+    if value is None or str(value) != text:
+        raise MalformedRow(lineno, f"bad {name}: {text!r}")
+    return value
 
 
 def _parse_row(parts: list[str], lineno: int) -> FlowRecord:
@@ -71,10 +75,13 @@ def _parse_row(parts: list[str], lineno: int) -> FlowRecord:
     state = _STATE_BY_NAME.get(parts[9])
     if state is None:
         raise MalformedRow(lineno, f"unknown tcp_state: {parts[9]!r}")
+    # canonical lowercase hex only: fromhex() alone would also take "4E" and "4745 54"
     try:
         payload = bytes.fromhex(parts[10])
     except ValueError:
-        raise MalformedRow(lineno, f"bad payload_prefix_hex: {parts[10]!r}") from None
+        payload = None
+    if payload is None or payload.hex() != parts[10]:
+        raise MalformedRow(lineno, f"bad payload_prefix_hex: {parts[10]!r}")
     rec = FlowRecord(
         start_ts=_parse_seconds("start_ts", parts[0], lineno),
         duration=_parse_seconds("duration", parts[1], lineno),

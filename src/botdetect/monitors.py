@@ -1,8 +1,8 @@
-"""Per-window traffic monitors for the P2P and IRC paths.
+"""Windowing and per-window flow grouping for the P2P and IRC paths.
 
-Both paths share the same machinery: carve the stream into fixed windows,
-group flows by a key, turn each group's feature points into a curve, and
-cluster similar curves.  The paths differ only in the grouping key — the
+The input is carved into fixed windows once; within a window each path
+groups flows by a key, and each group's feature points later become one
+curve to cluster (see ``pipeline``).  The paths differ only in the key — the
 IRC key additionally includes the source port and the quantized flow start
 time (its "packet arrival time" bin), because pushed C&C traffic from one
 server reaches all its clients over persistent connections at nearly the
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import DetectorConfig, FlowRecord, HostId, Proto
-from .similarity import FlowFeatures, FlowGroup, SimilarityCluster, cluster_groups, flow_features
+from .similarity import FlowFeatures, FlowGroup, flow_features
 
 _GROUPABLE = (Proto.TCP, Proto.UDP)
 
@@ -130,32 +130,3 @@ def group_flows_irc(flows: list[FlowRecord], cfg: DetectorConfig) -> GroupingRes
         )
 
     return _collect_groups(flows, key_fn, cfg.duration_floor)
-
-
-def _multi_host(clusters: list[SimilarityCluster]) -> list[SimilarityCluster]:
-    # a cluster confined to one source host carries no cross-host evidence
-    return [c for c in clusters if len(c.hosts) >= 2]
-
-
-def detect_p2p_candidates(
-    flows: list[FlowRecord], cfg: DetectorConfig
-) -> list[tuple[WindowIndex, list[SimilarityCluster]]]:
-    """Window the OTHER-labeled stream and emit multi-host similarity clusters."""
-    out = []
-    for window, window_flows in window_partition(flows, cfg.window_seconds):
-        groups, _ = group_flows_p2p(window_flows, cfg.duration_floor)
-        clusters = cluster_groups(groups, cfg.similarity_threshold, cfg.resample_points)
-        out.append((window, _multi_host(clusters)))
-    return out
-
-
-def detect_irc_groups(
-    flows: list[FlowRecord], cfg: DetectorConfig
-) -> list[tuple[WindowIndex, list[SimilarityCluster]]]:
-    """Window the IRC-labeled stream and emit multi-host similarity clusters."""
-    out = []
-    for window, window_flows in window_partition(flows, cfg.window_seconds):
-        groups, _ = group_flows_irc(window_flows, cfg)
-        clusters = cluster_groups(groups, cfg.similarity_threshold, cfg.resample_points)
-        out.append((window, _multi_host(clusters)))
-    return out

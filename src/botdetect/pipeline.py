@@ -1,16 +1,68 @@
-"""End-to-end detection: filter, classify, monitor, score, correlate."""
+"""The per-window stage graph: window once, then filter, classify, score,
+group, cluster and correlate each window.
+
+``window_streams`` and ``path_clusters`` carry the whole graph; ``detect``
+and the ``curves``/``scan-score``/``spam-score`` subcommands all go
+through them, so every stage runs on the same windows.
+"""
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass
 from ipaddress import IPv4Network
+from typing import Iterator
 
 from .activity import window_activity
 from .classify import partition_by_label
-from .filtering import Whitelist, run_filter
+from .filtering import FilterOutput, Whitelist, run_filter
 from .model import DetectorConfig, FlowRecord
-from .monitors import WindowIndex, group_flows_irc, group_flows_p2p, window_partition
-from .report import BotnetReport, build_report, correlate_irc, correlate_p2p
-from .similarity import cluster_groups
+from .monitors import GroupingResult, WindowIndex, group_flows_irc, group_flows_p2p, window_partition
+from .report import BotnetReport, BotPath, build_report, correlate_irc, correlate_p2p
+from .similarity import SimilarityCluster, cluster_groups
+
+
+@dataclass(frozen=True)
+class WindowStreams:
+    """One window's flows after the filter and the classifier."""
+
+    window: WindowIndex
+    filtered: FilterOutput
+    irc: list[FlowRecord]
+    http: list[FlowRecord]
+    other: list[FlowRecord]
+
+
+def window_streams(
+    flows: list[FlowRecord], whitelist: Whitelist, cfg: DetectorConfig
+) -> Iterator[WindowStreams]:
+    """Window the flows once, then filter and classify each window.
+
+    Windows come in ascending index order.  Filtering and classification
+    judge one flow at a time, so running them per window yields the same
+    streams as running them over the whole input and windowing each.
+    """
+    for window, window_flows in window_partition(flows, cfg.window_seconds):
+        filtered = run_filter(window_flows, whitelist)
+        irc, http, other = partition_by_label(filtered.clean)
+        yield WindowStreams(window, filtered, irc, http, other)
+
+
+def group_path(path: BotPath, streams: WindowStreams, cfg: DetectorConfig) -> GroupingResult:
+    """Group one window's flows for a path: IRC-labeled flows or OTHER-labeled ones."""
+    if path is BotPath.IRC:
+        return group_flows_irc(streams.irc, cfg)
+    return group_flows_p2p(streams.other, cfg.duration_floor)
+
+
+def path_clusters(
+    path: BotPath, streams: WindowStreams, cfg: DetectorConfig
+) -> list[SimilarityCluster]:
+    """Group and cluster one path of a window; keep the multi-host clusters."""
+    groups, _ = group_path(path, streams, cfg)
+    clusters = cluster_groups(groups, cfg.similarity_threshold, cfg.resample_points)
+    # a cluster confined to one source host carries no cross-host evidence
+    return [c for c in clusters if len(c.hosts) >= 2]
 
 
 def run_detection(
@@ -24,57 +76,30 @@ def run_detection(
     Deterministic: the report (and its JSON) is a pure function of the
     inputs, invariant under permutation of the flow rows.
     """
-    filtered = run_filter(flows, whitelist)
-    irc_flows, http_flows, other_flows = partition_by_label(filtered.clean)
-
-    streams = {
-        "clean": filtered.clean,
-        "failed": filtered.failed,
-        "irc": irc_flows,
-        "other": other_flows,
-    }
-    per_window: dict[int, dict[str, list[FlowRecord]]] = {}
-    window_meta: dict[int, WindowIndex] = {}
-    for name, stream in streams.items():
-        for window, window_flows in window_partition(stream, cfg.window_seconds):
-            window_meta[window.index] = window
-            per_window.setdefault(window.index, {})[name] = window_flows
-
     groups = []
-    for index in sorted(per_window):
-        window = window_meta[index]
-        chunks = per_window[index]
-        activity = window_activity(
-            chunks.get("clean", []), chunks.get("failed", []), internal, cfg
+    counts: Counter[str] = Counter()
+    for streams in window_streams(flows, whitelist, cfg):
+        filtered = streams.filtered
+        counts.update(
+            whitelisted=filtered.whitelisted_count,
+            failed_handshake=len(filtered.failed),
+            irc=len(streams.irc),
+            http=len(streams.http),
+            other=len(streams.other),
         )
+        activity = window_activity(filtered.clean, filtered.failed, internal, cfg)
         malicious = {host for host, act in activity.items() if act.malicious}
-
-        p2p_groups, _ = group_flows_p2p(chunks.get("other", []), cfg.duration_floor)
-        p2p_clusters = [
-            c
-            for c in cluster_groups(p2p_groups, cfg.similarity_threshold, cfg.resample_points)
-            if len(c.hosts) >= 2
-        ]
-        groups.extend(correlate_p2p(p2p_clusters, malicious, cfg, window, activity))
-
-        irc_groups, _ = group_flows_irc(chunks.get("irc", []), cfg)
-        irc_clusters = [
-            c
-            for c in cluster_groups(irc_groups, cfg.similarity_threshold, cfg.resample_points)
-            if len(c.hosts) >= 2
-        ]
+        p2p = path_clusters(BotPath.P2P, streams, cfg)
+        groups.extend(correlate_p2p(p2p, malicious, cfg, streams.window, activity))
+        irc = path_clusters(BotPath.IRC, streams, cfg)
         groups.extend(
-            correlate_irc(irc_clusters, cfg, window, malicious=malicious, activity=activity)
+            correlate_irc(irc, cfg, streams.window, malicious=malicious, activity=activity)
         )
 
     counters = {
         "flows_ingested": len(flows),
-        "whitelisted": filtered.whitelisted_count,
-        "failed_handshake": len(filtered.failed),
-        "labels": {
-            "irc": len(irc_flows),
-            "http": len(http_flows),
-            "other": len(other_flows),
-        },
+        "whitelisted": counts["whitelisted"],
+        "failed_handshake": counts["failed_handshake"],
+        "labels": {label: counts[label] for label in ("irc", "http", "other")},
     }
     return build_report(groups, counters, cfg)

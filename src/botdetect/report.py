@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping
 
 from .activity import HostActivity
@@ -122,26 +122,10 @@ def build_report(
 
 
 def config_echo(cfg: DetectorConfig) -> dict:
-    return {
-        "window_seconds": cfg.window_seconds,
-        "similarity_threshold": cfg.similarity_threshold,
-        "resample_points": cfg.resample_points,
-        "min_group_size": cfg.min_group_size,
-        "pat_bin_seconds": cfg.pat_bin_seconds,
-        "w1": cfg.w1,
-        "w2": cfg.w2,
-        "isd_threshold": cfg.isd_threshold,
-        "osd_mode": cfg.osd_mode.value,
-        "osd_s1_threshold": cfg.osd_s1_threshold,
-        "osd_s2_threshold": cfg.osd_s2_threshold,
-        "osd_s3_threshold": cfg.osd_s3_threshold,
-        "osd_min_scans": cfg.osd_min_scans,
-        "spam_distinct_servers": cfg.spam_distinct_servers,
-        "spam_total_flows": cfg.spam_total_flows,
-        "hs_ports": sorted(f"{proto.value}:{port}" for proto, port in cfg.hs_ports),
-        "duration_floor": cfg.duration_floor,
-        "irc_require_malicious": cfg.irc_require_malicious,
-    }
+    echo = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    echo["osd_mode"] = cfg.osd_mode.value
+    echo["hs_ports"] = sorted(f"{proto.value}:{port}" for proto, port in cfg.hs_ports)
+    return echo
 
 
 def report_to_dict(report: BotnetReport) -> dict:

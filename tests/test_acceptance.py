@@ -12,7 +12,7 @@ import math
 import time
 from ipaddress import IPv4Network
 
-from botdetect.activity import entropy_norm, isd_score, osd_s2, osd_vote, FailedCounts
+from botdetect.activity import entropy_norm, isd_score, osd_s2, osd_vote, FailedCounts, window_activity
 from botdetect.classify import AppLabel, HTTP_METHODS, IRC_TOKENS, classify_flow
 from botdetect.cli import main
 from botdetect.filtering import EMPTY_WHITELIST, run_filter
@@ -24,7 +24,6 @@ from botdetect.model import (
     TcpState,
     default_config,
 )
-from botdetect.activity import malicious_hosts
 from botdetect.pipeline import run_detection
 from botdetect.similarity import flow_features
 from botdetect.synth import (
@@ -155,7 +154,8 @@ def test_c05_benign_scenario_quiet():
         flows, _ = generate(benign_scenario(seed))
         report = run_detection(flows, EMPTY_WHITELIST, INTERNAL, CFG)
         filtered = run_filter(flows, EMPTY_WHITELIST)
-        malicious = malicious_hosts(filtered.clean, filtered.failed, INTERNAL, CFG)
+        activity = window_activity(filtered.clean, filtered.failed, INTERNAL, CFG)
+        malicious = {host for host, act in activity.items() if act.malicious}
         if not report.groups and not malicious:
             clean_seeds.append(seed)
     ok = len(clean_seeds) >= 9

@@ -11,7 +11,6 @@ from botdetect.activity import (
     count_failed,
     entropy_norm,
     isd_score,
-    malicious_hosts,
     osd_s2,
     osd_scores,
     osd_vote,
@@ -24,6 +23,12 @@ from .conftest import make_flow
 
 CFG = default_config()
 HOST = HostId.parse("10.0.0.5")
+
+
+def malicious(all_flows, failed_flows, internal):
+    """Hosts flagged by any detector, as the pipeline selects them from window_activity."""
+    activity = window_activity(all_flows, failed_flows, internal, CFG)
+    return sorted(host for host, act in activity.items() if act.malicious)
 
 
 def scan_flow(i: int, dport: int = 8080, sip: str = "10.0.0.5") -> object:
@@ -209,7 +214,7 @@ class TestWindowActivity:
             make_flow(sip="10.0.0.6", dip=f"203.0.113.{i + 1}", dport=25, sport=4000 + i)
             for i in range(10)
         ]
-        hosts = malicious_hosts(spammer, scanner, internal_net, CFG)
+        hosts = malicious(spammer, scanner, internal_net)
         assert [str(h) for h in hosts] == ["10.0.0.5", "10.0.0.6"]
 
     def test_flagged_by_two_detectors_appears_once(self, internal_net):
@@ -218,7 +223,7 @@ class TestWindowActivity:
             make_flow(sip="10.0.0.7", dip=f"203.0.113.{i + 1}", dport=25, sport=5000 + i)
             for i in range(10)
         ]
-        hosts = malicious_hosts(smtp, both, internal_net, CFG)
+        hosts = malicious(smtp, both, internal_net)
         assert [str(h) for h in hosts] == ["10.0.0.7"]
 
     def test_inbound_failures_flag_targeted_internal_host(self, internal_net):
@@ -231,24 +236,24 @@ class TestWindowActivity:
         host = HostId.parse("10.0.0.9")
         assert activity[host].isd_flagged is True
         assert activity[host].scores.isd_s == 12.0
-        assert [str(h) for h in malicious_hosts([], inbound, internal_net, CFG)] == ["10.0.0.9"]
+        assert [str(h) for h in malicious([], inbound, internal_net)] == ["10.0.0.9"]
 
     def test_internal_to_internal_traffic_not_scored(self, internal_net):
         flows = [make_flow(sip="10.0.0.5", dip="10.0.0.6", sport=i) for i in range(100)]
-        assert malicious_hosts(flows, [], internal_net, CFG) == []
+        assert malicious(flows, [], internal_net) == []
 
     def test_external_scanners_not_reported(self, internal_net):
         # an external host probing external targets is outside our network
         flows = [scan_flow(i, sip="172.16.0.9") for i in range(40)]
-        assert malicious_hosts([], flows, internal_net, CFG) == []
+        assert malicious([], flows, internal_net) == []
 
     def test_benign_fanout_not_flagged(self, internal_net):
         # plenty of successful traffic to a few services: s3 votes, nothing else
         flows = [make_flow(dip=f"198.51.100.{1 + i % 4}", sport=6000 + i) for i in range(40)]
-        assert malicious_hosts(flows, [], internal_net, CFG) == []
+        assert malicious(flows, [], internal_net) == []
 
     def test_concurrent_equivalence_is_order_free(self, internal_net):
         scanner = [scan_flow(i, sip="10.0.0.5") for i in range(40)]
-        assert malicious_hosts([], list(reversed(scanner)), internal_net, CFG) == malicious_hosts(
-            [], scanner, internal_net, CFG
+        assert malicious([], list(reversed(scanner)), internal_net) == malicious(
+            [], scanner, internal_net
         )

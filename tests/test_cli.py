@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from botdetect import pipeline
 from botdetect.cli import main
 from botdetect.flowfile import HEADER, write_flow_file
+from botdetect.model import default_config
 from botdetect.synth import generate, p2p_botnet_scenario
 
 from .conftest import make_flow
@@ -18,6 +22,16 @@ planted.0.kind = p2p_bot_group
 planted.0.size = 3
 planted.0.scan_targets = 60
 """
+
+
+SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
+
+# sha256 of the ``detect`` report for each shipped scenario spec
+REPORT_SHA256 = {
+    "benign": "173444884e931311b2418354e17b41dcd58ec5dbfa4f585fadd76d74bfd6b3c2",
+    "p2p_botnet": "374ea3709ed45bcfae3f12e7589ab5fcff1d53559894b925317d93f673fc2fe6",
+    "irc_botnet": "ae1f593c35882b18dd965ccf726ac41ef074f699202edcac38937c42fb566e24",
+}
 
 
 @pytest.fixture
@@ -84,6 +98,16 @@ class TestDetect:
             main(["detect", "--flows", str(s1_flows), "--internal", "10.0.0.0/16",
                   "--out", str(out)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("scenario", sorted(REPORT_SHA256))
+    def test_shipped_scenario_report_bytes(self, tmp_path, scenario):
+        prefix = tmp_path / scenario
+        spec = SCENARIO_DIR / f"{scenario}.spec"
+        assert main(["synth", "--spec", str(spec), "--out", str(prefix)]) == 0
+        out = tmp_path / "report.json"
+        assert main(["detect", "--flows", f"{prefix}.flows.csv", "--internal", "10.0.0.0/16",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[scenario]
 
     def test_irc_malicious_gate_config_switch(self, tmp_path):
         from botdetect.synth import irc_botnet_scenario
@@ -209,3 +233,87 @@ class TestStageCommands:
         assert main(["classify", "--flows", str(s1_flows)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("sip,sport,dip,dport,proto,label")
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--internal", "10.0.0.0/16"],
+        ["scan-score", "--internal", "10.0.0.0/16"],
+        ["spam-score", "--internal", "10.0.0.0/16"],
+        ["curves", "--path", "p2p"],
+        ["curves", "--path", "irc"],
+    ])
+    def test_input_windowed_once(self, tmp_path, s1_flows, monkeypatch, argv):
+        calls = []
+        original = pipeline.window_partition
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, "window_partition", counting)
+        assert main([*argv, "--flows", str(s1_flows), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
+
+def _stage_outputs(tmp_path: Path, name: str, flows) -> dict[str, str]:
+    flow_path = tmp_path / f"{name}.flows.csv"
+    flow_path.write_bytes(write_flow_file(flows))
+    commands = {
+        "detect": ["detect", "--internal", "10.0.0.0/16"],
+        "scan-score": ["scan-score", "--internal", "10.0.0.0/16"],
+        "curves": ["curves", "--path", "p2p"],
+    }
+    outputs = {}
+    for command, argv in commands.items():
+        out = tmp_path / f"{name}.{command}.out"
+        assert main([*argv, "--flows", str(flow_path), "--out", str(out)]) == 0
+        outputs[command] = out.read_text()
+    return outputs
+
+
+class TestWindowSplit:
+    """Copies of a one-window input shifted by whole windows repeat its outputs.
+
+    The P2P scenario is used because its cluster keys carry no time; IRC keys
+    carry an arrival-time bin that moves with the copies.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 5, 42])
+    def test_shifted_copies_repeat_window_zero(self, tmp_path, seed):
+        width = default_config().window_seconds
+        flows, _ = generate(p2p_botnet_scenario(seed))
+        shifted = [
+            dataclasses.replace(rec, start_ts=rec.start_ts + k * width)
+            for k in range(3)
+            for rec in flows
+        ]
+        one = _stage_outputs(tmp_path, "one", flows)
+        three = _stage_outputs(tmp_path, "three", shifted)
+
+        single, split = json.loads(one["detect"]), json.loads(three["detect"])
+        assert single["groups"] and {g["window"]["index"] for g in single["groups"]} == {0}
+        expected_groups = [
+            {**g, "window": {"index": k, "start": k * width, "end": (k + 1) * width}}
+            for k in range(3)
+            for g in single["groups"]
+        ]
+        assert split["groups"] == expected_groups
+
+        def tripled(counters):
+            return {
+                key: tripled(value) if isinstance(value, dict) else 3 * value
+                for key, value in counters.items()
+            }
+
+        assert split["counters"] == tripled(single["counters"])
+
+        scan_header, *scan_rows = one["scan-score"].splitlines()
+        assert scan_rows and all(row.startswith("0,") for row in scan_rows)
+        assert three["scan-score"].splitlines() == [scan_header] + [
+            f"{k},{row.split(',', 1)[1]}" for k in range(3) for row in scan_rows
+        ]
+
+        curve_header, *curve_rows = one["curves"].splitlines()
+        assert curve_rows and all(row.startswith("w0|") for row in curve_rows)
+        assert three["curves"].splitlines() == [curve_header] + [
+            f"w{k}|{row[len('w0|'):]}" for k in range(3) for row in curve_rows
+        ]

@@ -69,6 +69,16 @@ class TestParse:
         with pytest.raises(MalformedRow, match="payload_prefix_hex"):
             parse_flow_file(_file("0,0,tcp,1.2.3.4,1,5.6.7.8,2,1,10,established,zz"))
 
+    @pytest.mark.parametrize("text", ["1_0", "+80", "080"])
+    def test_non_canonical_integer_rejected(self, text):
+        with pytest.raises(MalformedRow, match="bad dport"):
+            parse_flow_file(_file(f"0,0,udp,1.2.3.4,1,5.6.7.8,{text},1,10,not_tcp,"))
+
+    @pytest.mark.parametrize("text", ["4745 54", "4E"])
+    def test_non_canonical_hex_rejected(self, text):
+        with pytest.raises(MalformedRow, match="payload_prefix_hex"):
+            parse_flow_file(_file(f"0,0,tcp,1.2.3.4,1,5.6.7.8,2,1,10,established,{text}"))
+
     def test_not_utf8_rejected(self):
         with pytest.raises(Exception, match="UTF-8"):
             parse_flow_file(b"\xff\xfe" + HEADER.encode())

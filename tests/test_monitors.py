@@ -1,20 +1,23 @@
 from __future__ import annotations
 
-from botdetect.classify import partition_by_label
-from botdetect.filtering import EMPTY_WHITELIST, run_filter
+from botdetect.filtering import EMPTY_WHITELIST
 from botdetect.model import Proto, default_config
-from botdetect.monitors import (
-    detect_irc_groups,
-    detect_p2p_candidates,
-    group_flows_irc,
-    group_flows_p2p,
-    window_partition,
-)
+from botdetect.monitors import group_flows_irc, group_flows_p2p, window_partition
+from botdetect.pipeline import path_clusters, window_streams
+from botdetect.report import BotPath
 from botdetect.synth import Xorshift64Star, generate, irc_botnet_scenario, p2p_botnet_scenario
 
 from .conftest import make_flow
 
 CFG = default_config()
+
+
+def candidates(flows, path: BotPath):
+    """Each window's multi-host clusters on one path, as the pipeline finds them."""
+    return [
+        (streams.window, path_clusters(path, streams, CFG))
+        for streams in window_streams(flows, EMPTY_WHITELIST, CFG)
+    ]
 
 
 class TestWindowPartition:
@@ -117,9 +120,7 @@ class TestIRCGrouping:
 class TestDetection:
     def test_planted_p2p_bots_recovered(self):
         flows, truth = generate(p2p_botnet_scenario(42))
-        filtered = run_filter(flows, EMPTY_WHITELIST)
-        _, _, other = partition_by_label(filtered.clean)
-        results = detect_p2p_candidates(other, CFG)
+        results = candidates(flows, BotPath.P2P)
         assert len(results) == 1
         window, clusters = results[0]
         assert window.index == 0
@@ -132,9 +133,7 @@ class TestDetection:
         # must always land in one cluster together
         for seed in range(1, 11):
             flows, truth = generate(p2p_botnet_scenario(seed))
-            filtered = run_filter(flows, EMPTY_WHITELIST)
-            _, _, other = partition_by_label(filtered.clean)
-            results = detect_p2p_candidates(other, CFG)
+            results = candidates(flows, BotPath.P2P)
             bots = set(truth.groups[0].hosts)
             containing = [
                 c for _, clusters in results for c in clusters if bots & set(c.hosts)
@@ -147,38 +146,32 @@ class TestDetection:
 
         for seed in range(1, 11):
             flows, _ = generate(benign_scenario(seed))
-            filtered = run_filter(flows, EMPTY_WHITELIST)
-            irc, _, _ = partition_by_label(filtered.clean)
-            results = detect_irc_groups(irc, CFG)
+            results = candidates(flows, BotPath.IRC)
             assert all(clusters == [] for _, clusters in results)
 
     def test_single_host_emits_nothing(self):
         flows = [make_flow(sport=i) for i in range(10)]
-        results = detect_p2p_candidates(flows, CFG)
+        results = candidates(flows, BotPath.P2P)
         assert results[0][1] == []
 
     def test_disjoint_feature_ranges_emit_nothing(self):
         # two hosts whose nbpp ranges cannot overlap -> similarity 0
         a = [make_flow(sip="10.0.0.1", npkts=10, nbytes=100 + i, sport=i) for i in range(3)]
         b = [make_flow(sip="10.0.0.2", npkts=1, nbytes=90000 + i, sport=i) for i in range(3)]
-        results = detect_p2p_candidates(a + b, CFG)
+        results = candidates(a + b, BotPath.P2P)
         assert results[0][1] == []
 
     def test_planted_irc_bots_recovered(self):
         flows, truth = generate(irc_botnet_scenario(7))
-        filtered = run_filter(flows, EMPTY_WHITELIST)
-        irc, _, _ = partition_by_label(filtered.clean)
-        results = detect_irc_groups(irc, CFG)
+        results = candidates(flows, BotPath.IRC)
         bots = set(truth.groups[0].hosts)
         found = [c for _, clusters in results for c in clusters if bots <= set(c.hosts)]
         assert found
 
     def test_empty_stream(self):
-        assert detect_irc_groups([], CFG) == []
+        assert candidates([], BotPath.IRC) == []
 
     def test_output_invariant_under_permutation(self):
         flows, _ = generate(p2p_botnet_scenario(5))
-        filtered = run_filter(flows, EMPTY_WHITELIST)
-        _, _, other = partition_by_label(filtered.clean)
-        base = detect_p2p_candidates(other, CFG)
-        assert detect_p2p_candidates(list(reversed(other)), CFG) == base
+        base = candidates(flows, BotPath.P2P)
+        assert candidates(list(reversed(flows)), BotPath.P2P) == base
