@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from botdetect.cli import main as cli
+from botdetect.synth import parse_truth
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "out" / "demo"
@@ -38,11 +39,8 @@ def run(scenario: str) -> bool:
         "--out", str(OUT / f"{scenario}.curves.csv"),
     ]) == 0
 
-    truth_groups = [
-        set(line.split()[3:])
-        for line in (Path(f"{prefix}.truth").read_text()).splitlines()
-        if line.startswith("group")
-    ]
+    truth = parse_truth(Path(f"{prefix}.truth").read_text())
+    truth_groups = [{str(h) for h in g.hosts} for g in truth.groups]
     doc = json.loads(report_path.read_text())
     reported = [set(g["hosts"]) for g in doc["groups"]]
     verdict = "MATCH" if reported == truth_groups else "MISMATCH"

@@ -12,7 +12,6 @@ from .flowfile import parse_flow_file, write_flow_file
 from .model import (
     DetectorConfig,
     FlowRecord,
-    HostId,
     OsdMode,
     Proto,
     TcpState,
@@ -34,7 +33,6 @@ __all__ = [
     "FlowFeatures",
     "FlowRecord",
     "GroundTruth",
-    "HostId",
     "OsdMode",
     "PlantedGroup",
     "PlantedKind",

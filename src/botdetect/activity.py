@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from ipaddress import IPv4Address, IPv4Network
 
-from .model import DetectorConfig, FlowRecord, HostId, OsdMode, Proto
+from .model import DetectorConfig, FlowRecord, OsdMode, Proto
 
 SMTP_PORTS = (25, 587)
 
@@ -66,7 +66,6 @@ class ScanScores:
 
 @dataclass(frozen=True)
 class SpamReport:
-    host: HostId
     smtp_flows: int
     distinct_servers: int
     flagged: bool
@@ -74,7 +73,6 @@ class SpamReport:
 
 @dataclass(frozen=True)
 class HostActivity:
-    host: HostId
     scores: ScanScores
     spam: SpamReport
     isd_flagged: bool
@@ -136,10 +134,7 @@ def osd_vote(s1: float, s2: float, s3: float, cfg: DetectorConfig) -> bool:
 
 
 def osd_scores(
-    host: HostId,
-    outbound_flows: list[FlowRecord],
-    failed: list[FlowRecord],
-    cfg: DetectorConfig,
+    outbound_flows: list[FlowRecord], failed: list[FlowRecord], cfg: DetectorConfig
 ) -> ScanScores:
     """Score one host's outbound behavior for a window.
 
@@ -162,16 +157,14 @@ def osd_scores(
     )
 
 
-def spam_detect(host: HostId, flows: list[FlowRecord], cfg: DetectorConfig) -> SpamReport:
+def spam_detect(flows: list[FlowRecord], cfg: DetectorConfig) -> SpamReport:
     """Flag mail fan-out: many SMTP/Submission flows or many distinct servers."""
     smtp = [rec for rec in flows if rec.proto is Proto.TCP and rec.dport in SMTP_PORTS]
     servers = {rec.dip for rec in smtp}
     flagged = (
         len(servers) >= cfg.spam_distinct_servers or len(smtp) >= cfg.spam_total_flows
     )
-    return SpamReport(
-        host=host, smtp_flows=len(smtp), distinct_servers=len(servers), flagged=flagged
-    )
+    return SpamReport(smtp_flows=len(smtp), distinct_servers=len(servers), flagged=flagged)
 
 
 def window_activity(
@@ -179,41 +172,38 @@ def window_activity(
     failed_flows: list[FlowRecord],
     internal: IPv4Network,
     cfg: DetectorConfig,
-) -> dict[HostId, HostActivity]:
+) -> dict[IPv4Address, HostActivity]:
     """Score every internal host seen in one window.
 
     ``all_flows`` are the window's completed (clean) flows, ``failed_flows``
     its failed connection attempts.  Spam is judged on completed flows only;
     failed attempts still count toward the scan scores.
     """
-    def is_internal(ip: str) -> bool:
-        return IPv4Address(ip) in internal
-
-    outbound: dict[HostId, list[FlowRecord]] = {}
-    outbound_failed: dict[HostId, list[FlowRecord]] = {}
-    inbound_failed: dict[HostId, list[FlowRecord]] = {}
+    outbound: dict[IPv4Address, list[FlowRecord]] = {}
+    outbound_failed: dict[IPv4Address, list[FlowRecord]] = {}
+    inbound_failed: dict[IPv4Address, list[FlowRecord]] = {}
     for rec in all_flows:
-        if is_internal(rec.sip) and not is_internal(rec.dip):
-            outbound.setdefault(HostId.parse(rec.sip), []).append(rec)
+        sip = IPv4Address(rec.sip)
+        if sip in internal and IPv4Address(rec.dip) not in internal:
+            outbound.setdefault(sip, []).append(rec)
     for rec in failed_flows:
-        src_internal = is_internal(rec.sip)
-        dst_internal = is_internal(rec.dip)
+        sip, dip = IPv4Address(rec.sip), IPv4Address(rec.dip)
+        src_internal, dst_internal = sip in internal, dip in internal
         if src_internal and not dst_internal:
-            outbound_failed.setdefault(HostId.parse(rec.sip), []).append(rec)
+            outbound_failed.setdefault(sip, []).append(rec)
         if dst_internal and not src_internal:
-            inbound_failed.setdefault(HostId.parse(rec.dip), []).append(rec)
+            inbound_failed.setdefault(dip, []).append(rec)
 
     hosts = sorted(set(outbound) | set(outbound_failed) | set(inbound_failed))
-    activity: dict[HostId, HostActivity] = {}
+    activity: dict[IPv4Address, HostActivity] = {}
     for host in hosts:
         clean = outbound.get(host, [])
         failed = outbound_failed.get(host, [])
         inbound_fc = count_failed(inbound_failed.get(host, []), cfg.hs_ports)
         isd_s = isd_score(inbound_fc, cfg.w1, cfg.w2)
         activity[host] = HostActivity(
-            host=host,
-            scores=replace(osd_scores(host, clean, failed, cfg), isd_s=isd_s),
-            spam=spam_detect(host, clean, cfg),
+            scores=replace(osd_scores(clean, failed, cfg), isd_s=isd_s),
+            spam=spam_detect(clean, cfg),
             isd_flagged=isd_s >= cfg.isd_threshold,
         )
     return activity

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
 
-from .model import FlowRecord, TcpState
+from .model import FlowRecord, TcpState, content_lines
 
 _FAILED_STATES = (TcpState.SYN_ONLY, TcpState.RESET)
 
@@ -40,10 +40,7 @@ def parse_whitelist(text: str) -> Whitelist:
     ``#`` starts a comment, blank lines are ignored.
     """
     entries: set[IPv4Network] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         try:
             if "/" in line:
                 entries.add(IPv4Network(line, strict=False))

@@ -8,6 +8,7 @@ payload prefix, and decimal seconds with up to six fractional digits.
 from __future__ import annotations
 
 import math
+import re
 
 from .model import FlowRecord, Proto, TcpState, validate_flow
 
@@ -16,6 +17,7 @@ _COLUMNS = HEADER.count(",") + 1
 
 _PROTO_BY_NAME = {p.value: p for p in Proto}
 _STATE_BY_NAME = {s.value: s for s in TcpState}
+_PLAIN_SECONDS = re.compile(r"[0-9]+(\.[0-9]{1,6})?")
 
 
 class FlowFileError(ValueError):
@@ -48,10 +50,15 @@ def format_seconds(value: float) -> str:
 
 
 def _parse_seconds(name: str, text: str, lineno: int) -> float:
+    # canonical only: float() alone would also take "1_0", "+5", "1e3" and " 7";
+    # what the writer emits beyond plain decimals (its repr fallback, "-0")
+    # is accepted because it renders back to itself
     try:
         value = float(text)
     except ValueError:
-        raise MalformedRow(lineno, f"bad {name}: {text!r}") from None
+        value = None
+    if value is None or not (_PLAIN_SECONDS.fullmatch(text) or format_seconds(value) == text):
+        raise MalformedRow(lineno, f"bad {name}: {text!r}")
     if not math.isfinite(value):
         raise MalformedRow(lineno, f"{name} must be finite, got {text!r}")
     return value

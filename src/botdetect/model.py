@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from ipaddress import AddressValueError, IPv4Address
+from typing import Callable, Iterator, get_type_hints
 
 PAYLOAD_PREFIX_MAX = 64
 
@@ -35,24 +36,6 @@ class OsdMode(enum.Enum):
     AND = "and"
     OR = "or"
     MAJORITY = "majority"
-
-
-@dataclass(frozen=True, order=True)
-class HostId:
-    """An IPv4 host identity with a numeric total order.
-
-    Ordering by address value (not by dotted-quad string) is what makes
-    cluster and report output canonical.
-    """
-
-    addr: IPv4Address
-
-    @classmethod
-    def parse(cls, text: str) -> "HostId":
-        return cls(IPv4Address(text))
-
-    def __str__(self) -> str:
-        return str(self.addr)
 
 
 @dataclass(frozen=True)
@@ -188,27 +171,6 @@ class ConfigError(ValueError):
     """Raised for malformed or invalid configuration input."""
 
 
-_INT_KEYS = {
-    "resample_points",
-    "min_group_size",
-    "osd_min_scans",
-    "spam_distinct_servers",
-    "spam_total_flows",
-}
-_FLOAT_KEYS = {
-    "window_seconds",
-    "similarity_threshold",
-    "pat_bin_seconds",
-    "w1",
-    "w2",
-    "isd_threshold",
-    "osd_s1_threshold",
-    "osd_s2_threshold",
-    "osd_s3_threshold",
-    "duration_floor",
-}
-
-
 def parse_hs_ports(value: str) -> frozenset[tuple[Proto, int]]:
     """Parse the ``tcp:445,udp:1434`` port-set syntax."""
     items: set[tuple[Proto, int]] = set()
@@ -232,46 +194,90 @@ def parse_hs_ports(value: str) -> frozenset[tuple[Proto, int]]:
     return frozenset(items)
 
 
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(lineno, line)`` for each line of ``text`` left non-blank once
+    its ``#`` comment is cut off; ``line`` is stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def read_settings(text: str, error: type[ValueError]) -> Iterator[tuple[int, str, str]]:
+    """Yield ``(lineno, key, value)`` for each ``key = value`` line of ``text``.
+
+    ``#`` starts a comment and blank lines are skipped; any other line
+    without ``=`` raises ``error`` naming its line.
+    """
+    for lineno, line in content_lines(text):
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise error(f"line {lineno}: expected key = value, got {line!r}")
+        yield lineno, key.strip(), value.strip()
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered not in ("true", "false"):
+        raise ValueError(text)
+    return lowered == "true"
+
+
+def field_parsers(cls: type) -> dict[str, Callable[[str], object]]:
+    """One text-to-value parser per field of the dataclass ``cls``, by field type.
+
+    ``int`` and ``float`` parse as those types (so ``21600`` gives
+    ``21600.0`` for a float field), ``bool`` takes ``true``/``false`` in any
+    case, and an enum takes its lowercased value; ``hs_ports`` takes the
+    :func:`parse_hs_ports` syntax.  Fields of any other type get no parser,
+    so a settings file cannot set them.
+    """
+    parsers: dict[str, Callable[[str], object]] = {}
+    for name, kind in get_type_hints(cls).items():
+        if name == "hs_ports":
+            parsers[name] = parse_hs_ports
+        elif kind is bool:
+            parsers[name] = _parse_bool
+        elif kind in (int, float):
+            parsers[name] = kind
+        elif isinstance(kind, type) and issubclass(kind, enum.Enum):
+            parsers[name] = lambda text, kind=kind: kind(text.lower())
+    return parsers
+
+
+def parse_setting(
+    parsers: dict[str, Callable[[str], object]],
+    lineno: int,
+    key: str,
+    value: str,
+    error: type[ValueError],
+    scope: str,
+) -> object:
+    """Parse one setting's value, raising ``error`` that names its line for an
+    unknown ``scope`` key (``config``, ``scenario``, ...) or a bad value."""
+    parser = parsers.get(key)
+    if parser is None:
+        raise error(f"line {lineno}: unknown {scope} key {key!r}")
+    try:
+        return parser(value)
+    except ConfigError as exc:
+        raise error(f"line {lineno}: {exc}") from None
+    except ValueError:
+        raise error(f"line {lineno}: bad value for {key}: {value!r}") from None
+
+
 def parse_config(text: str, base: DetectorConfig | None = None) -> DetectorConfig:
     """Parse ``key = value`` config lines on top of ``base`` (defaults if None).
 
-    ``#`` starts a comment; blank lines are skipped; unknown keys are an error.
+    ``#`` starts a comment; blank lines are skipped; unknown keys are an
+    error; each value is parsed by its field's type (see :func:`field_parsers`).
     """
-    values: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key == "osd_mode":
-                values[key] = OsdMode(value.lower())
-            elif key == "hs_ports":
-                values[key] = parse_hs_ports(value)
-            elif key == "irc_require_malicious":
-                lowered = value.lower()
-                if lowered not in ("true", "false"):
-                    raise ConfigError(
-                        f"line {lineno}: irc_require_malicious must be true or false"
-                    )
-                values[key] = lowered == "true"
-            else:
-                raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        except ConfigError:
-            raise
-        except ValueError:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from None
-    cfg_fields = {f.name: getattr(base or DetectorConfig(), f.name) for f in fields(DetectorConfig)}
-    cfg_fields.update(values)
-    cfg = DetectorConfig(**cfg_fields)
+    parsers = field_parsers(DetectorConfig)
+    values = {
+        key: parse_setting(parsers, lineno, key, value, ConfigError, "config")
+        for lineno, key, value in read_settings(text, ConfigError)
+    }
+    cfg = replace(base or DetectorConfig(), **values)
     problems = config_violations(cfg)
     if problems:
         raise ConfigError("; ".join(problems))

@@ -16,9 +16,10 @@ features are undefined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from ipaddress import IPv4Address
 from typing import NamedTuple
 
-from .model import DetectorConfig, FlowRecord, HostId, Proto
+from .model import DetectorConfig, FlowRecord, Proto
 from .similarity import FlowFeatures, FlowGroup, flow_features
 
 _GROUPABLE = (Proto.TCP, Proto.UDP)
@@ -51,8 +52,8 @@ def window_partition(
 
 @dataclass(frozen=True)
 class P2PGroupKey:
-    sip: HostId
-    dip: HostId
+    sip: IPv4Address
+    dip: IPv4Address
     dport: int
     proto: Proto
 
@@ -65,8 +66,8 @@ class P2PGroupKey:
 
 @dataclass(frozen=True)
 class IRCGroupKey:
-    sip: HostId
-    dip: HostId
+    sip: IPv4Address
+    dip: IPv4Address
     sport: int
     dport: int
     pat_bin: int
@@ -105,7 +106,7 @@ def group_flows_p2p(flows: list[FlowRecord], duration_floor: float) -> GroupingR
 
     def key_fn(rec: FlowRecord) -> P2PGroupKey:
         return P2PGroupKey(
-            sip=HostId.parse(rec.sip), dip=HostId.parse(rec.dip), dport=rec.dport, proto=rec.proto
+            sip=IPv4Address(rec.sip), dip=IPv4Address(rec.dip), dport=rec.dport, proto=rec.proto
         )
 
     return _collect_groups(flows, key_fn, duration_floor)
@@ -121,8 +122,8 @@ def group_flows_irc(flows: list[FlowRecord], cfg: DetectorConfig) -> GroupingRes
 
     def key_fn(rec: FlowRecord) -> IRCGroupKey:
         return IRCGroupKey(
-            sip=HostId.parse(rec.sip),
-            dip=HostId.parse(rec.dip),
+            sip=IPv4Address(rec.sip),
+            dip=IPv4Address(rec.dip),
             sport=rec.sport,
             dport=rec.dport,
             pat_bin=int(rec.start_ts // cfg.pat_bin_seconds),

@@ -16,10 +16,11 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, fields
+from ipaddress import IPv4Address
 from typing import Iterable, Mapping
 
 from .activity import HostActivity
-from .model import DetectorConfig, HostId
+from .model import DetectorConfig
 from .monitors import WindowIndex
 from .similarity import SimilarityCluster
 
@@ -33,7 +34,7 @@ class BotPath(enum.Enum):
 class BotnetGroup:
     window: WindowIndex
     path: BotPath
-    hosts: tuple[HostId, ...]
+    hosts: tuple[IPv4Address, ...]
     cluster_keys: tuple[str, ...]
     activity_flags: Mapping[str, dict[str, bool]]
 
@@ -46,7 +47,7 @@ class BotnetReport:
 
 
 def _flags_for(
-    hosts: Iterable[HostId], activity: Mapping[HostId, HostActivity]
+    hosts: Iterable[IPv4Address], activity: Mapping[IPv4Address, HostActivity]
 ) -> dict[str, dict[str, bool]]:
     flags = {}
     for host in hosts:
@@ -59,56 +60,55 @@ def _flags_for(
     return flags
 
 
-def correlate_p2p(
+def _groups_of_min_size(
+    path: BotPath,
     clusters: list[SimilarityCluster],
-    malicious: Iterable[HostId],
+    keep: set[IPv4Address] | None,
     cfg: DetectorConfig,
     window: WindowIndex,
-    activity: Mapping[HostId, HostActivity] | None = None,
+    activity: Mapping[IPv4Address, HostActivity] | None,
 ) -> list[BotnetGroup]:
-    """Intersect each cluster with the malicious set; keep groups of min size."""
-    malicious_set = set(malicious)
-    groups = []
-    for cluster in clusters:
-        common = tuple(sorted(h for h in cluster.hosts if h in malicious_set))
-        if len(common) >= cfg.min_group_size:
-            groups.append(
-                BotnetGroup(
-                    window=window,
-                    path=BotPath.P2P,
-                    hosts=common,
-                    cluster_keys=tuple(k.label() for k in cluster.group_keys),
-                    activity_flags=_flags_for(common, activity or {}),
-                )
-            )
-    return groups
-
-
-def correlate_irc(
-    clusters: list[SimilarityCluster],
-    cfg: DetectorConfig,
-    window: WindowIndex,
-    malicious: Iterable[HostId] = (),
-    activity: Mapping[HostId, HostActivity] | None = None,
-) -> list[BotnetGroup]:
-    """Emit IRC clusters of min size, optionally gated on malicious activity."""
+    """One group per cluster whose hosts (only those in ``keep``, unless it is
+    None) number at least ``min_group_size``."""
     groups = []
     for cluster in clusters:
         hosts = cluster.hosts
-        if cfg.irc_require_malicious:
-            malicious_set = set(malicious)
-            hosts = tuple(sorted(h for h in hosts if h in malicious_set))
+        if keep is not None:
+            hosts = tuple(sorted(h for h in hosts if h in keep))
         if len(hosts) >= cfg.min_group_size:
             groups.append(
                 BotnetGroup(
                     window=window,
-                    path=BotPath.IRC,
+                    path=path,
                     hosts=hosts,
                     cluster_keys=tuple(k.label() for k in cluster.group_keys),
                     activity_flags=_flags_for(hosts, activity or {}),
                 )
             )
     return groups
+
+
+def correlate_p2p(
+    clusters: list[SimilarityCluster],
+    malicious: Iterable[IPv4Address],
+    cfg: DetectorConfig,
+    window: WindowIndex,
+    activity: Mapping[IPv4Address, HostActivity] | None = None,
+) -> list[BotnetGroup]:
+    """Intersect each cluster with the malicious set; keep groups of min size."""
+    return _groups_of_min_size(BotPath.P2P, clusters, set(malicious), cfg, window, activity)
+
+
+def correlate_irc(
+    clusters: list[SimilarityCluster],
+    cfg: DetectorConfig,
+    window: WindowIndex,
+    malicious: Iterable[IPv4Address] = (),
+    activity: Mapping[IPv4Address, HostActivity] | None = None,
+) -> list[BotnetGroup]:
+    """Emit IRC clusters of min size, optionally gated on malicious activity."""
+    keep = set(malicious) if cfg.irc_require_malicious else None
+    return _groups_of_min_size(BotPath.IRC, clusters, keep, cfg, window, activity)
 
 
 def build_report(

@@ -21,10 +21,11 @@ everywhere, so short-lived hosts still participate in clustering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from ipaddress import IPv4Address
 
 import numpy as np
 
-from .model import FlowRecord, HostId
+from .model import FlowRecord
 
 
 class ZeroPackets(ValueError):
@@ -66,7 +67,7 @@ class FlowGroup:
 
     key: object
     points: tuple[FlowFeatures, ...]
-    members: frozenset[HostId]
+    members: frozenset[IPv4Address]
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +166,7 @@ class SimilarityCluster:
     """A connected component of mutually similar groups."""
 
     group_keys: tuple
-    hosts: tuple[HostId, ...]
+    hosts: tuple[IPv4Address, ...]
 
 
 class _UnionFind:
@@ -212,7 +213,7 @@ def cluster_groups(
     clusters = []
     for comp in components.values():
         keys = tuple(sorted((g.key for g in comp), key=lambda k: k.sort_key()))
-        hosts: set[HostId] = set()
+        hosts: set[IPv4Address] = set()
         for g in comp:
             hosts.update(g.members)
         clusters.append(SimilarityCluster(group_keys=keys, hosts=tuple(sorted(hosts))))

@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from ipaddress import IPv4Address
 
-from .model import FlowRecord, HostId, Proto, TcpState
+from .model import FlowRecord, Proto, TcpState, content_lines, field_parsers, parse_setting, read_settings
 
 MASK64 = (1 << 64) - 1
 
@@ -140,13 +141,13 @@ class ScenarioSpec:
 @dataclass(frozen=True)
 class PlantedTruth:
     kind: PlantedKind
-    hosts: tuple[HostId, ...]
+    hosts: tuple[IPv4Address, ...]
 
 
 @dataclass(frozen=True)
 class GroundTruth:
     groups: tuple[PlantedTruth, ...]
-    malicious: tuple[HostId, ...]
+    malicious: tuple[IPv4Address, ...]
 
 
 class InvalidSpec(ValueError):
@@ -442,7 +443,7 @@ def generate(spec: ScenarioSpec) -> tuple[list[FlowRecord], GroundTruth]:
     for i in range(spec.benign_hosts):
         flows.extend(_benign_host_flows(rng, spec, f"10.0.1.{i + 1}", alloc))
     truths = []
-    malicious: set[HostId] = set()
+    malicious: set[IPv4Address] = set()
     for g, group in enumerate(spec.planted):
         members = [f"10.0.{2 + g}.{j + 1}" for j in range(group.size)]
         if group.kind is PlantedKind.P2P_BOT_GROUP:
@@ -455,7 +456,7 @@ def generate(spec: ScenarioSpec) -> tuple[list[FlowRecord], GroundTruth]:
         else:
             for sip in members:
                 flows.extend(_smtp_flows(rng, spec, sip, group.smtp_fanout, alloc))
-        hosts = tuple(sorted(HostId.parse(m) for m in members))
+        hosts = tuple(sorted(IPv4Address(m) for m in members))
         truths.append(PlantedTruth(kind=group.kind, hosts=hosts))
         if group.malicious:
             malicious.update(hosts)
@@ -511,62 +512,37 @@ def irc_botnet_scenario(seed: int = 7, size: int = 4, benign_hosts: int = 20) ->
 
 # --- scenario spec files and ground-truth sidecars ---
 
-_SPEC_INT_KEYS = {"seed", "benign_hosts"}
-_SPEC_FLOAT_KEYS = {"duration", "benign_flow_rate"}
-_PLANTED_INT_KEYS = {"size", "peers", "flows_per_peer", "scan_targets", "smtp_fanout"}
-_PLANTED_FLOAT_KEYS = {"nbpp", "nbps", "jitter_pct"}
-
-
 def parse_scenario(text: str) -> ScenarioSpec:
-    """Parse a scenario spec file (``key = value``, ``planted.N.*`` indexed)."""
+    """Parse a scenario spec file (``key = value``, ``planted.N.*`` indexed).
+
+    Same syntax as the config file; each value is parsed by its
+    :class:`ScenarioSpec` or :class:`PlantedGroup` field's type.
+    """
+    spec_parsers = field_parsers(ScenarioSpec)
+    planted_parsers = field_parsers(PlantedGroup)
     top: dict[str, object] = {}
     planted: dict[int, dict[str, object]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, key, value in read_settings(text, InvalidSpec):
+        if not key.startswith("planted."):
+            top[key] = parse_setting(spec_parsers, lineno, key, value, InvalidSpec, "scenario")
             continue
-        if "=" not in line:
-            raise InvalidSpec(f"line {lineno}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
         try:
-            if key in _SPEC_INT_KEYS:
-                top[key] = int(value)
-            elif key in _SPEC_FLOAT_KEYS:
-                top[key] = float(value)
-            elif key.startswith("planted."):
-                _, index_text, attr = key.split(".", 2)
-                index = int(index_text)
-                entry = planted.setdefault(index, {})
-                if attr == "kind":
-                    entry[attr] = PlantedKind(value.lower())
-                elif attr in _PLANTED_INT_KEYS:
-                    entry[attr] = int(value)
-                elif attr in _PLANTED_FLOAT_KEYS:
-                    entry[attr] = float(value)
-                else:
-                    raise InvalidSpec(f"line {lineno}: unknown planted key {attr!r}")
-            else:
-                raise InvalidSpec(f"line {lineno}: unknown scenario key {key!r}")
-        except InvalidSpec:
-            raise
+            _, index_text, attr = key.split(".", 2)
+            index = int(index_text)
         except ValueError:
-            raise InvalidSpec(f"line {lineno}: bad value for {key}: {value!r}") from None
+            raise InvalidSpec(f"line {lineno}: bad planted key {key!r}") from None
+        entry = planted.setdefault(index, {})
+        entry[attr] = parse_setting(planted_parsers, lineno, attr, value, InvalidSpec, "planted")
     if planted and sorted(planted) != list(range(len(planted))):
         raise InvalidSpec("planted indices must be contiguous from 0")
     groups = []
     for index in sorted(planted):
         entry = planted[index]
-        if "kind" not in entry:
-            raise InvalidSpec(f"planted.{index}: missing kind")
-        if "size" not in entry:
-            raise InvalidSpec(f"planted.{index}: missing size")
+        for required in ("kind", "size"):
+            if required not in entry:
+                raise InvalidSpec(f"planted.{index}: missing {required}")
         groups.append(PlantedGroup(**entry))  # type: ignore[arg-type]
-    spec_fields = {f.name: getattr(ScenarioSpec(), f.name) for f in fields(ScenarioSpec)}
-    spec_fields.update(top)
-    spec_fields["planted"] = tuple(groups)
-    spec = ScenarioSpec(**spec_fields)
+    spec = ScenarioSpec(**top, planted=tuple(groups))
     problems = validate_spec(spec)
     if problems:
         raise InvalidSpec("; ".join(problems))
@@ -586,18 +562,15 @@ def write_truth(truth: GroundTruth) -> str:
 
 def parse_truth(text: str) -> GroundTruth:
     groups = []
-    malicious: tuple[HostId, ...] = ()
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    malicious: tuple[IPv4Address, ...] = ()
+    for _, line in content_lines(text):
         parts = line.split()
         if parts[0] == "group":
             kind = PlantedKind(parts[2])
-            hosts = tuple(sorted(HostId.parse(p) for p in parts[3:]))
+            hosts = tuple(sorted(IPv4Address(p) for p in parts[3:]))
             groups.append(PlantedTruth(kind=kind, hosts=hosts))
         elif parts[0] == "malicious":
-            malicious = tuple(sorted(HostId.parse(p) for p in parts[1:]))
+            malicious = tuple(sorted(IPv4Address(p) for p in parts[1:]))
         else:
-            raise InvalidSpec(f"unknown truth line: {raw!r}")
+            raise InvalidSpec(f"unknown truth line: {line!r}")
     return GroundTruth(groups=tuple(groups), malicious=malicious)

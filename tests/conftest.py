@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import enum
 from ipaddress import IPv4Network
 
 import pytest
@@ -35,6 +36,20 @@ def make_flow(
         tcp_state=tcp_state,
         payload_prefix=payload,
     )
+
+
+def setting_text(value) -> str:
+    """Render a field value as a settings file may spell it: whole floats
+    without a fraction, enums in upper case, port sets as ``proto:port``."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float) and value.is_integer():
+        return str(int(value))
+    if isinstance(value, enum.Enum):
+        return value.value.upper()
+    if isinstance(value, frozenset):
+        return ",".join(f"{proto.value}:{port}" for proto, port in sorted(value, key=str))
+    return str(value)
 
 
 @pytest.fixture

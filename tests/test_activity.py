@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+from ipaddress import IPv4Address
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,12 +18,11 @@ from botdetect.activity import (
     spam_detect,
     window_activity,
 )
-from botdetect.model import HostId, OsdMode, Proto, TcpState, default_config
+from botdetect.model import OsdMode, Proto, TcpState, default_config
 
 from .conftest import make_flow
 
 CFG = default_config()
-HOST = HostId.parse("10.0.0.5")
 
 
 def malicious(all_flows, failed_flows, internal):
@@ -122,14 +122,14 @@ class TestVote:
 
 class TestOsdScores:
     def test_no_flows_all_zero(self):
-        scores = osd_scores(HOST, [], [], CFG)
+        scores = osd_scores([], [], CFG)
         assert (scores.scans, scores.targets) == (0, 0)
         assert scores.s1 == scores.s2 == scores.s3 == 0.0
         assert scores.flagged is False
 
     def test_hundred_uniform_failures(self):
         failed = [scan_flow(i) for i in range(100)]
-        scores = osd_scores(HOST, [], failed, CFG)
+        scores = osd_scores([], failed, CFG)
         assert scores.s1 == pytest.approx(100 / 360)
         assert scores.s3 == pytest.approx(1.0, abs=1e-12)
         assert scores.s2 == 1.0  # all low-severity, w2 = 1
@@ -141,17 +141,17 @@ class TestOsdScores:
             make_flow(dip="198.51.100.9", tcp_state=TcpState.SYN_ONLY, sport=i, npkts=1, nbytes=60)
             for i in range(50)
         ]
-        scores = osd_scores(HOST, [], failed, CFG)
+        scores = osd_scores([], failed, CFG)
         assert scores.s3 == 0.0 and scores.targets == 1
 
     def test_min_scans_gate(self):
         failed = [scan_flow(i) for i in range(9)]  # below osd_min_scans=10
-        scores = osd_scores(HOST, [], failed, CFG)
+        scores = osd_scores([], failed, CFG)
         assert scores.flagged is False
 
     def test_high_severity_ports_weighted(self):
         failed = [scan_flow(i, dport=445) for i in range(10)]
-        scores = osd_scores(HOST, [], failed, CFG)
+        scores = osd_scores([], failed, CFG)
         assert scores.s2 == 3.0  # w1 * fhs / C
 
 
@@ -173,38 +173,38 @@ class TestSpamDetect:
         return make_flow(sip=sip, dip=f"203.0.113.{i + 1}", dport=dport, sport=3000 + i)
 
     def test_single_mail_flow_not_flagged(self):
-        report = spam_detect(HOST, [self.smtp(0)], CFG)
+        report = spam_detect([self.smtp(0)], CFG)
         assert report.smtp_flows == 1 and report.flagged is False
 
     def test_heavy_fanout_flagged_on_both_criteria(self):
         flows = [self.smtp(i % 10) for i in range(60)]
-        report = spam_detect(HOST, flows, CFG)
+        report = spam_detect(flows, CFG)
         assert report.smtp_flows == 60 and report.distinct_servers == 10
         assert report.flagged is True
 
     def test_boundary_below_both_thresholds(self):
         flows = [self.smtp(i % 4) for i in range(49)]
-        report = spam_detect(HOST, flows, CFG)
+        report = spam_detect(flows, CFG)
         assert report.distinct_servers == 4 and report.smtp_flows == 49
         assert report.flagged is False
 
     def test_submission_port_counts(self):
         flows = [self.smtp(i, dport=587) for i in range(5)]
-        assert spam_detect(HOST, flows, CFG).flagged is True
+        assert spam_detect(flows, CFG).flagged is True
 
     def test_udp_25_ignored(self):
         flows = [
             make_flow(proto=Proto.UDP, dport=25, dip=f"203.0.113.{i}", tcp_state=TcpState.NOT_TCP)
             for i in range(10)
         ]
-        assert spam_detect(HOST, flows, CFG).smtp_flows == 0
+        assert spam_detect(flows, CFG).smtp_flows == 0
 
     @given(st.integers(0, 30), st.integers(0, 30))
     def test_monotone_under_added_flows(self, n_before, n_extra):
         before = [self.smtp(i % 7) for i in range(n_before)]
         after = before + [self.smtp(7 + i % 5) for i in range(n_extra)]
-        if spam_detect(HOST, before, CFG).flagged:
-            assert spam_detect(HOST, after, CFG).flagged
+        if spam_detect(before, CFG).flagged:
+            assert spam_detect(after, CFG).flagged
 
 
 class TestWindowActivity:
@@ -233,7 +233,7 @@ class TestWindowActivity:
             for i in range(4)
         ]  # 4 * w1 = 12 >= 10
         activity = window_activity([], inbound, internal_net, CFG)
-        host = HostId.parse("10.0.0.9")
+        host = IPv4Address("10.0.0.9")
         assert activity[host].isd_flagged is True
         assert activity[host].scores.isd_s == 12.0
         assert [str(h) for h in malicious([], inbound, internal_net)] == ["10.0.0.9"]

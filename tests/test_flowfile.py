@@ -74,6 +74,16 @@ class TestParse:
         with pytest.raises(MalformedRow, match="bad dport"):
             parse_flow_file(_file(f"0,0,udp,1.2.3.4,1,5.6.7.8,{text},1,10,not_tcp,"))
 
+    @pytest.mark.parametrize("text", ["1_0", "+5", "1e3", " 7", ".5", "5."])
+    def test_non_canonical_seconds_rejected(self, text):
+        with pytest.raises(MalformedRow, match="bad duration"):
+            parse_flow_file(_file(f"0,{text},udp,1.2.3.4,1,5.6.7.8,2,1,10,not_tcp,"))
+
+    @pytest.mark.parametrize("text", ["7", "1000.0", "0.000001", "1e-07", "0.30000000000000004", "-0"])
+    def test_plain_and_written_seconds_accepted(self, text):
+        rows = parse_flow_file(_file(f"0,{text},udp,1.2.3.4,1,5.6.7.8,2,1,10,not_tcp,"))
+        assert rows[0].duration == float(text)
+
     @pytest.mark.parametrize("text", ["4745 54", "4E"])
     def test_non_canonical_hex_rejected(self, text):
         with pytest.raises(MalformedRow, match="payload_prefix_hex"):

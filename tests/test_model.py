@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
 
 from botdetect.model import (
     ConfigError,
-    HostId,
+    DetectorConfig,
     OsdMode,
     Proto,
     TcpState,
@@ -16,7 +16,7 @@ from botdetect.model import (
     validate_flow,
 )
 
-from .conftest import make_flow
+from .conftest import make_flow, setting_text
 
 
 class TestValidateFlow:
@@ -71,23 +71,6 @@ class TestDefaults:
         assert (Proto.TCP, 1434) not in cfg.hs_ports
 
 
-class TestHostIdOrdering:
-    def test_numeric_not_lexicographic(self):
-        a = HostId.parse("10.0.0.2")
-        b = HostId.parse("10.0.0.10")
-        assert a < b  # as strings "10.0.0.10" < "10.0.0.2"
-
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
-    def test_strict_total_order(self, x, y):
-        from ipaddress import IPv4Address
-
-        a, b = HostId(IPv4Address(x)), HostId(IPv4Address(y))
-        if x == y:
-            assert a == b
-        else:
-            assert (a < b) != (b < a)
-
-
 class TestConfigFile:
     def test_parse_overrides_and_comments(self):
         cfg = parse_config(
@@ -117,6 +100,17 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("min_group_size = many")
 
+    def test_bad_bool_reports_line(self):
+        with pytest.raises(ConfigError, match="line 1"):
+            parse_config("irc_require_malicious = maybe")
+
+    @pytest.mark.parametrize("field", dataclasses.fields(DetectorConfig), ids=lambda f: f.name)
+    def test_every_key_parses_to_its_field_type(self, field):
+        default = getattr(default_config(), field.name)
+        value = getattr(parse_config(f"{field.name} = {setting_text(default)}"), field.name)
+        assert value == default
+        assert type(value) is type(default)
+
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ConfigError, match="similarity_threshold"):
             parse_config("similarity_threshold = 1.5")
@@ -129,6 +123,16 @@ class TestConfigFile:
             parse_config("hs_ports = 445")
         with pytest.raises(ConfigError, match="hs_ports"):
             parse_config("hs_ports = icmp:445")
+
+    def test_readme_table_lists_every_key_in_order(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("**Config**", 1)[1].split("\n\n", 2)[1]
+        keys = [
+            name.strip("` ")
+            for row in table.splitlines()[2:]
+            for name in row.split("|")[1].split(",")
+        ]
+        assert keys == [f.name for f in dataclasses.fields(DetectorConfig)]
 
     def test_config_is_immutable(self):
         cfg = default_config()

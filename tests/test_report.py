@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from ipaddress import IPv4Address
 
-from botdetect.model import HostId, default_config
+from botdetect.model import default_config
 from botdetect.monitors import WindowIndex
 from botdetect.report import (
     BotPath,
@@ -31,7 +32,7 @@ class FakeKey:
 
 
 def cluster(*ips: str) -> SimilarityCluster:
-    hosts = tuple(sorted(HostId.parse(ip) for ip in ips))
+    hosts = tuple(sorted(IPv4Address(ip) for ip in ips))
     return SimilarityCluster(group_keys=(FakeKey("k"),), hosts=hosts)
 
 
@@ -41,14 +42,14 @@ def hosts_of(group) -> list[str]:
 
 class TestCorrelateP2P:
     def test_intersection_with_min_size(self):
-        malicious = {HostId.parse(ip) for ip in ("10.0.0.2", "10.0.0.3", "10.0.0.4", "10.0.0.5")}
+        malicious = {IPv4Address(ip) for ip in ("10.0.0.2", "10.0.0.3", "10.0.0.4", "10.0.0.5")}
         groups = correlate_p2p([cluster("10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4")],
                                malicious, CFG, WINDOW)
         assert len(groups) == 1
         assert hosts_of(groups[0]) == ["10.0.0.2", "10.0.0.3", "10.0.0.4"]
 
     def test_two_common_hosts_is_below_gate(self):
-        malicious = {HostId.parse("10.0.0.1"), HostId.parse("10.0.0.2")}
+        malicious = {IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2")}
         assert correlate_p2p([cluster("10.0.0.1", "10.0.0.2")], malicious, CFG, WINDOW) == []
 
     def test_empty_malicious_set(self):
@@ -70,13 +71,13 @@ class TestCorrelateIRC:
         strict = dataclasses.replace(CFG, irc_require_malicious=True)
         clusters = [cluster("10.0.0.1", "10.0.0.2", "10.0.0.3")]
         assert correlate_irc(clusters, strict, WINDOW, malicious=set()) == []
-        malicious = {HostId.parse(f"10.0.0.{i}") for i in (1, 2, 3)}
+        malicious = {IPv4Address(f"10.0.0.{i}") for i in (1, 2, 3)}
         assert len(correlate_irc(clusters, strict, WINDOW, malicious=malicious)) == 1
 
 
 class TestReport:
     def _one_group(self):
-        malicious = {HostId.parse(f"10.0.0.{i}") for i in (1, 2, 3)}
+        malicious = {IPv4Address(f"10.0.0.{i}") for i in (1, 2, 3)}
         return correlate_p2p([cluster("10.0.0.1", "10.0.0.2", "10.0.0.3")], malicious, CFG, WINDOW)
 
     def test_empty_report_shape(self):
@@ -100,7 +101,7 @@ class TestReport:
 
     def test_groups_sorted_by_window_path_first_host(self):
         w1 = WindowIndex(index=1, start=21600.0, end=43200.0)
-        malicious = {HostId.parse(f"10.0.0.{i}") for i in range(1, 7)}
+        malicious = {IPv4Address(f"10.0.0.{i}") for i in range(1, 7)}
         later = correlate_p2p([cluster("10.0.0.1", "10.0.0.2", "10.0.0.3")], malicious, CFG, w1)
         irc = correlate_irc([cluster("10.0.0.4", "10.0.0.5", "10.0.0.6")], CFG, WINDOW)
         p2p = correlate_p2p([cluster("10.0.0.4", "10.0.0.5", "10.0.0.6")], malicious, CFG, WINDOW)

@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from ipaddress import IPv4Address
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from botdetect.model import HostId
 from botdetect.similarity import (
     EmptyGroup,
     FlowFeatures,
@@ -29,7 +29,7 @@ class StubKey:
     host: str
 
     def sort_key(self):
-        return (HostId.parse(self.host), self.name)
+        return (IPv4Address(self.host), self.name)
 
     def label(self):
         return self.name
@@ -39,7 +39,7 @@ def group(name: str, host: str, *points: tuple[float, float]) -> FlowGroup:
     return FlowGroup(
         key=StubKey(name, host),
         points=tuple(FlowFeatures(nbps=y, nbpp=x) for x, y in points),
-        members=frozenset({HostId.parse(host)}),
+        members=frozenset({IPv4Address(host)}),
     )
 
 

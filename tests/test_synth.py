@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from itertools import combinations
 
 import pytest
@@ -24,6 +25,8 @@ from botdetect.synth import (
     validate_spec,
     write_truth,
 )
+
+from .conftest import setting_text
 
 CFG = default_config()
 
@@ -175,6 +178,30 @@ class TestScenarioFiles:
     def test_bad_value_reports_line(self):
         with pytest.raises(InvalidSpec, match="line 1"):
             parse_scenario("seed = forty-two")
+
+    @pytest.mark.parametrize(
+        "field",
+        [f for f in dataclasses.fields(ScenarioSpec) if f.name != "planted"],
+        ids=lambda f: f.name,
+    )
+    def test_every_key_parses_to_its_field_type(self, field):
+        default = getattr(ScenarioSpec(), field.name)
+        value = getattr(parse_scenario(f"{field.name} = {setting_text(default)}"), field.name)
+        assert value == default
+        assert type(value) is type(default)
+
+    @pytest.mark.parametrize("field", dataclasses.fields(PlantedGroup), ids=lambda f: f.name)
+    def test_every_planted_key_parses_to_its_field_type(self, field):
+        base = PlantedGroup(kind=PlantedKind.P2P_BOT_GROUP, size=3)
+        default = getattr(base, field.name)
+        text = (
+            f"planted.0.kind = {setting_text(base.kind)}\n"
+            f"planted.0.size = {base.size}\n"
+            f"planted.0.{field.name} = {setting_text(default)}\n"
+        )
+        value = getattr(parse_scenario(text).planted[0], field.name)
+        assert value == default
+        assert type(value) is type(default)
 
 
 class TestShippedScenarios:
