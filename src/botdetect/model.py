@@ -158,10 +158,10 @@ def config_violations(cfg: DetectorConfig) -> list[str]:
         "osd_s2_threshold",
         "osd_s3_threshold",
         "duration_floor",
+        "osd_min_scans",
+        "spam_distinct_servers",
+        "spam_total_flows",
     ):
-        if getattr(cfg, name) < 0:
-            problems.append(f"{name} must be >= 0")
-    for name in ("osd_min_scans", "spam_distinct_servers", "spam_total_flows"):
         if getattr(cfg, name) < 0:
             problems.append(f"{name} must be >= 0")
     return problems
@@ -223,14 +223,22 @@ def _parse_bool(text: str) -> bool:
     return lowered == "true"
 
 
+def _parse_finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def field_parsers(cls: type) -> dict[str, Callable[[str], object]]:
     """One text-to-value parser per field of the dataclass ``cls``, by field type.
 
     ``int`` and ``float`` parse as those types (so ``21600`` gives
-    ``21600.0`` for a float field), ``bool`` takes ``true``/``false`` in any
-    case, and an enum takes its lowercased value; ``hs_ports`` takes the
-    :func:`parse_hs_ports` syntax.  Fields of any other type get no parser,
-    so a settings file cannot set them.
+    ``21600.0`` for a float field; ``nan`` and ``inf`` are refused),
+    ``bool`` takes ``true``/``false`` in any case, and an enum takes its
+    lowercased value; ``hs_ports`` takes the :func:`parse_hs_ports` syntax.
+    Fields of any other type get no parser, so a settings file cannot set
+    them.
     """
     parsers: dict[str, Callable[[str], object]] = {}
     for name, kind in get_type_hints(cls).items():
@@ -238,8 +246,10 @@ def field_parsers(cls: type) -> dict[str, Callable[[str], object]]:
             parsers[name] = parse_hs_ports
         elif kind is bool:
             parsers[name] = _parse_bool
-        elif kind in (int, float):
-            parsers[name] = kind
+        elif kind is int:
+            parsers[name] = int
+        elif kind is float:
+            parsers[name] = _parse_finite
         elif isinstance(kind, type) and issubclass(kind, enum.Enum):
             parsers[name] = lambda text, kind=kind: kind(text.lower())
     return parsers

@@ -18,6 +18,10 @@ Behavior models:
 * Scanner — failed (SYN-only) probes to many distinct addresses.
 * Spammer — completed SMTP/Submission connections fanned out across many
   mail servers.
+
+Every planted kind is emitted by one function: a bot group's command flows
+(none for scanners and spammers), then each member's ``scan_targets``
+probes and ``smtp_fanout`` mail servers, whatever its kind.
 * Benign host — a few stable external peers with wide log-uniform flow
   shapes, occasional ICMP, an HTTP mix, and rare legitimate IRC chatter.
 
@@ -275,64 +279,50 @@ def _smtp_flows(rng, spec, sip, fanout, alloc) -> list[FlowRecord]:
     return flows
 
 
-def _p2p_group_flows(rng, spec, group, members, alloc) -> list[FlowRecord]:
+def _planted_flows(rng, spec, group, members, alloc) -> list[FlowRecord]:
+    """Every member's command flows, then its scan probes and mail.
+
+    A P2P group talks to its peers on one random port at any time of the
+    scenario; an IRC group talks to one server on 6667 inside one
+    arrival-time bin; scanners and spammers send no command flows.  Each
+    member sends every anchor of the shared ladder to every destination.
+    """
+    irc = group.kind is PlantedKind.IRC_BOT_GROUP
+    if irc:
+        dport, dests = 6667, [alloc.external()]
+        bins = max(1, int(spec.duration // _PAT_BIN) - 1)
+        base = rng.randint(bins) * _PAT_BIN + 20.0
+        first, span, last = base, 10.0, spec.duration * 0.999
+    elif group.kind is PlantedKind.P2P_BOT_GROUP:
+        dport = 20000 + rng.randint(20000)
+        dests = [alloc.external() for _ in range(group.peers)]
+        first, span, last = 0.0, spec.duration * 0.99, math.inf
+    else:
+        dests = []
     anchors = _group_anchors(group)
     jitter = group.jitter_pct / 100.0
-    dport = 20000 + rng.randint(20000)
-    peer_ips = [alloc.external() for _ in range(group.peers)]
     flows = []
-    for sip in members:
-        for peer in peer_ips:
+    for j, sip in enumerate(members):
+        payload = f"NICK b{j:03d}\r\n".encode() if irc else b""
+        for dip in dests:
             sport = 1024 + rng.randint(64511)
             for anchor in anchors:
                 duration = _q6(anchor.duration * (1.0 + rng.uniform(-jitter, jitter)))
                 flows.append(
                     FlowRecord(
-                        start_ts=_q6(rng.uniform(0.0, spec.duration * 0.99)),
+                        start_ts=_q6(min(first + rng.uniform(0.0, span), last)),
                         duration=duration,
                         proto=Proto.TCP,
                         sip=sip,
                         sport=sport,
-                        dip=peer,
+                        dip=dip,
                         dport=dport,
                         npkts=anchor.npkts,
                         nbytes=anchor.nbytes,
                         tcp_state=TcpState.ESTABLISHED,
+                        payload_prefix=payload,
                     )
                 )
-        flows.extend(_scan_flows(rng, spec, sip, group.scan_targets, alloc))
-        flows.extend(_smtp_flows(rng, spec, sip, group.smtp_fanout, alloc))
-    return flows
-
-
-def _irc_group_flows(rng, spec, group, members, alloc) -> list[FlowRecord]:
-    anchors = _group_anchors(group)
-    jitter = group.jitter_pct / 100.0
-    server = alloc.external()
-    bins = max(1, int(spec.duration // _PAT_BIN) - 1)
-    base = rng.randint(bins) * _PAT_BIN + 20.0
-    flows = []
-    for j, sip in enumerate(members):
-        sport = 1024 + rng.randint(64511)
-        payload = f"NICK b{j:03d}\r\n".encode()
-        for anchor in anchors:
-            duration = _q6(anchor.duration * (1.0 + rng.uniform(-jitter, jitter)))
-            start = _q6(min(base + rng.uniform(0.0, 10.0), spec.duration * 0.999))
-            flows.append(
-                FlowRecord(
-                    start_ts=start,
-                    duration=duration,
-                    proto=Proto.TCP,
-                    sip=sip,
-                    sport=sport,
-                    dip=server,
-                    dport=6667,
-                    npkts=anchor.npkts,
-                    nbytes=anchor.nbytes,
-                    tcp_state=TcpState.ESTABLISHED,
-                    payload_prefix=payload,
-                )
-            )
         flows.extend(_scan_flows(rng, spec, sip, group.scan_targets, alloc))
         flows.extend(_smtp_flows(rng, spec, sip, group.smtp_fanout, alloc))
     return flows
@@ -446,16 +436,7 @@ def generate(spec: ScenarioSpec) -> tuple[list[FlowRecord], GroundTruth]:
     malicious: set[IPv4Address] = set()
     for g, group in enumerate(spec.planted):
         members = [f"10.0.{2 + g}.{j + 1}" for j in range(group.size)]
-        if group.kind is PlantedKind.P2P_BOT_GROUP:
-            flows.extend(_p2p_group_flows(rng, spec, group, members, alloc))
-        elif group.kind is PlantedKind.IRC_BOT_GROUP:
-            flows.extend(_irc_group_flows(rng, spec, group, members, alloc))
-        elif group.kind is PlantedKind.SCANNER:
-            for sip in members:
-                flows.extend(_scan_flows(rng, spec, sip, group.scan_targets, alloc))
-        else:
-            for sip in members:
-                flows.extend(_smtp_flows(rng, spec, sip, group.smtp_fanout, alloc))
+        flows.extend(_planted_flows(rng, spec, group, members, alloc))
         hosts = tuple(sorted(IPv4Address(m) for m in members))
         truths.append(PlantedTruth(kind=group.kind, hosts=hosts))
         if group.malicious:
@@ -561,16 +542,21 @@ def write_truth(truth: GroundTruth) -> str:
 
 
 def parse_truth(text: str) -> GroundTruth:
+    """Parse a ground-truth sidecar; any bad line raises :class:`InvalidSpec`
+    naming it."""
     groups = []
     malicious: tuple[IPv4Address, ...] = ()
-    for _, line in content_lines(text):
-        parts = line.split()
-        if parts[0] == "group":
-            kind = PlantedKind(parts[2])
-            hosts = tuple(sorted(IPv4Address(p) for p in parts[3:]))
-            groups.append(PlantedTruth(kind=kind, hosts=hosts))
-        elif parts[0] == "malicious":
-            malicious = tuple(sorted(IPv4Address(p) for p in parts[1:]))
-        else:
-            raise InvalidSpec(f"unknown truth line: {line!r}")
+    for lineno, line in content_lines(text):
+        head, *rest = line.split()
+        if head not in ("group", "malicious"):
+            raise InvalidSpec(f"line {lineno}: unknown truth line: {line!r}")
+        try:
+            if head == "group":
+                kind = PlantedKind(rest[1])
+                hosts = tuple(sorted(IPv4Address(p) for p in rest[2:]))
+                groups.append(PlantedTruth(kind=kind, hosts=hosts))
+            else:
+                malicious = tuple(sorted(IPv4Address(p) for p in rest))
+        except (IndexError, ValueError):
+            raise InvalidSpec(f"line {lineno}: bad truth line: {line!r}") from None
     return GroundTruth(groups=tuple(groups), malicious=malicious)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import enum
 from ipaddress import IPv4Network
+from typing import get_type_hints
 
 import pytest
 
@@ -36,6 +37,15 @@ def make_flow(
         tcp_state=tcp_state,
         payload_prefix=payload,
     )
+
+
+# settings-file spellings of floats that no float setting accepts
+NON_FINITE = ("nan", "inf", "-inf")
+
+
+def float_fields(cls: type) -> list[str]:
+    """The names of the dataclass ``cls``'s float fields, in order."""
+    return [name for name, kind in get_type_hints(cls).items() if kind is float]
 
 
 def setting_text(value) -> str:

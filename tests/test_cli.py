@@ -26,11 +26,49 @@ planted.0.scan_targets = 60
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 
-# sha256 of the ``detect`` report for each shipped scenario spec
+# sha256 of every output for each shipped scenario spec: ``synth``'s two
+# files, then each flows-reading subcommand run on those flows
 REPORT_SHA256 = {
-    "benign": "173444884e931311b2418354e17b41dcd58ec5dbfa4f585fadd76d74bfd6b3c2",
-    "p2p_botnet": "374ea3709ed45bcfae3f12e7589ab5fcff1d53559894b925317d93f673fc2fe6",
-    "irc_botnet": "ae1f593c35882b18dd965ccf726ac41ef074f699202edcac38937c42fb566e24",
+    "benign": {
+        "synth.flows": "41973cacd8365b5837bcc9bb1da5b43bbf924e88df92c0d5164267543928f825",
+        "synth.truth": "dcfa25d27ec92888fb7f3e1e3196208a86af9f2adf620fa858f2ccaa52da0925",
+        "detect": "173444884e931311b2418354e17b41dcd58ec5dbfa4f585fadd76d74bfd6b3c2",
+        "classify": "20aa29eff68c9a057af8257f9289bc1724d9879b489afe6f6b7b61fa9dbbe056",
+        "scan-score": "fce58fabeff85634ee1f1ca6a754c99dfabd5438f91d9d7b7b39891848348aa1",
+        "spam-score": "2c09cd41602ea31fb0ee12275f3db4ae0c927770ad50e719f23b9aa3a0864237",
+        "curves.p2p": "8f2a55aeae9c01448e1b50a0bf97d6b6ad998b0b2996d095a34ed633a825df84",
+        "curves.irc": "38ef37e56149e0b9e88c361e2b6e88f15a76863da589ca4611f6ef359041f4f6",
+    },
+    "irc_botnet": {
+        "synth.flows": "57be1324be37b63c894fb0eaeb536ffdff733573df7f1954c2ebe71e70f35493",
+        "synth.truth": "f3bf780377d9e8e9148b450430e5e7916e9f53b347770732f53dfa0f59258fdf",
+        "detect": "ae1f593c35882b18dd965ccf726ac41ef074f699202edcac38937c42fb566e24",
+        "classify": "6f109b96314b9f4e42356203cacb931919ce009d033f6efcbe3f748a744d6b1b",
+        "scan-score": "74ecc7cfbc9777a70f9eaae53496ac979e202e21643bcaf89f0ed1d3b6bd268f",
+        "spam-score": "8bb8e88546517acb9d3c85adf6480c7c7c7d01d98c4008fad9b112202c39d878",
+        "curves.p2p": "807b1457676c5ecaa108fd5e78c4856816b651bb6b374d76406a12968a44c0e9",
+        "curves.irc": "8a57ed75643b576ff72e30fc1b2bbcf467f65a4710ed89462086d854e8ac108c",
+    },
+    "p2p_botnet": {
+        "synth.flows": "c3f18c457048afdc89356e51420690b3c72581622bf0bb7ef55bae1182a0a635",
+        "synth.truth": "1eb6b69865456b5489d2e059d26f20aff5c1c610b6944197315ac68a04445373",
+        "detect": "374ea3709ed45bcfae3f12e7589ab5fcff1d53559894b925317d93f673fc2fe6",
+        "classify": "6652597823736b59ba0c173d31126109a079236c583ab29144e482b22f3d3b54",
+        "scan-score": "cf0c68e71d4d85dfb0ff554687cc2f773bbad22d467dc4cc7fd9c3b1478baf58",
+        "spam-score": "c1fe0626c9599ae26628e2b44d9e7efeaaeef5eea24f5ff614e7ba1e758a7d2a",
+        "curves.p2p": "b2e1735bd7fb69ba2bfa390fa2547df8a29c1733d50fa3e009876b0cb9753f72",
+        "curves.irc": "5312f8c356ff58d1e90b98d70c71a78ea4a8ed2e447156f2dc327ae0a94a8c08",
+    },
+}
+
+# the arguments before ``--flows``/``--out`` of each flows-reading subcommand
+FLOW_COMMANDS = {
+    "detect": ["detect", "--internal", "10.0.0.0/16"],
+    "classify": ["classify"],
+    "scan-score": ["scan-score", "--internal", "10.0.0.0/16"],
+    "spam-score": ["spam-score", "--internal", "10.0.0.0/16"],
+    "curves.p2p": ["curves", "--path", "p2p"],
+    "curves.irc": ["curves", "--path", "irc"],
 }
 
 
@@ -107,7 +145,7 @@ class TestDetect:
         out = tmp_path / "report.json"
         assert main(["detect", "--flows", f"{prefix}.flows.csv", "--internal", "10.0.0.0/16",
                      "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[scenario]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[scenario]["detect"]
 
     def test_irc_malicious_gate_config_switch(self, tmp_path):
         from botdetect.synth import irc_botnet_scenario
@@ -123,6 +161,94 @@ class TestDetect:
         assert main(["detect", "--flows", str(flow_path), "--config", str(cfg),
                      "--internal", "10.0.0.0/16", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["groups"] == []
+
+
+@pytest.fixture(scope="module")
+def shipped(tmp_path_factory) -> dict[str, Path]:
+    """Each shipped scenario spec run through ``synth``: name -> output prefix."""
+    root = tmp_path_factory.mktemp("shipped")
+    for scenario in REPORT_SHA256:
+        spec = SCENARIO_DIR / f"{scenario}.spec"
+        assert main(["synth", "--spec", str(spec), "--out", str(root / scenario)]) == 0
+    return {scenario: root / scenario for scenario in REPORT_SHA256}
+
+
+class TestShippedOutputs:
+    """Every subcommand's output on the shipped scenarios, byte for byte
+    (``TestDetect`` pins the ``detect`` report)."""
+
+    @pytest.mark.parametrize("output", ["synth.flows", "synth.truth"])
+    @pytest.mark.parametrize("scenario", sorted(REPORT_SHA256))
+    def test_synth_bytes(self, shipped, scenario, output):
+        suffix = {"synth.flows": "flows.csv", "synth.truth": "truth"}[output]
+        data = Path(f"{shipped[scenario]}.{suffix}").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == REPORT_SHA256[scenario][output]
+
+    @pytest.mark.parametrize("output", sorted(set(FLOW_COMMANDS) - {"detect"}))
+    @pytest.mark.parametrize("scenario", sorted(REPORT_SHA256))
+    def test_command_bytes(self, capsys, shipped, scenario, output):
+        flows = f"{shipped[scenario]}.flows.csv"
+        assert main([*FLOW_COMMANDS[output], "--flows", flows]) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == REPORT_SHA256[scenario][output]
+
+
+class TestExitCodes:
+    """Each kind of bad input exits with its code and one ``error:`` line,
+    whichever subcommand reads it (``TestDetect`` covers ``detect`` alone)."""
+
+    @pytest.mark.parametrize("output", ["scan-score", "spam-score", "curves.p2p"])
+    def test_bad_config_exits_three(self, tmp_path, capsys, s1_flows, output):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("similarity_threshold = 2.0\n")
+        argv = [*FLOW_COMMANDS[output], "--flows", str(s1_flows), "--config", str(cfg)]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", "error: similarity_threshold must be in [0, 1]\n")
+
+    @pytest.mark.parametrize("output", ["detect", "scan-score", "spam-score"])
+    def test_bad_whitelist_exits_two(self, tmp_path, capsys, s1_flows, output):
+        wl = tmp_path / "bad.wl"
+        wl.write_text("8.8.8.0/24\nnot-a-cidr\n")
+        argv = [*FLOW_COMMANDS[output], "--flows", str(s1_flows), "--whitelist", str(wl)]
+        assert main(argv) == 2
+        err = "error: line 2: not an IPv4 address or CIDR: 'not-a-cidr'\n"
+        assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize("output", sorted(set(FLOW_COMMANDS) - {"detect"}))
+    def test_missing_flows_exits_two(self, tmp_path, capsys, output):
+        missing = tmp_path / "nope.csv"
+        assert main([*FLOW_COMMANDS[output], "--flows", str(missing)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.endswith(f"'{missing}'\n")
+
+    @pytest.mark.parametrize("output", [*sorted(FLOW_COMMANDS), "synth"])
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, s1_flows, output):
+        if output == "synth":
+            argv = ["synth", "--spec", str(SCENARIO_DIR / "benign.spec")]
+        else:
+            argv = [*FLOW_COMMANDS[output], "--flows", str(s1_flows)]
+        assert main([*argv, "--out", str(tmp_path / "no-such-dir" / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "no-such-dir" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect", "--internal", "lan"],
+            ["scan-score", "--internal", "lan"],
+            ["spam-score", "--internal", "lan"],
+            ["curves", "--path", "p2p"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_config_is_read_first(self, tmp_path, capsys, argv):
+        flows = tmp_path / "bad.csv"
+        flows.write_text(HEADER + "\nnot,enough,columns\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("min_group_size = many\n")
+        assert main([*argv, "--flows", str(flows), "--config", str(cfg)]) == 3
+        err = "error: line 1: bad value for min_group_size: 'many'\n"
+        assert capsys.readouterr() == ("", err)
 
 
 class TestSynth:

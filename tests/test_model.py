@@ -16,7 +16,7 @@ from botdetect.model import (
     validate_flow,
 )
 
-from .conftest import make_flow, setting_text
+from .conftest import NON_FINITE, float_fields, make_flow, setting_text
 
 
 class TestValidateFlow:
@@ -110,6 +110,13 @@ class TestConfigFile:
         value = getattr(parse_config(f"{field.name} = {setting_text(default)}"), field.name)
         assert value == default
         assert type(value) is type(default)
+
+    @pytest.mark.parametrize("text", NON_FINITE)
+    @pytest.mark.parametrize("key", float_fields(DetectorConfig))
+    def test_non_finite_float_rejected(self, key, text):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"# comment\n{key} = {text}")
+        assert str(err.value) == f"line 2: bad value for {key}: {text!r}"
 
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ConfigError, match="similarity_threshold"):

@@ -26,7 +26,7 @@ from botdetect.synth import (
     write_truth,
 )
 
-from .conftest import setting_text
+from .conftest import NON_FINITE, float_fields, setting_text
 
 CFG = default_config()
 
@@ -97,6 +97,24 @@ class TestGenerate:
         assert len({f.dip for f in flows}) == 8
         assert all(f.dport in (25, 587) and f.proto is Proto.TCP for f in flows)
         assert truth.malicious == truth.groups[0].hosts
+
+    @pytest.mark.parametrize(
+        "kind", [PlantedKind.SCANNER, PlantedKind.SPAMMER], ids=lambda k: k.value
+    )
+    def test_scan_and_mail_fields_honoured_by_every_kind(self, kind):
+        spec = ScenarioSpec(
+            seed=5, benign_hosts=0,
+            planted=(PlantedGroup(kind=kind, size=2, scan_targets=3, smtp_fanout=2),),
+        )
+        flows, truth = generate(spec)
+        for host in truth.groups[0].hosts:
+            sent = [f for f in flows if f.sip == str(host)]
+            probes = [f for f in sent if f.tcp_state is TcpState.SYN_ONLY]
+            mail = [f for f in sent if f.dport in (25, 587)]
+            assert len(probes) == 3 and len({f.dip for f in probes}) == 3
+            assert len({f.dip for f in mail}) == 2
+            assert all(f.tcp_state is TcpState.ESTABLISHED for f in mail)
+            assert len(probes) + len(mail) == len(sent)
 
     def test_bot_group_without_attacks_is_not_malicious(self):
         flows, truth = generate(irc_botnet_scenario(4, benign_hosts=0))
@@ -190,6 +208,20 @@ class TestScenarioFiles:
         assert value == default
         assert type(value) is type(default)
 
+    @pytest.mark.parametrize("text", NON_FINITE)
+    @pytest.mark.parametrize("key", float_fields(ScenarioSpec))
+    def test_non_finite_float_rejected(self, key, text):
+        with pytest.raises(InvalidSpec) as err:
+            parse_scenario(f"seed = 1\n{key} = {text}")
+        assert str(err.value) == f"line 2: bad value for {key}: {text!r}"
+
+    @pytest.mark.parametrize("text", NON_FINITE)
+    @pytest.mark.parametrize("key", float_fields(PlantedGroup))
+    def test_non_finite_planted_float_rejected(self, key, text):
+        with pytest.raises(InvalidSpec) as err:
+            parse_scenario(f"planted.0.kind = p2p_bot_group\nplanted.0.{key} = {text}")
+        assert str(err.value) == f"line 2: bad value for {key}: {text!r}"
+
     @pytest.mark.parametrize("field", dataclasses.fields(PlantedGroup), ids=lambda f: f.name)
     def test_every_planted_key_parses_to_its_field_type(self, field):
         base = PlantedGroup(kind=PlantedKind.P2P_BOT_GROUP, size=3)
@@ -237,3 +269,19 @@ class TestTruthFile:
     def test_empty_malicious_line(self):
         truth = GroundTruth(groups=(), malicious=())
         assert parse_truth(write_truth(truth)) == truth
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "group 0",
+            "group 0 botnet 10.0.2.1",
+            "group 0 scanner 10.0.2.1 10.0.2.300",
+            "malicious 1.2.3",
+            "hosts 10.0.2.1",
+        ],
+    )
+    def test_bad_line_named(self, line):
+        with pytest.raises(InvalidSpec) as err:
+            parse_truth(f"# truth\n{line}\n")
+        assert str(err.value).startswith("line 2: ")
+        assert str(err.value).endswith(repr(line))
