@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
 
 from .model import DetectorConfig, FlowRecord, OsdMode, Proto
@@ -52,10 +52,9 @@ class ScanScores:
 
     ``scans`` is C, the total outbound connection attempts; ``targets`` is
     m, the number of distinct destination addresses.  ``flagged`` is the
-    outbound vote; the inbound score ``isd_s`` is thresholded separately.
+    outbound vote.
     """
 
-    isd_s: float
     s1: float
     s2: float
     s3: float
@@ -73,8 +72,12 @@ class SpamReport:
 
 @dataclass(frozen=True)
 class HostActivity:
+    """One host's window: outbound scan scores, spam fan-out, and the inbound
+    score ``isd_s`` with its threshold verdict."""
+
     scores: ScanScores
     spam: SpamReport
+    isd_s: float
     isd_flagged: bool
 
     @property
@@ -152,9 +155,7 @@ def osd_scores(
     s2 = osd_s2(fc, cfg.w1, cfg.w2, attempts)
     s3 = entropy_norm(list(target_counts.values())) if attempts else 0.0
     flagged = attempts >= cfg.osd_min_scans and osd_vote(s1, s2, s3, cfg)
-    return ScanScores(
-        isd_s=0.0, s1=s1, s2=s2, s3=s3, scans=attempts, targets=m, flagged=flagged
-    )
+    return ScanScores(s1=s1, s2=s2, s3=s3, scans=attempts, targets=m, flagged=flagged)
 
 
 def spam_detect(flows: list[FlowRecord], cfg: DetectorConfig) -> SpamReport:
@@ -202,8 +203,9 @@ def window_activity(
         inbound_fc = count_failed(inbound_failed.get(host, []), cfg.hs_ports)
         isd_s = isd_score(inbound_fc, cfg.w1, cfg.w2)
         activity[host] = HostActivity(
-            scores=replace(osd_scores(clean, failed, cfg), isd_s=isd_s),
+            scores=osd_scores(clean, failed, cfg),
             spam=spam_detect(clean, cfg),
+            isd_s=isd_s,
             isd_flagged=isd_s >= cfg.isd_threshold,
         )
     return activity

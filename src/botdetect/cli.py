@@ -102,7 +102,7 @@ SCAN_HEADER = "window,host,isd_s,s1,s2,s3,scans,targets,isd_flagged,osd_flagged"
 def _scan_row(act: HostActivity) -> str:
     s = act.scores
     return (
-        f"{s.isd_s:.12g},{s.s1:.12g},{s.s2:.12g},{s.s3:.12g},"
+        f"{act.isd_s:.12g},{s.s1:.12g},{s.s2:.12g},{s.s3:.12g},"
         f"{s.scans},{s.targets},{act.isd_flagged},{s.flagged}"
     )
 

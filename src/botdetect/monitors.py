@@ -50,34 +50,30 @@ def window_partition(
     ]
 
 
-@dataclass(frozen=True)
-class P2PGroupKey:
+class P2PGroupKey(NamedTuple):
+    """A P2P grouping key; its field order is its canonical sort order."""
+
     sip: IPv4Address
     dip: IPv4Address
     dport: int
-    proto: Proto
-
-    def sort_key(self) -> tuple:
-        return (self.sip, self.dip, self.dport, self.proto.value)
+    proto: str  # Proto.value, so keys compare as plain tuples
 
     def label(self) -> str:
-        return f"{self.proto.value}:{self.sip}->{self.dip}:{self.dport}"
+        return f"{self.proto}:{self.sip}->{self.dip}:{self.dport}"
 
 
-@dataclass(frozen=True)
-class IRCGroupKey:
+class IRCGroupKey(NamedTuple):
+    """An IRC grouping key; its field order is its canonical sort order."""
+
     sip: IPv4Address
     dip: IPv4Address
     sport: int
     dport: int
     pat_bin: int
-    proto: Proto
-
-    def sort_key(self) -> tuple:
-        return (self.sip, self.dip, self.sport, self.dport, self.pat_bin, self.proto.value)
+    proto: str  # Proto.value, so keys compare as plain tuples
 
     def label(self) -> str:
-        return f"{self.proto.value}:{self.sip}:{self.sport}->{self.dip}:{self.dport}@b{self.pat_bin}"
+        return f"{self.proto}:{self.sip}:{self.sport}->{self.dip}:{self.dport}@b{self.pat_bin}"
 
 
 class GroupingResult(NamedTuple):
@@ -86,18 +82,14 @@ class GroupingResult(NamedTuple):
 
 
 def _collect_groups(flows, key_fn, duration_floor: float) -> GroupingResult:
-    points: dict[object, list[FlowFeatures]] = {}
+    points: dict[tuple, list[FlowFeatures]] = {}
     skipped = 0
     for rec in flows:
         if rec.proto not in _GROUPABLE or rec.npkts < 1:
             skipped += 1
             continue
         points.setdefault(key_fn(rec), []).append(flow_features(rec, duration_floor))
-    groups = [
-        FlowGroup(key=key, points=tuple(pts), members=frozenset({key.sip}))
-        for key, pts in points.items()
-    ]
-    groups.sort(key=lambda g: g.key.sort_key())
+    groups = [FlowGroup(key, tuple(points[key])) for key in sorted(points)]
     return GroupingResult(groups=groups, skipped=skipped)
 
 
@@ -106,7 +98,10 @@ def group_flows_p2p(flows: list[FlowRecord], duration_floor: float) -> GroupingR
 
     def key_fn(rec: FlowRecord) -> P2PGroupKey:
         return P2PGroupKey(
-            sip=IPv4Address(rec.sip), dip=IPv4Address(rec.dip), dport=rec.dport, proto=rec.proto
+            sip=IPv4Address(rec.sip),
+            dip=IPv4Address(rec.dip),
+            dport=rec.dport,
+            proto=rec.proto.value,
         )
 
     return _collect_groups(flows, key_fn, duration_floor)
@@ -127,7 +122,7 @@ def group_flows_irc(flows: list[FlowRecord], cfg: DetectorConfig) -> GroupingRes
             sport=rec.sport,
             dport=rec.dport,
             pat_bin=int(rec.start_ts // cfg.pat_bin_seconds),
-            proto=rec.proto,
+            proto=rec.proto.value,
         )
 
     return _collect_groups(flows, key_fn, cfg.duration_floor)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from ipaddress import IPv4Address
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,12 +41,11 @@ class MismatchedR(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FlowFeatures:
-    """Derived (nbps, nbpp) pair for one flow."""
+class FlowFeatures(NamedTuple):
+    """Derived features of one flow, in curve order: x = nbpp, y = nbps."""
 
-    nbps: float
     nbpp: float
+    nbps: float
 
 
 def flow_features(rec: FlowRecord, duration_floor: float) -> FlowFeatures:
@@ -63,11 +63,14 @@ def flow_features(rec: FlowRecord, duration_floor: float) -> FlowFeatures:
 
 @dataclass(frozen=True)
 class FlowGroup:
-    """Feature points of all flows sharing one grouping key."""
+    """Feature points of all flows sharing one grouping key.
 
-    key: object
+    The key is a tuple whose field order is its canonical sort order, and
+    whose ``sip`` is the group's one host.
+    """
+
+    key: tuple
     points: tuple[FlowFeatures, ...]
-    members: frozenset[IPv4Address]
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +109,7 @@ def build_curve(points: list[FlowFeatures] | tuple[FlowFeatures, ...], resample_
     """
     if not points:
         raise EmptyGroup("cannot build a curve from zero points")
-    ordered = sorted(points, key=lambda p: (p.nbpp, p.nbps))
+    ordered = sorted(points)
     xs: list[float] = []
     ys: list[float] = []
     i = 0
@@ -194,7 +197,7 @@ def cluster_groups(
     key), keys and hosts sorted within each cluster — invariant under any
     permutation of the input.
     """
-    ordered = sorted(groups, key=lambda g: g.key.sort_key())
+    ordered = sorted(groups, key=lambda g: g.key)
     curves = [build_curve(g.points, resample_points) for g in ordered]
     uf = _UnionFind(len(ordered))
     for i in range(len(ordered)):
@@ -212,10 +215,8 @@ def cluster_groups(
         components.setdefault(uf.find(idx), []).append(group)
     clusters = []
     for comp in components.values():
-        keys = tuple(sorted((g.key for g in comp), key=lambda k: k.sort_key()))
-        hosts: set[IPv4Address] = set()
-        for g in comp:
-            hosts.update(g.members)
-        clusters.append(SimilarityCluster(group_keys=keys, hosts=tuple(sorted(hosts))))
-    clusters.sort(key=lambda c: (c.hosts[0], c.group_keys[0].sort_key()))
+        keys = tuple(sorted(g.key for g in comp))
+        hosts = tuple(sorted({k.sip for k in keys}))
+        clusters.append(SimilarityCluster(group_keys=keys, hosts=hosts))
+    clusters.sort(key=lambda c: (c.hosts[0], c.group_keys[0]))
     return clusters

@@ -41,7 +41,6 @@ from .model import FlowRecord, Proto, TcpState, content_lines, field_parsers, pa
 
 MASK64 = (1 << 64) - 1
 
-INTERNAL_NETWORK = "10.0.0.0/16"
 _EXT_BASE = (198 << 24) | (51 << 16)  # 198.51.0.0
 
 # anchor-ladder shape constants shared by every planted group

@@ -235,7 +235,7 @@ class TestWindowActivity:
         activity = window_activity([], inbound, internal_net, CFG)
         host = IPv4Address("10.0.0.9")
         assert activity[host].isd_flagged is True
-        assert activity[host].scores.isd_s == 12.0
+        assert activity[host].isd_s == 12.0
         assert [str(h) for h in malicious([], inbound, internal_net)] == ["10.0.0.9"]
 
     def test_internal_to_internal_traffic_not_scored(self, internal_net):

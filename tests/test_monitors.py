@@ -5,6 +5,7 @@ from botdetect.model import Proto, default_config
 from botdetect.monitors import group_flows_irc, group_flows_p2p, window_partition
 from botdetect.pipeline import path_clusters, window_streams
 from botdetect.report import BotPath
+from botdetect.similarity import cluster_groups
 from botdetect.synth import Xorshift64Star, generate, irc_botnet_scenario, p2p_botnet_scenario
 
 from .conftest import make_flow
@@ -115,6 +116,52 @@ class TestIRCGrouping:
             coarse = p2p_points[matches[0]]
             for point in g.points:
                 assert (point.nbpp, point.nbps) in coarse
+
+
+class TestCanonicalOrder:
+    """Groups come out in key field order: numeric addresses, integer ports,
+    the protocol last, whatever the input order."""
+
+    P2P_LABELS = [
+        "tcp:10.0.0.9->198.51.100.9:80",
+        "tcp:10.0.0.9->198.51.100.9:443",
+        "tcp:10.0.0.9->198.51.100.10:80",
+        "udp:10.0.0.9->198.51.100.10:80",
+        "tcp:10.0.0.10->198.51.100.9:80",
+    ]
+
+    def p2p_flows(self):
+        flows = []
+        for label in self.P2P_LABELS:
+            proto, rest = label.split(":", 1)
+            sip, dst = rest.split("->")
+            dip, dport = dst.split(":")
+            flows.append(make_flow(proto=Proto(proto), sip=sip, dip=dip, dport=int(dport)))
+        return list(reversed(flows))
+
+    def test_p2p_groups(self):
+        groups, _ = group_flows_p2p(self.p2p_flows(), CFG.duration_floor)
+        assert [g.key.label() for g in groups] == self.P2P_LABELS
+
+    def test_irc_groups_sort_by_sport_then_dport_then_bin(self):
+        flows = [
+            make_flow(sport=2000, dport=6667, start_ts=10.0),
+            make_flow(sport=900, dport=7000, start_ts=10.0),
+            make_flow(sport=900, dport=6667, start_ts=70.0),
+        ]
+        groups, _ = group_flows_irc(flows, CFG)
+        assert [(g.key.sport, g.key.dport, g.key.pat_bin) for g in groups] == [
+            (900, 6667, 1),
+            (900, 7000, 0),
+            (2000, 6667, 0),
+        ]
+
+    def test_cluster_keeps_key_order(self):
+        groups, _ = group_flows_p2p(self.p2p_flows(), CFG.duration_floor)
+        clusters = cluster_groups(list(reversed(groups)), CFG.similarity_threshold, CFG.resample_points)
+        assert len(clusters) == 1
+        assert [k.label() for k in clusters[0].group_keys] == self.P2P_LABELS
+        assert [str(h) for h in clusters[0].hosts] == ["10.0.0.9", "10.0.0.10"]
 
 
 class TestDetection:

@@ -24,9 +24,6 @@ class FakeKey:
     def __init__(self, name):
         self.name = name
 
-    def sort_key(self):
-        return (self.name,)
-
     def label(self):
         return self.name
 

@@ -1,0 +1,34 @@
+"""Smoke tests for the scripts under scripts/: each runs to completion and
+prints its summary."""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_demo_matches_every_scenario(tmp_path, monkeypatch, capsys):
+    demo = load("run_demo")
+    monkeypatch.setattr(demo, "OUT", tmp_path)
+    assert demo.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.endswith(" MATCH") for line in lines) == 3
+    assert (tmp_path / "p2p_botnet.report.json").is_file()
+
+
+def test_seed_sweep_summarizes_its_seeds(monkeypatch, capsys):
+    sweep = load("seed_sweep")
+    monkeypatch.setattr(sys, "argv", ["seed_sweep.py", "2"])
+    assert sweep.main() == 0
+    out = capsys.readouterr().out
+    assert "mean over 2 seeds:" in out

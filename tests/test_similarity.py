@@ -1,8 +1,8 @@
 from __future__ import annotations
 
-from dataclasses import dataclass
 from ipaddress import IPv4Address
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -23,13 +23,9 @@ from botdetect.similarity import (
 from .conftest import make_flow
 
 
-@dataclass(frozen=True)
-class StubKey:
+class StubKey(NamedTuple):
+    sip: IPv4Address
     name: str
-    host: str
-
-    def sort_key(self):
-        return (IPv4Address(self.host), self.name)
 
     def label(self):
         return self.name
@@ -37,9 +33,8 @@ class StubKey:
 
 def group(name: str, host: str, *points: tuple[float, float]) -> FlowGroup:
     return FlowGroup(
-        key=StubKey(name, host),
+        key=StubKey(IPv4Address(host), name),
         points=tuple(FlowFeatures(nbps=y, nbpp=x) for x, y in points),
-        members=frozenset({IPv4Address(host)}),
     )
 
 
