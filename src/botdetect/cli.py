@@ -127,7 +127,7 @@ def run_curves(args: argparse.Namespace) -> str:
     cfg = _load_config(args.config)
     flows = _load_flows(args.flows)
     rows = []
-    for streams in window_streams(flows, EMPTY_WHITELIST, cfg):
+    for streams in window_streams(flows, _load_whitelist(args.whitelist), cfg):
         groups, _ = group_path(BotPath(args.path), streams, cfg)
         for group in groups:
             curve = build_curve(group.points, cfg.resample_points)
@@ -173,6 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     curves = sub.add_parser("curves", help="dump per-group curve samples as CSV")
     curves.add_argument("--flows", required=True)
     curves.add_argument("--path", choices=("p2p", "irc"), required=True)
+    curves.add_argument("--whitelist", help="destination whitelist (CIDR per line)")
     curves.add_argument("--config")
     curves.add_argument("--out", default="-")
     curves.set_defaults(run=run_curves)

@@ -155,13 +155,31 @@ def curve_similarity(a: Curve, b: Curve) -> float:
         lo, hi = a.x_range
     else:
         lo = hi = 0.0
-    positions = np.linspace(lo, hi, r)
+    positions = _linspace(lo, hi, r)
     ya = np.full(r, a.ys[0]) if a.degenerate else np.interp(positions, a.xs, a.ys)
     yb = np.full(r, b.ys[0]) if b.degenerate else np.interp(positions, b.xs, b.ys)
     peak = float(max(ya.max(), yb.max()))
     if peak == 0.0:
         return 1.0
-    return float(1.0 - float(np.mean(np.abs(ya - yb))) / peak)
+    # the same pairwise sum and division as np.mean, without its dispatch
+    return float(1.0 - float(np.abs(ya - yb).sum() / r) / peak)
+
+
+def _linspace(lo: float, hi: float, r: int) -> np.ndarray:
+    """``np.linspace(lo, hi, r)`` bit for bit, without its per-call overhead."""
+    if r < 2:
+        return np.linspace(lo, hi, r)
+    # as in linspace, subtract the ends as float64 (two int ends would subtract exactly)
+    delta = float(hi) - float(lo)
+    step = delta / (r - 1)
+    if step == 0.0:
+        # linspace's own branch for a zero or underflowed step
+        positions = np.arange(r, dtype=np.float64) / (r - 1) * delta
+    else:
+        positions = np.arange(r, dtype=np.float64) * step
+    positions += lo
+    positions[-1] = hi
+    return positions
 
 
 @dataclass(frozen=True)
@@ -208,6 +226,9 @@ def cluster_groups(
                 # disjoint ranges score exactly 0; skip the resampling
                 if min(ci.x_range[1], cj.x_range[1]) < max(ci.x_range[0], cj.x_range[0]):
                     continue
+            if uf.find(i) == uf.find(j):
+                # already joined: single linkage keeps only the components
+                continue
             if curve_similarity(ci, cj) >= threshold:
                 uf.union(i, j)
     components: dict[int, list[FlowGroup]] = {}

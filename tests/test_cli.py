@@ -205,7 +205,7 @@ class TestExitCodes:
         assert main(argv) == 3
         assert capsys.readouterr() == ("", "error: similarity_threshold must be in [0, 1]\n")
 
-    @pytest.mark.parametrize("output", ["detect", "scan-score", "spam-score"])
+    @pytest.mark.parametrize("output", ["detect", "scan-score", "spam-score", "curves.p2p"])
     def test_bad_whitelist_exits_two(self, tmp_path, capsys, s1_flows, output):
         wl = tmp_path / "bad.wl"
         wl.write_text("8.8.8.0/24\nnot-a-cidr\n")
@@ -305,6 +305,21 @@ class TestCurves:
         _, _, other = partition_by_label(filtered.clean)
         groups, _ = group_flows_p2p(other, default_config().duration_floor)
         assert len(keys) == len(groups)
+
+    def test_whitelist_drops_groups_like_detect(self, tmp_path, s1_flows):
+        def curve_keys(*extra):
+            out = tmp_path / "curves.csv"
+            argv = ["curves", "--flows", str(s1_flows), "--path", "p2p", "--out", str(out), *extra]
+            assert main(argv) == 0
+            return {line.split(",")[0] for line in out.read_text().splitlines()[1:]}
+
+        keys = curve_keys()
+        dropped = sorted(keys)[0].split("->")[1].split(":")[0]
+        wl = tmp_path / "wl.txt"
+        wl.write_text(f"{dropped}/32\n")
+        kept = curve_keys("--whitelist", str(wl))
+        assert kept == {key for key in keys if f"->{dropped}:" not in key}
+        assert kept < keys
 
     def test_empty_input_header_only(self, tmp_path):
         flows = tmp_path / "empty.csv"

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import math
 from ipaddress import IPv4Address
 from itertools import combinations
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from botdetect import similarity
+from botdetect.filtering import EMPTY_WHITELIST
+from botdetect.model import default_config
+from botdetect.pipeline import group_path, window_streams
+from botdetect.report import BotPath
 from botdetect.similarity import (
     EmptyGroup,
     FlowFeatures,
@@ -19,8 +26,11 @@ from botdetect.similarity import (
     curve_similarity,
     flow_features,
 )
+from botdetect.synth import generate, parse_scenario
 
 from .conftest import make_flow
+
+SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 
 
 class StubKey(NamedTuple):
@@ -105,6 +115,52 @@ class TestBuildCurve:
         assert tuple(a.xs) == tuple(b.xs) and tuple(a.ys) == tuple(b.ys)
 
 
+def reference_similarity(a, b):
+    """``curve_similarity`` as first written, on ``np.linspace`` and ``np.mean``:
+    the reference its leaner body must match float for float."""
+    r = a.resample_points
+    if not a.degenerate and not b.degenerate:
+        lo = max(a.x_range[0], b.x_range[0])
+        hi = min(a.x_range[1], b.x_range[1])
+        if hi < lo:
+            return 0.0
+    elif a.degenerate and not b.degenerate:
+        lo, hi = b.x_range
+    elif b.degenerate and not a.degenerate:
+        lo, hi = a.x_range
+    else:
+        lo = hi = 0.0
+    positions = np.linspace(lo, hi, r)
+    ya = np.full(r, a.ys[0]) if a.degenerate else np.interp(positions, a.xs, a.ys)
+    yb = np.full(r, b.ys[0]) if b.degenerate else np.interp(positions, b.xs, b.ys)
+    peak = float(max(ya.max(), yb.max()))
+    if peak == 0.0:
+        return 1.0
+    return float(1.0 - float(np.mean(np.abs(ya - yb))) / peak)
+
+
+# nbpp values: ordinary, huge, and subnormal, so steps can underflow to zero
+X_VALUES = st.one_of(
+    st.floats(0, 1e4), st.floats(0, 1e15), st.sampled_from((0.0, 5e-324, 1e-320, 2.2e-308))
+)
+# tiny nbps values keep the slopes over subnormal spans finite
+Y_VALUES = st.one_of(st.just(0.0), st.floats(0, 1e9), st.floats(0, 1e-300))
+
+
+@st.composite
+def curve_pairs(draw):
+    """Two curves whose nbpp values come from one small pool, so pairs
+    overlap, touch at one point, are disjoint, or are degenerate."""
+    r = draw(st.sampled_from((2, 3, 32)))
+    pool = draw(st.lists(X_VALUES, min_size=1, max_size=4, unique=True))
+
+    def curve():
+        pts = draw(st.lists(st.tuples(st.sampled_from(pool), Y_VALUES), min_size=1, max_size=6))
+        return build_curve([FlowFeatures(nbps=y, nbpp=x) for x, y in pts], r)
+
+    return curve(), curve()
+
+
 class TestCurveSimilarity:
     def test_identical_curves_score_exactly_one(self):
         curve = build_curve([FlowFeatures(nbps=3, nbpp=1), FlowFeatures(nbps=9, nbpp=4)], 16)
@@ -149,6 +205,20 @@ class TestCurveSimilarity:
         assert abs(sab - sba) <= 1e-12
         assert 0.0 <= sab <= 1.0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=300)
+    @given(curve_pairs())
+    def test_same_float_as_the_numpy_reference(self, pair):
+        for a, b in (pair, pair[::-1]):
+            got, want = curve_similarity(a, b), reference_similarity(a, b)
+            # subnormal nbpp spans overflow build_curve's slopes; both then give nan
+            assert got == want or (math.isnan(got) and math.isnan(want))
+
+    @given(X_VALUES, X_VALUES, st.sampled_from((1, 2, 3, 32)))
+    def test_positions_are_linspace_bit_for_bit(self, x, y, r):
+        lo, hi = sorted((x, y))
+        assert similarity._linspace(lo, hi, r).tobytes() == np.linspace(lo, hi, r).tobytes()
+
     @settings(max_examples=50)
     @given(
         st.lists(st.tuples(st.floats(1, 1e3), st.floats(0.1, 1e4)), min_size=2, max_size=8),
@@ -185,6 +255,44 @@ def brute_force_clusters(groups, threshold, resample_points):
         seen |= comp
         components.append(frozenset(comp))
     return set(components)
+
+
+@st.composite
+def cluster_inputs(draw):
+    """Groups mixing curves, degenerate and all-zero curves, and identical
+    copies, at nbps magnitudes from 1e-3 to 1e9; plus a threshold."""
+    shapes = []
+    for _ in range(draw(st.integers(1, 10))):
+        if shapes and draw(st.integers(0, 3)) == 0:
+            shapes.append(draw(st.sampled_from(shapes)))
+            continue
+        kind = draw(st.sampled_from(("curve", "degenerate", "zero")))
+        n = draw(st.integers(1, 3) if kind == "degenerate" else st.integers(2, 5))
+        xs = draw(st.lists(st.floats(1, 100), min_size=n, max_size=n))
+        if kind == "degenerate":
+            xs = xs[:1] * n
+        scale = draw(st.sampled_from((1e-3, 1.0, 1e3, 1e6, 1e9)))
+        levels = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+        ys = [0.0] * n if kind == "zero" else [level * scale for level in levels]
+        shapes.append(tuple(zip(xs, ys)))
+    groups = [
+        group(f"g{i:02d}", f"10.0.0.{draw(st.integers(1, 4))}", *pts)
+        for i, pts in enumerate(shapes)
+    ]
+    threshold = draw(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0, 1)))
+    return groups, threshold, draw(st.sampled_from((2, 8, 32)))
+
+
+def count_scores(monkeypatch) -> list[float]:
+    """Record every score ``cluster_groups`` computes."""
+    scores: list[float] = []
+
+    def counting(a, b):
+        scores.append(curve_similarity(a, b))
+        return scores[-1]
+
+    monkeypatch.setattr(similarity, "curve_similarity", counting)
+    return scores
 
 
 class TestClusterGroups:
@@ -231,6 +339,33 @@ class TestClusterGroups:
         expected = brute_force_clusters(groups, 0.85, 16)
         got = {frozenset(c.group_keys) for c in cluster_groups(groups, 0.85, 16)}
         assert got == expected
+
+    @settings(max_examples=200)
+    @given(cluster_inputs())
+    def test_matches_brute_force_oracle_on_any_input(self, case):
+        groups, threshold, r = case
+        got = {frozenset(c.group_keys) for c in cluster_groups(groups, threshold, r)}
+        assert got == brute_force_clusters(groups, threshold, r)
+
+    def test_identical_groups_scored_once_each_but_the_first(self, monkeypatch):
+        scores = count_scores(monkeypatch)
+        k = 7
+        groups = [group(f"g{i}", f"10.0.0.{i + 1}", (1, 10), (2, 20)) for i in range(k)]
+        assert len(cluster_groups(groups, 0.85, 8)) == 1
+        assert len(scores) == k - 1
+
+    @pytest.mark.parametrize("spec", sorted(SCENARIO_DIR.glob("*.spec")), ids=lambda p: p.stem)
+    def test_every_linking_score_joins_two_clusters(self, monkeypatch, spec):
+        cfg = default_config()
+        flows, _ = generate(parse_scenario(spec.read_text()))
+        scores = count_scores(monkeypatch)
+        for streams in window_streams(flows, EMPTY_WHITELIST, cfg):
+            for path in BotPath:
+                groups, _ = group_path(path, streams, cfg)
+                scores.clear()
+                clusters = cluster_groups(groups, cfg.similarity_threshold, cfg.resample_points)
+                linked = sum(score >= cfg.similarity_threshold for score in scores)
+                assert linked == len(groups) - len(clusters)
 
     def test_every_group_in_exactly_one_cluster(self):
         groups = [constant_group(f"g{i}", f"10.0.0.{i + 1}", 10.0 * (i + 1)) for i in range(9)]
