@@ -180,29 +180,35 @@ def window_activity(
     its failed connection attempts.  Spam is judged on completed flows only;
     failed attempts still count toward the scan scores.
     """
-    outbound: dict[IPv4Address, list[FlowRecord]] = {}
-    outbound_failed: dict[IPv4Address, list[FlowRecord]] = {}
-    inbound_failed: dict[IPv4Address, list[FlowRecord]] = {}
+    # direction is decided once per distinct address text, not once per flow
+    texts = {rec.sip for rec in all_flows}.union(
+        [rec.dip for rec in all_flows],
+        [rec.sip for rec in failed_flows],
+        [rec.dip for rec in failed_flows],
+    )
+    addrs = {text: IPv4Address(text) for text in texts}
+    inside = {text for text, addr in addrs.items() if addr in internal}
+    outbound: dict[str, list[FlowRecord]] = {}
+    outbound_failed: dict[str, list[FlowRecord]] = {}
+    inbound_failed: dict[str, list[FlowRecord]] = {}
     for rec in all_flows:
-        sip = IPv4Address(rec.sip)
-        if sip in internal and IPv4Address(rec.dip) not in internal:
-            outbound.setdefault(sip, []).append(rec)
+        if rec.sip in inside and rec.dip not in inside:
+            outbound.setdefault(rec.sip, []).append(rec)
     for rec in failed_flows:
-        sip, dip = IPv4Address(rec.sip), IPv4Address(rec.dip)
-        src_internal, dst_internal = sip in internal, dip in internal
+        src_internal, dst_internal = rec.sip in inside, rec.dip in inside
         if src_internal and not dst_internal:
-            outbound_failed.setdefault(sip, []).append(rec)
+            outbound_failed.setdefault(rec.sip, []).append(rec)
         if dst_internal and not src_internal:
-            inbound_failed.setdefault(dip, []).append(rec)
+            inbound_failed.setdefault(rec.dip, []).append(rec)
 
-    hosts = sorted(set(outbound) | set(outbound_failed) | set(inbound_failed))
+    hosts = sorted(set(outbound) | set(outbound_failed) | set(inbound_failed), key=addrs.__getitem__)
     activity: dict[IPv4Address, HostActivity] = {}
     for host in hosts:
         clean = outbound.get(host, [])
         failed = outbound_failed.get(host, [])
         inbound_fc = count_failed(inbound_failed.get(host, []), cfg.hs_ports)
         isd_s = isd_score(inbound_fc, cfg.w1, cfg.w2)
-        activity[host] = HostActivity(
+        activity[addrs[host]] = HostActivity(
             scores=osd_scores(clean, failed, cfg),
             spam=spam_detect(clean, cfg),
             isd_s=isd_s,

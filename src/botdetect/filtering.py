@@ -67,7 +67,8 @@ def apply_whitelist(flows: list[FlowRecord], wl: Whitelist) -> tuple[list[FlowRe
     """
     if not wl.entries:
         return list(flows), 0
-    kept = [rec for rec in flows if not wl.covers(rec.dip)]
+    covered = {dip for dip in {rec.dip for rec in flows} if wl.covers(dip)}
+    kept = [rec for rec in flows if rec.dip not in covered]
     return kept, len(flows) - len(kept)
 
 

@@ -81,7 +81,10 @@ class GroupingResult(NamedTuple):
     skipped: int
 
 
-def _collect_groups(flows, key_fn, duration_floor: float) -> GroupingResult:
+def _collect_groups(flows, key_fn, key_type, duration_floor: float) -> GroupingResult:
+    # key_fn keys by address text; each distinct key becomes one key_type with
+    # parsed addresses, so addresses are parsed per group, not per flow, and
+    # the groups still sort in numeric address order
     points: dict[tuple, list[FlowFeatures]] = {}
     skipped = 0
     for rec in flows:
@@ -89,22 +92,21 @@ def _collect_groups(flows, key_fn, duration_floor: float) -> GroupingResult:
             skipped += 1
             continue
         points.setdefault(key_fn(rec), []).append(flow_features(rec, duration_floor))
-    groups = [FlowGroup(key, tuple(points[key])) for key in sorted(points)]
+    by_key = {
+        key_type(IPv4Address(sip), IPv4Address(dip), *rest): pts
+        for (sip, dip, *rest), pts in points.items()
+    }
+    groups = [FlowGroup(key, tuple(by_key[key])) for key in sorted(by_key)]
     return GroupingResult(groups=groups, skipped=skipped)
 
 
 def group_flows_p2p(flows: list[FlowRecord], duration_floor: float) -> GroupingResult:
     """Group one window's flows by (sip, dip, dport, proto)."""
 
-    def key_fn(rec: FlowRecord) -> P2PGroupKey:
-        return P2PGroupKey(
-            sip=IPv4Address(rec.sip),
-            dip=IPv4Address(rec.dip),
-            dport=rec.dport,
-            proto=rec.proto.value,
-        )
+    def key_fn(rec: FlowRecord) -> tuple:
+        return (rec.sip, rec.dip, rec.dport, rec.proto.value)
 
-    return _collect_groups(flows, key_fn, duration_floor)
+    return _collect_groups(flows, key_fn, P2PGroupKey, duration_floor)
 
 
 def group_flows_irc(flows: list[FlowRecord], cfg: DetectorConfig) -> GroupingResult:
@@ -115,14 +117,14 @@ def group_flows_irc(flows: list[FlowRecord], cfg: DetectorConfig) -> GroupingRes
     push synchrony.
     """
 
-    def key_fn(rec: FlowRecord) -> IRCGroupKey:
-        return IRCGroupKey(
-            sip=IPv4Address(rec.sip),
-            dip=IPv4Address(rec.dip),
-            sport=rec.sport,
-            dport=rec.dport,
-            pat_bin=int(rec.start_ts // cfg.pat_bin_seconds),
-            proto=rec.proto.value,
+    def key_fn(rec: FlowRecord) -> tuple:
+        return (
+            rec.sip,
+            rec.dip,
+            rec.sport,
+            rec.dport,
+            int(rec.start_ts // cfg.pat_bin_seconds),
+            rec.proto.value,
         )
 
-    return _collect_groups(flows, key_fn, cfg.duration_floor)
+    return _collect_groups(flows, key_fn, IRCGroupKey, cfg.duration_floor)

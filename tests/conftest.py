@@ -5,6 +5,7 @@ from ipaddress import IPv4Network
 from typing import get_type_hints
 
 import pytest
+from hypothesis import strategies as st
 
 from botdetect.model import FlowRecord, Proto, TcpState
 
@@ -65,3 +66,36 @@ def setting_text(value) -> str:
 @pytest.fixture
 def internal_net() -> IPv4Network:
     return IPv4Network("10.0.0.0/16")
+
+
+# around 10.0.0.0/16 (10.0.255.255 in, 9.255.255.255 and 10.1.0.0 out), in
+# an order where text and numeric order disagree (10.0.0.10 < 10.0.0.9 and
+# 100.x < 2.x < 9.x as text)
+ADDRESS_POOL = (
+    "2.0.0.1",
+    "9.255.255.255",
+    "10.0.0.9",
+    "10.0.0.10",
+    "10.0.0.100",
+    "10.0.255.255",
+    "10.1.0.0",
+    "100.0.0.1",
+)
+
+
+@st.composite
+def pooled_flows(draw) -> FlowRecord:
+    """A flow between two pool addresses, of any protocol, on a severe, a
+    mail and a plain port, over a few minutes."""
+    npkts = draw(st.integers(0, 3))
+    return make_flow(
+        start_ts=draw(st.sampled_from([0.0, 59.5, 60.0, 185.25])),
+        duration=draw(st.sampled_from([0.0, 2.5])),
+        proto=draw(st.sampled_from(list(Proto))),
+        sip=draw(st.sampled_from(ADDRESS_POOL)),
+        sport=draw(st.sampled_from([1025, 6667])),
+        dip=draw(st.sampled_from(ADDRESS_POOL)),
+        dport=draw(st.sampled_from([25, 80, 137, 445])),
+        npkts=npkts,
+        nbytes=60 * npkts,
+    )

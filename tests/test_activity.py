@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
-from ipaddress import IPv4Address
+from ipaddress import IPv4Address, IPv4Network
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from botdetect.activity import (
     AllZero,
     FailedCounts,
+    HostActivity,
     count_failed,
     entropy_norm,
     isd_score,
@@ -20,7 +21,7 @@ from botdetect.activity import (
 )
 from botdetect.model import OsdMode, Proto, TcpState, default_config
 
-from .conftest import make_flow
+from .conftest import make_flow, pooled_flows
 
 CFG = default_config()
 
@@ -257,3 +258,47 @@ class TestWindowActivity:
         assert malicious([], list(reversed(scanner)), internal_net) == malicious(
             [], scanner, internal_net
         )
+
+
+def oracle_window_activity(all_flows, failed_flows, internal, cfg) -> dict:
+    """Reference ``window_activity``: both addresses of every flow are parsed
+    and tested against ``internal``."""
+    outbound, outbound_failed, inbound_failed = {}, {}, {}
+    for rec in all_flows:
+        sip = IPv4Address(rec.sip)
+        if sip in internal and IPv4Address(rec.dip) not in internal:
+            outbound.setdefault(sip, []).append(rec)
+    for rec in failed_flows:
+        sip, dip = IPv4Address(rec.sip), IPv4Address(rec.dip)
+        src_internal, dst_internal = sip in internal, dip in internal
+        if src_internal and not dst_internal:
+            outbound_failed.setdefault(sip, []).append(rec)
+        if dst_internal and not src_internal:
+            inbound_failed.setdefault(dip, []).append(rec)
+    activity = {}
+    for host in sorted(set(outbound) | set(outbound_failed) | set(inbound_failed)):
+        clean = outbound.get(host, [])
+        inbound_fc = count_failed(inbound_failed.get(host, []), cfg.hs_ports)
+        isd_s = isd_score(inbound_fc, cfg.w1, cfg.w2)
+        activity[host] = HostActivity(
+            scores=osd_scores(clean, outbound_failed.get(host, []), cfg),
+            spam=spam_detect(clean, cfg),
+            isd_s=isd_s,
+            isd_flagged=isd_s >= cfg.isd_threshold,
+        )
+    return activity
+
+
+class TestWindowActivityOracle:
+    # thresholds low enough that a few pooled flows flip every verdict
+    LOW = dataclasses.replace(
+        CFG, osd_min_scans=2, spam_total_flows=3, spam_distinct_servers=2, isd_threshold=2.0
+    )
+
+    @given(st.lists(pooled_flows(), max_size=30), st.lists(pooled_flows(), max_size=30))
+    def test_same_hosts_in_same_order_with_same_scores(self, all_flows, failed_flows):
+        internal = IPv4Network("10.0.0.0/16")
+        got = window_activity(all_flows, failed_flows, internal, self.LOW)
+        want = oracle_window_activity(all_flows, failed_flows, internal, self.LOW)
+        assert [type(host) for host in got] == [IPv4Address] * len(want)
+        assert list(got.items()) == list(want.items())

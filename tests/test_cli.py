@@ -3,11 +3,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from collections import Counter
+from ipaddress import IPv4Address
 from pathlib import Path
 
 import pytest
 
-from botdetect import pipeline
+from botdetect import activity, filtering, model, monitors, pipeline
 from botdetect.cli import main
 from botdetect.flowfile import HEADER, write_flow_file
 from botdetect.model import default_config
@@ -393,6 +395,54 @@ class TestStageCommands:
         monkeypatch.setattr(pipeline, "window_partition", counting)
         assert main([*argv, "--flows", str(s1_flows), "--out", str(tmp_path / "out")]) == 0
         assert len(calls) == 1
+
+
+def test_addresses_parsed_per_distinct_text(tmp_path, monkeypatch):
+    """``detect`` parses an address once per group, distinct text or host,
+    never once per flow: ``IPv4Address`` is counted under the name each
+    per-flow stage imports it by, against a bound taken from that stage's
+    inputs and outputs."""
+    prefix = tmp_path / "p2p"
+    assert main(["synth", "--spec", str(SCENARIO_DIR / "p2p_botnet.spec"), "--out", str(prefix)]) == 0
+    dips = Counter(line.split(",")[5] for line in Path(f"{prefix}.flows.csv").read_text().splitlines()[1:])
+    whitelist = tmp_path / "wl.txt"
+    whitelist.write_text("".join(f"{dip}/32\n" for dip, _ in dips.most_common(2)))
+
+    calls: Counter = Counter()
+    for module in (activity, filtering, model, monitors):
+        def parse(text, stage=module.__name__):
+            calls[stage] += 1
+            return IPv4Address(text)
+
+        monkeypatch.setattr(module, "IPv4Address", parse, raising=False)
+
+    bounds: Counter = Counter()
+
+    def bounded(name: str, stage: str, bound):
+        original = getattr(pipeline, name)
+
+        def wrapper(*args):
+            result = original(*args)
+            bounds[stage] += bound(args, result)
+            return result
+
+        monkeypatch.setattr(pipeline, name, wrapper)
+
+    def distinct(*streams) -> int:
+        return len({text for flows in streams for rec in flows for text in (rec.sip, rec.dip)})
+
+    bounded("run_filter", filtering.__name__, lambda args, out: len({rec.dip for rec in args[0]}))
+    for name in ("group_flows_p2p", "group_flows_irc"):
+        bounded(name, monitors.__name__, lambda args, out: 2 * len(out.groups))
+    bounded("window_activity", activity.__name__, lambda args, out: distinct(*args[:2]) + len(out))
+
+    out = tmp_path / "report.json"
+    assert main(["detect", "--flows", f"{prefix}.flows.csv", "--whitelist", str(whitelist),
+                 "--internal", "10.0.0.0/16", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["counters"]["whitelisted"] > 0
+    assert calls[model.__name__] == 0
+    for stage in (filtering.__name__, monitors.__name__, activity.__name__):
+        assert 0 < calls[stage] <= bounds[stage], stage
 
 
 def _stage_outputs(tmp_path: Path, name: str, flows) -> dict[str, str]:

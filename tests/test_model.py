@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+from ipaddress import IPv4Address
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from botdetect.model import (
     ConfigError,
@@ -11,6 +14,7 @@ from botdetect.model import (
     OsdMode,
     Proto,
     TcpState,
+    _valid_ipv4,
     default_config,
     parse_config,
     validate_flow,
@@ -47,6 +51,52 @@ class TestValidateFlow:
     def test_bad_addresses_are_flagged(self):
         assert validate_flow(make_flow(sip="not-an-ip")) != []
         assert validate_flow(make_flow(dip="::1")) != []
+
+    @pytest.mark.parametrize("sip", [167772161, IPv4Address("10.0.0.1"), None, b"10.0.0.1"])
+    def test_non_text_address_is_a_problem_not_a_crash(self, sip):
+        problems = validate_flow(make_flow(sip=sip))
+        assert problems == [f"sip is not a valid IPv4 address: {sip!r}"]
+
+
+def stdlib_accepts(text) -> bool:
+    try:
+        IPv4Address(text)
+    except ValueError:
+        return False
+    return True
+
+
+class TestValidIPv4:
+    """``_valid_ipv4`` accepts exactly the texts ``IPv4Address`` accepts."""
+
+    # a non-ASCII digit (ARABIC-INDIC THREE) among ASCII digits, signs,
+    # separators and a letter
+    ALPHABET = "0123456789 +-_.a\u0663"
+
+    def test_every_short_octet_in_every_position(self):
+        octets = [
+            "".join(chars)
+            for length in range(5)
+            for chars in itertools.product(self.ALPHABET, repeat=length)
+        ]
+        mismatches = []
+        for octet in octets:
+            for position in range(4):
+                parts = ["10", "0", "0", "1"]
+                parts[position] = octet
+                text = ".".join(parts)
+                if _valid_ipv4(text) != stdlib_accepts(text):
+                    mismatches.append(text)
+        assert len(octets) == 1 + 17 + 17**2 + 17**3 + 17**4
+        assert mismatches == []
+
+    @given(st.text())
+    def test_any_text(self, text):
+        assert _valid_ipv4(text) == stdlib_accepts(text)
+
+    @given(st.from_regex(r"\d{1,4}\.\d{1,4}\.\d{1,4}\.\d{1,4}\n?", fullmatch=True))
+    def test_dotted_quads(self, text):
+        assert _valid_ipv4(text) == stdlib_accepts(text)
 
 
 class TestDefaults:

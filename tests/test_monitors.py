@@ -1,14 +1,25 @@
 from __future__ import annotations
 
+from ipaddress import IPv4Address
+
+from hypothesis import given, strategies as st
+
 from botdetect.filtering import EMPTY_WHITELIST
 from botdetect.model import Proto, default_config
-from botdetect.monitors import group_flows_irc, group_flows_p2p, window_partition
+from botdetect.monitors import (
+    GroupingResult,
+    IRCGroupKey,
+    P2PGroupKey,
+    group_flows_irc,
+    group_flows_p2p,
+    window_partition,
+)
 from botdetect.pipeline import path_clusters, window_streams
 from botdetect.report import BotPath
-from botdetect.similarity import cluster_groups
+from botdetect.similarity import FlowGroup, cluster_groups, flow_features
 from botdetect.synth import Xorshift64Star, generate, irc_botnet_scenario, p2p_botnet_scenario
 
-from .conftest import make_flow
+from .conftest import make_flow, pooled_flows
 
 CFG = default_config()
 
@@ -162,6 +173,63 @@ class TestCanonicalOrder:
         assert len(clusters) == 1
         assert [k.label() for k in clusters[0].group_keys] == self.P2P_LABELS
         assert [str(h) for h in clusters[0].hosts] == ["10.0.0.9", "10.0.0.10"]
+
+
+def oracle_groups(flows, key_fn, duration_floor: float) -> GroupingResult:
+    """Reference grouping: ``key_fn`` builds the typed key of every flow."""
+    points = {}
+    skipped = 0
+    for rec in flows:
+        if rec.proto not in (Proto.TCP, Proto.UDP) or rec.npkts < 1:
+            skipped += 1
+            continue
+        points.setdefault(key_fn(rec), []).append(flow_features(rec, duration_floor))
+    groups = [FlowGroup(key, tuple(points[key])) for key in sorted(points)]
+    return GroupingResult(groups=groups, skipped=skipped)
+
+
+def oracle_p2p_key(rec) -> P2PGroupKey:
+    return P2PGroupKey(
+        sip=IPv4Address(rec.sip),
+        dip=IPv4Address(rec.dip),
+        dport=rec.dport,
+        proto=rec.proto.value,
+    )
+
+
+def oracle_irc_key(rec) -> IRCGroupKey:
+    return IRCGroupKey(
+        sip=IPv4Address(rec.sip),
+        dip=IPv4Address(rec.dip),
+        sport=rec.sport,
+        dport=rec.dport,
+        pat_bin=int(rec.start_ts // CFG.pat_bin_seconds),
+        proto=rec.proto.value,
+    )
+
+
+def typed(result: GroupingResult) -> list:
+    """Each group with its key's type, which plain tuple equality ignores."""
+    return [(type(g.key), g.key, g.points) for g in result.groups]
+
+
+class TestGroupingOracle:
+    """Both paths equal a grouping that parses both addresses of every flow:
+    same keys in the same numeric order, same points, same skipped count."""
+
+    @given(st.lists(pooled_flows(), max_size=40))
+    def test_p2p(self, flows):
+        got = group_flows_p2p(flows, CFG.duration_floor)
+        want = oracle_groups(flows, oracle_p2p_key, CFG.duration_floor)
+        assert typed(got) == typed(want)
+        assert got.skipped == want.skipped
+
+    @given(st.lists(pooled_flows(), max_size=40))
+    def test_irc(self, flows):
+        got = group_flows_irc(flows, CFG)
+        want = oracle_groups(flows, oracle_irc_key, CFG.duration_floor)
+        assert typed(got) == typed(want)
+        assert got.skipped == want.skipped
 
 
 class TestDetection:

@@ -7,6 +7,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from .test_cli import REPORT_SHA256
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -32,3 +34,16 @@ def test_seed_sweep_summarizes_its_seeds(monkeypatch, capsys):
     assert sweep.main() == 0
     out = capsys.readouterr().out
     assert "mean over 2 seeds:" in out
+
+
+def test_report_digests_cover_every_command_and_input(monkeypatch, capsys):
+    digests = load("report_digests")
+    monkeypatch.setattr(sys, "argv", ["report_digests.py", "1"])
+    assert digests.main() == 0
+    lines = [line.split("  ") for line in capsys.readouterr().out.splitlines()]
+    inputs = {name for _, _, name in lines}
+    assert len(inputs) == 6 and "p2p_botnet_scenario(1)" in inputs
+    assert len(lines) == len(inputs) * len(digests.COMMANDS)
+    detect = {name: digest for digest, command, name in lines if command.startswith("detect")}
+    for scenario, pins in REPORT_SHA256.items():
+        assert detect[f"scenarios/{scenario}.spec"] == pins["detect"]
