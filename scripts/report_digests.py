@@ -2,9 +2,12 @@
 """Digest of every report the CLI writes, for byte-identity checks.
 
 Runs ``detect``, ``curves --path p2p|irc``, ``scan-score`` and
-``spam-score`` on the flows of each shipped scenario spec and of the
+``spam-score`` on the flows of each shipped scenario spec, of the
 ``benign``/``p2p_botnet``/``irc_botnet`` scenario factories at seeds
-1..n_seeds, and prints one ``sha256  command  input`` line per output.
+1..n_seeds, and of the benchmark's ``deep_day`` and ``scan_mix`` workloads
+(``bench/workloads.py``) at seeds 1..min(n_seeds, 3) with their whitelists,
+and prints one ``sha256  command  input`` line per output.  The workloads
+are the inputs that exercise the whitelist filter, scanners and spammers.
 A change that must keep every report byte-identical is checked by running
 this on both commits and diffing the two outputs.
 
@@ -14,6 +17,7 @@ Usage: python scripts/report_digests.py [n_seeds]   (default 20)
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import sys
 import tempfile
 from pathlib import Path
@@ -32,20 +36,42 @@ COMMANDS = (
     ["spam-score", *INTERNAL],
 )
 FACTORIES = (benign_scenario, p2p_botnet_scenario, irc_botnet_scenario)
+WORKLOADS = ("deep_day", "scan_mix")
+WORKLOAD_SEEDS = 3
+
+
+def bench_workloads() -> dict:
+    """``bench/workloads.py``'s ``WORKLOADS``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
 
 
 def inputs(work: Path, n_seeds: int):
-    """Yield (name, flow file path) for every input, writing each file first."""
+    """Yield (name, flow file path, extra arguments) for every input,
+    writing its files first."""
     for spec in sorted((ROOT / "scenarios").glob("*.spec")):
         prefix = work / spec.stem
         assert cli(["synth", "--spec", str(spec), "--out", str(prefix)]) == 0
-        yield f"scenarios/{spec.name}", Path(f"{prefix}.flows.csv")
+        yield f"scenarios/{spec.name}", Path(f"{prefix}.flows.csv"), []
     for factory in FACTORIES:
         for seed in range(1, n_seeds + 1):
             name = f"{factory.__name__}({seed})"
             path = work / f"{name}.flows.csv"
             path.write_bytes(write_flow_file(generate(factory(seed))[0]))
-            yield name, path
+            yield name, path, []
+    workloads = bench_workloads()
+    for workload in (workloads[name] for name in WORKLOADS):
+        for seed in range(1, min(n_seeds, WORKLOAD_SEEDS) + 1):
+            name = f"{workload.name}({seed})"
+            flows, _ = generate(workload.make_spec(seed, 1.0))
+            path = work / f"{name}.flows.csv"
+            path.write_bytes(write_flow_file(flows))
+            whitelist = work / f"{name}.whitelist"
+            whitelist.write_text("".join(f"{dip}\n" for dip in workload.whitelist(flows)))
+            yield name, path, ["--whitelist", str(whitelist)]
 
 
 def main() -> int:
@@ -53,9 +79,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         out = work / "output"
-        for name, flows in inputs(work, n_seeds):
+        for name, flows, extra in inputs(work, n_seeds):
             for command in COMMANDS:
-                assert cli([*command, "--flows", str(flows), "--out", str(out)]) == 0
+                assert cli([*command, "--flows", str(flows), *extra, "--out", str(out)]) == 0
                 digest = hashlib.sha256(out.read_bytes()).hexdigest()
                 print(f"{digest}  {' '.join(command)}  {name}")
     return 0

@@ -7,7 +7,7 @@ groups of hosts that are both behaviorally similar and malicious.
 """
 
 from .classify import AppLabel, classify_flow, partition_by_label
-from .filtering import FilterOutput, Whitelist, apply_whitelist, parse_whitelist, run_filter, split_handshake
+from .filtering import FilterOutput, Whitelist, parse_whitelist, run_filter
 from .flowfile import parse_flow_file, write_flow_file
 from .model import (
     DetectorConfig,
@@ -40,7 +40,6 @@ __all__ = [
     "ScenarioSpec",
     "TcpState",
     "Whitelist",
-    "apply_whitelist",
     "build_curve",
     "classify_flow",
     "cluster_groups",
@@ -55,7 +54,6 @@ __all__ = [
     "report_to_json",
     "run_detection",
     "run_filter",
-    "split_handshake",
     "validate_flow",
     "write_flow_file",
 ]

@@ -5,13 +5,15 @@ which takes the parsed arguments and returns the text that ``main`` writes
 to ``--out`` (``synth`` writes its two files itself and returns None).
 
 Exit codes: 0 success, 2 unreadable/unparsable input (with line
-diagnostics), 3 bad configuration or scenario spec.
+diagnostics) or an unwritable ``--out`` (checked before any input is read),
+3 bad configuration or scenario spec.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from functools import partial
 from ipaddress import IPv4Network
@@ -119,8 +121,8 @@ def run_synth(args: argparse.Namespace) -> None:
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     flows, truth = generate(spec)
-    Path(f"{args.out}.flows.csv").write_bytes(write_flow_file(flows))
-    Path(f"{args.out}.truth").write_text(write_truth(truth), encoding="utf-8")
+    Path(f"{args.prefix}.flows.csv").write_bytes(write_flow_file(flows))
+    Path(f"{args.prefix}.truth").write_text(write_truth(truth), encoding="utf-8")
 
 
 def run_curves(args: argparse.Namespace) -> str:
@@ -136,6 +138,16 @@ def run_curves(args: argparse.Namespace) -> str:
     return _lines("key,x,y", rows)
 
 
+# the options a flow command may take between --flows and --out
+_FLOW_OPTIONS = {
+    "--path": dict(choices=("p2p", "irc"), required=True, help="which bot path's groups"),
+    "--whitelist": dict(help="destination whitelist (CIDR per line)"),
+    "--config": dict(help="detector config file"),
+    "--internal": dict(required=True, help="internal network CIDR (defines flow direction)"),
+}
+_SCORED = ("--whitelist", "--config", "--internal")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="botdetect",
@@ -144,45 +156,49 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # flows in, one text out; all but classify score hosts against the config
-    for name, help_text, run, scored in (
-        ("detect", "run the full pipeline and write the report", run_detect, True),
-        ("classify", "label each flow irc/http/other", run_classify, False),
+    # flows in, one text out
+    for name, help_text, run, options in (
+        ("detect", "run the full pipeline and write the report", run_detect, _SCORED),
+        ("classify", "label each flow irc/http/other", run_classify, ()),
         ("scan-score", "per-host scan scores per window",
-         partial(run_activity_table, SCAN_HEADER, _scan_row), True),
+         partial(run_activity_table, SCAN_HEADER, _scan_row), _SCORED),
         ("spam-score", "per-host mail fan-out per window",
-         partial(run_activity_table, SPAM_HEADER, _spam_row), True),
+         partial(run_activity_table, SPAM_HEADER, _spam_row), _SCORED),
+        ("curves", "dump per-group curve samples as CSV", run_curves,
+         ("--path", "--whitelist", "--config")),
     ):
         command = sub.add_parser(name, help=help_text)
         command.add_argument("--flows", required=True, help="flow CSV file")
-        if scored:
-            command.add_argument("--whitelist", help="destination whitelist (CIDR per line)")
-            command.add_argument("--config", help="detector config file")
-            command.add_argument(
-                "--internal", required=True, help="internal network CIDR (defines flow direction)"
-            )
+        for option in options:
+            command.add_argument(option, **_FLOW_OPTIONS[option])
         command.add_argument("--out", default="-", help="output path (default stdout)")
         command.set_defaults(run=run)
 
     synth = sub.add_parser("synth", help="generate a synthetic scenario")
     synth.add_argument("--spec", required=True, help="scenario spec file")
-    synth.add_argument("--out", required=True, help="output prefix (<prefix>.flows.csv, <prefix>.truth)")
+    synth.add_argument("--out", dest="prefix", required=True,
+                       help="output prefix (<prefix>.flows.csv, <prefix>.truth)")
     synth.add_argument("--seed", type=int, help="override the spec's seed")
-    synth.set_defaults(run=run_synth)
-
-    curves = sub.add_parser("curves", help="dump per-group curve samples as CSV")
-    curves.add_argument("--flows", required=True)
-    curves.add_argument("--path", choices=("p2p", "irc"), required=True)
-    curves.add_argument("--whitelist", help="destination whitelist (CIDR per line)")
-    curves.add_argument("--config")
-    curves.add_argument("--out", default="-")
-    curves.set_defaults(run=run_curves)
+    # synth writes its own two files, so it has no text output to check
+    synth.set_defaults(run=run_synth, out="-")
     return parser
+
+
+def _check_writable(path: str) -> None:
+    """Raise OSError unless ``path`` can be written; an existing file is left as it is."""
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+        os.remove(path)
+    except FileExistsError:
+        os.close(os.open(path, os.O_WRONLY))
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # before any input is read: a run whose output cannot be written is not started
+        if args.out != "-":
+            _check_writable(args.out)
         text = args.run(args)
         if text is not None:
             _write_text(args.out, text)

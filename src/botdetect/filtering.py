@@ -60,35 +60,18 @@ class FilterOutput:
     whitelisted_count: int
 
 
-def apply_whitelist(flows: list[FlowRecord], wl: Whitelist) -> tuple[list[FlowRecord], int]:
-    """Drop flows whose destination matches any whitelist prefix.
+def run_filter(flows: list[FlowRecord], wl: Whitelist) -> FilterOutput:
+    """Drop flows to whitelisted destinations, then route incomplete-handshake
+    TCP flows to ``failed`` and the rest to ``clean``, in one pass.
 
-    Only the dip is checked; order is preserved among kept flows.
+    Only the dip is matched, once per distinct dip; only tcp_state decides
+    the split, so non-TCP flows stay clean.  Order is preserved within each
+    stream.
     """
-    if not wl.entries:
-        return list(flows), 0
-    covered = {dip for dip in {rec.dip for rec in flows} if wl.covers(dip)}
-    kept = [rec for rec in flows if rec.dip not in covered]
-    return kept, len(flows) - len(kept)
-
-
-def split_handshake(flows: list[FlowRecord]) -> FilterOutput:
-    """Route incomplete-handshake TCP flows to ``failed``, the rest to ``clean``.
-
-    Looks only at tcp_state; non-TCP flows have no handshake and stay clean.
-    """
+    covered = {dip for dip in {rec.dip for rec in flows} if wl.covers(dip)} if wl.entries else set()
     clean: list[FlowRecord] = []
     failed: list[FlowRecord] = []
     for rec in flows:
-        if rec.tcp_state in _FAILED_STATES:
-            failed.append(rec)
-        else:
-            clean.append(rec)
-    return FilterOutput(clean=clean, failed=failed, whitelisted_count=0)
-
-
-def run_filter(flows: list[FlowRecord], wl: Whitelist) -> FilterOutput:
-    """Whitelist first, then handshake split."""
-    kept, dropped = apply_whitelist(flows, wl)
-    out = split_handshake(kept)
-    return FilterOutput(clean=out.clean, failed=out.failed, whitelisted_count=dropped)
+        if rec.dip not in covered:
+            (failed if rec.tcp_state in _FAILED_STATES else clean).append(rec)
+    return FilterOutput(clean, failed, whitelisted_count=len(flows) - len(clean) - len(failed))

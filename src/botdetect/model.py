@@ -86,10 +86,12 @@ def validate_flow(rec: FlowRecord) -> list[str]:
         problems.append(f"sport out of range: {rec.sport}")
     if not 0 <= rec.dport <= 65535:
         problems.append(f"dport out of range: {rec.dport}")
-    if rec.npkts < 0:
-        problems.append(f"npkts must be >= 0, got {rec.npkts}")
-    if rec.nbytes < 0:
-        problems.append(f"nbytes must be >= 0, got {rec.nbytes}")
+    for name in ("npkts", "nbytes"):
+        value = getattr(rec, name)
+        if value < 0:
+            problems.append(f"{name} must be >= 0, got {value}")
+        elif value >= 2**64:  # the width of IPFIX counters; not printed, as it may be huge
+            problems.append(f"{name} must be <= 2**64 - 1 (an unsigned 64-bit counter)")
     if rec.proto is not Proto.TCP and rec.tcp_state is not TcpState.NOT_TCP:
         problems.append("proto != TCP requires tcp_state=not_tcp")
     if rec.npkts == 0 and rec.nbytes != 0:
@@ -151,6 +153,8 @@ def config_violations(cfg: DetectorConfig) -> list[str]:
         problems.append("min_group_size must be >= 1")
     if cfg.pat_bin_seconds <= 0:
         problems.append("pat_bin_seconds must be > 0")
+    if cfg.duration_floor <= 0:
+        problems.append("duration_floor must be > 0")
     for name in (
         "w1",
         "w2",
@@ -158,7 +162,6 @@ def config_violations(cfg: DetectorConfig) -> list[str]:
         "osd_s1_threshold",
         "osd_s2_threshold",
         "osd_s3_threshold",
-        "duration_floor",
         "osd_min_scans",
         "spam_distinct_servers",
         "spam_total_flows",

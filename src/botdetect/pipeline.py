@@ -88,13 +88,10 @@ def run_detection(
             other=len(streams.other),
         )
         activity = window_activity(filtered.clean, filtered.failed, internal, cfg)
-        malicious = {host for host, act in activity.items() if act.malicious}
         p2p = path_clusters(BotPath.P2P, streams, cfg)
-        groups.extend(correlate_p2p(p2p, malicious, cfg, streams.window, activity))
+        groups.extend(correlate_p2p(p2p, activity, cfg, streams.window))
         irc = path_clusters(BotPath.IRC, streams, cfg)
-        groups.extend(
-            correlate_irc(irc, cfg, streams.window, malicious=malicious, activity=activity)
-        )
+        groups.extend(correlate_irc(irc, activity, cfg, streams.window))
 
     counters = {
         "flows_ingested": len(flows),

@@ -1,7 +1,7 @@
 """Correlation of similarity clusters with malicious activity, and the report.
 
-A P2P botnet group is the intersection of a similarity cluster's hosts with
-the window's malicious host set, kept only when at least ``min_group_size``
+A P2P botnet group is a similarity cluster's hosts that the window's
+activity map marks malicious, kept only when at least ``min_group_size``
 hosts survive.  IRC clusters are emitted directly at the same size gate:
 their grouping key (source port + arrival-time bin) is already strong
 evidence of one-to-many C&C pushes.  Setting ``irc_require_malicious``
@@ -63,18 +63,19 @@ def _flags_for(
 def _groups_of_min_size(
     path: BotPath,
     clusters: list[SimilarityCluster],
-    keep: set[IPv4Address] | None,
+    activity: Mapping[IPv4Address, HostActivity],
     cfg: DetectorConfig,
     window: WindowIndex,
-    activity: Mapping[IPv4Address, HostActivity] | None,
 ) -> list[BotnetGroup]:
-    """One group per cluster whose hosts (only those in ``keep``, unless it is
-    None) number at least ``min_group_size``."""
+    """One group per cluster whose hosts number at least ``min_group_size``,
+    counting only the malicious ones on the P2P path, and on the IRC path
+    under ``irc_require_malicious``."""
+    malicious_only = path is BotPath.P2P or cfg.irc_require_malicious
     groups = []
     for cluster in clusters:
         hosts = cluster.hosts
-        if keep is not None:
-            hosts = tuple(sorted(h for h in hosts if h in keep))
+        if malicious_only:
+            hosts = tuple(h for h in hosts if h in activity and activity[h].malicious)
         if len(hosts) >= cfg.min_group_size:
             groups.append(
                 BotnetGroup(
@@ -82,7 +83,7 @@ def _groups_of_min_size(
                     path=path,
                     hosts=hosts,
                     cluster_keys=tuple(k.label() for k in cluster.group_keys),
-                    activity_flags=_flags_for(hosts, activity or {}),
+                    activity_flags=_flags_for(hosts, activity),
                 )
             )
     return groups
@@ -90,25 +91,23 @@ def _groups_of_min_size(
 
 def correlate_p2p(
     clusters: list[SimilarityCluster],
-    malicious: Iterable[IPv4Address],
+    activity: Mapping[IPv4Address, HostActivity],
     cfg: DetectorConfig,
     window: WindowIndex,
-    activity: Mapping[IPv4Address, HostActivity] | None = None,
 ) -> list[BotnetGroup]:
-    """Intersect each cluster with the malicious set; keep groups of min size."""
-    return _groups_of_min_size(BotPath.P2P, clusters, set(malicious), cfg, window, activity)
+    """Keep each cluster's malicious hosts; keep groups of min size."""
+    return _groups_of_min_size(BotPath.P2P, clusters, activity, cfg, window)
 
 
 def correlate_irc(
     clusters: list[SimilarityCluster],
+    activity: Mapping[IPv4Address, HostActivity],
     cfg: DetectorConfig,
     window: WindowIndex,
-    malicious: Iterable[IPv4Address] = (),
-    activity: Mapping[IPv4Address, HostActivity] | None = None,
 ) -> list[BotnetGroup]:
-    """Emit IRC clusters of min size, optionally gated on malicious activity."""
-    keep = set(malicious) if cfg.irc_require_malicious else None
-    return _groups_of_min_size(BotPath.IRC, clusters, keep, cfg, window, activity)
+    """Emit IRC clusters of min size, gated on malicious activity when
+    ``irc_require_malicious`` is set."""
+    return _groups_of_min_size(BotPath.IRC, clusters, activity, cfg, window)
 
 
 def build_report(

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from botdetect import activity, filtering, model, monitors, pipeline
+from botdetect import activity, cli, filtering, model, monitors, pipeline
 from botdetect.cli import main
 from botdetect.flowfile import HEADER, write_flow_file
 from botdetect.model import default_config
@@ -232,6 +232,61 @@ class TestExitCodes:
         assert main([*argv, "--out", str(tmp_path / "no-such-dir" / "out")]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and "no-such-dir" in err
+
+    @pytest.mark.parametrize("output", ["detect", "scan-score", "spam-score", "curves.p2p"])
+    def test_unwritable_out_wins_over_bad_input(self, tmp_path, capsys, output):
+        # --out is checked before the config, the flows or the whitelist is read
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("min_group_size = many\n")
+        argv = [*FLOW_COMMANDS[output], "--flows", str(tmp_path / "nope.csv"),
+                "--config", str(cfg), "--out", str(tmp_path / "no-such-dir" / "out")]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "no-such-dir" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("target", ["no-such-dir/report.json", "."])
+    def test_unwritable_out_never_runs_detection(self, tmp_path, monkeypatch, s1_flows, target):
+        calls = []
+        monkeypatch.setattr(cli, "run_detection", lambda *args: calls.append(args))
+        argv = [*FLOW_COMMANDS["detect"], "--flows", str(s1_flows), "--out", str(tmp_path / target)]
+        assert main(argv) == 2
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", ["config", "flows"])
+    def test_failed_run_leaves_out_as_it_was(self, tmp_path, s1_flows, bad):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("min_group_size = many\n" if bad == "config" else "")
+        flows = tmp_path / "bad.csv"
+        flows.write_text(HEADER + "\nnot,enough,columns\n")
+        argv = [*FLOW_COMMANDS["detect"], "--config", str(cfg),
+                "--flows", str(flows if bad == "flows" else s1_flows)]
+        existing = tmp_path / "existing.json"
+        existing.write_text("previous report\n")
+        code = 3 if bad == "config" else 2
+        assert main([*argv, "--out", str(existing)]) == code
+        assert existing.read_text() == "previous report\n"
+        assert main([*argv, "--out", str(tmp_path / "new.json")]) == code
+        assert not (tmp_path / "new.json").exists()
+
+    def test_zero_duration_floor_exits_three(self, tmp_path, capsys):
+        flows = tmp_path / "flows.csv"
+        flows.write_bytes(write_flow_file([make_flow(duration=0.0, sip="10.0.0.5")]))
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("duration_floor = 0\n")
+        argv = [*FLOW_COMMANDS["detect"], "--flows", str(flows)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main([*argv, "--config", str(cfg)]) == 3
+        assert capsys.readouterr() == ("", "error: duration_floor must be > 0\n")
+
+    def test_counter_past_64_bits_exits_two(self, tmp_path, capsys):
+        flows = tmp_path / "flows.csv"
+        rows = write_flow_file([make_flow(), make_flow(nbytes=2**64 - 1), make_flow(nbytes=2**64)])
+        flows.write_bytes(rows)
+        assert main([*FLOW_COMMANDS["detect"], "--flows", str(flows)]) == 2
+        err = "error: line 4: nbytes must be <= 2**64 - 1 (an unsigned 64-bit counter)\n"
+        assert capsys.readouterr() == ("", err)
 
     @pytest.mark.parametrize(
         "argv",

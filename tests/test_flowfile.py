@@ -89,6 +89,19 @@ class TestParse:
         with pytest.raises(MalformedRow, match="payload_prefix_hex"):
             parse_flow_file(_file(f"0,0,tcp,1.2.3.4,1,5.6.7.8,2,1,10,established,{text}"))
 
+    @pytest.mark.parametrize("column", ["npkts", "nbytes"])
+    @pytest.mark.parametrize("text", [str(2**64), str(10**400)], ids=["2**64", "10**400"])
+    def test_counter_past_64_bits_rejected(self, column, text):
+        npkts, nbytes = (text, "1") if column == "npkts" else ("1", text)
+        row = f"0,0,udp,1.2.3.4,1,5.6.7.8,2,{npkts},{nbytes},not_tcp,"
+        with pytest.raises(MalformedRow, match=f"line 3: {column} must be <= 2\\*\\*64 - 1"):
+            parse_flow_file(_file("0,0,udp,1.2.3.4,1,5.6.7.8,2,1,10,not_tcp,", row))
+
+    def test_largest_counter_accepted(self):
+        top = 2**64 - 1
+        (rec,) = parse_flow_file(_file(f"0,0,udp,1.2.3.4,1,5.6.7.8,2,{top},{top},not_tcp,"))
+        assert rec.npkts == rec.nbytes == top
+
     def test_not_utf8_rejected(self):
         with pytest.raises(Exception, match="UTF-8"):
             parse_flow_file(b"\xff\xfe" + HEADER.encode())

@@ -48,6 +48,13 @@ class TestValidateFlow:
         rec = make_flow(proto=Proto.ICMP, tcp_state=TcpState.ESTABLISHED, npkts=0, nbytes=5, sport=70000)
         assert len(validate_flow(rec)) == 3
 
+    @pytest.mark.parametrize("field", ["npkts", "nbytes"])
+    def test_counters_are_unsigned_64_bit(self, field):
+        assert validate_flow(make_flow(npkts=2**64 - 1, nbytes=2**64 - 1)) == []
+        for value in (2**64, 10**5000):
+            problems = validate_flow(make_flow(**{field: value}))
+            assert problems == [f"{field} must be <= 2**64 - 1 (an unsigned 64-bit counter)"]
+
     def test_bad_addresses_are_flagged(self):
         assert validate_flow(make_flow(sip="not-an-ip")) != []
         assert validate_flow(make_flow(dip="::1")) != []
@@ -171,6 +178,13 @@ class TestConfigFile:
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ConfigError, match="similarity_threshold"):
             parse_config("similarity_threshold = 1.5")
+
+    @pytest.mark.parametrize("text", ["0", "0.0", "-0.5"])
+    def test_duration_floor_must_be_positive(self, text):
+        # nbps divides by max(duration, duration_floor), and durations may be 0
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"duration_floor = {text}")
+        assert str(err.value) == "duration_floor must be > 0"
 
     def test_empty_hs_ports_value_clears_the_set(self):
         assert parse_config("hs_ports =").hs_ports == frozenset()

@@ -4,6 +4,7 @@ import dataclasses
 import json
 from ipaddress import IPv4Address
 
+from botdetect.activity import HostActivity, ScanScores, SpamReport
 from botdetect.model import default_config
 from botdetect.monitors import WindowIndex
 from botdetect.report import (
@@ -37,45 +38,72 @@ def hosts_of(group) -> list[str]:
     return [str(h) for h in group.hosts]
 
 
+def host_activity(flagged: bool) -> HostActivity:
+    scores = ScanScores(s1=0.0, s2=0.0, s3=0.0, scans=0, targets=0, flagged=flagged)
+    spam = SpamReport(smtp_flows=0, distinct_servers=0, flagged=False)
+    return HostActivity(scores=scores, spam=spam, isd_s=0.0, isd_flagged=False)
+
+
+def activity_map(malicious=(), benign=()) -> dict[IPv4Address, HostActivity]:
+    """A window's activity: ``malicious`` hosts flagged by the outbound vote,
+    ``benign`` hosts scored but unflagged."""
+    activity = {IPv4Address(ip): host_activity(False) for ip in benign}
+    activity.update((IPv4Address(ip), host_activity(True)) for ip in malicious)
+    return activity
+
+
 class TestCorrelateP2P:
     def test_intersection_with_min_size(self):
-        malicious = {IPv4Address(ip) for ip in ("10.0.0.2", "10.0.0.3", "10.0.0.4", "10.0.0.5")}
+        activity = activity_map(("10.0.0.2", "10.0.0.3", "10.0.0.4", "10.0.0.5"), ("10.0.0.1",))
         groups = correlate_p2p([cluster("10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4")],
-                               malicious, CFG, WINDOW)
+                               activity, CFG, WINDOW)
         assert len(groups) == 1
         assert hosts_of(groups[0]) == ["10.0.0.2", "10.0.0.3", "10.0.0.4"]
 
     def test_two_common_hosts_is_below_gate(self):
-        malicious = {IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2")}
-        assert correlate_p2p([cluster("10.0.0.1", "10.0.0.2")], malicious, CFG, WINDOW) == []
+        activity = activity_map(("10.0.0.1", "10.0.0.2"))
+        assert correlate_p2p([cluster("10.0.0.1", "10.0.0.2")], activity, CFG, WINDOW) == []
 
     def test_empty_malicious_set(self):
-        assert correlate_p2p([cluster("10.0.0.1", "10.0.0.2", "10.0.0.3")], set(), CFG, WINDOW) == []
+        activity = activity_map(benign=("10.0.0.1", "10.0.0.2", "10.0.0.3"))
+        clusters = [cluster("10.0.0.1", "10.0.0.2", "10.0.0.3")]
+        assert correlate_p2p(clusters, activity, CFG, WINDOW) == []
+
+    def test_host_missing_from_activity_is_not_malicious(self):
+        # a clustered source outside --internal gets no activity entry
+        activity = activity_map(("10.0.0.2", "10.0.0.3", "10.0.0.4"))
+        clusters = [cluster("8.8.8.8", "10.0.0.2", "10.0.0.3", "10.0.0.4")]
+        (group,) = correlate_p2p(clusters, activity, CFG, WINDOW)
+        assert hosts_of(group) == ["10.0.0.2", "10.0.0.3", "10.0.0.4"]
+        (irc,) = correlate_irc(clusters, activity, CFG, WINDOW)
+        assert hosts_of(irc) == ["8.8.8.8", "10.0.0.2", "10.0.0.3", "10.0.0.4"]
+        assert irc.activity_flags["8.8.8.8"] == {"isd": False, "osd": False, "spam": False}
+        assert irc.activity_flags["10.0.0.2"] == {"isd": False, "osd": True, "spam": False}
 
 
 class TestCorrelateIRC:
     def test_three_host_cluster_emitted_directly(self):
-        groups = correlate_irc([cluster("10.0.0.1", "10.0.0.2", "10.0.0.3")], CFG, WINDOW)
+        groups = correlate_irc([cluster("10.0.0.1", "10.0.0.2", "10.0.0.3")], {}, CFG, WINDOW)
         assert len(groups) == 1 and groups[0].path is BotPath.IRC
 
     def test_two_host_cluster_not_emitted(self):
-        assert correlate_irc([cluster("10.0.0.1", "10.0.0.2")], CFG, WINDOW) == []
+        assert correlate_irc([cluster("10.0.0.1", "10.0.0.2")], {}, CFG, WINDOW) == []
 
     def test_empty(self):
-        assert correlate_irc([], CFG, WINDOW) == []
+        assert correlate_irc([], {}, CFG, WINDOW) == []
 
     def test_strict_mode_requires_malicious(self):
         strict = dataclasses.replace(CFG, irc_require_malicious=True)
         clusters = [cluster("10.0.0.1", "10.0.0.2", "10.0.0.3")]
-        assert correlate_irc(clusters, strict, WINDOW, malicious=set()) == []
-        malicious = {IPv4Address(f"10.0.0.{i}") for i in (1, 2, 3)}
-        assert len(correlate_irc(clusters, strict, WINDOW, malicious=malicious)) == 1
+        hosts = ("10.0.0.1", "10.0.0.2", "10.0.0.3")
+        assert correlate_irc(clusters, activity_map(benign=hosts), strict, WINDOW) == []
+        assert len(correlate_irc(clusters, activity_map(hosts), strict, WINDOW)) == 1
 
 
 class TestReport:
     def _one_group(self):
-        malicious = {IPv4Address(f"10.0.0.{i}") for i in (1, 2, 3)}
-        return correlate_p2p([cluster("10.0.0.1", "10.0.0.2", "10.0.0.3")], malicious, CFG, WINDOW)
+        activity = activity_map(("10.0.0.1", "10.0.0.2", "10.0.0.3"))
+        return correlate_p2p([cluster("10.0.0.1", "10.0.0.2", "10.0.0.3")], activity, CFG, WINDOW)
 
     def test_empty_report_shape(self):
         counters = {"flows_ingested": 0, "whitelisted": 0, "failed_handshake": 0,
@@ -98,10 +126,10 @@ class TestReport:
 
     def test_groups_sorted_by_window_path_first_host(self):
         w1 = WindowIndex(index=1, start=21600.0, end=43200.0)
-        malicious = {IPv4Address(f"10.0.0.{i}") for i in range(1, 7)}
-        later = correlate_p2p([cluster("10.0.0.1", "10.0.0.2", "10.0.0.3")], malicious, CFG, w1)
-        irc = correlate_irc([cluster("10.0.0.4", "10.0.0.5", "10.0.0.6")], CFG, WINDOW)
-        p2p = correlate_p2p([cluster("10.0.0.4", "10.0.0.5", "10.0.0.6")], malicious, CFG, WINDOW)
+        activity = activity_map([f"10.0.0.{i}" for i in range(1, 7)])
+        later = correlate_p2p([cluster("10.0.0.1", "10.0.0.2", "10.0.0.3")], activity, CFG, w1)
+        irc = correlate_irc([cluster("10.0.0.4", "10.0.0.5", "10.0.0.6")], activity, CFG, WINDOW)
+        p2p = correlate_p2p([cluster("10.0.0.4", "10.0.0.5", "10.0.0.6")], activity, CFG, WINDOW)
         report = build_report(later + p2p + irc, {}, CFG)
         assert [(g.window.index, g.path.value) for g in report.groups] == [
             (0, "irc"), (0, "p2p"), (1, "p2p"),
