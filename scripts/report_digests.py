@@ -6,8 +6,11 @@ Runs ``detect``, ``curves --path p2p|irc``, ``scan-score`` and
 ``benign``/``p2p_botnet``/``irc_botnet`` scenario factories at seeds
 1..n_seeds, and of the benchmark's ``deep_day`` and ``scan_mix`` workloads
 (``bench/workloads.py``) at seeds 1..min(n_seeds, 3) with their whitelists,
-and prints one ``sha256  command  input`` line per output.  The workloads
-are the inputs that exercise the whitelist filter, scanners and spammers.
+and prints one ``sha256  command  input`` line per output.  Each input also
+gets a ``parse`` line, the sha256 of the ``repr`` of its parsed records,
+which pins the fields that no report shows (every ``start_ts`` bit, the
+payload bytes).  The workloads are the inputs that exercise the whitelist
+filter, scanners and spammers.
 A change that must keep every report byte-identical is checked by running
 this on both commits and diffing the two outputs.
 
@@ -23,7 +26,7 @@ import tempfile
 from pathlib import Path
 
 from botdetect.cli import main as cli
-from botdetect.flowfile import write_flow_file
+from botdetect.flowfile import parse_flow_file, write_flow_file
 from botdetect.synth import benign_scenario, generate, irc_botnet_scenario, p2p_botnet_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,6 +83,8 @@ def main() -> int:
         work = Path(tmp)
         out = work / "output"
         for name, flows, extra in inputs(work, n_seeds):
+            digest = hashlib.sha256(repr(parse_flow_file(flows.read_bytes())).encode()).hexdigest()
+            print(f"{digest}  parse  {name}")
             for command in COMMANDS:
                 assert cli([*command, "--flows", str(flows), *extra, "--out", str(out)]) == 0
                 digest = hashlib.sha256(out.read_bytes()).hexdigest()

@@ -9,15 +9,47 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import islice
+from typing import Iterator
 
-from .model import FlowRecord, Proto, TcpState, validate_flow
+from .model import _DOTTED_QUAD, PAYLOAD_PREFIX_MAX, FlowRecord, Proto, TcpState, validate_flow
 
 HEADER = "start_ts,duration,proto,sip,sport,dip,dport,npkts,nbytes,tcp_state,payload_prefix_hex"
 _COLUMNS = HEADER.count(",") + 1
 
 _PROTO_BY_NAME = {p.value: p for p in Proto}
 _STATE_BY_NAME = {s.value: s for s in TcpState}
-_PLAIN_SECONDS = re.compile(r"[0-9]+(\.[0-9]{1,6})?")
+_PLAIN_SECONDS = re.compile(r"[0-9]+(?:\.[0-9]{1,6})?")
+# the (proto, tcp_state) text pairs that validate_flow accepts
+_VALID_PAIRS = frozenset(
+    (p.value, s.value) for p in Proto for s in TcpState if p is Proto.TCP or s is TcpState.NOT_TCP
+)
+
+# Rows are parsed a chunk at a time so that only one chunk is ever split
+# into columns: the transient memory is bounded, not proportional to the file.
+_CHUNK_ROWS = 1024
+
+_PORT = "(?:0|[1-9][0-9]{0,4})"  # up to 5 digits; _parse_chunk checks <= 65535
+_COUNTER = "(?:0|[1-9][0-9]{0,19})"  # up to 20 digits; _parse_chunk checks < 2**64
+# A canonical row with every field in its plainest form (seconds as the
+# writer emits them when six fractional digits hold them).
+_ROW = re.compile(
+    ",".join(
+        (
+            _PLAIN_SECONDS.pattern,
+            _PLAIN_SECONDS.pattern,
+            "(?:" + "|".join(_PROTO_BY_NAME) + ")",
+            _DOTTED_QUAD.pattern,
+            _PORT,
+            _DOTTED_QUAD.pattern,
+            _PORT,
+            _COUNTER,
+            _COUNTER,
+            "(?:" + "|".join(_STATE_BY_NAME) + ")",
+            f"(?:[0-9a-f]{{2}}){{0,{PAYLOAD_PREFIX_MAX}}}",
+        )
+    )
+)
 
 
 class FlowFileError(ValueError):
@@ -75,7 +107,12 @@ def _parse_int(name: str, text: str, lineno: int) -> int:
     return value
 
 
-def _parse_row(parts: list[str], lineno: int) -> FlowRecord:
+def _parse_row(line: str, lineno: int) -> FlowRecord:
+    """Parse one data line, raising :class:`MalformedRow` for its first
+    problem (or, for invariants, all of them)."""
+    parts = line.split(",")
+    if len(parts) != _COLUMNS:
+        raise MalformedRow(lineno, f"expected {_COLUMNS} columns, got {len(parts)}")
     proto = _PROTO_BY_NAME.get(parts[2])
     if proto is None:
         raise MalformedRow(lineno, f"unknown proto: {parts[2]!r}")
@@ -108,6 +145,77 @@ def _parse_row(parts: list[str], lineno: int) -> FlowRecord:
     return rec
 
 
+def _data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(lineno, line)`` for each stripped row after the header,
+    skipping blank lines and ``#`` comments; raise :class:`BadHeader` first
+    if the header is missing or wrong."""
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            if line != HEADER:
+                raise BadHeader(f"line {lineno}: expected header {HEADER!r}")
+            break
+    else:
+        raise BadHeader("missing header line")
+    for lineno, raw in lines:
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def _parse_chunk(rows: list[tuple[int, str]]) -> list[FlowRecord]:
+    """Parse ``(lineno, line)`` rows a column at a time.
+
+    The rows must all match the canonical grammar and, as columns, meet
+    every invariant that the grammar cannot express; otherwise the chunk
+    goes row by row through :func:`_parse_row`, which accepts the rows the
+    grammar leaves out (such as the writer's ``1e-07``) and raises the first
+    bad row's own message.
+    """
+    _, lines = zip(*rows)
+    if all(map(_ROW.fullmatch, lines)):
+        cells = ",".join(lines).split(",")
+        start_ts, duration, proto, sip, sport, dip, dport, npkts, nbytes, state, payload = (
+            cells[i::_COLUMNS] for i in range(_COLUMNS)
+        )
+        start_ts = list(map(float, start_ts))
+        duration = list(map(float, duration))
+        sport = list(map(int, sport))
+        dport = list(map(int, dport))
+        npkts = list(map(int, npkts))
+        nbytes = list(map(int, nbytes))
+        # validate_flow's invariants that _ROW cannot express; digit-only
+        # seconds are finite unless they overflow to inf
+        if (
+            math.inf not in start_ts
+            and math.inf not in duration
+            and max(sport) <= 65535
+            and max(dport) <= 65535
+            and max(npkts) < 2**64
+            and max(nbytes) < 2**64
+            and {*zip(proto, state)} <= _VALID_PAIRS
+            and not (0 in npkts and any(b for p, b in zip(npkts, nbytes) if not p))
+        ):
+            return list(
+                map(
+                    FlowRecord,
+                    start_ts,
+                    duration,
+                    map(_PROTO_BY_NAME.__getitem__, proto),
+                    sip,
+                    sport,
+                    dip,
+                    dport,
+                    npkts,
+                    nbytes,
+                    map(_STATE_BY_NAME.__getitem__, state),
+                    map(bytes.fromhex, payload),
+                )
+            )
+    return [_parse_row(line, lineno) for lineno, line in rows]
+
+
 def parse_flow_file(data: bytes) -> list[FlowRecord]:
     """Parse a flow CSV into records, preserving row order.
 
@@ -118,23 +226,10 @@ def parse_flow_file(data: bytes) -> list[FlowRecord]:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FlowFileError(f"flow file is not valid UTF-8: {exc}") from None
+    rows = _data_lines(text)
     records: list[FlowRecord] = []
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != HEADER:
-                raise BadHeader(f"line {lineno}: expected header {HEADER!r}")
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != _COLUMNS:
-            raise MalformedRow(lineno, f"expected {_COLUMNS} columns, got {len(parts)}")
-        records.append(_parse_row(parts, lineno))
-    if not header_seen:
-        raise BadHeader("missing header line")
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        records += _parse_chunk(chunk)
     return records
 
 

@@ -11,11 +11,11 @@ import enum
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, get_type_hints
+from typing import Callable, Iterator, NamedTuple, get_type_hints
 
 PAYLOAD_PREFIX_MAX = 64
 
-_OCTET = "(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 # accepts exactly what ipaddress.IPv4Address accepts: four decimal octets
 # 0-255, ASCII digits only, no leading zero, sign or space
 _DOTTED_QUAD = re.compile(r"\.".join([_OCTET] * 4))
@@ -43,12 +43,12 @@ class OsdMode(enum.Enum):
     MAJORITY = "majority"
 
 
-@dataclass(frozen=True)
-class FlowRecord:
+class FlowRecord(NamedTuple):
     """One aggregated flow.
 
     ``npkts``/``nbytes`` are totals over both directions.  ``payload_prefix``
     holds up to 64 opaque bytes of the first client payload and may be empty.
+    A tuple, so a changed copy is ``rec._replace(field=value)``.
     """
 
     start_ts: float
@@ -82,15 +82,15 @@ def validate_flow(rec: FlowRecord) -> list[str]:
         problems.append(f"sip is not a valid IPv4 address: {rec.sip!r}")
     if not _valid_ipv4(rec.dip):
         problems.append(f"dip is not a valid IPv4 address: {rec.dip!r}")
-    if not 0 <= rec.sport <= 65535:
-        problems.append(f"sport out of range: {rec.sport}")
-    if not 0 <= rec.dport <= 65535:
-        problems.append(f"dport out of range: {rec.dport}")
+    # out-of-range integers are not printed: one may be too long for str()
+    for name in ("sport", "dport"):
+        if not 0 <= getattr(rec, name) <= 65535:
+            problems.append(f"{name} must be in 0..65535 (a 16-bit port)")
     for name in ("npkts", "nbytes"):
         value = getattr(rec, name)
         if value < 0:
-            problems.append(f"{name} must be >= 0, got {value}")
-        elif value >= 2**64:  # the width of IPFIX counters; not printed, as it may be huge
+            problems.append(f"{name} must be >= 0")
+        elif value >= 2**64:  # the width of IPFIX counters
             problems.append(f"{name} must be <= 2**64 - 1 (an unsigned 64-bit counter)")
     if rec.proto is not Proto.TCP and rec.tcp_state is not TcpState.NOT_TCP:
         problems.append("proto != TCP requires tcp_state=not_tcp")

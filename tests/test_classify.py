@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 
 import pytest
 from hypothesis import given, strategies as st
@@ -111,7 +110,7 @@ class TestLabelDependsOnlyOnProtoAndPayload:
     )
     def test_mutating_other_fields_keeps_label(self, payload, sport, dport, npkts, start):
         base = make_flow(payload=payload)
-        mutated = dataclasses.replace(
-            base, sport=sport, dport=dport, npkts=npkts, nbytes=npkts * 7, start_ts=start
+        mutated = base._replace(
+            sport=sport, dport=dport, npkts=npkts, nbytes=npkts * 7, start_ts=start
         )
         assert classify_flow(base) is classify_flow(mutated)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from collections import Counter
@@ -528,7 +527,7 @@ class TestWindowSplit:
         width = default_config().window_seconds
         flows, _ = generate(p2p_botnet_scenario(seed))
         shifted = [
-            dataclasses.replace(rec, start_ts=rec.start_ts + k * width)
+            rec._replace(start_ts=rec.start_ts + k * width)
             for k in range(3)
             for rec in flows
         ]

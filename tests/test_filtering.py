@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 from ipaddress import IPv4Address, ip_network
 
 import pytest
@@ -79,7 +78,7 @@ class TestSplitHandshake:
 
     def test_routing_ignores_payload_and_counters(self):
         base = make_flow(tcp_state=TcpState.SYN_ONLY)
-        mutated = dataclasses.replace(base, payload_prefix=b"GET /\r\n", npkts=999, nbytes=12345)
+        mutated = base._replace(payload_prefix=b"GET /\r\n", npkts=999, nbytes=12345)
         for rec in (base, mutated):
             out = run_filter([rec], EMPTY_WHITELIST)
             assert out.failed == [rec]
@@ -126,7 +125,7 @@ def any_state_flows(draw):
     """A pooled flow whose TCP handshake state is drawn too."""
     rec = draw(pooled_flows())
     if rec.proto is Proto.TCP:
-        rec = dataclasses.replace(rec, tcp_state=draw(st.sampled_from(TCP_STATES)))
+        rec = rec._replace(tcp_state=draw(st.sampled_from(TCP_STATES)))
     return rec
 
 

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from botdetect.flowfile import (
+    _CHUNK_ROWS,
     HEADER,
     BadHeader,
+    FlowFileError,
     MalformedRow,
+    _parse_row,
     format_seconds,
     parse_flow_file,
     write_flow_file,
@@ -179,3 +184,162 @@ class TestRoundTrip:
         flows, _ = generate(p2p_botnet_scenario(42))
         assert len(flows) > 900
         assert parse_flow_file(write_flow_file(flows)) == flows
+
+
+def _row_by_row(data: bytes) -> list[FlowRecord]:
+    """The reference parse: every data line through the per-row path in turn."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FlowFileError(f"flow file is not valid UTF-8: {exc}") from None
+    records: list[FlowRecord] = []
+    header_seen = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header_seen:
+            records.append(_parse_row(line, lineno))
+        elif line == HEADER:
+            header_seen = True
+        else:
+            raise BadHeader(f"line {lineno}: expected header {HEADER!r}")
+    if not header_seen:
+        raise BadHeader("missing header line")
+    return records
+
+
+def _outcome(parse, data: bytes) -> tuple[str, str]:
+    """What ``parse`` makes of ``data``: the records' repr (exact to the
+    float bit), or the error's type and message."""
+    try:
+        return "records", repr(parse(data))
+    except FlowFileError as exc:
+        return type(exc).__name__, str(exc)
+
+
+# replacement text per column, covering every kind of malformed row: bad
+# text, non-finite seconds, unknown enums, non-canonical or oversized
+# numbers, bad addresses and hex, and broken invariants; some are accepted
+_BAD_FIELDS = (
+    ("1e3", "+5", "1_0", " 7", "nan", "inf", "1" * 400, "-1", "-0", "1e-07"),
+    ("5.", ".5", "1.1234567", "0.30000000000000004", "1" * 400, "-1"),
+    ("tcp", "icmp", "TCP", "x", ""),
+    ("256.0.0.1", "01.2.3.4", "::1", "1.2.3"),
+    ("65535", "65536", "99999", "-1", "080", "1" * 5000),
+    ("0.0.0.0", "1.2.3.4.5", "1.2.3.٤"),
+    ("0", "65536", "+80", "-0"),
+    ("0", "-1", str(2**64 - 1), str(2**64), "0" + "1" * 19, "1" * 5000),
+    ("0", "7", str(2**64), "1_0"),
+    ("established", "not_tcp", "reset", "x"),
+    ("4E", "abc", "zz", "ab" * 64, "ab" * 65, "4745 54"),
+)
+
+
+_BASE_ROW = "0,0,udp,1.2.3.4,1,5.6.7.8,2,1,10,not_tcp,"
+
+
+def _mutated_rows():
+    """``_BASE_ROW`` with one field replaced, for every text of
+    ``_BAD_FIELDS``, and with one column too many and too few."""
+    for column, (name, texts) in enumerate(zip(HEADER.split(","), _BAD_FIELDS)):
+        for text in texts:
+            parts = _BASE_ROW.split(",")
+            parts[column] = text
+            shown = text if len(text) <= 20 else f"{text[:4]}...({len(text)})"
+            yield pytest.param(",".join(parts), id=f"{name}={shown}")
+    yield pytest.param(_BASE_ROW + ",x", id="12 columns")
+    yield pytest.param(_BASE_ROW.rsplit(",", 1)[0], id="10 columns")
+
+
+_MUTATED_ROWS = list(_mutated_rows())
+
+
+@st.composite
+def flow_files(draw) -> bytes:
+    """A flow file of a few distinct rows repeated to a count near a multiple
+    of the chunk size, with comments, blank lines, a chosen line ending and
+    (three times in four) one mutated field."""
+    rows = write_flow_file(draw(st.lists(flow_records(), min_size=1, max_size=4))).decode()
+    distinct = rows.splitlines()[1:]
+    near_chunks = st.builds(lambda k, d: k * _CHUNK_ROWS + d, st.integers(1, 2), st.integers(-2, 2))
+    count = draw(st.integers(0, 2) | near_chunks)
+    lines = [distinct[i % len(distinct)] for i in range(count)]
+    if lines and draw(st.integers(0, 3)):
+        at = draw(st.integers(0, count - 1))
+        parts = lines[at].split(",")
+        column = draw(st.integers(0, len(parts)))
+        if column == len(parts):  # one column too many or too few
+            parts = parts + ["x"] if draw(st.booleans()) else parts[:-1]
+        else:
+            parts[column] = draw(st.sampled_from(_BAD_FIELDS[column]))
+        lines[at] = ",".join(parts)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(["", "  ", "# comment", " # indented, comment"])))
+    lines.insert(0, HEADER)
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["", "# before the header"])))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return (newline.join(lines) + newline).encode()
+
+
+class TestChunkedParse:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.binary(max_size=200)
+        | st.binary(max_size=200).map(lambda tail: f"{HEADER}\n".encode() + tail)
+        | st.text("0123456789.,-+e abcdf:#tcpudpicmpothernot_tcpestablishedsyn_onlyreset\n\r\x0c")
+        .map(lambda tail: f"{HEADER}\n{tail}".encode())
+    )
+    def test_any_bytes_give_records_or_a_flow_file_error(self, data):
+        try:
+            records = parse_flow_file(data)
+        except FlowFileError:
+            return
+        assert isinstance(records, list)
+        assert all(type(rec) is FlowRecord for rec in records)
+
+    @settings(max_examples=120, deadline=None)
+    @given(flow_files())
+    def test_agrees_with_the_row_by_row_parse(self, data):
+        assert _outcome(parse_flow_file, data) == _outcome(_row_by_row, data)
+
+    @pytest.mark.parametrize("row", _MUTATED_ROWS)
+    def test_row_in_a_later_chunk_parses_as_row_by_row(self, row):
+        rows = [_BASE_ROW] * (_CHUNK_ROWS + 5)
+        rows[_CHUNK_ROWS + 2] = row
+        data = ("# a comment\n" + "\n".join([HEADER, *rows]) + "\n").encode()
+        outcome = _outcome(parse_flow_file, data)
+        assert outcome == _outcome(_row_by_row, data)
+        if outcome[0] != "records":  # named by its own line: comment, header, rows before it
+            assert outcome[1].startswith(f"line {2 + _CHUNK_ROWS + 3}: ")
+
+    def test_written_seconds_in_a_later_chunk_round_trip(self):
+        flows = [make_flow(start_ts=float(i)) for i in range(_CHUNK_ROWS + 5)]
+        flows[_CHUNK_ROWS + 3] = flows[_CHUNK_ROWS + 3]._replace(duration=1e-07)
+        data = write_flow_file(flows)
+        assert b",1e-07," in data
+        assert parse_flow_file(data) == flows
+
+    def test_transient_memory_is_bounded_by_the_chunk(self):
+        # 8192 rows in an 0.8 MB file.  Beyond the records, the parse holds
+        # the decoded text and its lines (about 2.1 MB) and one 1024-row
+        # chunk's cells and columns (about 0.8 MB); splitting the whole file
+        # into columns at once would take about 8 MB.
+        rows = 8192
+        assert rows >= 3 * _CHUNK_ROWS
+        flows = [
+            make_flow(start_ts=i * 0.5, sip=f"10.0.{i % 7}.{i % 250}", sport=1024 + i, nbytes=1000 + i,
+                      payload=b"GET / HTTP/1.1\r\n")
+            for i in range(rows)
+        ]
+        data = write_flow_file(flows)
+        tracemalloc.start()
+        try:
+            records = parse_flow_file(data)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert records == flows
+        assert peak - kept < 4_000_000

@@ -55,6 +55,17 @@ class TestValidateFlow:
             problems = validate_flow(make_flow(**{field: value}))
             assert problems == [f"{field} must be <= 2**64 - 1 (an unsigned 64-bit counter)"]
 
+    @pytest.mark.parametrize("field", ["sport", "dport"])
+    @pytest.mark.parametrize("value", [-1, 65536, -(10**5000), 10**5000], ids=["-1", "65536", "-10**5000", "10**5000"])
+    def test_ports_are_16_bit_and_never_printed(self, field, value):
+        assert validate_flow(make_flow(**{field: 0})) == validate_flow(make_flow(**{field: 65535})) == []
+        assert validate_flow(make_flow(**{field: value})) == [f"{field} must be in 0..65535 (a 16-bit port)"]
+
+    @pytest.mark.parametrize("field", ["npkts", "nbytes"])
+    @pytest.mark.parametrize("value", [-1, -(10**5000)], ids=["-1", "-10**5000"])
+    def test_negative_counters_are_flagged_unprinted(self, field, value):
+        assert validate_flow(make_flow(**{field: value})) == [f"{field} must be >= 0"]
+
     def test_bad_addresses_are_flagged(self):
         assert validate_flow(make_flow(sip="not-an-ip")) != []
         assert validate_flow(make_flow(dip="::1")) != []

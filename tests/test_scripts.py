@@ -44,7 +44,7 @@ def test_report_digests_cover_every_command_and_input(monkeypatch, capsys):
     inputs = {name for _, _, name in lines}
     assert len(inputs) == 8 and "p2p_botnet_scenario(1)" in inputs
     assert {"deep_day(1)", "scan_mix(1)"} <= inputs
-    assert len(lines) == len(inputs) * len(digests.COMMANDS)
+    assert len(lines) == len(inputs) * (len(digests.COMMANDS) + 1)  # + one parse line each
     detect = {name: digest for digest, command, name in lines if command.startswith("detect")}
     for scenario, pins in REPORT_SHA256.items():
         assert detect[f"scenarios/{scenario}.spec"] == pins["detect"]
