@@ -9,8 +9,10 @@ Runs ``detect``, ``curves --path p2p|irc``, ``scan-score`` and
 and prints one ``sha256  command  input`` line per output.  Each input also
 gets a ``parse`` line, the sha256 of the ``repr`` of its parsed records,
 which pins the fields that no report shows (every ``start_ts`` bit, the
-payload bytes).  The workloads are the inputs that exercise the whitelist
-filter, scanners and spammers.
+payload bytes), and a ``scores`` line, the sha256 of every pair that
+``detect`` scores, in call order: the ``repr`` of its two group keys and
+the score's float64 bytes.  The workloads are the inputs that exercise
+the whitelist filter, scanners and spammers.
 A change that must keep every report byte-identical is checked by running
 this on both commits and diffing the two outputs.
 
@@ -21,10 +23,13 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import struct
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
+from botdetect import pipeline, similarity
 from botdetect.cli import main as cli
 from botdetect.flowfile import parse_flow_file, write_flow_file
 from botdetect.synth import benign_scenario, generate, irc_botnet_scenario, p2p_botnet_scenario
@@ -77,6 +82,47 @@ def inputs(work: Path, n_seeds: int):
             yield name, path, ["--whitelist", str(whitelist)]
 
 
+@contextmanager
+def scored_pairs():
+    """Hash each pair that clustering scores while inside the block.
+
+    ``pipeline.cluster_groups`` names the groups in play,
+    ``similarity.build_curve`` ties each curve to the group whose points it
+    got, and ``similarity.curve_similarity`` is each scored pair.
+    """
+    digest = hashlib.sha256()
+    key_of_points: dict[int, tuple] = {}
+    key_of_curve: dict[int, tuple] = {}
+    cluster, build, score = pipeline.cluster_groups, similarity.build_curve, similarity.curve_similarity
+
+    def clustering(groups, *args):
+        key_of_points.clear()
+        key_of_points.update((id(g.points), g.key) for g in groups)
+        key_of_curve.clear()
+        return cluster(groups, *args)
+
+    def building(points, *args):
+        curve = build(points, *args)
+        key_of_curve[id(curve)] = key_of_points[id(points)]
+        return curve
+
+    def scoring(a, b):
+        result = score(a, b)
+        digest.update(repr((key_of_curve[id(a)], key_of_curve[id(b)])).encode())
+        digest.update(struct.pack("<d", result))
+        return result
+
+    pipeline.cluster_groups, similarity.build_curve, similarity.curve_similarity = (
+        clustering, building, scoring
+    )
+    try:
+        yield digest
+    finally:
+        pipeline.cluster_groups, similarity.build_curve, similarity.curve_similarity = (
+            cluster, build, score
+        )
+
+
 def main() -> int:
     n_seeds = int(sys.argv[1]) if len(sys.argv) > 1 else 20
     with tempfile.TemporaryDirectory() as tmp:
@@ -89,6 +135,9 @@ def main() -> int:
                 assert cli([*command, "--flows", str(flows), *extra, "--out", str(out)]) == 0
                 digest = hashlib.sha256(out.read_bytes()).hexdigest()
                 print(f"{digest}  {' '.join(command)}  {name}")
+            with scored_pairs() as scores:
+                assert cli([*COMMANDS[0], "--flows", str(flows), *extra, "--out", str(out)]) == 0
+            print(f"{scores.hexdigest()}  scores  {name}")
     return 0
 
 

@@ -28,6 +28,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
+from typing import Iterable
 
 from .model import DetectorConfig, FlowRecord, OsdMode, Proto
 
@@ -168,6 +169,21 @@ def spam_detect(flows: list[FlowRecord], cfg: DetectorConfig) -> SpamReport:
     return SpamReport(smtp_flows=len(smtp), distinct_servers=len(servers), flagged=flagged)
 
 
+def inside_texts(texts: Iterable[str], network: IPv4Network) -> set[str]:
+    """The canonical dotted quads among ``texts`` that lie in ``network``.
+
+    Membership is tested on the address as an integer, so no
+    ``IPv4Address`` is built; the flow parser has already validated each
+    text.
+    """
+    mask, prefix = int(network.netmask), int(network.network_address)
+    return {
+        text
+        for text in texts
+        if int.from_bytes(bytes(map(int, text.split("."))), "big") & mask == prefix
+    }
+
+
 def window_activity(
     all_flows: list[FlowRecord],
     failed_flows: list[FlowRecord],
@@ -186,8 +202,7 @@ def window_activity(
         [rec.sip for rec in failed_flows],
         [rec.dip for rec in failed_flows],
     )
-    addrs = {text: IPv4Address(text) for text in texts}
-    inside = {text for text, addr in addrs.items() if addr in internal}
+    inside = inside_texts(texts, internal)
     outbound: dict[str, list[FlowRecord]] = {}
     outbound_failed: dict[str, list[FlowRecord]] = {}
     inbound_failed: dict[str, list[FlowRecord]] = {}
@@ -201,9 +216,9 @@ def window_activity(
         if dst_internal and not src_internal:
             inbound_failed.setdefault(rec.dip, []).append(rec)
 
-    hosts = sorted(set(outbound) | set(outbound_failed) | set(inbound_failed), key=addrs.__getitem__)
+    addrs = {host: IPv4Address(host) for host in {*outbound, *outbound_failed, *inbound_failed}}
     activity: dict[IPv4Address, HostActivity] = {}
-    for host in hosts:
+    for host in sorted(addrs, key=addrs.__getitem__):
         clean = outbound.get(host, [])
         failed = outbound_failed.get(host, [])
         inbound_fc = count_failed(inbound_failed.get(host, []), cfg.hs_ports)

@@ -25,6 +25,8 @@ _VALID_PAIRS = frozenset(
     (p.value, s.value) for p in Proto for s in TcpState if p is Proto.TCP or s is TcpState.NOT_TCP
 )
 
+# Lines are split from the decoded text this many characters at a time.
+_BLOCK_CHARS = 1 << 16
 # Rows are parsed a chunk at a time so that only one chunk is ever split
 # into columns: the transient memory is bounded, not proportional to the file.
 _CHUNK_ROWS = 1024
@@ -145,11 +147,33 @@ def _parse_row(line: str, lineno: int) -> FlowRecord:
     return rec
 
 
+def _lines(text: str, block: int = _BLOCK_CHARS) -> Iterator[str]:
+    """Yield ``text.splitlines(keepends=True)`` one line at a time.
+
+    The text is split a block of about ``block`` characters at a time, so
+    no list of every line is ever held.  A block's last line may be cut
+    short (or be a ``\r`` whose ``\n`` follows), so it is split again
+    with the next block; a block holding less than one whole line grows.
+    """
+    start, end = 0, len(text)
+    while start < end:
+        lines = text[start : start + block].splitlines(keepends=True)
+        if start + block < end:
+            if len(lines) < 2:
+                block *= 2
+                continue
+            lines.pop()
+        yield from lines
+        start += sum(map(len, lines))
+
+
 def _data_lines(text: str) -> Iterator[tuple[int, str]]:
     """Yield ``(lineno, line)`` for each stripped row after the header,
     skipping blank lines and ``#`` comments; raise :class:`BadHeader` first
     if the header is missing or wrong."""
-    lines = enumerate(text.splitlines(), start=1)
+    # every line boundary that splitlines knows is whitespace, so strip()
+    # removes the line end that _lines keeps
+    lines = enumerate(_lines(text), start=1)
     for lineno, raw in lines:
         line = raw.strip()
         if line and not line.startswith("#"):

@@ -78,20 +78,20 @@ class Curve:
     """A group's resampled nbps-over-nbpp polyline.
 
     ``xs``/``ys`` are read-only float64 arrays of equal length;
-    ``x_range`` is the (min, max) nbpp of the source points.
+    ``x_range`` is the (min, max) nbpp of the source points.  A curve is
+    ``degenerate`` when that range is one point; ``peak`` is the max of
+    ``ys`` (nan if any sample is nan).
     """
 
     xs: np.ndarray
     ys: np.ndarray
     x_range: tuple[float, float]
+    degenerate: bool
+    peak: float
 
     @property
     def resample_points(self) -> int:
         return len(self.xs)
-
-    @property
-    def degenerate(self) -> bool:
-        return self.x_range[0] == self.x_range[1]
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -129,7 +129,13 @@ def build_curve(points: list[FlowFeatures] | tuple[FlowFeatures, ...], resample_
     else:
         sample_xs = np.linspace(lo, hi, resample_points)
         sample_ys = np.interp(sample_xs, np.asarray(xs), np.asarray(ys))
-    return Curve(xs=_readonly(sample_xs), ys=_readonly(sample_ys), x_range=(lo, hi))
+    return Curve(
+        xs=_readonly(sample_xs),
+        ys=_readonly(sample_ys),
+        x_range=(lo, hi),
+        degenerate=lo == hi,
+        peak=float(np.maximum.reduce(sample_ys)),
+    )
 
 
 def curve_similarity(a: Curve, b: Curve) -> float:
@@ -139,30 +145,40 @@ def curve_similarity(a: Curve, b: Curve) -> float:
     curve contributes its constant across the other curve's range.  When
     both curves are everywhere zero the score is defined as 1.0.
     """
-    if a.resample_points != b.resample_points:
-        raise MismatchedR(
-            f"curves resampled at different resolutions: {a.resample_points} vs {b.resample_points}"
-        )
-    r = a.resample_points
-    if not a.degenerate and not b.degenerate:
+    r = len(a.ys)
+    if len(b.ys) != r:
+        raise MismatchedR(f"curves resampled at different resolutions: {r} vs {len(b.ys)}")
+    if a.degenerate:
+        lo, hi = (0.0, 0.0) if b.degenerate else b.x_range
+    elif b.degenerate:
+        lo, hi = a.x_range
+    else:
         lo = max(a.x_range[0], b.x_range[0])
         hi = min(a.x_range[1], b.x_range[1])
         if hi < lo:
             return 0.0
-    elif a.degenerate and not b.degenerate:
-        lo, hi = b.x_range
-    elif b.degenerate and not a.degenerate:
-        lo, hi = a.x_range
+    # A side scored on its own range keeps its samples: _linspace rebuilds
+    # its xs bit for bit, np.interp returns fp[j] where x == xp[j], and a
+    # degenerate curve's ys is already its constant.
+    positions = None
+    if a.degenerate or a.x_range == (lo, hi):
+        ya, peak_a = a.ys, a.peak
     else:
-        lo = hi = 0.0
-    positions = _linspace(lo, hi, r)
-    ya = np.full(r, a.ys[0]) if a.degenerate else np.interp(positions, a.xs, a.ys)
-    yb = np.full(r, b.ys[0]) if b.degenerate else np.interp(positions, b.xs, b.ys)
-    peak = float(max(ya.max(), yb.max()))
+        positions = _linspace(lo, hi, r)
+        ya = np.interp(positions, a.xs, a.ys)
+        peak_a = np.maximum.reduce(ya)
+    if b.degenerate or b.x_range == (lo, hi):
+        yb, peak_b = b.ys, b.peak
+    else:
+        if positions is None:
+            positions = _linspace(lo, hi, r)
+        yb = np.interp(positions, b.xs, b.ys)
+        peak_b = np.maximum.reduce(yb)
+    peak = float(max(peak_a, peak_b))
     if peak == 0.0:
         return 1.0
     # the same pairwise sum and division as np.mean, without its dispatch
-    return float(1.0 - float(np.abs(ya - yb).sum() / r) / peak)
+    return float(1.0 - float(np.add.reduce(np.abs(ya - yb)) / r) / peak)
 
 
 def _linspace(lo: float, hi: float, r: int) -> np.ndarray:
@@ -217,20 +233,24 @@ def cluster_groups(
     """
     ordered = sorted(groups, key=lambda g: g.key)
     curves = [build_curve(g.points, resample_points) for g in ordered]
+    # Below a positive threshold, disjoint non-degenerate ranges score
+    # exactly 0 and cannot link, so a pair is scored only if its ranges
+    # overlap.  A degenerate curve reaches every range, and at a threshold
+    # of 0 or less every curve does.
+    spans = [(-np.inf, np.inf) if c.degenerate or threshold <= 0.0 else c.x_range for c in curves]
+    lows, highs = np.array(spans, dtype=np.float64).reshape(-1, 2).T
     uf = _UnionFind(len(ordered))
     for i in range(len(ordered)):
-        ci = curves[i]
-        for j in range(i + 1, len(ordered)):
-            cj = curves[j]
-            if threshold > 0.0 and not ci.degenerate and not cj.degenerate:
-                # disjoint ranges score exactly 0; skip the resampling
-                if min(ci.x_range[1], cj.x_range[1]) < max(ci.x_range[0], cj.x_range[0]):
-                    continue
-            if uf.find(i) == uf.find(j):
+        rest = slice(i + 1, len(ordered))
+        overlap = (lows[rest] <= highs[i]) & (highs[rest] >= lows[i])
+        root = uf.find(i)  # changes only when row i links
+        for j in (np.flatnonzero(overlap) + (i + 1)).tolist():
+            if uf.find(j) == root:
                 # already joined: single linkage keeps only the components
                 continue
-            if curve_similarity(ci, cj) >= threshold:
+            if curve_similarity(curves[i], curves[j]) >= threshold:
                 uf.union(i, j)
+                root = uf.find(i)
     components: dict[int, list[FlowGroup]] = {}
     for idx, group in enumerate(ordered):
         components.setdefault(uf.find(idx), []).append(group)

@@ -12,6 +12,7 @@ from botdetect.activity import (
     HostActivity,
     count_failed,
     entropy_norm,
+    inside_texts,
     isd_score,
     osd_s2,
     osd_scores,
@@ -302,3 +303,20 @@ class TestWindowActivityOracle:
         want = oracle_window_activity(all_flows, failed_flows, internal, self.LOW)
         assert [type(host) for host in got] == [IPv4Address] * len(want)
         assert list(got.items()) == list(want.items())
+
+
+# dotted quads clustered near the edges of small networks, plus any address
+QUADS = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.tuples(st.sampled_from((0, 10, 127, 192, 255)), st.integers(0, 255), st.integers(0, 255),
+              st.sampled_from((0, 1, 127, 128, 255))).map(lambda q: int.from_bytes(bytes(q), "big")),
+).map(lambda n: str(IPv4Address(n)))
+
+
+@given(st.lists(QUADS, max_size=20), QUADS)
+def test_inside_texts_is_network_membership(texts, base):
+    for prefixlen in range(33):
+        network = IPv4Network(f"{base}/{prefixlen}", strict=False)
+        edges = [str(network.network_address), str(network.broadcast_address)]
+        want = {t for t in texts + edges if IPv4Address(t) in network}
+        assert inside_texts(texts + edges, network) == want

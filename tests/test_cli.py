@@ -482,13 +482,10 @@ def test_addresses_parsed_per_distinct_text(tmp_path, monkeypatch):
 
         monkeypatch.setattr(pipeline, name, wrapper)
 
-    def distinct(*streams) -> int:
-        return len({text for flows in streams for rec in flows for text in (rec.sip, rec.dip)})
-
     bounded("run_filter", filtering.__name__, lambda args, out: len({rec.dip for rec in args[0]}))
     for name in ("group_flows_p2p", "group_flows_irc"):
         bounded(name, monitors.__name__, lambda args, out: 2 * len(out.groups))
-    bounded("window_activity", activity.__name__, lambda args, out: distinct(*args[:2]) + len(out))
+    bounded("window_activity", activity.__name__, lambda args, out: len(out))
 
     out = tmp_path / "report.json"
     assert main(["detect", "--flows", f"{prefix}.flows.csv", "--whitelist", str(whitelist),

@@ -11,6 +11,7 @@ from botdetect.flowfile import (
     BadHeader,
     FlowFileError,
     MalformedRow,
+    _lines,
     _parse_row,
     format_seconds,
     parse_flow_file,
@@ -284,6 +285,29 @@ def flow_files(draw) -> bytes:
     return (newline.join(lines) + newline).encode()
 
 
+# every line boundary that str.splitlines knows
+LINE_BREAKS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@st.composite
+def broken_texts(draw) -> str:
+    """Short pieces of text, each followed by a line break: every break
+    at least once, in any order (so a lone ``\r`` may meet a ``\n``)."""
+    breaks = draw(st.permutations(LINE_BREAKS)) + draw(st.lists(st.sampled_from(LINE_BREAKS)))
+    pieces = draw(st.lists(st.text("ab #\t", max_size=4), min_size=len(breaks), max_size=len(breaks)))
+    return "".join(piece + brk for piece, brk in zip(pieces, breaks)) + draw(st.text("ab ", max_size=3))
+
+
+@given(broken_texts(), st.integers(1, 9))
+def test_lines_are_split_where_splitlines_splits(text, block):
+    got = list(enumerate(_lines(text, block), start=1))
+    assert got == list(enumerate(text.splitlines(keepends=True), start=1))
+    # the line end that _lines keeps is whitespace that strip() removes
+    assert [(n, line.strip()) for n, line in got] == [
+        (n, line.strip()) for n, line in enumerate(text.splitlines(), start=1)
+    ]
+
+
 class TestChunkedParse:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -324,9 +348,10 @@ class TestChunkedParse:
 
     def test_transient_memory_is_bounded_by_the_chunk(self):
         # 8192 rows in an 0.8 MB file.  Beyond the records, the parse holds
-        # the decoded text and its lines (about 2.1 MB) and one 1024-row
-        # chunk's cells and columns (about 0.8 MB); splitting the whole file
-        # into columns at once would take about 8 MB.
+        # the decoded text (about 0.8 MB), one 1024-row chunk's cells and
+        # columns (about 0.8 MB) and one block of lines (about 0.1 MB), 1.8 MB
+        # in all; a list of every line would add about 1.1 MB, and splitting
+        # the whole file into columns at once would take about 8 MB.
         rows = 8192
         assert rows >= 3 * _CHUNK_ROWS
         flows = [
@@ -342,4 +367,4 @@ class TestChunkedParse:
         finally:
             tracemalloc.stop()
         assert records == flows
-        assert peak - kept < 4_000_000
+        assert peak - kept < 2_200_000

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from botdetect import similarity
 from botdetect.filtering import EMPTY_WHITELIST
@@ -100,6 +100,12 @@ class TestBuildCurve:
         assert tuple(curve.ys) == (5.0, 5.0)
         assert curve.degenerate
 
+    def test_peak_is_the_max_sample_nan_included(self):
+        curve = build_curve([FlowFeatures(nbps=3, nbpp=1), FlowFeatures(nbps=9, nbpp=4)], 4)
+        assert curve.peak == 9.0
+        curve = build_curve([FlowFeatures(nbps=math.nan, nbpp=1), FlowFeatures(nbps=9, nbpp=4)], 4)
+        assert math.isnan(curve.peak)
+
     def test_empty_group_raises(self):
         with pytest.raises(EmptyGroup):
             build_curve([], 4)
@@ -150,15 +156,24 @@ Y_VALUES = st.one_of(st.just(0.0), st.floats(0, 1e9), st.floats(0, 1e-300))
 @st.composite
 def curve_pairs(draw):
     """Two curves whose nbpp values come from one small pool, so pairs
-    overlap, touch at one point, are disjoint, or are degenerate."""
+    overlap, touch at one point, are disjoint, or are degenerate; or whose
+    second range lies within the first's, or has the same ends."""
     r = draw(st.sampled_from((2, 3, 32)))
     pool = draw(st.lists(X_VALUES, min_size=1, max_size=4, unique=True))
 
-    def curve():
-        pts = draw(st.lists(st.tuples(st.sampled_from(pool), Y_VALUES), min_size=1, max_size=6))
+    def curve(xs, *ends):
+        pts = draw(st.lists(st.tuples(st.sampled_from(xs), Y_VALUES), min_size=1, max_size=6))
+        pts += [(x, draw(Y_VALUES)) for x in ends]
         return build_curve([FlowFeatures(nbps=y, nbpp=x) for x, y in pts], r)
 
-    return curve(), curve()
+    a = curve(pool)
+    lo, hi = a.x_range
+    relation = draw(st.sampled_from(("any", "within", "same ends")))
+    if relation == "within":  # above a's low end, up to its high end
+        return a, curve([x for x in pool if lo < x <= hi] or [lo])
+    if relation == "same ends":
+        return a, curve([x for x in pool if lo <= x <= hi], lo, hi)
+    return a, curve(pool)
 
 
 class TestCurveSimilarity:
@@ -214,6 +229,29 @@ class TestCurveSimilarity:
             # subnormal nbpp spans overflow build_curve's slopes; both then give nan
             assert got == want or (math.isnan(got) and math.isnan(want))
 
+    @pytest.mark.parametrize(
+        "relation",
+        [
+            lambda a, b: a.x_range == b.x_range,
+            lambda a, b: a.x_range[0] < b.x_range[0] < b.x_range[1] <= a.x_range[1],
+        ],
+        ids=["equal", "contained"],
+    )
+    def test_curve_pairs_draw_ranges_scored_on_their_own_samples(self, relation):
+        # the pairs whose sides curve_similarity scores without resampling
+        generate_only = settings(max_examples=1000, phases=[Phase.generate], database=None)
+        find(curve_pairs(), lambda p: not p[0].degenerate and relation(*p), settings=generate_only)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=300)
+    @given(curve_pairs())
+    def test_samples_are_their_own_resampling(self, pair):
+        for c in pair:
+            r = c.resample_points
+            resampled = np.interp(similarity._linspace(*c.x_range, r), c.xs, c.ys)
+            assert resampled.tobytes() == c.ys.tobytes()
+            assert c.peak == c.ys.max() or (math.isnan(c.peak) and math.isnan(c.ys.max()))
+
     @given(X_VALUES, X_VALUES, st.sampled_from((1, 2, 3, 32)))
     def test_positions_are_linspace_bit_for_bit(self, x, y, r):
         lo, hi = sorted((x, y))
@@ -260,7 +298,9 @@ def brute_force_clusters(groups, threshold, resample_points):
 @st.composite
 def cluster_inputs(draw):
     """Groups mixing curves, degenerate and all-zero curves, and identical
-    copies, at nbps magnitudes from 1e-3 to 1e9; plus a threshold."""
+    copies, at nbps magnitudes from 1e-3 to 1e9; plus a threshold.  Some
+    nbpp values come from a shared pool, so ranges touch or coincide."""
+    pool = draw(st.lists(st.floats(1, 100), min_size=1, max_size=3))
     shapes = []
     for _ in range(draw(st.integers(1, 10))):
         if shapes and draw(st.integers(0, 3)) == 0:
@@ -268,7 +308,7 @@ def cluster_inputs(draw):
             continue
         kind = draw(st.sampled_from(("curve", "degenerate", "zero")))
         n = draw(st.integers(1, 3) if kind == "degenerate" else st.integers(2, 5))
-        xs = draw(st.lists(st.floats(1, 100), min_size=n, max_size=n))
+        xs = draw(st.lists(st.floats(1, 100) | st.sampled_from(pool), min_size=n, max_size=n))
         if kind == "degenerate":
             xs = xs[:1] * n
         scale = draw(st.sampled_from((1e-3, 1.0, 1e3, 1e6, 1e9)))
@@ -293,6 +333,47 @@ def count_scores(monkeypatch) -> list[float]:
 
     monkeypatch.setattr(similarity, "curve_similarity", counting)
     return scores
+
+
+def double_loop(groups, threshold, resample_points) -> None:
+    """``cluster_groups``' scoring as a double loop over every ``j > i``,
+    before its candidate mask: the reference for which pairs it scores."""
+    ordered = sorted(groups, key=lambda g: g.key)
+    curves = [similarity.build_curve(g.points, resample_points) for g in ordered]
+    uf = similarity._UnionFind(len(ordered))
+    for i in range(len(ordered)):
+        ci = curves[i]
+        for j in range(i + 1, len(ordered)):
+            cj = curves[j]
+            if threshold > 0.0 and not ci.degenerate and not cj.degenerate:
+                if min(ci.x_range[1], cj.x_range[1]) < max(ci.x_range[0], cj.x_range[0]):
+                    continue
+            if uf.find(i) == uf.find(j):
+                continue
+            if similarity.curve_similarity(ci, cj) >= threshold:
+                uf.union(i, j)
+
+
+def scored_keys(cluster, groups, threshold, resample_points) -> list[tuple]:
+    """The ``(key_i, key_j)`` of every pair that ``cluster`` scores, in order."""
+    key_of_points = {id(g.points): g.key for g in groups}
+    key_of_curve: dict[int, tuple] = {}
+    scored: list[tuple] = []
+
+    def building(points, r):
+        curve = build_curve(points, r)
+        key_of_curve[id(curve)] = key_of_points[id(points)]
+        return curve
+
+    def scoring(a, b):
+        scored.append((key_of_curve[id(a)], key_of_curve[id(b)]))
+        return curve_similarity(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(similarity, "build_curve", building)
+        mp.setattr(similarity, "curve_similarity", scoring)
+        cluster(groups, threshold, resample_points)
+    return scored
 
 
 class TestClusterGroups:
@@ -346,6 +427,11 @@ class TestClusterGroups:
         groups, threshold, r = case
         got = {frozenset(c.group_keys) for c in cluster_groups(groups, threshold, r)}
         assert got == brute_force_clusters(groups, threshold, r)
+
+    @settings(max_examples=200)
+    @given(cluster_inputs())
+    def test_scores_the_pairs_of_the_double_loop_in_its_order(self, case):
+        assert scored_keys(cluster_groups, *case) == scored_keys(double_loop, *case)
 
     def test_identical_groups_scored_once_each_but_the_first(self, monkeypatch):
         scores = count_scores(monkeypatch)
