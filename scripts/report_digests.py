@@ -9,10 +9,13 @@ Runs ``detect``, ``curves --path p2p|irc``, ``scan-score`` and
 and prints one ``sha256  command  input`` line per output.  Each input also
 gets a ``parse`` line, the sha256 of the ``repr`` of its parsed records,
 which pins the fields that no report shows (every ``start_ts`` bit, the
-payload bytes), and a ``scores`` line, the sha256 of every pair that
-``detect`` scores, in call order: the ``repr`` of its two group keys and
-the score's float64 bytes.  The workloads are the inputs that exercise
-the whitelist filter, scanners and spammers.
+payload bytes), and a ``scores`` line, the sha256 of the score of every
+pair of groups that ``detect`` clusters, per window and path in canonical
+key order, computed directly with ``build_curve`` and ``curve_similarity``:
+the ``repr`` of its two group keys and the score's float64 bytes.  That
+line pins every bit of the scorer, whichever pairs clustering visits and
+in whatever order.  The workloads are the inputs that exercise the
+whitelist filter, scanners and spammers.
 A change that must keep every report byte-identical is checked by running
 this on both commits and diffing the two outputs.
 
@@ -26,12 +29,16 @@ import importlib.util
 import struct
 import sys
 import tempfile
-from contextlib import contextmanager
+from itertools import combinations
 from pathlib import Path
 
-from botdetect import pipeline, similarity
 from botdetect.cli import main as cli
+from botdetect.filtering import EMPTY_WHITELIST, parse_whitelist
 from botdetect.flowfile import parse_flow_file, write_flow_file
+from botdetect.model import default_config
+from botdetect.pipeline import group_path, window_streams
+from botdetect.report import BotPath
+from botdetect.similarity import build_curve, curve_similarity
 from botdetect.synth import benign_scenario, generate, irc_botnet_scenario, p2p_botnet_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,18 +65,18 @@ def bench_workloads() -> dict:
 
 
 def inputs(work: Path, n_seeds: int):
-    """Yield (name, flow file path, extra arguments) for every input,
+    """Yield (name, flow file path, whitelist path or None) for every input,
     writing its files first."""
     for spec in sorted((ROOT / "scenarios").glob("*.spec")):
         prefix = work / spec.stem
         assert cli(["synth", "--spec", str(spec), "--out", str(prefix)]) == 0
-        yield f"scenarios/{spec.name}", Path(f"{prefix}.flows.csv"), []
+        yield f"scenarios/{spec.name}", Path(f"{prefix}.flows.csv"), None
     for factory in FACTORIES:
         for seed in range(1, n_seeds + 1):
             name = f"{factory.__name__}({seed})"
             path = work / f"{name}.flows.csv"
             path.write_bytes(write_flow_file(generate(factory(seed))[0]))
-            yield name, path, []
+            yield name, path, None
     workloads = bench_workloads()
     for workload in (workloads[name] for name in WORKLOADS):
         for seed in range(1, min(n_seeds, WORKLOAD_SEEDS) + 1):
@@ -79,48 +86,28 @@ def inputs(work: Path, n_seeds: int):
             path.write_bytes(write_flow_file(flows))
             whitelist = work / f"{name}.whitelist"
             whitelist.write_text("".join(f"{dip}\n" for dip in workload.whitelist(flows)))
-            yield name, path, ["--whitelist", str(whitelist)]
+            yield name, path, whitelist
 
 
-@contextmanager
-def scored_pairs():
-    """Hash each pair that clustering scores while inside the block.
-
-    ``pipeline.cluster_groups`` names the groups in play,
-    ``similarity.build_curve`` ties each curve to the group whose points it
-    got, and ``similarity.curve_similarity`` is each scored pair.
-    """
+def pair_scores(flows: Path, whitelist: Path | None) -> str:
+    """The sha256 of every pair's score, per window and path of ``detect``'s
+    default config, each pair in canonical key order."""
+    cfg = default_config()
+    records = parse_flow_file(flows.read_bytes())
+    if whitelist is None:
+        rules = EMPTY_WHITELIST
+    else:
+        rules = parse_whitelist(whitelist.read_text(encoding="utf-8"))
     digest = hashlib.sha256()
-    key_of_points: dict[int, tuple] = {}
-    key_of_curve: dict[int, tuple] = {}
-    cluster, build, score = pipeline.cluster_groups, similarity.build_curve, similarity.curve_similarity
-
-    def clustering(groups, *args):
-        key_of_points.clear()
-        key_of_points.update((id(g.points), g.key) for g in groups)
-        key_of_curve.clear()
-        return cluster(groups, *args)
-
-    def building(points, *args):
-        curve = build(points, *args)
-        key_of_curve[id(curve)] = key_of_points[id(points)]
-        return curve
-
-    def scoring(a, b):
-        result = score(a, b)
-        digest.update(repr((key_of_curve[id(a)], key_of_curve[id(b)])).encode())
-        digest.update(struct.pack("<d", result))
-        return result
-
-    pipeline.cluster_groups, similarity.build_curve, similarity.curve_similarity = (
-        clustering, building, scoring
-    )
-    try:
-        yield digest
-    finally:
-        pipeline.cluster_groups, similarity.build_curve, similarity.curve_similarity = (
-            cluster, build, score
-        )
+    for streams in window_streams(records, rules, cfg):
+        for path in BotPath:
+            groups, _ = group_path(path, streams, cfg)
+            ordered = sorted(groups, key=lambda g: g.key)
+            curves = [build_curve(g.points, cfg.resample_points) for g in ordered]
+            for (a, curve_a), (b, curve_b) in combinations(zip(ordered, curves), 2):
+                digest.update(repr((a.key, b.key)).encode())
+                digest.update(struct.pack("<d", curve_similarity(curve_a, curve_b)))
+    return digest.hexdigest()
 
 
 def main() -> int:
@@ -128,16 +115,15 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         out = work / "output"
-        for name, flows, extra in inputs(work, n_seeds):
+        for name, flows, whitelist in inputs(work, n_seeds):
             digest = hashlib.sha256(repr(parse_flow_file(flows.read_bytes())).encode()).hexdigest()
             print(f"{digest}  parse  {name}")
+            extra = [] if whitelist is None else ["--whitelist", str(whitelist)]
             for command in COMMANDS:
                 assert cli([*command, "--flows", str(flows), *extra, "--out", str(out)]) == 0
                 digest = hashlib.sha256(out.read_bytes()).hexdigest()
                 print(f"{digest}  {' '.join(command)}  {name}")
-            with scored_pairs() as scores:
-                assert cli([*COMMANDS[0], "--flows", str(flows), *extra, "--out", str(out)]) == 0
-            print(f"{scores.hexdigest()}  scores  {name}")
+            print(f"{pair_scores(flows, whitelist)}  scores  {name}")
     return 0
 
 

@@ -79,14 +79,15 @@ class Curve:
 
     ``xs``/``ys`` are read-only float64 arrays of equal length;
     ``x_range`` is the (min, max) nbpp of the source points.  A curve is
-    ``degenerate`` when that range is one point; ``peak`` is the max of
-    ``ys`` (nan if any sample is nan).
+    ``degenerate`` when that range is one point; ``floor`` and ``peak`` are
+    the min and max of ``ys`` (nan if any sample is nan).
     """
 
     xs: np.ndarray
     ys: np.ndarray
     x_range: tuple[float, float]
     degenerate: bool
+    floor: float
     peak: float
 
     @property
@@ -134,6 +135,7 @@ def build_curve(points: list[FlowFeatures] | tuple[FlowFeatures, ...], resample_
         ys=_readonly(sample_ys),
         x_range=(lo, hi),
         degenerate=lo == hi,
+        floor=float(np.minimum.reduce(sample_ys)),
         peak=float(np.maximum.reduce(sample_ys)),
     )
 
@@ -159,19 +161,21 @@ def curve_similarity(a: Curve, b: Curve) -> float:
             return 0.0
     # A side scored on its own range keeps its samples: _linspace rebuilds
     # its xs bit for bit, np.interp returns fp[j] where x == xp[j], and a
-    # degenerate curve's ys is already its constant.
-    positions = None
-    if a.degenerate or a.x_range == (lo, hi):
+    # degenerate curve's ys is already its constant.  When only one side
+    # keeps its samples it is not degenerate (a degenerate side is scored on
+    # the other's range), so its xs are the positions at which the other is
+    # resampled.
+    own_a = a.degenerate or a.x_range == (lo, hi)
+    own_b = b.degenerate or b.x_range == (lo, hi)
+    positions = a.xs if own_a else b.xs if own_b else _linspace(lo, hi, r)
+    if own_a:
         ya, peak_a = a.ys, a.peak
     else:
-        positions = _linspace(lo, hi, r)
         ya = np.interp(positions, a.xs, a.ys)
         peak_a = np.maximum.reduce(ya)
-    if b.degenerate or b.x_range == (lo, hi):
+    if own_b:
         yb, peak_b = b.ys, b.peak
     else:
-        if positions is None:
-            positions = _linspace(lo, hi, r)
         yb = np.interp(positions, b.xs, b.ys)
         peak_b = np.maximum.reduce(yb)
     peak = float(max(peak_a, peak_b))
@@ -222,35 +226,78 @@ class _UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
+# pairs handled at a time, so no per-pair list or temporary spans every pair
+_PAIR_BLOCK = 1024
+
+
+def _likely_links_first(
+    curves: list[Curve], threshold: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidate pairs ``i < j`` as int32 arrays of firsts and seconds,
+    and the order to visit them in: nearest by a per-curve distance first.
+
+    Below a positive threshold, disjoint non-degenerate ranges score exactly
+    0 and cannot link, so a pair is a candidate only if its ranges overlap.
+    A degenerate curve reaches every range, and at a threshold of 0 or less
+    every curve does.  The distance is the floor gap plus the peak gap over
+    the larger peak: 0 when both peaks are 0, and nan (last) when undefined.
+    The sort is stable, so ties keep ``(i, j)`` order.
+    """
+    n = len(curves)
+    spans = [(-np.inf, np.inf) if c.degenerate or threshold <= 0.0 else c.x_range for c in curves]
+    lows, highs = np.array(spans, dtype=np.float64).reshape(-1, 2).T
+    # each row's candidates, as offsets past the row: ``j - i - 1``
+    offsets = []
+    for i in range(n):
+        rest = slice(i + 1, n)
+        offsets.append(np.flatnonzero((lows[rest] <= highs[i]) & (highs[rest] >= lows[i])))
+    firsts = np.repeat(np.arange(n, dtype=np.int32), [len(row) for row in offsets])
+    seconds = np.concatenate(offsets, dtype=np.int32, casting="same_kind")
+    del offsets
+    seconds += firsts
+    seconds += 1
+    floors = np.array([c.floor for c in curves], dtype=np.float64)
+    peaks = np.array([c.peak for c in curves], dtype=np.float64)
+    distance = np.empty(len(firsts), dtype=np.float64)
+    for start in range(0, len(firsts), _PAIR_BLOCK):
+        block = slice(start, start + _PAIR_BLOCK)
+        i, j = firsts[block], seconds[block]
+        top = np.maximum(peaks[i], peaks[j])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            distance[block] = (np.abs(floors[i] - floors[j]) + np.abs(peaks[i] - peaks[j])) / top
+        distance[block][top == 0.0] = 0.0
+    return firsts, seconds, np.argsort(distance, kind="stable")
+
+
 def cluster_groups(
     groups: list[FlowGroup], threshold: float, resample_points: int
 ) -> list[SimilarityCluster]:
     """Single-linkage clustering of groups at the similarity threshold.
 
+    Candidate pairs are scored likely links first (Kruskal's order for the
+    maximum-similarity spanning forest), and a pair already inside one
+    component is skipped.  The components do not depend on the visit order,
+    and every pair spanning two components is scored, so only which pairs
+    inside a cluster get scored changes with it.
+
     Output is canonical: clusters ordered by (smallest member host, smallest
     key), keys and hosts sorted within each cluster — invariant under any
     permutation of the input.
     """
+    if not groups:
+        return []
     ordered = sorted(groups, key=lambda g: g.key)
     curves = [build_curve(g.points, resample_points) for g in ordered]
-    # Below a positive threshold, disjoint non-degenerate ranges score
-    # exactly 0 and cannot link, so a pair is scored only if its ranges
-    # overlap.  A degenerate curve reaches every range, and at a threshold
-    # of 0 or less every curve does.
-    spans = [(-np.inf, np.inf) if c.degenerate or threshold <= 0.0 else c.x_range for c in curves]
-    lows, highs = np.array(spans, dtype=np.float64).reshape(-1, 2).T
+    firsts, seconds, order = _likely_links_first(curves, threshold)
     uf = _UnionFind(len(ordered))
-    for i in range(len(ordered)):
-        rest = slice(i + 1, len(ordered))
-        overlap = (lows[rest] <= highs[i]) & (highs[rest] >= lows[i])
-        root = uf.find(i)  # changes only when row i links
-        for j in (np.flatnonzero(overlap) + (i + 1)).tolist():
-            if uf.find(j) == root:
+    for start in range(0, len(order), _PAIR_BLOCK):
+        block = order[start : start + _PAIR_BLOCK]
+        for i, j in zip(firsts[block].tolist(), seconds[block].tolist()):
+            if uf.find(i) == uf.find(j):
                 # already joined: single linkage keeps only the components
                 continue
             if curve_similarity(curves[i], curves[j]) >= threshold:
                 uf.union(i, j)
-                root = uf.find(i)
     components: dict[int, list[FlowGroup]] = {}
     for idx, group in enumerate(ordered):
         components.setdefault(uf.find(idx), []).append(group)

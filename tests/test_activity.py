@@ -320,3 +320,4 @@ def test_inside_texts_is_network_membership(texts, base):
         edges = [str(network.network_address), str(network.broadcast_address)]
         want = {t for t in texts + edges if IPv4Address(t) in network}
         assert inside_texts(texts + edges, network) == want
+        assert inside_texts([], network) == set()

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from ipaddress import IPv4Address
 from itertools import combinations
 from pathlib import Path
@@ -11,9 +13,10 @@ import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
 from botdetect import similarity
-from botdetect.filtering import EMPTY_WHITELIST
+from botdetect.filtering import EMPTY_WHITELIST, parse_whitelist
+from botdetect.flowfile import parse_flow_file, write_flow_file
 from botdetect.model import default_config
-from botdetect.pipeline import group_path, window_streams
+from botdetect.pipeline import group_path, path_clusters, window_streams
 from botdetect.report import BotPath
 from botdetect.similarity import (
     EmptyGroup,
@@ -30,7 +33,8 @@ from botdetect.synth import generate, parse_scenario
 
 from .conftest import make_flow
 
-SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 
 
 class StubKey(NamedTuple):
@@ -335,27 +339,16 @@ def count_scores(monkeypatch) -> list[float]:
     return scores
 
 
-def double_loop(groups, threshold, resample_points) -> None:
-    """``cluster_groups``' scoring as a double loop over every ``j > i``,
-    before its candidate mask: the reference for which pairs it scores."""
-    ordered = sorted(groups, key=lambda g: g.key)
-    curves = [similarity.build_curve(g.points, resample_points) for g in ordered]
-    uf = similarity._UnionFind(len(ordered))
-    for i in range(len(ordered)):
-        ci = curves[i]
-        for j in range(i + 1, len(ordered)):
-            cj = curves[j]
-            if threshold > 0.0 and not ci.degenerate and not cj.degenerate:
-                if min(ci.x_range[1], cj.x_range[1]) < max(ci.x_range[0], cj.x_range[0]):
-                    continue
-            if uf.find(i) == uf.find(j):
-                continue
-            if similarity.curve_similarity(ci, cj) >= threshold:
-                uf.union(i, j)
+def is_candidate(a, b, threshold) -> bool:
+    """Whether a pair can link: a non-positive threshold, a degenerate side,
+    or overlapping ranges (disjoint ranges score exactly 0)."""
+    if threshold <= 0.0 or a.degenerate or b.degenerate:
+        return True
+    return max(a.x_range[0], b.x_range[0]) <= min(a.x_range[1], b.x_range[1])
 
 
-def scored_keys(cluster, groups, threshold, resample_points) -> list[tuple]:
-    """The ``(key_i, key_j)`` of every pair that ``cluster`` scores, in order."""
+def scored_pairs(groups, threshold, resample_points) -> list[tuple]:
+    """The ``(key_i, key_j, score)`` of every pair ``cluster_groups`` scores, in order."""
     key_of_points = {id(g.points): g.key for g in groups}
     key_of_curve: dict[int, tuple] = {}
     scored: list[tuple] = []
@@ -366,13 +359,13 @@ def scored_keys(cluster, groups, threshold, resample_points) -> list[tuple]:
         return curve
 
     def scoring(a, b):
-        scored.append((key_of_curve[id(a)], key_of_curve[id(b)]))
-        return curve_similarity(a, b)
+        scored.append((key_of_curve[id(a)], key_of_curve[id(b)], curve_similarity(a, b)))
+        return scored[-1][2]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(similarity, "build_curve", building)
         mp.setattr(similarity, "curve_similarity", scoring)
-        cluster(groups, threshold, resample_points)
+        cluster_groups(groups, threshold, resample_points)
     return scored
 
 
@@ -430,8 +423,39 @@ class TestClusterGroups:
 
     @settings(max_examples=200)
     @given(cluster_inputs())
-    def test_scores_the_pairs_of_the_double_loop_in_its_order(self, case):
-        assert scored_keys(cluster_groups, *case) == scored_keys(double_loop, *case)
+    def test_scores_each_pair_at_most_once_lower_key_first(self, case):
+        pairs = [(a, b) for a, b, _ in scored_pairs(*case)]
+        assert len(set(pairs)) == len(pairs)
+        assert all(a < b for a, b in pairs)
+
+    @settings(max_examples=200)
+    @given(cluster_inputs())
+    def test_each_scored_pair_spans_two_components_at_its_turn(self, case):
+        groups, threshold, _ = case
+        uf = similarity._UnionFind(len(groups))
+        index = {g.key: i for i, g in enumerate(groups)}
+        for a, b, score in scored_pairs(*case):
+            assert uf.find(index[a]) != uf.find(index[b])
+            if score >= threshold:
+                uf.union(index[a], index[b])
+
+    @settings(max_examples=200)
+    @given(cluster_inputs())
+    def test_scores_every_candidate_pair_that_ends_in_two_clusters(self, case):
+        groups, threshold, r = case
+        scored = {(a, b) for a, b, _ in scored_pairs(*case)}
+        cluster_of = {k: c for c in cluster_groups(*case) for k in c.group_keys}
+        curves = {g.key: build_curve(g.points, r) for g in groups}
+        for a, b in combinations(sorted(curves), 2):
+            if cluster_of[a] != cluster_of[b] and is_candidate(curves[a], curves[b], threshold):
+                assert (a, b) in scored
+
+    @settings(max_examples=100)
+    @given(cluster_inputs(), st.data())
+    def test_scores_the_same_sequence_under_any_input_order(self, case, data):
+        groups, threshold, r = case
+        permuted = data.draw(st.permutations(groups))
+        assert scored_pairs(permuted, threshold, r) == scored_pairs(groups, threshold, r)
 
     def test_identical_groups_scored_once_each_but_the_first(self, monkeypatch):
         scores = count_scores(monkeypatch)
@@ -488,3 +512,28 @@ class TestClusterGroups:
         g2 = group("g2", "10.0.0.2", (70, 5), (90, 5))
         clusters = cluster_groups([g1, g2], 0.0, 8)
         assert len(clusters) == 1
+
+
+def bench_workload(name: str, monkeypatch):
+    """One of ``bench/workloads.py``'s ``WORKLOADS``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS[name]
+
+
+# Pairs ``detect`` scores at seed 1.  In index order (each row's candidates
+# by ascending key) it scored 9,407 and 23,666; likely links first, these.
+@pytest.mark.parametrize("workload, most", [("scan_mix", 5966), ("wide_window", 1699)])
+def test_likely_links_first_bounds_the_pairs_scored(monkeypatch, workload, most):
+    cfg = default_config()
+    work = bench_workload(workload, monkeypatch)
+    flows = parse_flow_file(write_flow_file(generate(work.make_spec(1, 1.0))[0]))
+    whitelist = parse_whitelist("".join(f"{dip}\n" for dip in work.whitelist(flows)))
+    scores = count_scores(monkeypatch)
+    for streams in window_streams(flows, whitelist, cfg):
+        for path in BotPath:
+            path_clusters(path, streams, cfg)
+    assert len(scores) <= most
