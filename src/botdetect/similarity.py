@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from ipaddress import IPv4Address
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -90,10 +90,6 @@ class Curve:
     floor: float
     peak: float
 
-    @property
-    def resample_points(self) -> int:
-        return len(self.xs)
-
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
@@ -128,7 +124,7 @@ def build_curve(points: list[FlowFeatures] | tuple[FlowFeatures, ...], resample_
         sample_xs = np.full(resample_points, lo)
         sample_ys = np.full(resample_points, ys[0])
     else:
-        sample_xs = np.linspace(lo, hi, resample_points)
+        sample_xs = _linspace(lo, hi, resample_points)
         sample_ys = np.interp(sample_xs, np.asarray(xs), np.asarray(ys))
     return Curve(
         xs=_readonly(sample_xs),
@@ -210,31 +206,13 @@ class SimilarityCluster:
     hosts: tuple[IPv4Address, ...]
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 # pairs handled at a time, so no per-pair list or temporary spans every pair
 _PAIR_BLOCK = 1024
 
 
-def _likely_links_first(
-    curves: list[Curve], threshold: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The candidate pairs ``i < j`` as int32 arrays of firsts and seconds,
-    and the order to visit them in: nearest by a per-curve distance first.
+def _likely_links_first(curves: list[Curve], threshold: float) -> Iterator[tuple[int, int]]:
+    """The candidate pairs ``i < j``, as ints, nearest by a per-curve
+    distance first.
 
     Below a positive threshold, disjoint non-degenerate ranges score exactly
     0 and cannot link, so a pair is a candidate only if its ranges overlap.
@@ -266,7 +244,11 @@ def _likely_links_first(
         with np.errstate(divide="ignore", invalid="ignore"):
             distance[block] = (np.abs(floors[i] - floors[j]) + np.abs(peaks[i] - peaks[j])) / top
         distance[block][top == 0.0] = 0.0
-    return firsts, seconds, np.argsort(distance, kind="stable")
+    order = np.argsort(distance, kind="stable")
+    del distance
+    for start in range(0, len(order), _PAIR_BLOCK):
+        block = order[start : start + _PAIR_BLOCK]
+        yield from zip(firsts[block].tolist(), seconds[block].tolist())
 
 
 def cluster_groups(
@@ -288,22 +270,25 @@ def cluster_groups(
         return []
     ordered = sorted(groups, key=lambda g: g.key)
     curves = [build_curve(g.points, resample_points) for g in ordered]
-    firsts, seconds, order = _likely_links_first(curves, threshold)
-    uf = _UnionFind(len(ordered))
-    for start in range(0, len(order), _PAIR_BLOCK):
-        block = order[start : start + _PAIR_BLOCK]
-        for i, j in zip(firsts[block].tolist(), seconds[block].tolist()):
-            if uf.find(i) == uf.find(j):
-                # already joined: single linkage keeps only the components
-                continue
-            if curve_similarity(curves[i], curves[j]) >= threshold:
-                uf.union(i, j)
-    components: dict[int, list[FlowGroup]] = {}
-    for idx, group in enumerate(ordered):
-        components.setdefault(uf.find(idx), []).append(group)
+    # label[i] is the component of group i, members[c] the groups in component c
+    label = list(range(len(ordered)))
+    members = [[i] for i in label]
+    for i, j in _likely_links_first(curves, threshold):
+        if label[i] == label[j]:
+            # already joined: single linkage keeps only the components
+            continue
+        if curve_similarity(curves[i], curves[j]) >= threshold:
+            into, moved = label[i], label[j]
+            if len(members[into]) < len(members[moved]):
+                into, moved = moved, into
+            for k in members[moved]:
+                label[k] = into
+            members[into] += members[moved]
+            members[moved] = []
     clusters = []
-    for comp in components.values():
-        keys = tuple(sorted(g.key for g in comp))
+    for comp in filter(None, members):
+        # indices in order are keys in order, since ``ordered`` is sorted
+        keys = tuple(ordered[i].key for i in sorted(comp))
         hosts = tuple(sorted({k.sip for k in keys}))
         clusters.append(SimilarityCluster(group_keys=keys, hosts=hosts))
     clusters.sort(key=lambda c: (c.hosts[0], c.group_keys[0]))

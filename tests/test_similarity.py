@@ -128,7 +128,7 @@ class TestBuildCurve:
 def reference_similarity(a, b):
     """``curve_similarity`` as first written, on ``np.linspace`` and ``np.mean``:
     the reference its leaner body must match float for float."""
-    r = a.resample_points
+    r = len(a.ys)
     if not a.degenerate and not b.degenerate:
         lo = max(a.x_range[0], b.x_range[0])
         hi = min(a.x_range[1], b.x_range[1])
@@ -251,7 +251,7 @@ class TestCurveSimilarity:
     @given(curve_pairs())
     def test_samples_are_their_own_resampling(self, pair):
         for c in pair:
-            r = c.resample_points
+            r = len(c.ys)
             resampled = np.interp(similarity._linspace(*c.x_range, r), c.xs, c.ys)
             assert resampled.tobytes() == c.ys.tobytes()
             assert c.peak == c.ys.max() or (math.isnan(c.peak) and math.isnan(c.ys.max()))
@@ -432,12 +432,14 @@ class TestClusterGroups:
     @given(cluster_inputs())
     def test_each_scored_pair_spans_two_components_at_its_turn(self, case):
         groups, threshold, _ = case
-        uf = similarity._UnionFind(len(groups))
-        index = {g.key: i for i, g in enumerate(groups)}
+        # each key's component, as the set of keys in it, shared by its members
+        component = {g.key: {g.key} for g in groups}
         for a, b, score in scored_pairs(*case):
-            assert uf.find(index[a]) != uf.find(index[b])
+            assert component[a] is not component[b]
             if score >= threshold:
-                uf.union(index[a], index[b])
+                joined = component[a] | component[b]
+                for key in joined:
+                    component[key] = joined
 
     @settings(max_examples=200)
     @given(cluster_inputs())
@@ -512,6 +514,48 @@ class TestClusterGroups:
         g2 = group("g2", "10.0.0.2", (70, 5), (90, 5))
         clusters = cluster_groups([g1, g2], 0.0, 8)
         assert len(clusters) == 1
+
+
+def link_distance(a, b) -> float:
+    """``_likely_links_first``'s distance, in plain Python floats."""
+    top = max(a.peak, b.peak)
+    if top == 0.0:
+        return 0.0
+    return (abs(a.floor - b.floor) + abs(a.peak - b.peak)) / top
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.85])
+def test_likely_links_first_yields_each_candidate_once_nearest_first(threshold):
+    from botdetect.synth import Xorshift64Star
+
+    # degenerate, all-zero, copied and overlapping curves, with more candidate
+    # pairs than one block and a partial last block
+    rng = Xorshift64Star(12)
+    shapes = []
+    for k in range(60):
+        lo = rng.uniform(1, 40)
+        if k % 5 == 0:
+            shapes.append([(lo, rng.uniform(1, 1000))])
+        elif k % 7 == 0:
+            shapes.append([(lo, 0.0), (lo + 5, 0.0)])
+        elif k % 11 == 0:
+            shapes.append(shapes[-1])
+        else:
+            hi = lo + rng.uniform(1, 30)
+            shapes.append([(lo, rng.uniform(1, 1000)), (hi, rng.uniform(1, 1000))])
+    curves = [build_curve([FlowFeatures(nbps=y, nbpp=x) for x, y in pts], 8) for pts in shapes]
+    candidates = [
+        (i, j)
+        for i, j in combinations(range(len(curves)), 2)
+        if is_candidate(curves[i], curves[j], threshold)
+    ]
+    assert len(candidates) > similarity._PAIR_BLOCK
+    assert len(candidates) % similarity._PAIR_BLOCK
+    expected = sorted(candidates, key=lambda p: link_distance(curves[p[0]], curves[p[1]]))
+    pairs = list(similarity._likely_links_first(curves, threshold))
+    assert pairs == expected
+    assert all(type(i) is int and type(j) is int and i < j for i, j in pairs)
+    assert len(set(pairs)) == len(pairs)
 
 
 def bench_workload(name: str, monkeypatch):
