@@ -27,15 +27,20 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from ipaddress import IPv4Address, IPv4Network
-from itertools import compress
+from itertools import compress, repeat
+from operator import attrgetter, gt, lt, mul, truediv
 from typing import Iterable
 
 import numpy as np
 
-from .model import DetectorConfig, FlowRecord, OsdMode, Proto
+from .model import DetectorConfig, FlowRecord, OsdMode, Proto, buckets
 
 SMTP_PORTS = (25, 587)
+_SMTP = frozenset((Proto.TCP, port) for port in SMTP_PORTS)
+_SIP, _DIP = attrgetter("sip"), attrgetter("dip")
+_PROTO_PORT = attrgetter("proto", "dport")
 
 
 class AllZero(ValueError):
@@ -106,24 +111,25 @@ def entropy_norm(counts: list[int]) -> float:
     Zero counts are dropped.  A single target has zero spread by decision
     (ln 1 = 0).  Raises :class:`AllZero` when every count is zero.
     """
-    if any(c < 0 for c in counts):
+    if any(map(partial(gt, 0), counts)):  # 0 > c
         raise ValueError("counts must be >= 0")
     # canonical summation order makes the result exactly permutation-invariant
-    positive = sorted(c for c in counts if c > 0)
+    positive = sorted(filter(partial(lt, 0), counts))  # 0 < c
     if not positive:
         raise AllZero("entropy of an empty distribution is undefined")
     m = len(positive)
     if m == 1:
         return 0.0
     total = sum(positive)
-    h = -sum((c / total) * math.log(c / total) for c in positive)
+    shares = list(map(truediv, positive, repeat(total)))
+    h = -sum(map(mul, shares, map(math.log, shares)))
     return min(max(h / math.log(m), 0.0), 1.0)
 
 
 def count_failed(
     failed: list[FlowRecord], hs_ports: frozenset[tuple[Proto, int]]
 ) -> FailedCounts:
-    fhs = sum(1 for rec in failed if (rec.proto, rec.dport) in hs_ports)
+    fhs = sum(map(hs_ports.__contains__, map(_PROTO_PORT, failed)))
     return FailedCounts(fhs=fhs, fls=len(failed) - fhs)
 
 
@@ -151,8 +157,8 @@ def osd_scores(
     attempts.
     """
     attempts = len(outbound_flows) + len(failed)
-    target_counts = Counter(rec.dip for rec in outbound_flows)
-    target_counts.update(rec.dip for rec in failed)
+    target_counts = Counter(map(_DIP, outbound_flows))
+    target_counts.update(map(_DIP, failed))
     m = len(target_counts)
     s1 = m / (cfg.window_seconds / 60.0)
     fc = count_failed(failed, cfg.hs_ports)
@@ -164,12 +170,13 @@ def osd_scores(
 
 def spam_detect(flows: list[FlowRecord], cfg: DetectorConfig) -> SpamReport:
     """Flag mail fan-out: many SMTP/Submission flows or many distinct servers."""
-    smtp = [rec for rec in flows if rec.proto is Proto.TCP and rec.dport in SMTP_PORTS]
-    servers = {rec.dip for rec in smtp}
+    is_smtp = map(_SMTP.__contains__, map(_PROTO_PORT, flows))
+    smtp_servers = list(compress(map(_DIP, flows), is_smtp))
+    servers = set(smtp_servers)
     flagged = (
-        len(servers) >= cfg.spam_distinct_servers or len(smtp) >= cfg.spam_total_flows
+        len(servers) >= cfg.spam_distinct_servers or len(smtp_servers) >= cfg.spam_total_flows
     )
-    return SpamReport(smtp_flows=len(smtp), distinct_servers=len(servers), flagged=flagged)
+    return SpamReport(smtp_flows=len(smtp_servers), distinct_servers=len(servers), flagged=flagged)
 
 
 def inside_texts(texts: Iterable[str], network: IPv4Network) -> set[str]:
@@ -186,6 +193,18 @@ def inside_texts(texts: Iterable[str], network: IPv4Network) -> set[str]:
     return set(compress(texts, inside.tolist()))
 
 
+def _crossing(
+    flows: list[FlowRecord], inside: set[str], outbound: bool
+) -> dict[str, list[FlowRecord]]:
+    """The flows leaving the internal network, by sip (``outbound``), or
+    entering it, by dip: exactly one endpoint is inside, and it is that one."""
+    src_internal = map(inside.__contains__, map(_SIP, flows))
+    dst_internal = map(inside.__contains__, map(_DIP, flows))
+    # True > False: the source inside and the destination not, and vice versa
+    crossing = list(compress(flows, map(gt if outbound else lt, src_internal, dst_internal)))
+    return buckets(map(_SIP if outbound else _DIP, crossing), crossing)
+
+
 def window_activity(
     all_flows: list[FlowRecord],
     failed_flows: list[FlowRecord],
@@ -199,24 +218,12 @@ def window_activity(
     failed attempts still count toward the scan scores.
     """
     # direction is decided once per distinct address text, not once per flow
-    texts = {rec.sip for rec in all_flows}.union(
-        [rec.dip for rec in all_flows],
-        [rec.sip for rec in failed_flows],
-        [rec.dip for rec in failed_flows],
-    )
+    texts = {*map(_SIP, all_flows), *map(_DIP, all_flows)}
+    texts.update(map(_SIP, failed_flows), map(_DIP, failed_flows))
     inside = inside_texts(texts, internal)
-    outbound: dict[str, list[FlowRecord]] = {}
-    outbound_failed: dict[str, list[FlowRecord]] = {}
-    inbound_failed: dict[str, list[FlowRecord]] = {}
-    for rec in all_flows:
-        if rec.sip in inside and rec.dip not in inside:
-            outbound.setdefault(rec.sip, []).append(rec)
-    for rec in failed_flows:
-        src_internal, dst_internal = rec.sip in inside, rec.dip in inside
-        if src_internal and not dst_internal:
-            outbound_failed.setdefault(rec.sip, []).append(rec)
-        if dst_internal and not src_internal:
-            inbound_failed.setdefault(rec.dip, []).append(rec)
+    outbound = _crossing(all_flows, inside, outbound=True)
+    outbound_failed = _crossing(failed_flows, inside, outbound=True)
+    inbound_failed = _crossing(failed_flows, inside, outbound=False)
 
     addrs = {host: IPv4Address(host) for host in {*outbound, *outbound_failed, *inbound_failed}}
     activity: dict[IPv4Address, HostActivity] = {}

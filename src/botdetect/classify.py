@@ -10,6 +10,8 @@ by the peer-to-peer path.
 from __future__ import annotations
 
 import enum
+from itertools import compress, repeat
+from operator import attrgetter, is_
 
 from .model import FlowRecord, Proto
 
@@ -24,6 +26,8 @@ class AppLabel(enum.Enum):
     IRC = "irc"
     HTTP = "http"
     OTHER = "other"
+
+    __hash__ = object.__hash__  # as Proto's: identity, in C
 
 
 def _payload_lines(payload: bytes) -> list[bytes]:
@@ -49,14 +53,28 @@ def classify_flow(rec: FlowRecord) -> AppLabel:
     return AppLabel.OTHER
 
 
+# the only fields that classify_flow reads
+_LABEL_INPUTS = attrgetter("proto", "payload_prefix")
+
+
+def flow_labels(flows: list[FlowRecord]) -> list[AppLabel]:
+    """Each flow's :func:`classify_flow` label, in order.
+
+    The label is decided once per distinct ``(proto, payload_prefix)``, the
+    only fields it depends on, and looked up for every flow in C.
+    """
+    inputs = list(map(_LABEL_INPUTS, flows))
+    # one flow per distinct input stands for all the flows that share it
+    label = {key: classify_flow(rec) for key, rec in dict(zip(inputs, flows)).items()}
+    return list(map(label.__getitem__, inputs))
+
+
 def partition_by_label(
     flows: list[FlowRecord],
 ) -> tuple[list[FlowRecord], list[FlowRecord], list[FlowRecord]]:
     """Split flows into (irc, http, other) streams, order preserved."""
-    irc: list[FlowRecord] = []
-    http: list[FlowRecord] = []
-    other: list[FlowRecord] = []
-    buckets = {AppLabel.IRC: irc, AppLabel.HTTP: http, AppLabel.OTHER: other}
-    for rec in flows:
-        buckets[classify_flow(rec)].append(rec)
+    labels = flow_labels(flows)
+    irc, http, other = (
+        list(compress(flows, map(is_, labels, repeat(label)))) for label in AppLabel
+    )
     return irc, http, other

@@ -21,10 +21,10 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .activity import HostActivity, window_activity
-from .classify import classify_flow
+from .classify import AppLabel, flow_labels
 from .filtering import EMPTY_WHITELIST, Whitelist, WhitelistError, parse_whitelist
 from .flowfile import FlowFileError, parse_flow_file, write_flow_file
-from .model import ConfigError, DetectorConfig, default_config, parse_config
+from .model import ConfigError, DetectorConfig, Proto, default_config, parse_config
 from .pipeline import group_path, run_detection, window_streams
 from .report import BotPath, report_to_json
 from .similarity import build_curve
@@ -74,9 +74,11 @@ def run_detect(args: argparse.Namespace) -> str:
 
 
 def run_classify(args: argparse.Namespace) -> str:
+    flows = _load_flows(args.flows)
+    names = {member: member.value for member in (*Proto, *AppLabel)}
     rows = (
-        f"{rec.sip},{rec.sport},{rec.dip},{rec.dport},{rec.proto.value},{classify_flow(rec).value}"
-        for rec in _load_flows(args.flows)
+        f"{rec.sip},{rec.sport},{rec.dip},{rec.dport},{names[rec.proto]},{names[label]}"
+        for rec, label in zip(flows, flow_labels(flows))
     )
     return _lines("sip,sport,dip,dport,proto,label", rows)
 

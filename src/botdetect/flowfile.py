@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import islice
+from functools import partial
+from itertools import compress
+from operator import itemgetter, not_
 from typing import Iterator
 
 from .model import _DOTTED_QUAD, PAYLOAD_PREFIX_MAX, FlowRecord, Proto, TcpState, validate_flow
@@ -25,14 +27,13 @@ _VALID_PAIRS = frozenset(
     (p.value, s.value) for p in Proto for s in TcpState if p is Proto.TCP or s is TcpState.NOT_TCP
 )
 
-# Lines are split from the decoded text this many characters at a time.
+# The decoded text is split a block of at least this many characters at a
+# time, each block ending at a "\n": only one block is ever split into lines
+# and columns, so the transient memory is bounded, not proportional to the file.
 _BLOCK_CHARS = 1 << 16
-# Rows are parsed a chunk at a time so that only one chunk is ever split
-# into columns: the transient memory is bounded, not proportional to the file.
-_CHUNK_ROWS = 1024
 
-_PORT = "(?:0|[1-9][0-9]{0,4})"  # up to 5 digits; _parse_chunk checks <= 65535
-_COUNTER = "(?:0|[1-9][0-9]{0,19})"  # up to 20 digits; _parse_chunk checks < 2**64
+_PORT = "(?:0|[1-9][0-9]{0,4})"  # up to 5 digits; _columns checks <= 65535
+_COUNTER = "(?:0|[1-9][0-9]{0,19})"  # up to 20 digits; _columns checks < 2**64
 # A canonical row with every field in its plainest form (seconds as the
 # writer emits them when six fractional digits hold them).
 _ROW = re.compile(
@@ -52,6 +53,13 @@ _ROW = re.compile(
         )
     )
 )
+# A block of canonical rows, each ended by "\n" or by the end of the text; so
+# it holds no "\r", comment, blank line or surrounding whitespace either.  The
+# repeat is possessive (Python 3.11+): a match keeps no backtracking state per
+# row, which for a 64 KiB block would take some 2.8 MB.
+_ROWS = re.compile(f"(?:(?:{_ROW.pattern})(?:\n|\\Z))*+")
+
+_new_record = partial(tuple.__new__, FlowRecord)  # FlowRecord(*fields) without a Python call
 
 
 class FlowFileError(ValueError):
@@ -147,96 +155,91 @@ def _parse_row(line: str, lineno: int) -> FlowRecord:
     return rec
 
 
-def _lines(text: str, block: int = _BLOCK_CHARS) -> Iterator[str]:
-    """Yield ``text.splitlines(keepends=True)`` one line at a time.
+def _blocks(text: str, size: int) -> Iterator[str]:
+    """Yield ``text`` in consecutive blocks of at least ``size`` characters
+    (the last may be shorter), each but the last ending just after a ``\n``.
 
-    The text is split a block of about ``block`` characters at a time, so
-    no list of every line is ever held.  A block's last line may be cut
-    short (or be a ``\r`` whose ``\n`` follows), so it is split again
-    with the next block; a block holding less than one whole line grows.
+    A ``\n`` always ends a line (a ``\r`` before it ends with it), so the
+    blocks' lines are the text's lines, and a block holding less than one
+    whole line grows to its end.
     """
     start, end = 0, len(text)
     while start < end:
-        lines = text[start : start + block].splitlines(keepends=True)
-        if start + block < end:
-            if len(lines) < 2:
-                block *= 2
-                continue
-            lines.pop()
-        yield from lines
-        start += sum(map(len, lines))
+        stop = text.find("\n", start + size - 1) + 1 or end
+        yield text[start:stop]
+        start = stop
 
 
-def _data_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Yield ``(lineno, line)`` for each stripped row after the header,
-    skipping blank lines and ``#`` comments; raise :class:`BadHeader` first
-    if the header is missing or wrong."""
-    # every line boundary that splitlines knows is whitespace, so strip()
-    # removes the line end that _lines keeps
-    lines = enumerate(_lines(text), start=1)
-    for lineno, raw in lines:
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            if line != HEADER:
-                raise BadHeader(f"line {lineno}: expected header {HEADER!r}")
-            break
-    else:
-        raise BadHeader("missing header line")
-    for lineno, raw in lines:
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
-
-
-def _parse_chunk(rows: list[tuple[int, str]]) -> list[FlowRecord]:
-    """Parse ``(lineno, line)`` rows a column at a time.
-
-    The rows must all match the canonical grammar and, as columns, meet
-    every invariant that the grammar cannot express; otherwise the chunk
-    goes row by row through :func:`_parse_row`, which accepts the rows the
-    grammar leaves out (such as the writer's ``1e-07``) and raises the first
-    bad row's own message.
-    """
-    _, lines = zip(*rows)
-    if all(map(_ROW.fullmatch, lines)):
-        cells = ",".join(lines).split(",")
-        start_ts, duration, proto, sip, sport, dip, dport, npkts, nbytes, state, payload = (
-            cells[i::_COLUMNS] for i in range(_COLUMNS)
+def _columns(cells: list[str]) -> list[FlowRecord] | None:
+    """Records from the cells of rows that all match ``_ROW``, converted a
+    column at a time; None when a row breaks an invariant that the grammar
+    cannot express."""
+    start_ts, duration, proto, sip, sport, dip, dport, npkts, nbytes, state, payload = (
+        cells[i::_COLUMNS] for i in range(_COLUMNS)
+    )
+    start_ts = list(map(float, start_ts))
+    duration = list(map(float, duration))
+    sport = list(map(int, sport))
+    dport = list(map(int, dport))
+    npkts = list(map(int, npkts))
+    nbytes = list(map(int, nbytes))
+    # validate_flow's invariants that _ROW cannot express; digit-only
+    # seconds are finite unless they overflow to inf
+    if not (
+        math.inf not in start_ts
+        and math.inf not in duration
+        and max(sport) <= 65535
+        and max(dport) <= 65535
+        and max(npkts) < 2**64
+        and max(nbytes) < 2**64
+        and {*zip(proto, state)} <= _VALID_PAIRS
+        and not (0 in npkts and any(compress(nbytes, map(not_, npkts))))
+    ):
+        return None
+    return list(
+        map(
+            _new_record,
+            zip(
+                start_ts,
+                duration,
+                map(_PROTO_BY_NAME.__getitem__, proto),
+                sip,
+                sport,
+                dip,
+                dport,
+                npkts,
+                nbytes,
+                map(_STATE_BY_NAME.__getitem__, state),
+                map(bytes.fromhex, payload),
+            ),
         )
-        start_ts = list(map(float, start_ts))
-        duration = list(map(float, duration))
-        sport = list(map(int, sport))
-        dport = list(map(int, dport))
-        npkts = list(map(int, npkts))
-        nbytes = list(map(int, nbytes))
-        # validate_flow's invariants that _ROW cannot express; digit-only
-        # seconds are finite unless they overflow to inf
-        if (
-            math.inf not in start_ts
-            and math.inf not in duration
-            and max(sport) <= 65535
-            and max(dport) <= 65535
-            and max(npkts) < 2**64
-            and max(nbytes) < 2**64
-            and {*zip(proto, state)} <= _VALID_PAIRS
-            and not (0 in npkts and any(b for p, b in zip(npkts, nbytes) if not p))
-        ):
-            return list(
-                map(
-                    FlowRecord,
-                    start_ts,
-                    duration,
-                    map(_PROTO_BY_NAME.__getitem__, proto),
-                    sip,
-                    sport,
-                    dip,
-                    dport,
-                    npkts,
-                    nbytes,
-                    map(_STATE_BY_NAME.__getitem__, state),
-                    map(bytes.fromhex, payload),
-                )
-            )
+    )
+
+
+def _parse_block(block: str) -> list[FlowRecord] | None:
+    """Parse a block of canonical rows a column at a time; None unless
+    every row matches ``_ROW`` and meets every invariant."""
+    if not _ROWS.fullmatch(block):
+        return None
+    cells = block.replace("\n", ",").split(",")
+    if block.endswith("\n"):
+        cells.pop()
+    return _columns(cells)
+
+
+def _parse_rows(rows: list[tuple[int, str]]) -> list[FlowRecord]:
+    """Parse stripped ``(lineno, line)`` data rows.
+
+    Rows that all match ``_ROW`` and meet every invariant are converted a
+    column at a time; otherwise they go row by row through
+    :func:`_parse_row`, which accepts the rows the grammar leaves out (such
+    as the writer's ``1e-07``) and raises the first bad row's own message.
+    """
+    lines = list(map(itemgetter(1), rows))
+    if lines and all(map(_ROW.fullmatch, lines)):
+        records = _columns(",".join(lines).split(","))
+        if records is not None:
+            return records
     return [_parse_row(line, lineno) for lineno, line in rows]
 
 
@@ -245,15 +248,41 @@ def parse_flow_file(data: bytes) -> list[FlowRecord]:
 
     Raises :class:`BadHeader` on a schema mismatch and :class:`MalformedRow`
     (with its line number) on the first bad row.
+
+    A block of canonical rows after the header is parsed as one piece by
+    :func:`_parse_block`; any other block (the header's, or one holding a
+    comment, a blank line, a ``\r``, surrounding whitespace or a row outside
+    ``_ROW``) is split into stripped lines, numbered as ``str.splitlines``
+    numbers them, and parsed by :func:`_parse_rows`.
     """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FlowFileError(f"flow file is not valid UTF-8: {exc}") from None
-    rows = _data_lines(text)
     records: list[FlowRecord] = []
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        records += _parse_chunk(chunk)
+    lineno = 1  # of the next block's first line
+    header_seen = False
+    for block in _blocks(text, _BLOCK_CHARS):
+        parsed = _parse_block(block) if header_seen else None
+        if parsed is not None:
+            records += parsed
+            lineno += block.count("\n")
+            continue
+        lines = block.splitlines()
+        rows = [
+            (n, line)
+            for n, line in enumerate(map(str.strip, lines), lineno)
+            if line and not line.startswith("#")
+        ]
+        lineno += len(lines)
+        if rows and not header_seen:
+            n, line = rows.pop(0)
+            if line != HEADER:
+                raise BadHeader(f"line {n}: expected header {HEADER!r}")
+            header_seen = True
+        records += _parse_rows(rows)
+    if not header_seen:
+        raise BadHeader("missing header line")
     return records
 
 

@@ -11,7 +11,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, NamedTuple, get_type_hints
+from typing import Callable, Iterable, Iterator, NamedTuple, get_type_hints
 
 PAYLOAD_PREFIX_MAX = 64
 
@@ -27,12 +27,18 @@ class Proto(enum.Enum):
     ICMP = "icmp"
     OTHER = "other"
 
+    # members are singletons, so identity hashing (in C, with no Python call
+    # per lookup) is consistent with equality; nothing is ordered by it
+    __hash__ = object.__hash__
+
 
 class TcpState(enum.Enum):
     ESTABLISHED = "established"
     SYN_ONLY = "syn_only"
     RESET = "reset"
     NOT_TCP = "not_tcp"
+
+    __hash__ = object.__hash__  # as Proto's
 
 
 class OsdMode(enum.Enum):
@@ -62,6 +68,15 @@ class FlowRecord(NamedTuple):
     nbytes: int
     tcp_state: TcpState
     payload_prefix: bytes = b""
+
+
+def buckets(keys: Iterable, items: Iterable) -> dict:
+    """The ``items`` in one list per key, keys in first-seen order and each
+    list in item order; the loop makes no Python call per item."""
+    out: dict = {}
+    for key, item in zip(keys, items):
+        out.setdefault(key, []).append(item)
+    return out
 
 
 def _valid_ipv4(text: object) -> bool:

@@ -16,13 +16,24 @@ features are undefined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from ipaddress import IPv4Address
-from typing import NamedTuple
+from itertools import compress, repeat
+from operator import add, and_, attrgetter, floordiv, gt
+from typing import Callable, NamedTuple
 
-from .model import DetectorConfig, FlowRecord, Proto
-from .similarity import FlowFeatures, FlowGroup, flow_features
+from .model import DetectorConfig, FlowRecord, Proto, buckets
+from .similarity import FlowGroup, batch_features
 
-_GROUPABLE = (Proto.TCP, Proto.UDP)
+_GROUPABLE = frozenset((Proto.TCP, Proto.UDP))
+_START_TS, _PROTO, _NPKTS = attrgetter("start_ts"), attrgetter("proto"), attrgetter("npkts")
+_P2P_KEY = attrgetter("sip", "dip", "dport", "proto")
+_IRC_ENDPOINTS = attrgetter("sip", "dip", "sport", "dport")
+
+
+def _bins(flows: list[FlowRecord], seconds: float) -> map:
+    """Each flow's bin of ``seconds``, int(start_ts // seconds), in C."""
+    return map(int, map(floordiv, map(_START_TS, flows), repeat(seconds)))
 
 
 @dataclass(frozen=True)
@@ -41,12 +52,10 @@ def window_partition(
 
     Windows come out in ascending index order; empty windows are omitted.
     """
-    buckets: dict[int, list[FlowRecord]] = {}
-    for rec in flows:
-        buckets.setdefault(int(rec.start_ts // window_seconds), []).append(rec)
+    by_index = buckets(_bins(flows, window_seconds), flows)
     return [
-        (WindowIndex(index=i, start=i * window_seconds, end=(i + 1) * window_seconds), buckets[i])
-        for i in sorted(buckets)
+        (WindowIndex(index=i, start=i * window_seconds, end=(i + 1) * window_seconds), by_index[i])
+        for i in sorted(by_index)
     ]
 
 
@@ -81,32 +90,32 @@ class GroupingResult(NamedTuple):
     skipped: int
 
 
-def _collect_groups(flows, key_fn, key_type, duration_floor: float) -> GroupingResult:
-    # key_fn keys by address text; each distinct key becomes one key_type with
-    # parsed addresses, so addresses are parsed per group, not per flow, and
-    # the groups still sort in numeric address order
-    points: dict[tuple, list[FlowFeatures]] = {}
-    skipped = 0
-    for rec in flows:
-        if rec.proto not in _GROUPABLE or rec.npkts < 1:
-            skipped += 1
-            continue
-        points.setdefault(key_fn(rec), []).append(flow_features(rec, duration_floor))
+def _collect_groups(
+    flows: list[FlowRecord],
+    keys: Callable[[list[FlowRecord]], map],
+    key_type: type,
+    duration_floor: float,
+) -> GroupingResult:
+    # keys maps the groupable flows to key tuples of address text, the other
+    # fields and the Proto member last; each distinct key becomes one key_type
+    # with parsed addresses and Proto.value, so addresses are parsed and the
+    # value read per group, not per flow, and the groups still sort in
+    # numeric address order
+    tcp_or_udp = map(_GROUPABLE.__contains__, map(_PROTO, flows))
+    has_packets = map(gt, map(_NPKTS, flows), repeat(0))
+    kept = list(compress(flows, map(and_, tcp_or_udp, has_packets)))
+    points = buckets(keys(kept), batch_features(kept, duration_floor))
     by_key = {
-        key_type(IPv4Address(sip), IPv4Address(dip), *rest): pts
-        for (sip, dip, *rest), pts in points.items()
+        key_type(IPv4Address(sip), IPv4Address(dip), *rest, proto.value): pts
+        for (sip, dip, *rest, proto), pts in points.items()
     }
     groups = [FlowGroup(key, tuple(by_key[key])) for key in sorted(by_key)]
-    return GroupingResult(groups=groups, skipped=skipped)
+    return GroupingResult(groups=groups, skipped=len(flows) - len(kept))
 
 
 def group_flows_p2p(flows: list[FlowRecord], duration_floor: float) -> GroupingResult:
     """Group one window's flows by (sip, dip, dport, proto)."""
-
-    def key_fn(rec: FlowRecord) -> tuple:
-        return (rec.sip, rec.dip, rec.dport, rec.proto.value)
-
-    return _collect_groups(flows, key_fn, P2PGroupKey, duration_floor)
+    return _collect_groups(flows, partial(map, _P2P_KEY), P2PGroupKey, duration_floor)
 
 
 def group_flows_irc(flows: list[FlowRecord], cfg: DetectorConfig) -> GroupingResult:
@@ -117,14 +126,8 @@ def group_flows_irc(flows: list[FlowRecord], cfg: DetectorConfig) -> GroupingRes
     push synchrony.
     """
 
-    def key_fn(rec: FlowRecord) -> tuple:
-        return (
-            rec.sip,
-            rec.dip,
-            rec.sport,
-            rec.dport,
-            int(rec.start_ts // cfg.pat_bin_seconds),
-            rec.proto.value,
-        )
+    def keys(kept: list[FlowRecord]) -> map:
+        tails = zip(_bins(kept, cfg.pat_bin_seconds), map(_PROTO, kept))
+        return map(add, map(_IRC_ENDPOINTS, kept), tails)
 
-    return _collect_groups(flows, key_fn, IRCGroupKey, cfg.duration_floor)
+    return _collect_groups(flows, keys, IRCGroupKey, cfg.duration_floor)

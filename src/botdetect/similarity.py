@@ -21,7 +21,10 @@ everywhere, so short-lived hosts still participate in clustering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from ipaddress import IPv4Address
+from itertools import repeat
+from operator import attrgetter, gt, truediv
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -48,17 +51,30 @@ class FlowFeatures(NamedTuple):
     nbps: float
 
 
-def flow_features(rec: FlowRecord, duration_floor: float) -> FlowFeatures:
-    """nbps = nbytes / max(duration, floor); nbpp = nbytes / npkts.
+_new_features = partial(tuple.__new__, FlowFeatures)  # FlowFeatures(*fields) without a Python call
+_NBYTES, _NPKTS, _DURATION = attrgetter("nbytes"), attrgetter("npkts"), attrgetter("duration")
+
+
+def batch_features(flows: list[FlowRecord], duration_floor: float) -> list[FlowFeatures]:
+    """Each flow's features, in order, computed a column at a time:
+    nbps = nbytes / max(duration, floor); nbpp = nbytes / npkts.
 
     The duration floor keeps single-packet (zero-duration) flows finite.
-    Raises :class:`ZeroPackets` when npkts is 0.
+    Raises :class:`ZeroPackets` for the first flow whose npkts is below 1.
     """
-    if rec.npkts < 1:
-        raise ZeroPackets(f"flow has npkts={rec.npkts}; features undefined")
-    nbps = rec.nbytes / max(rec.duration, duration_floor)
-    nbpp = rec.nbytes / rec.npkts
-    return FlowFeatures(nbps=nbps, nbpp=nbpp)
+    npkts = list(map(_NPKTS, flows))
+    bad = next(filter(partial(gt, 1), npkts), None)  # the first npkts < 1
+    if bad is not None:
+        raise ZeroPackets(f"flow has npkts={bad}; features undefined")
+    nbytes = list(map(_NBYTES, flows))
+    nbps = map(truediv, nbytes, map(max, map(_DURATION, flows), repeat(duration_floor)))
+    nbpp = map(truediv, nbytes, npkts)
+    return list(map(_new_features, zip(nbpp, nbps)))
+
+
+def flow_features(rec: FlowRecord, duration_floor: float) -> FlowFeatures:
+    """One flow's features: the one-row case of :func:`batch_features`."""
+    return batch_features([rec], duration_floor)[0]
 
 
 @dataclass(frozen=True)

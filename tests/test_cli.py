@@ -1,18 +1,24 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from ipaddress import IPv4Address
 from pathlib import Path
 
 import pytest
 
+import botdetect
 from botdetect import activity, cli, filtering, model, monitors, pipeline
+from botdetect.classify import classify_flow
 from botdetect.cli import main
 from botdetect.flowfile import HEADER, write_flow_file
-from botdetect.model import default_config
-from botdetect.synth import generate, p2p_botnet_scenario
+from botdetect.model import Proto, TcpState, default_config
+from botdetect.synth import generate, irc_botnet_scenario, p2p_botnet_scenario
 
 from .conftest import make_flow
 
@@ -426,6 +432,26 @@ class TestStageCommands:
         assert reported <= flagged
         assert flagged == {"10.0.2.1", "10.0.2.2", "10.0.2.3"}
 
+    def test_classify_rows_match_the_per_row_classifier(self, tmp_path):
+        flows, _ = generate(irc_botnet_scenario(3))
+        flows += [
+            make_flow(payload=b"NICK bot\r\n"),
+            make_flow(proto=Proto.UDP, payload=b"NICK bot\r\n"),
+            make_flow(payload=b"GET / HTTP/1.1\r\n"),
+            make_flow(payload=b"GET / HTTP/1.1\r\n", tcp_state=TcpState.RESET),
+            make_flow(proto=Proto.ICMP, payload=b""),
+        ]
+        path = tmp_path / "flows.csv"
+        path.write_bytes(write_flow_file(flows))
+        out = tmp_path / "labels.csv"
+        assert main(["classify", "--flows", str(path), "--out", str(out)]) == 0
+        expected = [
+            f"{rec.sip},{rec.sport},{rec.dip},{rec.dport},{rec.proto.value},{classify_flow(rec).value}"
+            for rec in flows
+        ]
+        assert out.read_text() == "\n".join(["sip,sport,dip,dport,proto,label", *expected]) + "\n"
+        assert {line.rsplit(",", 1)[1] for line in expected} == {"irc", "http", "other"}
+
     def test_stage_output_to_stdout(self, s1_flows, capsys):
         assert main(["classify", "--flows", str(s1_flows)]) == 0
         out = capsys.readouterr().out
@@ -559,3 +585,38 @@ class TestWindowSplit:
         assert three["curves"].splitlines() == [curve_header] + [
             f"w{k}|{row[len('w0|'):]}" for k in range(3) for row in curve_rows
         ]
+
+
+def _bench_workloads(monkeypatch) -> dict:
+    """``bench/workloads.py``'s ``WORKLOADS``, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up by name
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("workload", ["scan_mix", "deep_day"])
+def test_report_bytes_do_not_depend_on_hash_order(tmp_path, monkeypatch, workload):
+    """``detect`` writes the same bytes under two string-hash seeds, so no
+    set or dict order on its path (nor the enums' identity hashes, which
+    differ in every interpreter) reaches the report."""
+    bench = _bench_workloads(monkeypatch)[workload]
+    flows, _ = generate(bench.make_spec(1, 1.0))
+    flow_path, whitelist = tmp_path / "flows.csv", tmp_path / "wl.txt"
+    flow_path.write_bytes(write_flow_file(flows))
+    whitelist.write_text("".join(f"{dip}\n" for dip in bench.whitelist(flows, 1.0)))
+    src = str(Path(botdetect.__file__).resolve().parent.parent)
+    reports = [
+        subprocess.run(
+            [sys.executable, "-m", "botdetect.cli", "detect", "--flows", str(flow_path),
+             "--whitelist", str(whitelist), "--internal", "10.0.0.0/16"],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert json.loads(reports[0])["counters"]["flows_ingested"] == len(flows)
+    assert reports[0] == reports[1]

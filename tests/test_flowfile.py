@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import tracemalloc
+from itertools import accumulate
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from botdetect import flowfile
 from botdetect.flowfile import (
-    _CHUNK_ROWS,
+    _BLOCK_CHARS,
     HEADER,
     BadHeader,
     FlowFileError,
     MalformedRow,
-    _lines,
+    _blocks,
     _parse_row,
     format_seconds,
     parse_flow_file,
@@ -238,6 +241,10 @@ _BAD_FIELDS = (
 
 
 _BASE_ROW = "0,0,udp,1.2.3.4,1,5.6.7.8,2,1,10,not_tcp,"
+# how many _BASE_ROW lines fill a block
+_BASE_ROWS_PER_BLOCK = _BLOCK_CHARS // len(_BASE_ROW + "\n")
+# written rows are some 50 to 200 characters, so this many span one to four blocks
+_ROWS_PER_BLOCK = _BLOCK_CHARS // 64
 
 
 def _mutated_rows():
@@ -259,11 +266,11 @@ _MUTATED_ROWS = list(_mutated_rows())
 @st.composite
 def flow_files(draw) -> bytes:
     """A flow file of a few distinct rows repeated to a count near a multiple
-    of the chunk size, with comments, blank lines, a chosen line ending and
+    of ``_ROWS_PER_BLOCK``, with comments, blank lines, a chosen line ending and
     (three times in four) one mutated field."""
     rows = write_flow_file(draw(st.lists(flow_records(), min_size=1, max_size=4))).decode()
     distinct = rows.splitlines()[1:]
-    near_chunks = st.builds(lambda k, d: k * _CHUNK_ROWS + d, st.integers(1, 2), st.integers(-2, 2))
+    near_chunks = st.builds(lambda k, d: k * _ROWS_PER_BLOCK + d, st.integers(1, 2), st.integers(-2, 2))
     count = draw(st.integers(0, 2) | near_chunks)
     lines = [distinct[i % len(distinct)] for i in range(count)]
     if lines and draw(st.integers(0, 3)):
@@ -300,12 +307,59 @@ def broken_texts(draw) -> str:
 
 @given(broken_texts(), st.integers(1, 9))
 def test_lines_are_split_where_splitlines_splits(text, block):
-    got = list(enumerate(_lines(text, block), start=1))
-    assert got == list(enumerate(text.splitlines(keepends=True), start=1))
-    # the line end that _lines keeps is whitespace that strip() removes
-    assert [(n, line.strip()) for n, line in got] == [
-        (n, line.strip()) for n, line in enumerate(text.splitlines(), start=1)
-    ]
+    blocks = list(_blocks(text, block))
+    assert "".join(blocks) == text
+    assert all(len(piece) >= block and piece.endswith("\n") for piece in blocks[:-1])
+    # each block ends at a line end, so its lines, numbered on from the
+    # blocks before it, are the text's lines
+    got = [line for piece in blocks for line in piece.splitlines(keepends=True)]
+    assert got == text.splitlines(keepends=True)
+
+
+def _numbered_file() -> list[str]:
+    """The lines of a flow file with a comment before the header, a blank
+    line, an indented comment, a row wrapped in whitespace and six rows."""
+    flows = [make_flow(start_ts=i + 0.5, sport=1024 + i, payload=b"NICK x\r\n" * (i % 2)) for i in range(6)]
+    rows = write_flow_file(flows).decode().splitlines()[1:]
+    return ["# before the header", HEADER, rows[0], "", rows[1], "  # indented", rows[2],
+            f" {rows[3]}\t", rows[4], rows[5]]
+
+
+def _broken(line: str, column: int, text: str) -> str:
+    parts = line.split(",")
+    parts[column] = text
+    return ",".join(parts)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize(
+    "bad",
+    [None, (2, 2, "xyz"), (2, 4, "65536"), (8, 2, "xyz"), (8, 4, "65536")],
+    ids=["good", "first-row-ungrammatical", "first-row-invariant", "late-row-ungrammatical",
+         "late-row-invariant"],
+)
+def test_block_split_parse_agrees_with_the_row_path(newline, bad):
+    """At every block size from one character up (so a block's nominal end
+    falls at every point of every line, inside rows too, and a bad row comes
+    right after a block boundary), the parse equals the row-by-row one."""
+    lines = _numbered_file()
+    if bad is not None:
+        at, column, text = bad
+        lines[at] = _broken(lines[at], column, text)
+    text = newline.join(lines) + newline
+    data = text.encode()
+    expected = _outcome(_row_by_row, data)
+    if bad is not None:  # an ungrammatical row and one breaking an invariant alike
+        assert expected[1].startswith(f"line {at + 1}: ")
+    else:
+        assert len(_row_by_row(data)) == 6
+    ends = set()
+    for size in range(1, len(text) + 2):
+        with mock.patch.object(flowfile, "_BLOCK_CHARS", size):
+            assert _outcome(parse_flow_file, data) == expected, size
+        ends.update(accumulate(map(len, _blocks(text, size))))
+    if bad is not None and newline != "\r":  # a lone "\r" never ends a block
+        assert len(newline.join(lines[:at]) + newline) in ends
 
 
 class TestChunkedParse:
@@ -329,37 +383,43 @@ class TestChunkedParse:
     def test_agrees_with_the_row_by_row_parse(self, data):
         assert _outcome(parse_flow_file, data) == _outcome(_row_by_row, data)
 
+    @settings(max_examples=60, deadline=None)
+    @given(flow_files(), st.integers(1, 400))
+    def test_agrees_with_the_row_by_row_parse_at_any_block_size(self, data, size):
+        with mock.patch.object(flowfile, "_BLOCK_CHARS", size):
+            assert _outcome(parse_flow_file, data) == _outcome(_row_by_row, data)
+
     @pytest.mark.parametrize("row", _MUTATED_ROWS)
     def test_row_in_a_later_chunk_parses_as_row_by_row(self, row):
-        rows = [_BASE_ROW] * (_CHUNK_ROWS + 5)
-        rows[_CHUNK_ROWS + 2] = row
+        rows = [_BASE_ROW] * (_BASE_ROWS_PER_BLOCK + 5)
+        rows[_BASE_ROWS_PER_BLOCK + 2] = row
         data = ("# a comment\n" + "\n".join([HEADER, *rows]) + "\n").encode()
         outcome = _outcome(parse_flow_file, data)
         assert outcome == _outcome(_row_by_row, data)
         if outcome[0] != "records":  # named by its own line: comment, header, rows before it
-            assert outcome[1].startswith(f"line {2 + _CHUNK_ROWS + 3}: ")
+            assert outcome[1].startswith(f"line {2 + _BASE_ROWS_PER_BLOCK + 3}: ")
 
     def test_written_seconds_in_a_later_chunk_round_trip(self):
-        flows = [make_flow(start_ts=float(i)) for i in range(_CHUNK_ROWS + 5)]
-        flows[_CHUNK_ROWS + 3] = flows[_CHUNK_ROWS + 3]._replace(duration=1e-07)
+        flows = [make_flow(start_ts=float(i)) for i in range(2 * _ROWS_PER_BLOCK)]
+        flows[-3] = flows[-3]._replace(duration=1e-07)
         data = write_flow_file(flows)
-        assert b",1e-07," in data
+        assert data.index(b",1e-07,") > _BLOCK_CHARS
         assert parse_flow_file(data) == flows
 
     def test_transient_memory_is_bounded_by_the_chunk(self):
         # 8192 rows in an 0.8 MB file.  Beyond the records, the parse holds
-        # the decoded text (about 0.8 MB), one 1024-row chunk's cells and
-        # columns (about 0.8 MB) and one block of lines (about 0.1 MB), 1.8 MB
-        # in all; a list of every line would add about 1.1 MB, and splitting
-        # the whole file into columns at once would take about 8 MB.
+        # the decoded text (about 0.8 MB) and one 64 KiB block with its cells
+        # and columns (about 0.6 MB); a list of every line would add about
+        # 1.1 MB, and splitting the whole file into columns at once would
+        # take about 8 MB.
         rows = 8192
-        assert rows >= 3 * _CHUNK_ROWS
         flows = [
             make_flow(start_ts=i * 0.5, sip=f"10.0.{i % 7}.{i % 250}", sport=1024 + i, nbytes=1000 + i,
                       payload=b"GET / HTTP/1.1\r\n")
             for i in range(rows)
         ]
         data = write_flow_file(flows)
+        assert len(data) >= 3 * _BLOCK_CHARS
         tracemalloc.start()
         try:
             records = parse_flow_file(data)

@@ -24,6 +24,7 @@ from botdetect.similarity import (
     FlowGroup,
     MismatchedR,
     ZeroPackets,
+    batch_features,
     build_curve,
     cluster_groups,
     curve_similarity,
@@ -72,18 +73,25 @@ class TestFlowFeatures:
     def test_zero_packets_raises(self):
         with pytest.raises(ZeroPackets):
             flow_features(make_flow(npkts=0, nbytes=0), 0.001)
+        with pytest.raises(ZeroPackets, match="npkts=-1"):  # the first such flow is named
+            batch_features([make_flow(), make_flow(npkts=-1), make_flow(npkts=0)], 0.001)
 
     def test_matches_one_line_recomputation(self):
         from botdetect.synth import Xorshift64Star
 
         rng = Xorshift64Star(5)
+        flows = []
         for _ in range(10_000):
             nbytes = rng.randint(10**6)
             npkts = 1 + rng.randint(10**4)
             duration = rng.uniform(0.0, 100.0)
-            f = flow_features(make_flow(nbytes=nbytes, duration=duration, npkts=npkts), 0.001)
-            assert f.nbps == nbytes / max(duration, 0.001)
-            assert f.nbpp == nbytes / npkts
+            flows.append(make_flow(nbytes=nbytes, duration=duration, npkts=npkts))
+        batch = batch_features(flows, 0.001)
+        assert [type(f) for f in batch] == [FlowFeatures] * len(flows)
+        for rec, f in zip(flows, batch):
+            assert f == flow_features(rec, 0.001)
+            assert f.nbps == rec.nbytes / max(rec.duration, 0.001)
+            assert f.nbpp == rec.nbytes / rec.npkts
 
 
 class TestBuildCurve:
