@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 import re
 from functools import partial
-from itertools import compress
-from operator import itemgetter, not_
+from itertools import chain, compress
+from operator import not_
 from typing import Iterator
 
 from .model import _DOTTED_QUAD, PAYLOAD_PREFIX_MAX, FlowRecord, Proto, TcpState, validate_flow
@@ -32,8 +32,8 @@ _VALID_PAIRS = frozenset(
 # and columns, so the transient memory is bounded, not proportional to the file.
 _BLOCK_CHARS = 1 << 16
 
-_PORT = "(?:0|[1-9][0-9]{0,4})"  # up to 5 digits; _columns checks <= 65535
-_COUNTER = "(?:0|[1-9][0-9]{0,19})"  # up to 20 digits; _columns checks < 2**64
+_PORT = "(?:0|[1-9][0-9]{0,4})"  # up to 5 digits; _parse_block checks <= 65535
+_COUNTER = "(?:0|[1-9][0-9]{0,19})"  # up to 20 digits; _parse_block checks < 2**64
 # A canonical row with every field in its plainest form (seconds as the
 # writer emits them when six fractional digits hold them).
 _ROW = re.compile(
@@ -53,13 +53,14 @@ _ROW = re.compile(
         )
     )
 )
-# A block of canonical rows, each ended by "\n" or by the end of the text; so
-# it holds no "\r", comment, blank line or surrounding whitespace either.  The
-# repeat is possessive (Python 3.11+): a match keeps no backtracking state per
-# row, which for a 64 KiB block would take some 2.8 MB.
-_ROWS = re.compile(f"(?:(?:{_ROW.pattern})(?:\n|\\Z))*+")
+# A block of canonical rows, each ended by "\n", "\r\n" or the end of the
+# text; so it holds no bare "\r", comment, blank line or surrounding
+# whitespace either.  The repeat is possessive (Python 3.11+): a match keeps no
+# backtracking state per row, which for a 64 KiB block would take some 2.8 MB.
+_ROWS = re.compile(f"(?:(?:{_ROW.pattern})(?:\r?\n|\\Z))*+")
 
 _new_record = partial(tuple.__new__, FlowRecord)  # FlowRecord(*fields) without a Python call
+_lines_with_ends = partial(str.splitlines, keepends=True)
 
 
 class FlowFileError(ValueError):
@@ -155,25 +156,31 @@ def _parse_row(line: str, lineno: int) -> FlowRecord:
     return rec
 
 
-def _blocks(text: str, size: int) -> Iterator[str]:
-    """Yield ``text`` in consecutive blocks of at least ``size`` characters
-    (the last may be shorter), each but the last ending just after a ``\n``.
+def _blocks(text: str, size: int, start: int = 0) -> Iterator[str]:
+    """Yield ``text`` from ``start``, a line boundary, in consecutive blocks
+    of at least ``size`` characters (the last may be shorter), each but the
+    last ending just after a ``\n``.
 
     A ``\n`` always ends a line (a ``\r`` before it ends with it), so the
     blocks' lines are the text's lines, and a block holding less than one
     whole line grows to its end.
     """
-    start, end = 0, len(text)
+    end = len(text)
     while start < end:
         stop = text.find("\n", start + size - 1) + 1 or end
         yield text[start:stop]
         start = stop
 
 
-def _columns(cells: list[str]) -> list[FlowRecord] | None:
-    """Records from the cells of rows that all match ``_ROW``, converted a
-    column at a time; None when a row breaks an invariant that the grammar
-    cannot express."""
+def _parse_block(block: str) -> list[FlowRecord] | None:
+    """Parse a block of canonical rows a column at a time; None unless
+    every row matches ``_ROW`` and meets every invariant."""
+    if not _ROWS.fullmatch(block):
+        return None
+    # after the match, a "\r" can only stand just before a "\n"
+    cells = block.replace("\r", "").replace("\n", ",").split(",")
+    if block.endswith("\n"):
+        cells.pop()
     start_ts, duration, proto, sip, sport, dip, dport, npkts, nbytes, state, payload = (
         cells[i::_COLUMNS] for i in range(_COLUMNS)
     )
@@ -216,73 +223,49 @@ def _columns(cells: list[str]) -> list[FlowRecord] | None:
     )
 
 
-def _parse_block(block: str) -> list[FlowRecord] | None:
-    """Parse a block of canonical rows a column at a time; None unless
-    every row matches ``_ROW`` and meets every invariant."""
-    if not _ROWS.fullmatch(block):
-        return None
-    cells = block.replace("\n", ",").split(",")
-    if block.endswith("\n"):
-        cells.pop()
-    return _columns(cells)
-
-
-def _parse_rows(rows: list[tuple[int, str]]) -> list[FlowRecord]:
-    """Parse stripped ``(lineno, line)`` data rows.
-
-    Rows that all match ``_ROW`` and meet every invariant are converted a
-    column at a time; otherwise they go row by row through
-    :func:`_parse_row`, which accepts the rows the grammar leaves out (such
-    as the writer's ``1e-07``) and raises the first bad row's own message.
-    """
-    lines = list(map(itemgetter(1), rows))
-    if lines and all(map(_ROW.fullmatch, lines)):
-        records = _columns(",".join(lines).split(","))
-        if records is not None:
-            return records
-    return [_parse_row(line, lineno) for lineno, line in rows]
-
-
 def parse_flow_file(data: bytes) -> list[FlowRecord]:
     """Parse a flow CSV into records, preserving row order.
 
     Raises :class:`BadHeader` on a schema mismatch and :class:`MalformedRow`
     (with its line number) on the first bad row.
 
-    A block of canonical rows after the header is parsed as one piece by
-    :func:`_parse_block`; any other block (the header's, or one holding a
-    comment, a blank line, a ``\r``, surrounding whitespace or a row outside
-    ``_ROW``) is split into stripped lines, numbered as ``str.splitlines``
-    numbers them, and parsed by :func:`_parse_rows`.
+    Lines are numbered as ``str.splitlines`` numbers them.  The lines up to
+    and including the header are read one at a time.  The rest of the text
+    goes in blocks, each parsed as one piece by :func:`_parse_block`, or,
+    when it holds a comment, a blank line, a bare ``\r``, surrounding
+    whitespace or a row outside ``_ROW``, line by line through
+    :func:`_parse_row`, which accepts the rows the grammar leaves out (such
+    as the writer's ``1e-07``) and raises the first bad row's own message.
     """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FlowFileError(f"flow file is not valid UTF-8: {exc}") from None
-    records: list[FlowRecord] = []
-    lineno = 1  # of the next block's first line
-    header_seen = False
-    for block in _blocks(text, _BLOCK_CHARS):
-        parsed = _parse_block(block) if header_seen else None
-        if parsed is not None:
-            records += parsed
-            lineno += block.count("\n")
-            continue
-        lines = block.splitlines()
-        rows = [
-            (n, line)
-            for n, line in enumerate(map(str.strip, lines), lineno)
-            if line and not line.startswith("#")
-        ]
-        lineno += len(lines)
-        if rows and not header_seen:
-            n, line = rows.pop(0)
-            if line != HEADER:
-                raise BadHeader(f"line {n}: expected header {HEADER!r}")
-            header_seen = True
-        records += _parse_rows(rows)
-    if not header_seen:
+    start = 0  # where the rows begin: just after the header's line end
+    for lineno, line in enumerate(chain.from_iterable(map(_lines_with_ends, _blocks(text, 1))), 1):
+        start += len(line)
+        line = line.strip()
+        if line == HEADER:
+            break
+        if line and not line.startswith("#"):
+            raise BadHeader(f"line {lineno}: expected header {HEADER!r}")
+    else:
         raise BadHeader("missing header line")
+    # from here on, lineno is the number of lines before the next block
+    records: list[FlowRecord] = []
+    for block in _blocks(text, _BLOCK_CHARS, start):
+        parsed = _parse_block(block)
+        if parsed is None:
+            lines = block.splitlines()
+            parsed = [
+                _parse_row(line, n)
+                for n, line in enumerate(map(str.strip, lines), lineno + 1)
+                if line and not line.startswith("#")
+            ]
+            lineno += len(lines)
+        else:
+            lineno += block.count("\n")
+        records += parsed
     return records
 
 

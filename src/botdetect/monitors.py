@@ -15,6 +15,7 @@ features are undefined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from ipaddress import IPv4Address
@@ -22,7 +23,7 @@ from itertools import compress, repeat
 from operator import add, and_, attrgetter, floordiv, gt
 from typing import Callable, NamedTuple
 
-from .model import DetectorConfig, FlowRecord, Proto, buckets
+from .model import ConfigError, DetectorConfig, FlowRecord, Proto, buckets
 from .similarity import FlowGroup, batch_features
 
 _GROUPABLE = frozenset((Proto.TCP, Proto.UDP))
@@ -31,8 +32,15 @@ _P2P_KEY = attrgetter("sip", "dip", "dport", "proto")
 _IRC_ENDPOINTS = attrgetter("sip", "dip", "sport", "dport")
 
 
-def _bins(flows: list[FlowRecord], seconds: float) -> map:
-    """Each flow's bin of ``seconds``, int(start_ts // seconds), in C."""
+def _bins(flows: list[FlowRecord], seconds: float, name: str) -> map:
+    """Each flow's bin of ``seconds``, int(start_ts // seconds), in C.
+
+    Raises :class:`ConfigError` naming the setting ``name`` when the last
+    bin's end is past the float range: its index or bounds would overflow.
+    """
+    top = max(map(_START_TS, flows), default=0.0)
+    if not math.isfinite((top // seconds + 1) * seconds):
+        raise ConfigError(f"{name} = {seconds!r} puts the bin of start_ts {top!r} past the float range")
     return map(int, map(floordiv, map(_START_TS, flows), repeat(seconds)))
 
 
@@ -52,7 +60,7 @@ def window_partition(
 
     Windows come out in ascending index order; empty windows are omitted.
     """
-    by_index = buckets(_bins(flows, window_seconds), flows)
+    by_index = buckets(_bins(flows, window_seconds, "window_seconds"), flows)
     return [
         (WindowIndex(index=i, start=i * window_seconds, end=(i + 1) * window_seconds), by_index[i])
         for i in sorted(by_index)
@@ -127,7 +135,7 @@ def group_flows_irc(flows: list[FlowRecord], cfg: DetectorConfig) -> GroupingRes
     """
 
     def keys(kept: list[FlowRecord]) -> map:
-        tails = zip(_bins(kept, cfg.pat_bin_seconds), map(_PROTO, kept))
+        tails = zip(_bins(kept, cfg.pat_bin_seconds, "pat_bin_seconds"), map(_PROTO, kept))
         return map(add, map(_IRC_ENDPOINTS, kept), tails)
 
     return _collect_groups(flows, keys, IRCGroupKey, cfg.duration_floor)

@@ -285,6 +285,30 @@ class TestExitCodes:
         assert main([*argv, "--config", str(cfg)]) == 3
         assert capsys.readouterr() == ("", "error: duration_floor must be > 0\n")
 
+    @pytest.mark.parametrize(
+        "command,start_ts,setting",
+        [
+            ("detect", 1e300, "window_seconds = 1e-10"),
+            ("scan-score", 1e300, "window_seconds = 1e-10"),
+            ("detect", 1e300, "pat_bin_seconds = 1e-10"),
+            ("curves.irc", 1e300, "pat_bin_seconds = 1e-10"),
+            ("detect", 1.5e308, "window_seconds = 1e308"),  # a report with "end": Infinity
+        ],
+    )
+    def test_bin_past_the_float_range_exits_three(self, tmp_path, capsys, command, start_ts, setting):
+        flows = tmp_path / "flows.csv"
+        irc = [make_flow(start_ts=start_ts, sip=f"10.0.0.{i}", payload=b"NICK bot\r\n") for i in (5, 6, 7)]
+        flows.write_bytes(write_flow_file(irc))
+        cfg = tmp_path / "bins.cfg"
+        cfg.write_text(f"{setting}\n")
+        argv = [*FLOW_COMMANDS[command], "--flows", str(flows)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main([*argv, "--config", str(cfg)]) == 3
+        name, value = setting.split(" = ")
+        err = f"error: {name} = {float(value)!r} puts the bin of start_ts {start_ts!r} past the float range\n"
+        assert capsys.readouterr() == ("", err)
+
     def test_counter_past_64_bits_exits_two(self, tmp_path, capsys):
         flows = tmp_path / "flows.csv"
         rows = write_flow_file([make_flow(), make_flow(nbytes=2**64 - 1), make_flow(nbytes=2**64)])

@@ -305,15 +305,18 @@ def broken_texts(draw) -> str:
     return "".join(piece + brk for piece, brk in zip(pieces, breaks)) + draw(st.text("ab ", max_size=3))
 
 
-@given(broken_texts(), st.integers(1, 9))
-def test_lines_are_split_where_splitlines_splits(text, block):
-    blocks = list(_blocks(text, block))
-    assert "".join(blocks) == text
+@given(broken_texts(), st.integers(1, 9), st.data())
+def test_lines_are_split_where_splitlines_splits(text, block, data):
+    lines = text.splitlines(keepends=True)
+    skipped = data.draw(st.integers(0, len(lines)), label="lines before the start offset")
+    start = sum(map(len, lines[:skipped]))
+    blocks = list(_blocks(text, block, start))
+    assert "".join(blocks) == text[start:]
     assert all(len(piece) >= block and piece.endswith("\n") for piece in blocks[:-1])
     # each block ends at a line end, so its lines, numbered on from the
     # blocks before it, are the text's lines
     got = [line for piece in blocks for line in piece.splitlines(keepends=True)]
-    assert got == text.splitlines(keepends=True)
+    assert got == lines[skipped:]
 
 
 def _numbered_file() -> list[str]:
@@ -405,6 +408,31 @@ class TestChunkedParse:
         data = write_flow_file(flows)
         assert data.index(b",1e-07,") > _BLOCK_CHARS
         assert parse_flow_file(data) == flows
+
+    @pytest.mark.parametrize("form", ["LF", "CRLF", "comment first"])
+    def test_every_row_of_a_written_file_comes_out_of_the_block_parse(self, form):
+        flows = [make_flow(start_ts=i * 0.5, sport=1024 + i, payload=b"NICK x\r\n" * (i % 2))
+                 for i in range(3 * _ROWS_PER_BLOCK)]
+        text = write_flow_file(flows).decode()
+        if form == "CRLF":
+            text = text.replace("\n", "\r\n")
+        elif form == "comment first":
+            text = "# before the header\n" + text
+        parse_block = flowfile._parse_block
+        rows_per_block = []
+
+        def counted(block):
+            records = parse_block(block)
+            rows_per_block.append(len(records or ()))
+            return records
+
+        with (
+            mock.patch.object(flowfile, "_parse_block", counted),
+            mock.patch.object(flowfile, "_parse_row", side_effect=AssertionError("parsed row by row")),
+        ):
+            assert parse_flow_file(text.encode()) == flows
+        assert len(rows_per_block) >= 3
+        assert sum(rows_per_block) == len(flows)
 
     def test_transient_memory_is_bounded_by_the_chunk(self):
         # 8192 rows in an 0.8 MB file.  Beyond the records, the parse holds
