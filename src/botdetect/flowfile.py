@@ -28,9 +28,12 @@ _VALID_PAIRS = frozenset(
 )
 
 # The decoded text is split a block of at least this many characters at a
-# time, each block ending at a "\n": only one block is ever split into lines
-# and columns, so the transient memory is bounded, not proportional to the file.
+# time, each block ending at a line end: only one block is ever split into
+# lines and columns, so the transient memory is bounded, not proportional to
+# the file.
 _BLOCK_CHARS = 1 << 16
+# the line ends a block may end at, a "\r\n" whole
+_LINE_END = re.compile(r"\r\n?|\n")
 
 _PORT = "(?:0|[1-9][0-9]{0,4})"  # up to 5 digits; _parse_block checks <= 65535
 _COUNTER = "(?:0|[1-9][0-9]{0,19})"  # up to 20 digits; _parse_block checks < 2**64
@@ -159,15 +162,16 @@ def _parse_row(line: str, lineno: int) -> FlowRecord:
 def _blocks(text: str, size: int, start: int = 0) -> Iterator[str]:
     """Yield ``text`` from ``start``, a line boundary, in consecutive blocks
     of at least ``size`` characters (the last may be shorter), each but the
-    last ending just after a ``\n``.
+    last ending just after a ``\n``, a ``\r\n`` or a bare ``\r``.
 
-    A ``\n`` always ends a line (a ``\r`` before it ends with it), so the
+    Each of those always ends a line, and a ``\r\n`` is never split, so the
     blocks' lines are the text's lines, and a block holding less than one
     whole line grows to its end.
     """
     end = len(text)
     while start < end:
-        stop = text.find("\n", start + size - 1) + 1 or end
+        found = _LINE_END.search(text, start + size - 1)
+        stop = found.end() if found else end
         yield text[start:stop]
         start = stop
 

@@ -20,6 +20,8 @@ everywhere, so short-lived hosts still participate in clustering.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from ipaddress import IPv4Address
@@ -30,6 +32,10 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .model import FlowRecord
+
+
+# the normal range of a float64: below it the relative rounding error is unbounded
+_SMALLEST_NORMAL, _LARGEST = sys.float_info.min, sys.float_info.max
 
 
 class ZeroPackets(ValueError):
@@ -96,7 +102,8 @@ class Curve:
     ``xs``/``ys`` are read-only float64 arrays of equal length;
     ``x_range`` is the (min, max) nbpp of the source points.  A curve is
     ``degenerate`` when that range is one point; ``floor`` and ``peak`` are
-    the min and max of ``ys`` (nan if any sample is nan).
+    the min and max of ``ys`` (nan if any sample is nan), the envelope that
+    every resampling of the curve stays within.
     """
 
     xs: np.ndarray
@@ -152,12 +159,21 @@ def build_curve(points: list[FlowFeatures] | tuple[FlowFeatures, ...], resample_
     )
 
 
-def curve_similarity(a: Curve, b: Curve) -> float:
+def curve_similarity(a: Curve, b: Curve, at_least: float = -math.inf) -> float:
     """Score two curves in [0, 1]; 1.0 means identical on the overlap.
 
     Non-degenerate curves with disjoint nbpp ranges score 0.  A degenerate
     curve contributes its constant across the other curve's range.  When
     both curves are everywhere zero the score is defined as 1.0.
+
+    ``at_least`` is the least score the caller acts on.  Resampling keeps
+    each curve within its ``[floor, peak]`` envelope, so the score is at
+    most ``1 - gap / top``, with ``gap`` the distance between the two
+    envelopes and ``top`` the larger peak.  When that bound is below
+    ``at_least`` (by a 1e-9 margin for rounding) it is returned instead
+    of the score: a value at or above ``at_least`` is returned exactly
+    when the score is, and is then the score itself.  The bound is taken
+    only for a normal positive ``top`` and non-negative floors.
     """
     r = len(a.ys)
     if len(b.ys) != r:
@@ -171,6 +187,12 @@ def curve_similarity(a: Curve, b: Curve) -> float:
         hi = min(a.x_range[1], b.x_range[1])
         if hi < lo:
             return 0.0
+    # a curve with a nan sample has a nan floor, so such a pair takes the exact path
+    top = max(a.peak, b.peak)
+    if _SMALLEST_NORMAL <= top <= _LARGEST and a.floor >= 0.0 and b.floor >= 0.0:
+        bound = 1.0 - max(a.floor - b.peak, b.floor - a.peak) / top
+        if bound < at_least - 1e-9:
+            return bound
     # A side scored on its own range keeps its samples: _linspace rebuilds
     # its xs bit for bit, np.interp returns fp[j] where x == xp[j], and a
     # degenerate curve's ys is already its constant.  When only one side
@@ -276,7 +298,9 @@ def cluster_groups(
     maximum-similarity spanning forest), and a pair already inside one
     component is skipped.  The components do not depend on the visit order,
     and every pair spanning two components is scored, so only which pairs
-    inside a cluster get scored changes with it.
+    inside a cluster get scored changes with it.  Each pair is scored with
+    the threshold as its limit, so a pair whose envelope bound rules out a
+    link is not resampled; every decision stays the exact score's.
 
     Output is canonical: clusters ordered by (smallest member host, smallest
     key), keys and hosts sorted within each cluster — invariant under any
@@ -293,7 +317,7 @@ def cluster_groups(
         if label[i] == label[j]:
             # already joined: single linkage keeps only the components
             continue
-        if curve_similarity(curves[i], curves[j]) >= threshold:
+        if curve_similarity(curves[i], curves[j], threshold) >= threshold:
             into, moved = label[i], label[j]
             if len(members[into]) < len(members[moved]):
                 into, moved = moved, into

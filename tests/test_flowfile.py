@@ -312,7 +312,7 @@ def test_lines_are_split_where_splitlines_splits(text, block, data):
     start = sum(map(len, lines[:skipped]))
     blocks = list(_blocks(text, block, start))
     assert "".join(blocks) == text[start:]
-    assert all(len(piece) >= block and piece.endswith("\n") for piece in blocks[:-1])
+    assert all(len(piece) >= block and piece.endswith(("\n", "\r")) for piece in blocks[:-1])
     # each block ends at a line end, so its lines, numbered on from the
     # blocks before it, are the text's lines
     got = [line for piece in blocks for line in piece.splitlines(keepends=True)]
@@ -361,7 +361,7 @@ def test_block_split_parse_agrees_with_the_row_path(newline, bad):
         with mock.patch.object(flowfile, "_BLOCK_CHARS", size):
             assert _outcome(parse_flow_file, data) == expected, size
         ends.update(accumulate(map(len, _blocks(text, size))))
-    if bad is not None and newline != "\r":  # a lone "\r" never ends a block
+    if bad is not None:
         assert len(newline.join(lines[:at]) + newline) in ends
 
 
@@ -434,7 +434,8 @@ class TestChunkedParse:
         assert len(rows_per_block) >= 3
         assert sum(rows_per_block) == len(flows)
 
-    def test_transient_memory_is_bounded_by_the_chunk(self):
+    @pytest.mark.parametrize("newline", ["\n", "\r"], ids=["LF", "CR"])
+    def test_transient_memory_is_bounded_by_the_chunk(self, newline):
         # 8192 rows in an 0.8 MB file.  Beyond the records, the parse holds
         # the decoded text (about 0.8 MB) and one 64 KiB block with its cells
         # and columns (about 0.6 MB); a list of every line would add about
@@ -446,7 +447,7 @@ class TestChunkedParse:
                       payload=b"GET / HTTP/1.1\r\n")
             for i in range(rows)
         ]
-        data = write_flow_file(flows)
+        data = write_flow_file(flows).replace(b"\n", newline.encode())
         assert len(data) >= 3 * _BLOCK_CHARS
         tracemalloc.start()
         try:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import struct
 import sys
 from ipaddress import IPv4Address
 from itertools import combinations
@@ -264,6 +265,54 @@ class TestCurveSimilarity:
             assert resampled.tobytes() == c.ys.tobytes()
             assert c.peak == c.ys.max() or (math.isnan(c.peak) and math.isnan(c.ys.max()))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=500)
+    @given(curve_pairs(), st.one_of(st.sampled_from((0.0, 0.85, 1.0)), st.floats(0, 1)))
+    def test_the_limit_never_changes_a_decision(self, pair, threshold):
+        for a, b in (pair, pair[::-1]):
+            exact, limited = curve_similarity(a, b), curve_similarity(a, b, threshold)
+            assert (limited >= threshold) == (exact >= threshold)
+            if exact >= threshold:
+                assert struct.pack("<d", limited) == struct.pack("<d", exact)
+
+    def test_the_envelope_bound_skips_resampling(self, monkeypatch):
+        # ranges 1-4 and 2-6 overlap in part; a's samples lie in [10, 40],
+        # b's in [60, 100], so neither side keeps its own samples
+        a = build_curve([FlowFeatures(nbps=10, nbpp=1), FlowFeatures(nbps=40, nbpp=4)], 8)
+        b = build_curve([FlowFeatures(nbps=60, nbpp=2), FlowFeatures(nbps=100, nbpp=6)], 8)
+        exact = reference_similarity(a, b)
+        assert curve_similarity(a, b) == exact
+        bound = 1.0 - (b.floor - a.peak) / max(a.peak, b.peak)
+        assert exact < bound < 0.85
+
+        def no_resampling(*args):
+            raise AssertionError("resampled a pair the envelope bound rules out")
+
+        monkeypatch.setattr(similarity.np, "interp", no_resampling)
+        monkeypatch.setattr(similarity, "_linspace", no_resampling)
+        assert curve_similarity(a, b, 0.85) == bound
+        assert curve_similarity(b, a, 0.85) == bound
+
+    def test_a_score_rounded_above_its_bound_is_kept(self):
+        # the mean of three equal gaps rounds below the gap, so the score
+        # lies just above its own bound: the margin keeps it
+        a = build_curve([FlowFeatures(nbps=545.8915783827468, nbpp=1)], 3)
+        b = build_curve([FlowFeatures(nbps=45.05012434929634, nbpp=1)], 3)
+        exact = curve_similarity(a, b)
+        assert exact > 1.0 - (a.floor - b.peak) / a.peak
+        assert curve_similarity(a, b, exact) == exact
+
+    def test_negative_samples_take_the_exact_path(self):
+        # nbps is never negative, but a curve may be built from any points:
+        # a's samples on the overlap (1-2) stay below 0 although its peak
+        # is 5, and the score there is far above the envelope bound's 0.6
+        a = build_curve([FlowFeatures(nbps=-1, nbpp=1), FlowFeatures(nbps=-0.5, nbpp=2),
+                         FlowFeatures(nbps=5, nbpp=9)], 8)
+        b = build_curve([FlowFeatures(nbps=-3, nbpp=1), FlowFeatures(nbps=-3, nbpp=2)], 8)
+        exact = curve_similarity(a, b)
+        assert exact >= 0.85
+        assert curve_similarity(a, b, 0.85) == exact
+
     @given(X_VALUES, X_VALUES, st.sampled_from((1, 2, 3, 32)))
     def test_positions_are_linspace_bit_for_bit(self, x, y, r):
         lo, hi = sorted((x, y))
@@ -339,7 +388,7 @@ def count_scores(monkeypatch) -> list[float]:
     """Record every score ``cluster_groups`` computes."""
     scores: list[float] = []
 
-    def counting(a, b):
+    def counting(a, b, at_least=-math.inf):
         scores.append(curve_similarity(a, b))
         return scores[-1]
 
@@ -366,7 +415,7 @@ def scored_pairs(groups, threshold, resample_points) -> list[tuple]:
         key_of_curve[id(curve)] = key_of_points[id(points)]
         return curve
 
-    def scoring(a, b):
+    def scoring(a, b, at_least=-math.inf):
         scored.append((key_of_curve[id(a)], key_of_curve[id(b)], curve_similarity(a, b)))
         return scored[-1][2]
 
