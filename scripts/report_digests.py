@@ -5,9 +5,10 @@ Runs ``detect``, ``curves --path p2p|irc``, ``scan-score`` and
 ``spam-score`` on the flows of each shipped scenario spec, of the
 ``benign``/``p2p_botnet``/``irc_botnet`` scenario factories at seeds
 1..n_seeds, and of the benchmark's ``deep_day`` and ``scan_mix`` workloads
-(``bench/workloads.py``) at seeds 1..min(n_seeds, 3) with their whitelists,
-and prints one ``sha256  command  input`` line per output.  Each input also
-gets a ``parse`` line, the sha256 of the ``repr`` of its parsed records,
+(``bench/workloads.py``) at seeds 1..min(n_seeds, 3) with their whitelists
+(and ``scan_mix`` again under ``deep_day``'s whitelist rule), and prints
+one ``sha256  command  input`` line per output.  Each input also gets a
+``parse`` line, the sha256 of the ``repr`` of its parsed records,
 which pins the fields that no report shows (every ``start_ts`` bit, the
 payload bytes), and a ``scores`` line, the sha256 of the score of every
 pair of groups that ``detect`` clusters, per window and path in canonical
@@ -15,7 +16,9 @@ key order, computed directly with ``build_curve`` and ``curve_similarity``:
 the ``repr`` of its two group keys and the score's float64 bytes.  That
 line pins every bit of the scorer, whichever pairs clustering visits and
 in whatever order.  The workloads are the inputs that exercise the
-whitelist filter, scanners and spammers.
+whitelist filter, scanners and spammers; ``scan_mix``'s own whitelist is
+empty, so only under ``deep_day``'s rule does the filter meet scanner
+traffic.
 A change that must keep every report byte-identical is checked by running
 this on both commits and diffing the two outputs.
 
@@ -51,7 +54,8 @@ COMMANDS = (
     ["spam-score", *INTERNAL],
 )
 FACTORIES = (benign_scenario, p2p_botnet_scenario, irc_botnet_scenario)
-WORKLOADS = ("deep_day", "scan_mix")
+# (workload, the workload whose whitelist rule filters its flows)
+WORKLOADS = (("deep_day", "deep_day"), ("scan_mix", "scan_mix"), ("scan_mix", "deep_day"))
 WORKLOAD_SEEDS = 3
 
 
@@ -78,14 +82,16 @@ def inputs(work: Path, n_seeds: int):
             path.write_bytes(write_flow_file(generate(factory(seed))[0]))
             yield name, path, None
     workloads = bench_workloads()
-    for workload in (workloads[name] for name in WORKLOADS):
+    for flows_from, rule_from in WORKLOADS:
         for seed in range(1, min(n_seeds, WORKLOAD_SEEDS) + 1):
-            name = f"{workload.name}({seed})"
-            flows, _ = generate(workload.make_spec(seed, 1.0))
+            name = f"{flows_from}({seed})"
+            if rule_from != flows_from:
+                name += f" under {rule_from} whitelist"
+            flows, _ = generate(workloads[flows_from].make_spec(seed, 1.0))
             path = work / f"{name}.flows.csv"
             path.write_bytes(write_flow_file(flows))
             whitelist = work / f"{name}.whitelist"
-            whitelist.write_text("".join(f"{dip}\n" for dip in workload.whitelist(flows)))
+            whitelist.write_text("".join(f"{dip}\n" for dip in workloads[rule_from].whitelist(flows)))
             yield name, path, whitelist
 
 

@@ -31,11 +31,8 @@ from functools import partial
 from ipaddress import IPv4Address, IPv4Network
 from itertools import compress, repeat
 from operator import attrgetter, gt, lt, mul, truediv
-from typing import Iterable
 
-import numpy as np
-
-from .model import DetectorConfig, FlowRecord, OsdMode, Proto, buckets
+from .model import DetectorConfig, FlowRecord, OsdMode, Proto, buckets, inside_texts
 
 SMTP_PORTS = (25, 587)
 _SMTP = frozenset((Proto.TCP, port) for port in SMTP_PORTS)
@@ -179,20 +176,6 @@ def spam_detect(flows: list[FlowRecord], cfg: DetectorConfig) -> SpamReport:
     return SpamReport(smtp_flows=len(smtp_servers), distinct_servers=len(servers), flagged=flagged)
 
 
-def inside_texts(texts: Iterable[str], network: IPv4Network) -> set[str]:
-    """The canonical dotted quads among ``texts`` that lie in ``network``.
-
-    All the texts' octets are parsed in one numpy call, with no string per
-    octet, and membership is one mask over the addresses as integers; the
-    flow parser has already validated each text.
-    """
-    texts = list(texts)
-    octets = np.fromstring(".".join(texts), dtype=np.uint32, sep=".").reshape(-1, 4)
-    addresses = octets[:, 0] << 24 | octets[:, 1] << 16 | octets[:, 2] << 8 | octets[:, 3]
-    inside = addresses & int(network.netmask) == int(network.network_address)
-    return set(compress(texts, inside.tolist()))
-
-
 def _crossing(
     flows: list[FlowRecord], inside: set[str], outbound: bool
 ) -> dict[str, list[FlowRecord]]:
@@ -220,7 +203,7 @@ def window_activity(
     # direction is decided once per distinct address text, not once per flow
     texts = {*map(_SIP, all_flows), *map(_DIP, all_flows)}
     texts.update(map(_SIP, failed_flows), map(_DIP, failed_flows))
-    inside = inside_texts(texts, internal)
+    inside = inside_texts(texts, (internal,))
     outbound = _crossing(all_flows, inside, outbound=True)
     outbound_failed = _crossing(failed_flows, inside, outbound=True)
     inbound_failed = _crossing(failed_flows, inside, outbound=False)

@@ -43,7 +43,11 @@ def _lines(header: str, rows: Iterable[str]) -> str:
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # unreadable input, like a missing file: exit 2 with the file named
+        raise OSError(f"not valid UTF-8 ({exc.reason} at byte {exc.start}): {path!r}") from None
 
 
 def _load_flows(path: str):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
 
-from .model import FlowRecord, TcpState, content_lines
+from .model import FlowRecord, TcpState, content_lines, inside_texts
 
 _FAILED_STATES = (TcpState.SYN_ONLY, TcpState.RESET)
 
@@ -25,10 +25,6 @@ class Whitelist:
     """Deduplicated set of IPv4 CIDR prefixes matched against flow dips."""
 
     entries: frozenset[IPv4Network]
-
-    def covers(self, ip: str) -> bool:
-        addr = IPv4Address(ip)
-        return any(addr in net for net in self.entries)
 
 
 EMPTY_WHITELIST = Whitelist(frozenset())
@@ -68,7 +64,7 @@ def run_filter(flows: list[FlowRecord], wl: Whitelist) -> FilterOutput:
     the split, so non-TCP flows stay clean.  Order is preserved within each
     stream.
     """
-    covered = {dip for dip in {rec.dip for rec in flows} if wl.covers(dip)} if wl.entries else set()
+    covered = inside_texts({rec.dip for rec in flows}, wl.entries) if wl.entries else set()
     clean: list[FlowRecord] = []
     failed: list[FlowRecord] = []
     for rec in flows:

@@ -56,11 +56,11 @@ _ROW = re.compile(
         )
     )
 )
-# A block of canonical rows, each ended by "\n", "\r\n" or the end of the
-# text; so it holds no bare "\r", comment, blank line or surrounding
-# whitespace either.  The repeat is possessive (Python 3.11+): a match keeps no
+# A block of canonical rows, each ended by "\n", "\r\n", a bare "\r" or the
+# end of the text; so it holds no comment, blank line or surrounding
+# whitespace.  The repeat is possessive (Python 3.11+): a match keeps no
 # backtracking state per row, which for a 64 KiB block would take some 2.8 MB.
-_ROWS = re.compile(f"(?:(?:{_ROW.pattern})(?:\r?\n|\\Z))*+")
+_ROWS = re.compile(f"(?:(?:{_ROW.pattern})(?:\r\n?|\n|\\Z))*+")
 
 _new_record = partial(tuple.__new__, FlowRecord)  # FlowRecord(*fields) without a Python call
 _lines_with_ends = partial(str.splitlines, keepends=True)
@@ -181,9 +181,10 @@ def _parse_block(block: str) -> list[FlowRecord] | None:
     every row matches ``_ROW`` and meets every invariant."""
     if not _ROWS.fullmatch(block):
         return None
-    # after the match, a "\r" can only stand just before a "\n"
-    cells = block.replace("\r", "").replace("\n", ",").split(",")
-    if block.endswith("\n"):
+    # after the match, every "\r\n" and bare "\r" ends a row, as a "\n" does
+    rows = block.replace("\r\n", "\n").replace("\r", "\n")
+    cells = rows.replace("\n", ",").split(",")
+    if rows.endswith("\n"):
         cells.pop()
     start_ts, duration, proto, sip, sport, dip, dport, npkts, nbytes, state, payload = (
         cells[i::_COLUMNS] for i in range(_COLUMNS)
@@ -236,10 +237,10 @@ def parse_flow_file(data: bytes) -> list[FlowRecord]:
     Lines are numbered as ``str.splitlines`` numbers them.  The lines up to
     and including the header are read one at a time.  The rest of the text
     goes in blocks, each parsed as one piece by :func:`_parse_block`, or,
-    when it holds a comment, a blank line, a bare ``\r``, surrounding
-    whitespace or a row outside ``_ROW``, line by line through
-    :func:`_parse_row`, which accepts the rows the grammar leaves out (such
-    as the writer's ``1e-07``) and raises the first bad row's own message.
+    when it holds a comment, a blank line, surrounding whitespace or a row
+    outside ``_ROW``, line by line through :func:`_parse_row`, which accepts
+    the rows the grammar leaves out (such as the writer's ``1e-07``) and
+    raises the first bad row's own message.
     """
     try:
         text = data.decode("utf-8")
@@ -268,7 +269,7 @@ def parse_flow_file(data: bytes) -> list[FlowRecord]:
             ]
             lineno += len(lines)
         else:
-            lineno += block.count("\n")
+            lineno += len(parsed)  # one row per line
         records += parsed
     return records
 

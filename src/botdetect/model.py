@@ -11,7 +11,11 @@ import enum
 import math
 import re
 from dataclasses import dataclass, replace
+from ipaddress import IPv4Network
+from itertools import compress
 from typing import Callable, Iterable, Iterator, NamedTuple, get_type_hints
+
+import numpy as np
 
 PAYLOAD_PREFIX_MAX = 64
 
@@ -81,6 +85,22 @@ def buckets(keys: Iterable, items: Iterable) -> dict:
 
 def _valid_ipv4(text: object) -> bool:
     return isinstance(text, str) and _DOTTED_QUAD.fullmatch(text) is not None
+
+
+def inside_texts(texts: Iterable[str], networks: Iterable[IPv4Network]) -> set[str]:
+    """The dotted quads among ``texts`` that lie in any of ``networks``.
+
+    All the octets are parsed in one numpy call, with no string per octet,
+    and membership is one integer mask per network; each text must pass
+    ``_valid_ipv4``, as every parsed or validated flow's ``sip`` and ``dip`` does.
+    """
+    texts = list(texts)
+    octets = np.fromstring(".".join(texts), dtype=np.uint32, sep=".").reshape(-1, 4)
+    addresses = octets[:, 0] << 24 | octets[:, 1] << 16 | octets[:, 2] << 8 | octets[:, 3]
+    inside = np.zeros(len(texts), dtype=bool)
+    for network in networks:
+        inside |= addresses & int(network.netmask) == int(network.network_address)
+    return set(compress(texts, inside.tolist()))
 
 
 def validate_flow(rec: FlowRecord) -> list[str]:

@@ -12,7 +12,6 @@ from botdetect.activity import (
     HostActivity,
     count_failed,
     entropy_norm,
-    inside_texts,
     isd_score,
     osd_s2,
     osd_scores,
@@ -20,7 +19,7 @@ from botdetect.activity import (
     spam_detect,
     window_activity,
 )
-from botdetect.model import OsdMode, Proto, TcpState, default_config
+from botdetect.model import OsdMode, Proto, TcpState, default_config, inside_texts
 
 from .conftest import make_flow, pooled_flows
 
@@ -313,11 +312,17 @@ QUADS = st.one_of(
 ).map(lambda n: str(IPv4Address(n)))
 
 
-@given(st.lists(QUADS, max_size=20), QUADS)
-def test_inside_texts_is_network_membership(texts, base):
-    for prefixlen in range(33):
-        network = IPv4Network(f"{base}/{prefixlen}", strict=False)
-        edges = [str(network.network_address), str(network.broadcast_address)]
-        want = {t for t in texts + edges if IPv4Address(t) in network}
-        assert inside_texts(texts + edges, network) == want
-        assert inside_texts([], network) == set()
+NETWORKS = st.lists(
+    st.tuples(QUADS, st.one_of(st.sampled_from((0, 32)), st.integers(0, 32))).map(
+        lambda pair: IPv4Network(f"{pair[0]}/{pair[1]}", strict=False)
+    ),
+    max_size=3,
+)
+
+
+@given(st.lists(QUADS, max_size=20), NETWORKS)
+def test_inside_texts_is_network_membership(texts, networks):
+    edges = [str(address) for n in networks for address in (n.network_address, n.broadcast_address)]
+    want = {t for t in texts + edges if any(IPv4Address(t) in n for n in networks)}
+    assert inside_texts(texts + edges, networks) == want
+    assert inside_texts([], networks) == set()

@@ -221,6 +221,19 @@ class TestExitCodes:
         err = "error: line 2: not an IPv4 address or CIDR: 'not-a-cidr'\n"
         assert capsys.readouterr() == ("", err)
 
+    @pytest.mark.parametrize("option", ["--whitelist", "--config", "--spec"])
+    def test_non_utf8_input_exits_two(self, tmp_path, capsys, s1_flows, option):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe8.8.8.8\n")
+        if option == "--spec":
+            argv = ["synth", "--spec", str(bad), "--out", str(tmp_path / "out")]
+        else:
+            argv = [*FLOW_COMMANDS["detect"], "--flows", str(s1_flows), option, str(bad)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.endswith(f"'{bad}'\n")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("output", sorted(set(FLOW_COMMANDS) - {"detect"}))
     def test_missing_flows_exits_two(self, tmp_path, capsys, output):
         missing = tmp_path / "nope.csv"
@@ -502,10 +515,10 @@ class TestStageCommands:
 
 
 def test_addresses_parsed_per_distinct_text(tmp_path, monkeypatch):
-    """``detect`` parses an address once per group, distinct text or host,
-    never once per flow: ``IPv4Address`` is counted under the name each
-    per-flow stage imports it by, against a bound taken from that stage's
-    inputs and outputs."""
+    """``detect`` parses an address once per group or host, never once per
+    flow, and membership tests parse none: ``IPv4Address`` is counted under
+    the name each per-flow stage imports it by, against a bound taken from
+    that stage's inputs and outputs."""
     prefix = tmp_path / "p2p"
     assert main(["synth", "--spec", str(SCENARIO_DIR / "p2p_botnet.spec"), "--out", str(prefix)]) == 0
     dips = Counter(line.split(",")[5] for line in Path(f"{prefix}.flows.csv").read_text().splitlines()[1:])
@@ -532,7 +545,6 @@ def test_addresses_parsed_per_distinct_text(tmp_path, monkeypatch):
 
         monkeypatch.setattr(pipeline, name, wrapper)
 
-    bounded("run_filter", filtering.__name__, lambda args, out: len({rec.dip for rec in args[0]}))
     for name in ("group_flows_p2p", "group_flows_irc"):
         bounded(name, monitors.__name__, lambda args, out: 2 * len(out.groups))
     bounded("window_activity", activity.__name__, lambda args, out: len(out))
@@ -541,8 +553,9 @@ def test_addresses_parsed_per_distinct_text(tmp_path, monkeypatch):
     assert main(["detect", "--flows", f"{prefix}.flows.csv", "--whitelist", str(whitelist),
                  "--internal", "10.0.0.0/16", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["counters"]["whitelisted"] > 0
-    assert calls[model.__name__] == 0
-    for stage in (filtering.__name__, monitors.__name__, activity.__name__):
+    # the whitelist and the internal network are matched as integer masks
+    assert calls[model.__name__] == calls[filtering.__name__] == 0
+    for stage in (monitors.__name__, activity.__name__):
         assert 0 < calls[stage] <= bounds[stage], stage
 
 

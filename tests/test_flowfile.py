@@ -409,13 +409,15 @@ class TestChunkedParse:
         assert data.index(b",1e-07,") > _BLOCK_CHARS
         assert parse_flow_file(data) == flows
 
-    @pytest.mark.parametrize("form", ["LF", "CRLF", "comment first"])
+    @pytest.mark.parametrize("form", ["LF", "CRLF", "CR", "comment first"])
     def test_every_row_of_a_written_file_comes_out_of_the_block_parse(self, form):
         flows = [make_flow(start_ts=i * 0.5, sport=1024 + i, payload=b"NICK x\r\n" * (i % 2))
                  for i in range(3 * _ROWS_PER_BLOCK)]
         text = write_flow_file(flows).decode()
         if form == "CRLF":
             text = text.replace("\n", "\r\n")
+        elif form == "CR":
+            text = text.replace("\n", "\r")
         elif form == "comment first":
             text = "# before the header\n" + text
         parse_block = flowfile._parse_block

@@ -96,6 +96,14 @@ def test_stage_makes_no_call_per_flow(stage, args):
     assert python_calls(stage, *args(1)) == python_calls(stage, *args(3))
 
 
+def test_whitelist_makes_no_call_per_destination():
+    whitelist = Whitelist(frozenset({IPv4Network("192.0.0.0/26"), IPv4Network("192.0.1.7/32")}))
+    flows = [FLOWS[0]._replace(dip=f"192.0.{i // 256}.{i % 256}") for i in range(300)]
+    assert run_filter(flows[:100], whitelist).whitelisted_count == 64
+    assert run_filter(flows, whitelist).whitelisted_count == 65
+    assert python_calls(run_filter, flows[:100], whitelist) == python_calls(run_filter, flows, whitelist)
+
+
 def test_parse_makes_no_call_per_row():
     flows = FLOWS[:200]
     once = write_flow_file(flows)

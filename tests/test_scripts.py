@@ -42,8 +42,8 @@ def test_report_digests_cover_every_command_and_input(monkeypatch, capsys):
     assert digests.main() == 0
     lines = [line.split("  ") for line in capsys.readouterr().out.splitlines()]
     inputs = {name for _, _, name in lines}
-    assert len(inputs) == 8 and "p2p_botnet_scenario(1)" in inputs
-    assert {"deep_day(1)", "scan_mix(1)"} <= inputs
+    assert len(inputs) == 9 and "p2p_botnet_scenario(1)" in inputs
+    assert {"deep_day(1)", "scan_mix(1)", "scan_mix(1) under deep_day whitelist"} <= inputs
     # + one parse and one scores line each
     assert len(lines) == len(inputs) * (len(digests.COMMANDS) + 2)
     detect = {name: digest for digest, command, name in lines if command.startswith("detect")}
