@@ -35,6 +35,10 @@ import tempfile
 from itertools import combinations
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+# this checkout's program, whatever else is installed or on PYTHONPATH
+sys.path.insert(0, str(ROOT / "src"))
+
 from botdetect.cli import main as cli
 from botdetect.filtering import EMPTY_WHITELIST, parse_whitelist
 from botdetect.flowfile import parse_flow_file, write_flow_file
@@ -44,7 +48,6 @@ from botdetect.report import BotPath
 from botdetect.similarity import build_curve, curve_similarity
 from botdetect.synth import benign_scenario, generate, irc_botnet_scenario, p2p_botnet_scenario
 
-ROOT = Path(__file__).resolve().parent.parent
 INTERNAL = ["--internal", "10.0.0.0/16"]
 COMMANDS = (
     ["detect", *INTERNAL],

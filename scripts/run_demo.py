@@ -13,10 +13,13 @@ import json
 import sys
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+# this checkout's program, whatever else is installed or on PYTHONPATH
+sys.path.insert(0, str(ROOT / "src"))
+
 from botdetect.cli import main as cli
 from botdetect.synth import parse_truth
 
-ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "out" / "demo"
 
 

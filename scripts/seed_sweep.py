@@ -13,6 +13,10 @@ from __future__ import annotations
 
 import sys
 from ipaddress import IPv4Network
+from pathlib import Path
+
+# this checkout's program, whatever else is installed or on PYTHONPATH
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from botdetect.filtering import EMPTY_WHITELIST
 from botdetect.model import default_config

@@ -30,11 +30,6 @@ class AppLabel(enum.Enum):
     __hash__ = object.__hash__  # as Proto's: identity, in C
 
 
-def _payload_lines(payload: bytes) -> list[bytes]:
-    lines = payload.split(b"\n")
-    return [line[:-1] if line.endswith(b"\r") else line for line in lines]
-
-
 def classify_flow(rec: FlowRecord) -> AppLabel:
     """Classify one flow.
 
@@ -45,7 +40,8 @@ def classify_flow(rec: FlowRecord) -> AppLabel:
     """
     if rec.proto is not Proto.TCP or not rec.payload_prefix:
         return AppLabel.OTHER
-    for line in _payload_lines(rec.payload_prefix):
+    # a line's trailing \r cannot decide a match: every token ends in a space
+    for line in rec.payload_prefix.split(b"\n"):
         if line.startswith(IRC_TOKENS):
             return AppLabel.IRC
     if rec.payload_prefix.startswith(HTTP_METHODS):

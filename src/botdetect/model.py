@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from ipaddress import IPv4Network
 from itertools import compress
 from typing import Callable, Iterable, Iterator, NamedTuple, get_type_hints
@@ -315,8 +315,8 @@ def parse_setting(
         raise error(f"line {lineno}: bad value for {key}: {value!r}") from None
 
 
-def parse_config(text: str, base: DetectorConfig | None = None) -> DetectorConfig:
-    """Parse ``key = value`` config lines on top of ``base`` (defaults if None).
+def parse_config(text: str) -> DetectorConfig:
+    """Parse ``key = value`` config lines on top of the defaults.
 
     ``#`` starts a comment; blank lines are skipped; unknown keys are an
     error; each value is parsed by its field's type (see :func:`field_parsers`).
@@ -326,7 +326,7 @@ def parse_config(text: str, base: DetectorConfig | None = None) -> DetectorConfi
         key: parse_setting(parsers, lineno, key, value, ConfigError, "config")
         for lineno, key, value in read_settings(text, ConfigError)
     }
-    cfg = replace(base or DetectorConfig(), **values)
+    cfg = DetectorConfig(**values)
     problems = config_violations(cfg)
     if problems:
         raise ConfigError("; ".join(problems))

@@ -244,49 +244,23 @@ class SimilarityCluster:
     hosts: tuple[IPv4Address, ...]
 
 
-# pairs handled at a time, so no per-pair list or temporary spans every pair
-_PAIR_BLOCK = 1024
-
-
-def _likely_links_first(curves: list[Curve], threshold: float) -> Iterator[tuple[int, int]]:
-    """The candidate pairs ``i < j``, as ints, nearest by a per-curve
-    distance first.
+def _candidate_pairs(curves: list[Curve], threshold: float) -> Iterator[tuple[int, int]]:
+    """The candidate pairs ``i < j``, as ints, rank neighbours first.
 
     Below a positive threshold, disjoint non-degenerate ranges score exactly
     0 and cannot link, so a pair is a candidate only if its ranges overlap.
     A degenerate curve reaches every range, and at a threshold of 0 or less
-    every curve does.  The distance is the floor gap plus the peak gap over
-    the larger peak: 0 when both peaks are 0, and nan (last) when undefined.
-    The sort is stable, so ties keep ``(i, j)`` order.
+    every curve does.  The curves are ranked once by floor, then by peak
+    (nan last), and the pairs come by rank distance 1, 2, ..., so only one
+    distance's pairs are held at a time.
     """
-    n = len(curves)
     spans = [(-np.inf, np.inf) if c.degenerate or threshold <= 0.0 else c.x_range for c in curves]
     lows, highs = np.array(spans, dtype=np.float64).reshape(-1, 2).T
-    # each row's candidates, as offsets past the row: ``j - i - 1``
-    offsets = []
-    for i in range(n):
-        rest = slice(i + 1, n)
-        offsets.append(np.flatnonzero((lows[rest] <= highs[i]) & (highs[rest] >= lows[i])))
-    firsts = np.repeat(np.arange(n, dtype=np.int32), [len(row) for row in offsets])
-    seconds = np.concatenate(offsets, dtype=np.int32, casting="same_kind")
-    del offsets
-    seconds += firsts
-    seconds += 1
-    floors = np.array([c.floor for c in curves], dtype=np.float64)
-    peaks = np.array([c.peak for c in curves], dtype=np.float64)
-    distance = np.empty(len(firsts), dtype=np.float64)
-    for start in range(0, len(firsts), _PAIR_BLOCK):
-        block = slice(start, start + _PAIR_BLOCK)
-        i, j = firsts[block], seconds[block]
-        top = np.maximum(peaks[i], peaks[j])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            distance[block] = (np.abs(floors[i] - floors[j]) + np.abs(peaks[i] - peaks[j])) / top
-        distance[block][top == 0.0] = 0.0
-    order = np.argsort(distance, kind="stable")
-    del distance
-    for start in range(0, len(order), _PAIR_BLOCK):
-        block = order[start : start + _PAIR_BLOCK]
-        yield from zip(firsts[block].tolist(), seconds[block].tolist())
+    rank = np.lexsort(([c.peak for c in curves], [c.floor for c in curves]))
+    for d in range(1, len(curves)):
+        i, j = np.minimum(rank[:-d], rank[d:]), np.maximum(rank[:-d], rank[d:])
+        overlap = (lows[j] <= highs[i]) & (highs[j] >= lows[i])
+        yield from zip(i[overlap].tolist(), j[overlap].tolist())
 
 
 def cluster_groups(
@@ -294,13 +268,15 @@ def cluster_groups(
 ) -> list[SimilarityCluster]:
     """Single-linkage clustering of groups at the similarity threshold.
 
-    Candidate pairs are scored likely links first (Kruskal's order for the
-    maximum-similarity spanning forest), and a pair already inside one
-    component is skipped.  The components do not depend on the visit order,
-    and every pair spanning two components is scored, so only which pairs
-    inside a cluster get scored changes with it.  Each pair is scored with
-    the threshold as its limit, so a pair whose envelope bound rules out a
-    link is not resampled; every decision stays the exact score's.
+    Candidate pairs are scored rank neighbours first: the curves are ranked
+    by floor, then by peak, and pairs are visited by rank distance, so
+    curves of similar level meet early and only one distance's pairs are
+    held at a time.  A pair already inside one component is skipped.  The
+    components do not depend on the visit order, and every pair spanning
+    two components is scored, so only which pairs inside a cluster get
+    scored changes with it.  Each pair is scored with the threshold as its
+    limit, so a pair whose envelope bound rules out a link is not
+    resampled; every decision stays the exact score's.
 
     Output is canonical: clusters ordered by (smallest member host, smallest
     key), keys and hosts sorted within each cluster — invariant under any
@@ -313,7 +289,7 @@ def cluster_groups(
     # label[i] is the component of group i, members[c] the groups in component c
     label = list(range(len(ordered)))
     members = [[i] for i in label]
-    for i, j in _likely_links_first(curves, threshold):
+    for i, j in _candidate_pairs(curves, threshold):
         if label[i] == label[j]:
             # already joined: single linkage keeps only the components
             continue

@@ -114,3 +114,23 @@ class TestLabelDependsOnlyOnProtoAndPayload:
             sport=sport, dport=dport, npkts=npkts, nbytes=npkts * 7, start_ts=start
         )
         assert classify_flow(base) is classify_flow(mutated)
+
+
+# payload pieces: every token, its every proper prefix, line ends and spaces
+PIECES = sorted(
+    {t[:k] for t in IRC_TOKENS + HTTP_METHODS for k in range(1, len(t) + 1)} | {b"\r", b"\n", b" "}
+)
+
+
+@given(pieces=st.lists(st.sampled_from(PIECES), max_size=12))
+def test_a_trailing_carriage_return_never_decides_the_label(pieces):
+    payload = b"".join(pieces)
+    # the rule with each line's one trailing \r stripped before matching
+    lines = [line[:-1] if line.endswith(b"\r") else line for line in payload.split(b"\n")]
+    if payload and any(line.startswith(IRC_TOKENS) for line in lines):
+        stripped = AppLabel.IRC
+    elif payload.startswith(HTTP_METHODS):
+        stripped = AppLabel.HTTP
+    else:
+        stripped = AppLabel.OTHER
+    assert classify_flow(make_flow(payload=payload)) is stripped

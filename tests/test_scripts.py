@@ -4,6 +4,8 @@ prints its summary."""
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,6 +36,19 @@ def test_seed_sweep_summarizes_its_seeds(monkeypatch, capsys):
     assert sweep.main() == 0
     out = capsys.readouterr().out
     assert "mean over 2 seeds:" in out
+
+
+def test_scripts_import_their_own_checkout(tmp_path):
+    # no botdetect on PYTHONPATH and none in the working directory
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(empty)}
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "seed_sweep.py"), "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "mean over 1 seeds:" in done.stdout
 
 
 def test_report_digests_cover_every_command_and_input(monkeypatch, capsys):

@@ -573,20 +573,11 @@ class TestClusterGroups:
         assert len(clusters) == 1
 
 
-def link_distance(a, b) -> float:
-    """``_likely_links_first``'s distance, in plain Python floats."""
-    top = max(a.peak, b.peak)
-    if top == 0.0:
-        return 0.0
-    return (abs(a.floor - b.floor) + abs(a.peak - b.peak)) / top
-
-
 @pytest.mark.parametrize("threshold", [0.0, 0.85])
-def test_likely_links_first_yields_each_candidate_once_nearest_first(threshold):
+def test_candidate_pairs_yields_each_candidate_once_rank_neighbours_first(threshold):
     from botdetect.synth import Xorshift64Star
 
-    # degenerate, all-zero, copied and overlapping curves, with more candidate
-    # pairs than one block and a partial last block
+    # degenerate, all-zero, copied and overlapping curves
     rng = Xorshift64Star(12)
     shapes = []
     for k in range(60):
@@ -601,18 +592,45 @@ def test_likely_links_first_yields_each_candidate_once_nearest_first(threshold):
             hi = lo + rng.uniform(1, 30)
             shapes.append([(lo, rng.uniform(1, 1000)), (hi, rng.uniform(1, 1000))])
     curves = [build_curve([FlowFeatures(nbps=y, nbpp=x) for x, y in pts], 8) for pts in shapes]
-    candidates = [
-        (i, j)
-        for i, j in combinations(range(len(curves)), 2)
-        if is_candidate(curves[i], curves[j], threshold)
-    ]
-    assert len(candidates) > similarity._PAIR_BLOCK
-    assert len(candidates) % similarity._PAIR_BLOCK
-    expected = sorted(candidates, key=lambda p: link_distance(curves[p[0]], curves[p[1]]))
-    pairs = list(similarity._likely_links_first(curves, threshold))
-    assert pairs == expected
+    n = len(curves)
+    candidates = {
+        (i, j) for i, j in combinations(range(n), 2) if is_candidate(curves[i], curves[j], threshold)
+    }
+    pairs = list(similarity._candidate_pairs(curves, threshold))
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == candidates
     assert all(type(i) is int and type(j) is int and i < j for i, j in pairs)
-    assert len(set(pairs)) == len(pairs)
+    rank = sorted(range(n), key=lambda k: (curves[k].floor, curves[k].peak))
+    position = {k: p for p, k in enumerate(rank)}
+    distances = [abs(position[i] - position[j]) for i, j in pairs]
+    assert distances == sorted(distances)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_candidate_pairs_of_fewer_than_two_curves_is_empty(n):
+    curves = [build_curve([FlowFeatures(nbps=5.0, nbpp=2.0)], 8)] * n
+    assert list(similarity._candidate_pairs(curves, 0.85)) == []
+
+
+def test_candidate_pairs_memory_is_linear_in_the_curves():
+    import tracemalloc
+
+    def peak(n):
+        curves = [build_curve([FlowFeatures(nbps=float(k), nbpp=1.0)], 4) for k in range(n)]
+        tracemalloc.start()
+        try:
+            for _ in similarity._candidate_pairs(curves, 0.85):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # degenerate curves reach every range, so every pair is a candidate
+    small, large = peak(250), peak(1000)
+    assert large < 1_000_000
+    # 4x the curves: 4x is linear, 16x quadratic (above 4x here because
+    # indices below 256 are Python's shared small ints, later ones are not)
+    assert large <= 6 * small
 
 
 def bench_workload(name: str, monkeypatch):
@@ -626,9 +644,9 @@ def bench_workload(name: str, monkeypatch):
 
 
 # Pairs ``detect`` scores at seed 1.  In index order (each row's candidates
-# by ascending key) it scored 9,407 and 23,666; likely links first, these.
-@pytest.mark.parametrize("workload, most", [("scan_mix", 5966), ("wide_window", 1699)])
-def test_likely_links_first_bounds_the_pairs_scored(monkeypatch, workload, most):
+# by ascending key) it scored 9,407 and 23,666; rank neighbours first, these.
+@pytest.mark.parametrize("workload, most", [("scan_mix", 6225), ("wide_window", 1888)])
+def test_rank_neighbours_first_bounds_the_pairs_scored(monkeypatch, workload, most):
     cfg = default_config()
     work = bench_workload(workload, monkeypatch)
     flows = parse_flow_file(write_flow_file(generate(work.make_spec(1, 1.0))[0]))
