@@ -125,7 +125,7 @@ def main() -> int:
         work = Path(tmp)
         out = work / "output"
         for name, flows, whitelist in inputs(work, n_seeds):
-            digest = hashlib.sha256(repr(parse_flow_file(flows.read_bytes())).encode()).hexdigest()
+            digest = hashlib.sha256(repr(list(parse_flow_file(flows.read_bytes()))).encode()).hexdigest()
             print(f"{digest}  parse  {name}")
             extra = [] if whitelist is None else ["--whitelist", str(whitelist)]
             for command in COMMANDS:

@@ -23,6 +23,7 @@ from .pipeline import run_detection
 from .report import BotnetGroup, BotnetReport, report_to_json
 from .similarity import FlowFeatures, build_curve, cluster_groups, curve_similarity, flow_features
 from .synth import GroundTruth, PlantedGroup, PlantedKind, ScenarioSpec, generate
+from .table import FlowTable
 
 __all__ = [
     "AppLabel",
@@ -32,6 +33,7 @@ __all__ = [
     "FilterOutput",
     "FlowFeatures",
     "FlowRecord",
+    "FlowTable",
     "GroundTruth",
     "OsdMode",
     "PlantedGroup",

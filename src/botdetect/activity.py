@@ -25,19 +25,20 @@ traffic crossing that boundary is scored.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from ipaddress import IPv4Address, IPv4Network
-from itertools import compress, repeat
-from operator import attrgetter, gt, lt, mul, truediv
+from itertools import repeat
+from operator import gt, lt, mul, truediv
+from typing import Iterable
 
-from .model import DetectorConfig, FlowRecord, OsdMode, Proto, buckets, inside_texts
+import numpy as np
+
+from .model import DetectorConfig, FlowRecord, OsdMode, Proto
+from .table import PROTO_CODE, FlowTable, as_table, inside
 
 SMTP_PORTS = (25, 587)
 _SMTP = frozenset((Proto.TCP, port) for port in SMTP_PORTS)
-_SIP, _DIP = attrgetter("sip"), attrgetter("dip")
-_PROTO_PORT = attrgetter("proto", "dport")
 
 
 class AllZero(ValueError):
@@ -123,13 +124,6 @@ def entropy_norm(counts: list[int]) -> float:
     return min(max(h / math.log(m), 0.0), 1.0)
 
 
-def count_failed(
-    failed: list[FlowRecord], hs_ports: frozenset[tuple[Proto, int]]
-) -> FailedCounts:
-    fhs = sum(map(hs_ports.__contains__, map(_PROTO_PORT, failed)))
-    return FailedCounts(fhs=fhs, fls=len(failed) - fhs)
-
-
 def osd_vote(s1: float, s2: float, s3: float, cfg: DetectorConfig) -> bool:
     votes = (
         (s1 >= cfg.osd_s1_threshold)
@@ -143,8 +137,94 @@ def osd_vote(s1: float, s2: float, s3: float, cfg: DetectorConfig) -> bool:
     return votes >= 2
 
 
+# Each per-host score below is computed for n hosts at once from a table and
+# ``host``, the index in 0..n-1 of the host each of its rows is charged to;
+# counts come from bincount over those indices, and only the final float
+# arithmetic runs per host, in Python, on Python ints.
+
+
+def _per_host(host: np.ndarray, n: int) -> list[int]:
+    return np.bincount(host, minlength=n).tolist()
+
+
+def _distinct_per_host(host: np.ndarray, values: np.ndarray, n: int) -> tuple[list[int], list[int]]:
+    """For each host, how many distinct ``values`` (uint32) its rows hold,
+    and how many rows hold each: the counts of host 0's values first, then
+    host 1's, and so on."""
+    pairs, counts = np.unique(host.astype(np.uint64) << 32 | values, return_counts=True)
+    return _per_host((pairs >> 32).astype(np.intp), n), counts.tolist()
+
+
+def _to_ports(flows: FlowTable, ports: frozenset[tuple[Proto, int]]) -> np.ndarray:
+    """Whether each flow's ``(proto, dport)`` is one of ``ports``."""
+    found = np.zeros(len(flows), dtype=bool)
+    for proto, port in ports:
+        found |= (flows.proto == PROTO_CODE[proto]) & (flows.dport == port)
+    return found
+
+
+def _failed_counts(
+    host: np.ndarray, failed: FlowTable, n: int, hs_ports: frozenset[tuple[Proto, int]]
+) -> list[FailedCounts]:
+    severe = _to_ports(failed, hs_ports)
+    return list(map(FailedCounts, _per_host(host[severe], n), _per_host(host[~severe], n)))
+
+
+def _scan_scores(
+    host_clean: np.ndarray,
+    clean: FlowTable,
+    host_failed: np.ndarray,
+    failed: FlowTable,
+    n: int,
+    cfg: DetectorConfig,
+) -> list[ScanScores]:
+    attempts = np.bincount(host_clean, minlength=n) + np.bincount(host_failed, minlength=n)
+    targets, target_counts = _distinct_per_host(
+        np.concatenate([host_clean, host_failed]), np.concatenate([clean.dip, failed.dip]), n
+    )
+    scores = []
+    end = 0
+    for scans, m, fc in zip(
+        attempts.tolist(), targets, _failed_counts(host_failed, failed, n, cfg.hs_ports)
+    ):
+        start, end = end, end + m
+        s1 = m / (cfg.window_seconds / 60.0)
+        s2 = osd_s2(fc, cfg.w1, cfg.w2, scans)
+        s3 = entropy_norm(target_counts[start:end]) if scans else 0.0
+        flagged = scans >= cfg.osd_min_scans and osd_vote(s1, s2, s3, cfg)
+        scores.append(ScanScores(s1=s1, s2=s2, s3=s3, scans=scans, targets=m, flagged=flagged))
+    return scores
+
+
+def _spam_reports(host: np.ndarray, flows: FlowTable, n: int, cfg: DetectorConfig) -> list[SpamReport]:
+    smtp = _to_ports(flows, _SMTP)
+    servers, _ = _distinct_per_host(host[smtp], flows.dip[smtp], n)
+    return [
+        SpamReport(
+            smtp_flows=total,
+            distinct_servers=distinct,
+            flagged=distinct >= cfg.spam_distinct_servers or total >= cfg.spam_total_flows,
+        )
+        for total, distinct in zip(_per_host(host[smtp], n), servers)
+    ]
+
+
+def _one_host(flows: FlowTable | Iterable[FlowRecord]) -> tuple[np.ndarray, FlowTable]:
+    table = as_table(flows)
+    return np.zeros(len(table), dtype=np.intp), table
+
+
+def count_failed(
+    failed: FlowTable | Iterable[FlowRecord], hs_ports: frozenset[tuple[Proto, int]]
+) -> FailedCounts:
+    (fc,) = _failed_counts(*_one_host(failed), 1, hs_ports)
+    return fc
+
+
 def osd_scores(
-    outbound_flows: list[FlowRecord], failed: list[FlowRecord], cfg: DetectorConfig
+    outbound_flows: FlowTable | Iterable[FlowRecord],
+    failed: FlowTable | Iterable[FlowRecord],
+    cfg: DetectorConfig,
 ) -> ScanScores:
     """Score one host's outbound behavior for a window.
 
@@ -153,71 +233,59 @@ def osd_scores(
     target distribution runs over distinct destination addresses of all
     attempts.
     """
-    attempts = len(outbound_flows) + len(failed)
-    target_counts = Counter(map(_DIP, outbound_flows))
-    target_counts.update(map(_DIP, failed))
-    m = len(target_counts)
-    s1 = m / (cfg.window_seconds / 60.0)
-    fc = count_failed(failed, cfg.hs_ports)
-    s2 = osd_s2(fc, cfg.w1, cfg.w2, attempts)
-    s3 = entropy_norm(list(target_counts.values())) if attempts else 0.0
-    flagged = attempts >= cfg.osd_min_scans and osd_vote(s1, s2, s3, cfg)
-    return ScanScores(s1=s1, s2=s2, s3=s3, scans=attempts, targets=m, flagged=flagged)
+    (scores,) = _scan_scores(*_one_host(outbound_flows), *_one_host(failed), 1, cfg)
+    return scores
 
 
-def spam_detect(flows: list[FlowRecord], cfg: DetectorConfig) -> SpamReport:
+def spam_detect(flows: FlowTable | Iterable[FlowRecord], cfg: DetectorConfig) -> SpamReport:
     """Flag mail fan-out: many SMTP/Submission flows or many distinct servers."""
-    is_smtp = map(_SMTP.__contains__, map(_PROTO_PORT, flows))
-    smtp_servers = list(compress(map(_DIP, flows), is_smtp))
-    servers = set(smtp_servers)
-    flagged = (
-        len(servers) >= cfg.spam_distinct_servers or len(smtp_servers) >= cfg.spam_total_flows
-    )
-    return SpamReport(smtp_flows=len(smtp_servers), distinct_servers=len(servers), flagged=flagged)
+    (report,) = _spam_reports(*_one_host(flows), 1, cfg)
+    return report
 
 
 def _crossing(
-    flows: list[FlowRecord], inside: set[str], outbound: bool
-) -> dict[str, list[FlowRecord]]:
-    """The flows leaving the internal network, by sip (``outbound``), or
-    entering it, by dip: exactly one endpoint is inside, and it is that one."""
-    src_internal = map(inside.__contains__, map(_SIP, flows))
-    dst_internal = map(inside.__contains__, map(_DIP, flows))
-    # True > False: the source inside and the destination not, and vice versa
-    crossing = list(compress(flows, map(gt if outbound else lt, src_internal, dst_internal)))
-    return buckets(map(_SIP if outbound else _DIP, crossing), crossing)
+    flows: FlowTable, internal: IPv4Network, outbound: bool
+) -> tuple[np.ndarray, FlowTable]:
+    """The flows leaving the internal network (``outbound``) or entering
+    it: exactly one endpoint is inside, and it is the source or the
+    destination respectively; with that endpoint's address per flow."""
+    src_internal = inside(flows.sip, (internal,))
+    dst_internal = inside(flows.dip, (internal,))
+    crossing = src_internal & ~dst_internal if outbound else dst_internal & ~src_internal
+    rows = flows[crossing]
+    return (rows.sip if outbound else rows.dip), rows
 
 
 def window_activity(
-    all_flows: list[FlowRecord],
-    failed_flows: list[FlowRecord],
+    all_flows: FlowTable | Iterable[FlowRecord],
+    failed_flows: FlowTable | Iterable[FlowRecord],
     internal: IPv4Network,
     cfg: DetectorConfig,
 ) -> dict[IPv4Address, HostActivity]:
-    """Score every internal host seen in one window.
+    """Score every internal host seen in one window, in address order.
 
     ``all_flows`` are the window's completed (clean) flows, ``failed_flows``
     its failed connection attempts.  Spam is judged on completed flows only;
     failed attempts still count toward the scan scores.
     """
-    # direction is decided once per distinct address text, not once per flow
-    texts = {*map(_SIP, all_flows), *map(_DIP, all_flows)}
-    texts.update(map(_SIP, failed_flows), map(_DIP, failed_flows))
-    inside = inside_texts(texts, (internal,))
-    outbound = _crossing(all_flows, inside, outbound=True)
-    outbound_failed = _crossing(failed_flows, inside, outbound=True)
-    inbound_failed = _crossing(failed_flows, inside, outbound=False)
-
-    addrs = {host: IPv4Address(host) for host in {*outbound, *outbound_failed, *inbound_failed}}
+    clean, failed = as_table(all_flows), as_table(failed_flows)
+    out_hosts, outbound = _crossing(clean, internal, outbound=True)
+    out_failed_hosts, outbound_failed = _crossing(failed, internal, outbound=True)
+    in_hosts, inbound_failed = _crossing(failed, internal, outbound=False)
+    hosts = np.unique(np.concatenate([out_hosts, out_failed_hosts, in_hosts]))
+    n = len(hosts)
+    out, out_failed, into = (
+        np.searchsorted(hosts, found) for found in (out_hosts, out_failed_hosts, in_hosts)
+    )
+    scores = _scan_scores(out, outbound, out_failed, outbound_failed, n, cfg)
+    spam = _spam_reports(out, outbound, n, cfg)
+    inbound_fc = _failed_counts(into, inbound_failed, n, cfg.hs_ports)
     activity: dict[IPv4Address, HostActivity] = {}
-    for host in sorted(addrs, key=addrs.__getitem__):
-        clean = outbound.get(host, [])
-        failed = outbound_failed.get(host, [])
-        inbound_fc = count_failed(inbound_failed.get(host, []), cfg.hs_ports)
-        isd_s = isd_score(inbound_fc, cfg.w1, cfg.w2)
-        activity[addrs[host]] = HostActivity(
-            scores=osd_scores(clean, failed, cfg),
-            spam=spam_detect(clean, cfg),
+    for host, host_scores, host_spam, fc in zip(hosts.tolist(), scores, spam, inbound_fc):
+        isd_s = isd_score(fc, cfg.w1, cfg.w2)
+        activity[IPv4Address(host)] = HostActivity(
+            scores=host_scores,
+            spam=host_spam,
             isd_s=isd_s,
             isd_flagged=isd_s >= cfg.isd_threshold,
         )

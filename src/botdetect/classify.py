@@ -10,10 +10,12 @@ by the peer-to-peer path.
 from __future__ import annotations
 
 import enum
-from itertools import compress, repeat
-from operator import attrgetter, is_
+from typing import Iterable
+
+import numpy as np
 
 from .model import FlowRecord, Proto
+from .table import PROTOS, FlowTable, as_table
 
 # Client-side IRC commands; each must start a line and be followed by a space.
 IRC_TOKENS = (b"NICK ", b"PASS ", b"USER ", b"JOIN ", b"OPER ", b"PRIVMSG ")
@@ -38,39 +40,47 @@ def classify_flow(rec: FlowRecord) -> AppLabel:
     starts with a request method.  Everything else: OTHER.  Prefixes shorter
     than a token never match.
     """
-    if rec.proto is not Proto.TCP or not rec.payload_prefix:
+    return _label(rec.proto, rec.payload_prefix)
+
+
+def _label(proto: Proto, payload: bytes) -> AppLabel:
+    if proto is not Proto.TCP or not payload:
         return AppLabel.OTHER
     # a line's trailing \r cannot decide a match: every token ends in a space
-    for line in rec.payload_prefix.split(b"\n"):
+    for line in payload.split(b"\n"):
         if line.startswith(IRC_TOKENS):
             return AppLabel.IRC
-    if rec.payload_prefix.startswith(HTTP_METHODS):
+    if payload.startswith(HTTP_METHODS):
         return AppLabel.HTTP
     return AppLabel.OTHER
 
 
-# the only fields that classify_flow reads
-_LABEL_INPUTS = attrgetter("proto", "payload_prefix")
+LABELS = tuple(AppLabel)
 
 
-def flow_labels(flows: list[FlowRecord]) -> list[AppLabel]:
-    """Each flow's :func:`classify_flow` label, in order.
+def flow_labels(flows: FlowTable | Iterable[FlowRecord]) -> np.ndarray:
+    """Each flow's :func:`classify_flow` label, as its index into :data:`LABELS`.
 
-    The label is decided once per distinct ``(proto, payload_prefix)``, the
-    only fields it depends on, and looked up for every flow in C.
+    Only the protocol and the payload decide a label, so it is decided once
+    per distinct ``(proto, payload)`` of the table, and every row takes its
+    pair's label by index.
     """
-    inputs = list(map(_LABEL_INPUTS, flows))
-    # one flow per distinct input stands for all the flows that share it
-    label = {key: classify_flow(rec) for key, rec in dict(zip(inputs, flows)).items()}
-    return list(map(label.__getitem__, inputs))
+    table = as_table(flows)
+    pairs, inverse = np.unique(
+        table.proto.astype(np.int64) << 32 | table.payload, return_inverse=True
+    )
+    decided = [
+        LABELS.index(_label(PROTOS[pair >> 32], table.payloads[pair & 0xFFFFFFFF]))
+        for pair in pairs.tolist()
+    ]
+    return np.array(decided, dtype=np.uint8)[inverse]
 
 
 def partition_by_label(
-    flows: list[FlowRecord],
-) -> tuple[list[FlowRecord], list[FlowRecord], list[FlowRecord]]:
+    flows: FlowTable | Iterable[FlowRecord],
+) -> tuple[FlowTable, FlowTable, FlowTable]:
     """Split flows into (irc, http, other) streams, order preserved."""
-    labels = flow_labels(flows)
-    irc, http, other = (
-        list(compress(flows, map(is_, labels, repeat(label)))) for label in AppLabel
-    )
+    table = as_table(flows)
+    labels = flow_labels(table)
+    irc, http, other = (table[labels == code] for code in range(len(LABELS)))
     return irc, http, other

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .activity import HostActivity, window_activity
-from .classify import AppLabel, flow_labels
+from .classify import LABELS, flow_labels
 from .filtering import EMPTY_WHITELIST, Whitelist, WhitelistError, parse_whitelist
 from .flowfile import FlowFileError, parse_flow_file, write_flow_file
 from .model import ConfigError, DetectorConfig, Proto, default_config, parse_config
@@ -79,10 +79,11 @@ def run_detect(args: argparse.Namespace) -> str:
 
 def run_classify(args: argparse.Namespace) -> str:
     flows = _load_flows(args.flows)
-    names = {member: member.value for member in (*Proto, *AppLabel)}
+    protos = {proto: proto.value for proto in Proto}
+    labels = map([label.value for label in LABELS].__getitem__, flow_labels(flows).tolist())
     rows = (
-        f"{rec.sip},{rec.sport},{rec.dip},{rec.dport},{names[rec.proto]},{names[label]}"
-        for rec, label in zip(flows, flow_labels(flows))
+        f"{rec.sip},{rec.sport},{rec.dip},{rec.dport},{protos[rec.proto]},{label}"
+        for rec, label in zip(flows, labels)
     )
     return _lines("sip,sport,dip,dport,proto,label", rows)
 

@@ -10,10 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
+from typing import Iterable
 
-from .model import FlowRecord, TcpState, content_lines, inside_texts
+import numpy as np
 
-_FAILED_STATES = (TcpState.SYN_ONLY, TcpState.RESET)
+from .model import FlowRecord, TcpState, content_lines
+from .table import STATES, FlowTable, as_table, inside
+
+# whether a handshake in each state failed, by state code
+_FAILED = np.array([state in (TcpState.SYN_ONLY, TcpState.RESET) for state in STATES])
 
 
 class WhitelistError(ValueError):
@@ -51,23 +56,24 @@ def parse_whitelist(text: str) -> Whitelist:
 class FilterOutput:
     """Result of the filtering stage: a partition of the input flows."""
 
-    clean: list[FlowRecord]
-    failed: list[FlowRecord]
+    clean: FlowTable
+    failed: FlowTable
     whitelisted_count: int
 
 
-def run_filter(flows: list[FlowRecord], wl: Whitelist) -> FilterOutput:
+def run_filter(flows: FlowTable | Iterable[FlowRecord], wl: Whitelist) -> FilterOutput:
     """Drop flows to whitelisted destinations, then route incomplete-handshake
-    TCP flows to ``failed`` and the rest to ``clean``, in one pass.
+    TCP flows to ``failed`` and the rest to ``clean``.
 
-    Only the dip is matched, once per distinct dip; only tcp_state decides
-    the split, so non-TCP flows stay clean.  Order is preserved within each
-    stream.
+    Only the dip is matched, one integer mask per whitelist entry; only
+    tcp_state decides the split, so non-TCP flows stay clean.  Order is
+    preserved within each stream.
     """
-    covered = inside_texts({rec.dip for rec in flows}, wl.entries) if wl.entries else set()
-    clean: list[FlowRecord] = []
-    failed: list[FlowRecord] = []
-    for rec in flows:
-        if rec.dip not in covered:
-            (failed if rec.tcp_state in _FAILED_STATES else clean).append(rec)
-    return FilterOutput(clean, failed, whitelisted_count=len(flows) - len(clean) - len(failed))
+    table = as_table(flows)
+    kept = ~inside(table.dip, wl.entries)
+    failed = _FAILED[table.tcp_state]
+    return FilterOutput(
+        clean=table[kept & ~failed],
+        failed=table[kept & failed],
+        whitelisted_count=len(table) - int(np.count_nonzero(kept)),
+    )

@@ -10,17 +10,21 @@ from __future__ import annotations
 import math
 import re
 from functools import partial
-from itertools import chain, compress
-from operator import not_
-from typing import Iterator
+from itertools import chain
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .model import _DOTTED_QUAD, PAYLOAD_PREFIX_MAX, FlowRecord, Proto, TcpState, validate_flow
+from .table import PROTOS, STATES, FlowTable, TableBuilder, addresses
 
 HEADER = "start_ts,duration,proto,sip,sport,dip,dport,npkts,nbytes,tcp_state,payload_prefix_hex"
 _COLUMNS = HEADER.count(",") + 1
 
 _PROTO_BY_NAME = {p.value: p for p in Proto}
 _STATE_BY_NAME = {s.value: s for s in TcpState}
+_PROTO_CODE = {p.value: code for code, p in enumerate(PROTOS)}
+_STATE_CODE = {s.value: code for code, s in enumerate(STATES)}
 _PLAIN_SECONDS = re.compile(r"[0-9]+(?:\.[0-9]{1,6})?")
 # the (proto, tcp_state) text pairs that validate_flow accepts
 _VALID_PAIRS = frozenset(
@@ -62,7 +66,6 @@ _ROW = re.compile(
 # backtracking state per row, which for a 64 KiB block would take some 2.8 MB.
 _ROWS = re.compile(f"(?:(?:{_ROW.pattern})(?:\r\n?|\n|\\Z))*+")
 
-_new_record = partial(tuple.__new__, FlowRecord)  # FlowRecord(*fields) without a Python call
 _lines_with_ends = partial(str.splitlines, keepends=True)
 
 
@@ -176,9 +179,10 @@ def _blocks(text: str, size: int, start: int = 0) -> Iterator[str]:
         start = stop
 
 
-def _parse_block(block: str) -> list[FlowRecord] | None:
-    """Parse a block of canonical rows a column at a time; None unless
-    every row matches ``_ROW`` and meets every invariant."""
+def _parse_block(block: str, table: TableBuilder) -> int | None:
+    """Add a block of canonical rows to ``table`` a column at a time and
+    return its row count; None, adding nothing, unless every row matches
+    ``_ROW`` and meets every invariant."""
     if not _ROWS.fullmatch(block):
         return None
     # after the match, every "\r\n" and bare "\r" ends a row, as a "\n" does
@@ -189,47 +193,48 @@ def _parse_block(block: str) -> list[FlowRecord] | None:
     start_ts, duration, proto, sip, sport, dip, dport, npkts, nbytes, state, payload = (
         cells[i::_COLUMNS] for i in range(_COLUMNS)
     )
-    start_ts = list(map(float, start_ts))
-    duration = list(map(float, duration))
-    sport = list(map(int, sport))
-    dport = list(map(int, dport))
+    n = len(start_ts)
+    start_ts = np.fromiter(map(float, start_ts), np.float64, n)
+    duration = np.fromiter(map(float, duration), np.float64, n)
+    # _PORT's five digits parse exactly as int32 in one numpy call
+    sport = np.fromstring(",".join(sport), dtype=np.int32, sep=",")
+    dport = np.fromstring(",".join(dport), dtype=np.int32, sep=",")
     npkts = list(map(int, npkts))
     nbytes = list(map(int, nbytes))
     # validate_flow's invariants that _ROW cannot express; digit-only
     # seconds are finite unless they overflow to inf
     if not (
-        math.inf not in start_ts
-        and math.inf not in duration
-        and max(sport) <= 65535
-        and max(dport) <= 65535
+        np.isfinite(start_ts).all()
+        and np.isfinite(duration).all()
+        and sport.max() <= 65535
+        and dport.max() <= 65535
         and max(npkts) < 2**64
         and max(nbytes) < 2**64
         and {*zip(proto, state)} <= _VALID_PAIRS
-        and not (0 in npkts and any(compress(nbytes, map(not_, npkts))))
     ):
         return None
-    return list(
-        map(
-            _new_record,
-            zip(
-                start_ts,
-                duration,
-                map(_PROTO_BY_NAME.__getitem__, proto),
-                sip,
-                sport,
-                dip,
-                dport,
-                npkts,
-                nbytes,
-                map(_STATE_BY_NAME.__getitem__, state),
-                map(bytes.fromhex, payload),
-            ),
-        )
+    npkts = np.array(npkts, dtype=np.uint64)
+    nbytes = np.array(nbytes, dtype=np.uint64)
+    if (nbytes[npkts == 0] != 0).any():
+        return None
+    table.add(
+        start_ts,
+        duration,
+        np.fromiter(map(_PROTO_CODE.__getitem__, proto), np.uint8, n),
+        addresses(sip),
+        sport,
+        addresses(dip),
+        dport,
+        npkts,
+        nbytes,
+        np.fromiter(map(_STATE_CODE.__getitem__, state), np.uint8, n),
+        table.payload_codes(payload, bytes.fromhex),
     )
+    return n
 
 
-def parse_flow_file(data: bytes) -> list[FlowRecord]:
-    """Parse a flow CSV into records, preserving row order.
+def parse_flow_file(data: bytes) -> FlowTable:
+    """Parse a flow CSV into a table of its rows, in row order.
 
     Raises :class:`BadHeader` on a schema mismatch and :class:`MalformedRow`
     (with its line number) on the first bad row.
@@ -240,7 +245,8 @@ def parse_flow_file(data: bytes) -> list[FlowRecord]:
     when it holds a comment, a blank line, surrounding whitespace or a row
     outside ``_ROW``, line by line through :func:`_parse_row`, which accepts
     the rows the grammar leaves out (such as the writer's ``1e-07``) and
-    raises the first bad row's own message.
+    raises the first bad row's own message; either way the rows are added
+    to the one table.
     """
     try:
         text = data.decode("utf-8")
@@ -257,24 +263,25 @@ def parse_flow_file(data: bytes) -> list[FlowRecord]:
     else:
         raise BadHeader("missing header line")
     # from here on, lineno is the number of lines before the next block
-    records: list[FlowRecord] = []
+    table = TableBuilder()
     for block in _blocks(text, _BLOCK_CHARS, start):
-        parsed = _parse_block(block)
-        if parsed is None:
+        rows = _parse_block(block, table)
+        if rows is None:
             lines = block.splitlines()
-            parsed = [
-                _parse_row(line, n)
-                for n, line in enumerate(map(str.strip, lines), lineno + 1)
-                if line and not line.startswith("#")
-            ]
+            table.add_records(
+                [
+                    _parse_row(line, n)
+                    for n, line in enumerate(map(str.strip, lines), lineno + 1)
+                    if line and not line.startswith("#")
+                ]
+            )
             lineno += len(lines)
         else:
-            lineno += len(parsed)  # one row per line
-        records += parsed
-    return records
+            lineno += rows  # one row per line
+    return table.build()
 
 
-def write_flow_file(flows: list[FlowRecord]) -> bytes:
+def write_flow_file(flows: Iterable[FlowRecord]) -> bytes:
     """Serialize flows; inverse of :func:`parse_flow_file` field-for-field."""
     lines = [HEADER]
     for rec in flows:

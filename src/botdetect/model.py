@@ -11,11 +11,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from ipaddress import IPv4Network
-from itertools import compress
-from typing import Callable, Iterable, Iterator, NamedTuple, get_type_hints
-
-import numpy as np
+from typing import Callable, Iterator, NamedTuple, get_type_hints
 
 PAYLOAD_PREFIX_MAX = 64
 
@@ -74,33 +70,8 @@ class FlowRecord(NamedTuple):
     payload_prefix: bytes = b""
 
 
-def buckets(keys: Iterable, items: Iterable) -> dict:
-    """The ``items`` in one list per key, keys in first-seen order and each
-    list in item order; the loop makes no Python call per item."""
-    out: dict = {}
-    for key, item in zip(keys, items):
-        out.setdefault(key, []).append(item)
-    return out
-
-
 def _valid_ipv4(text: object) -> bool:
     return isinstance(text, str) and _DOTTED_QUAD.fullmatch(text) is not None
-
-
-def inside_texts(texts: Iterable[str], networks: Iterable[IPv4Network]) -> set[str]:
-    """The dotted quads among ``texts`` that lie in any of ``networks``.
-
-    All the octets are parsed in one numpy call, with no string per octet,
-    and membership is one integer mask per network; each text must pass
-    ``_valid_ipv4``, as every parsed or validated flow's ``sip`` and ``dip`` does.
-    """
-    texts = list(texts)
-    octets = np.fromstring(".".join(texts), dtype=np.uint32, sep=".").reshape(-1, 4)
-    addresses = octets[:, 0] << 24 | octets[:, 1] << 16 | octets[:, 2] << 8 | octets[:, 3]
-    inside = np.zeros(len(texts), dtype=bool)
-    for network in networks:
-        inside |= addresses & int(network.netmask) == int(network.network_address)
-    return set(compress(texts, inside.tolist()))
 
 
 def validate_flow(rec: FlowRecord) -> list[str]:

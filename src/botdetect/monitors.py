@@ -17,31 +17,47 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from ipaddress import IPv4Address
-from itertools import compress, repeat
-from operator import add, and_, attrgetter, floordiv, gt
-from typing import Callable, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .model import ConfigError, DetectorConfig, FlowRecord, Proto, buckets
+import numpy as np
+
+from .model import ConfigError, DetectorConfig, FlowRecord, Proto
 from .similarity import FlowGroup, batch_features
+from .table import PROTOS, FlowTable, as_table
 
-_GROUPABLE = frozenset((Proto.TCP, Proto.UDP))
-_START_TS, _PROTO, _NPKTS = attrgetter("start_ts"), attrgetter("proto"), attrgetter("npkts")
-_P2P_KEY = attrgetter("sip", "dip", "dport", "proto")
-_IRC_ENDPOINTS = attrgetter("sip", "dip", "sport", "dport")
+# whether flows of each protocol are grouped, by protocol code; the two that
+# are come in the order of their values ("tcp" < "udp"), so keys sorted by
+# code are sorted by Proto.value
+_GROUPABLE = np.array([proto in (Proto.TCP, Proto.UDP) for proto in PROTOS])
 
 
-def _bins(flows: list[FlowRecord], seconds: float, name: str) -> map:
-    """Each flow's bin of ``seconds``, int(start_ts // seconds), in C.
+def _bins(start_ts: np.ndarray, seconds: float, name: str) -> np.ndarray:
+    """Each start's bin of ``seconds``, ``start_ts // seconds`` as float64.
 
-    Raises :class:`ConfigError` naming the setting ``name`` when the last
-    bin's end is past the float range: its index or bounds would overflow.
+    numpy's float floor division is Python's, so ``int`` of a bin is
+    ``int(ts // seconds)``; an integral float stands for its int exactly,
+    so bins compare, sort and group as their ints do, and only the ones
+    kept need converting.  Raises :class:`ConfigError` naming the setting
+    ``name`` when the last bin's end is past the float range: its index or
+    bounds would overflow.
     """
-    top = max(map(_START_TS, flows), default=0.0)
+    top = float(start_ts.max()) if len(start_ts) else 0.0
     if not math.isfinite((top // seconds + 1) * seconds):
         raise ConfigError(f"{name} = {seconds!r} puts the bin of start_ts {top!r} past the float range")
-    return map(int, map(floordiv, map(_START_TS, flows), repeat(seconds)))
+    return np.floor_divide(start_ts, seconds)
+
+
+def _runs(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows in key order (``keys[0]`` first, ties in row order) and the
+    start of each run of equal keys in that order, then the row count."""
+    order = np.lexsort(keys[::-1])
+    changed = np.zeros(len(order), dtype=bool)
+    changed[:1] = True
+    for key in keys:
+        column = key[order]
+        changed[1:] |= column[1:] != column[:-1]
+    return order, np.append(np.flatnonzero(changed), len(order))
 
 
 @dataclass(frozen=True)
@@ -54,17 +70,24 @@ class WindowIndex:
 
 
 def window_partition(
-    flows: list[FlowRecord], window_seconds: float
-) -> list[tuple[WindowIndex, list[FlowRecord]]]:
+    flows: FlowTable | Iterable[FlowRecord], window_seconds: float
+) -> list[tuple[WindowIndex, FlowTable]]:
     """Assign each flow to window floor(start_ts / window_seconds).
 
-    Windows come out in ascending index order; empty windows are omitted.
+    Windows come out in ascending index order, each window's flows in
+    their input order; empty windows are omitted.
     """
-    by_index = buckets(_bins(flows, window_seconds, "window_seconds"), flows)
-    return [
-        (WindowIndex(index=i, start=i * window_seconds, end=(i + 1) * window_seconds), by_index[i])
-        for i in sorted(by_index)
-    ]
+    table = as_table(flows)
+    bins = _bins(table.start_ts, window_seconds, "window_seconds")
+    order, starts = _runs([bins])
+    windows = []
+    for start, stop in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        rows = order[start:stop]
+        i = int(bins[rows[0]])
+        windows.append(
+            (WindowIndex(index=i, start=i * window_seconds, end=(i + 1) * window_seconds), table[rows])
+        )
+    return windows
 
 
 class P2PGroupKey(NamedTuple):
@@ -99,43 +122,52 @@ class GroupingResult(NamedTuple):
 
 
 def _collect_groups(
-    flows: list[FlowRecord],
-    keys: Callable[[list[FlowRecord]], map],
-    key_type: type,
-    duration_floor: float,
-) -> GroupingResult:
-    # keys maps the groupable flows to key tuples of address text, the other
-    # fields and the Proto member last; each distinct key becomes one key_type
-    # with parsed addresses and Proto.value, so addresses are parsed and the
-    # value read per group, not per flow, and the groups still sort in
-    # numeric address order
-    tcp_or_udp = map(_GROUPABLE.__contains__, map(_PROTO, flows))
-    has_packets = map(gt, map(_NPKTS, flows), repeat(0))
-    kept = list(compress(flows, map(and_, tcp_or_udp, has_packets)))
-    points = buckets(keys(kept), batch_features(kept, duration_floor))
-    by_key = {
-        key_type(IPv4Address(sip), IPv4Address(dip), *rest, proto.value): pts
-        for (sip, dip, *rest, proto), pts in points.items()
-    }
-    groups = [FlowGroup(key, tuple(by_key[key])) for key in sorted(by_key)]
-    return GroupingResult(groups=groups, skipped=len(flows) - len(kept))
+    table: FlowTable, key_columns: list[np.ndarray], key_type: type, duration_floor: float
+) -> list[FlowGroup]:
+    # key_columns are the groupable rows' key columns in key_type's field
+    # order: sip and dip as uint32, the other fields as ints or float bins,
+    # proto last as its code; addresses become IPv4Address and the code
+    # Proto.value once per group, and the groups come in numeric key order
+    order, starts = _runs(key_columns)
+    features = batch_features(
+        table.npkts[order], table.nbytes[order], table.duration[order], duration_floor
+    )
+    firsts = order[starts[:-1]]
+    sips, dips, *rest, protos = (column[firsts].tolist() for column in key_columns)
+    address = {value: IPv4Address(value) for value in {*sips, *dips}}
+    return [
+        FlowGroup(
+            key_type(address[sip], address[dip], *map(int, fields), PROTOS[proto].value),
+            tuple(features[start:stop]),
+        )
+        for sip, dip, *fields, proto, start, stop in zip(
+            sips, dips, *rest, protos, starts[:-1].tolist(), starts[1:].tolist()
+        )
+    ]
 
 
-def group_flows_p2p(flows: list[FlowRecord], duration_floor: float) -> GroupingResult:
+def _groupable(flows: FlowTable | Iterable[FlowRecord]) -> tuple[FlowTable, int]:
+    """The TCP and UDP flows with packets, and how many others were skipped."""
+    table = as_table(flows)
+    kept = table[_GROUPABLE[table.proto] & (table.npkts > 0)]
+    return kept, len(table) - len(kept)
+
+
+def group_flows_p2p(flows: FlowTable | Iterable[FlowRecord], duration_floor: float) -> GroupingResult:
     """Group one window's flows by (sip, dip, dport, proto)."""
-    return _collect_groups(flows, partial(map, _P2P_KEY), P2PGroupKey, duration_floor)
+    kept, skipped = _groupable(flows)
+    keys = [kept.sip, kept.dip, kept.dport, kept.proto]
+    return GroupingResult(_collect_groups(kept, keys, P2PGroupKey, duration_floor), skipped)
 
 
-def group_flows_irc(flows: list[FlowRecord], cfg: DetectorConfig) -> GroupingResult:
+def group_flows_irc(flows: FlowTable | Iterable[FlowRecord], cfg: DetectorConfig) -> GroupingResult:
     """Group one window's flows by (sip, dip, sport, dport, PAT bin, proto).
 
     The PAT bin is floor(start_ts / pat_bin_seconds): exact-time equality
     would never aggregate flow records, while binning captures one-to-many
     push synchrony.
     """
-
-    def keys(kept: list[FlowRecord]) -> map:
-        tails = zip(_bins(kept, cfg.pat_bin_seconds, "pat_bin_seconds"), map(_PROTO, kept))
-        return map(add, map(_IRC_ENDPOINTS, kept), tails)
-
-    return _collect_groups(flows, keys, IRCGroupKey, cfg.duration_floor)
+    kept, skipped = _groupable(flows)
+    bins = _bins(kept.start_ts, cfg.pat_bin_seconds, "pat_bin_seconds")
+    keys = [kept.sip, kept.dip, kept.sport, kept.dport, bins, kept.proto]
+    return GroupingResult(_collect_groups(kept, keys, IRCGroupKey, cfg.duration_floor), skipped)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from ipaddress import IPv4Network
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .activity import window_activity
 from .classify import partition_by_label
@@ -20,6 +20,7 @@ from .model import DetectorConfig, FlowRecord
 from .monitors import GroupingResult, WindowIndex, group_flows_irc, group_flows_p2p, window_partition
 from .report import BotnetReport, BotPath, build_report, correlate_irc, correlate_p2p
 from .similarity import SimilarityCluster, cluster_groups
+from .table import FlowTable
 
 
 @dataclass(frozen=True)
@@ -28,13 +29,13 @@ class WindowStreams:
 
     window: WindowIndex
     filtered: FilterOutput
-    irc: list[FlowRecord]
-    http: list[FlowRecord]
-    other: list[FlowRecord]
+    irc: FlowTable
+    http: FlowTable
+    other: FlowTable
 
 
 def window_streams(
-    flows: list[FlowRecord], whitelist: Whitelist, cfg: DetectorConfig
+    flows: FlowTable | Iterable[FlowRecord], whitelist: Whitelist, cfg: DetectorConfig
 ) -> Iterator[WindowStreams]:
     """Window the flows once, then filter and classify each window.
 
@@ -66,12 +67,13 @@ def path_clusters(
 
 
 def run_detection(
-    flows: list[FlowRecord],
+    flows: FlowTable | Sequence[FlowRecord],
     whitelist: Whitelist,
     internal: IPv4Network,
     cfg: DetectorConfig,
 ) -> BotnetReport:
-    """Run the whole pipeline over one flow list and build the report.
+    """Run the whole pipeline over one flow table (or list of records) and
+    build the report.
 
     Deterministic: the report (and its JSON) is a pure function of the
     inputs, invariant under permutation of the flow rows.

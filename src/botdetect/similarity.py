@@ -23,11 +23,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from ipaddress import IPv4Address
-from itertools import repeat
-from operator import attrgetter, gt, truediv
-from typing import Iterator, NamedTuple
+from operator import truediv
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,29 +57,39 @@ class FlowFeatures(NamedTuple):
 
 
 _new_features = partial(tuple.__new__, FlowFeatures)  # FlowFeatures(*fields) without a Python call
-_NBYTES, _NPKTS, _DURATION = attrgetter("nbytes"), attrgetter("npkts"), attrgetter("duration")
 
 
-def batch_features(flows: list[FlowRecord], duration_floor: float) -> list[FlowFeatures]:
-    """Each flow's features, in order, computed a column at a time:
-    nbps = nbytes / max(duration, floor); nbpp = nbytes / npkts.
+def batch_features(
+    npkts: Sequence[int], nbytes: Sequence[int], duration: Sequence[float], duration_floor: float
+) -> list[FlowFeatures]:
+    """Each flow's features from its columns, in order, computed a column
+    at a time: nbps = nbytes / max(duration, floor); nbpp = nbytes / npkts.
 
-    The duration floor keeps single-packet (zero-duration) flows finite.
-    Raises :class:`ZeroPackets` for the first flow whose npkts is below 1.
+    Each quotient is Python's ``int / int`` or ``int / float``: a counter
+    below 2**53 converts to float64 exactly, so one float64 division gives
+    that correctly rounded quotient, and a row with a larger counter is
+    divided as Python ints.  The duration floor keeps single-packet
+    (zero-duration) flows finite.  Raises :class:`ZeroPackets` for the
+    first flow whose npkts is below 1.
     """
-    npkts = list(map(_NPKTS, flows))
-    bad = next(filter(partial(gt, 1), npkts), None)  # the first npkts < 1
-    if bad is not None:
-        raise ZeroPackets(f"flow has npkts={bad}; features undefined")
-    nbytes = list(map(_NBYTES, flows))
-    nbps = map(truediv, nbytes, map(max, map(_DURATION, flows), repeat(duration_floor)))
-    nbpp = map(truediv, nbytes, npkts)
-    return list(map(_new_features, zip(nbpp, nbps)))
+    npkts, nbytes = np.asarray(npkts), np.asarray(nbytes)
+    bad = np.flatnonzero(npkts < 1)
+    if len(bad):
+        raise ZeroPackets(f"flow has npkts={npkts[bad[0]]}; features undefined")
+    seconds = np.maximum(duration, duration_floor)
+    nbps = nbytes / seconds
+    nbpp = nbytes / npkts
+    large = np.flatnonzero((nbytes >= 2**53) | (npkts >= 2**53))
+    if len(large):
+        exact_bytes = nbytes[large].tolist()
+        nbps[large] = list(map(truediv, exact_bytes, seconds[large].tolist()))
+        nbpp[large] = list(map(truediv, exact_bytes, npkts[large].tolist()))
+    return list(map(_new_features, zip(nbpp.tolist(), nbps.tolist())))
 
 
 def flow_features(rec: FlowRecord, duration_floor: float) -> FlowFeatures:
     """One flow's features: the one-row case of :func:`batch_features`."""
-    return batch_features([rec], duration_floor)[0]
+    return batch_features([rec.npkts], [rec.nbytes], [rec.duration], duration_floor)[0]
 
 
 @dataclass(frozen=True)
@@ -219,6 +228,12 @@ def curve_similarity(a: Curve, b: Curve, at_least: float = -math.inf) -> float:
     return float(1.0 - float(np.add.reduce(np.abs(ya - yb)) / r) / peak)
 
 
+@lru_cache(maxsize=None)
+def _steps(r: int) -> np.ndarray:
+    """``np.arange(r, dtype=np.float64)``, one read-only array per ``r``."""
+    return _readonly(np.arange(r, dtype=np.float64))
+
+
 def _linspace(lo: float, hi: float, r: int) -> np.ndarray:
     """``np.linspace(lo, hi, r)`` bit for bit, without its per-call overhead."""
     if r < 2:
@@ -228,9 +243,9 @@ def _linspace(lo: float, hi: float, r: int) -> np.ndarray:
     step = delta / (r - 1)
     if step == 0.0:
         # linspace's own branch for a zero or underflowed step
-        positions = np.arange(r, dtype=np.float64) / (r - 1) * delta
+        positions = _steps(r) / (r - 1) * delta
     else:
-        positions = np.arange(r, dtype=np.float64) * step
+        positions = _steps(r) * step
     positions += lo
     positions[-1] = hi
     return positions
@@ -244,7 +259,9 @@ class SimilarityCluster:
     hosts: tuple[IPv4Address, ...]
 
 
-def _candidate_pairs(curves: list[Curve], threshold: float) -> Iterator[tuple[int, int]]:
+def _candidate_pairs(
+    curves: list[Curve], threshold: float, component: np.ndarray | None = None
+) -> Iterator[tuple[int, int]]:
     """The candidate pairs ``i < j``, as ints, rank neighbours first.
 
     Below a positive threshold, disjoint non-degenerate ranges score exactly
@@ -253,14 +270,21 @@ def _candidate_pairs(curves: list[Curve], threshold: float) -> Iterator[tuple[in
     every curve does.  The curves are ranked once by floor, then by peak
     (nan last), and the pairs come by rank distance 1, 2, ..., so only one
     distance's pairs are held at a time.
+
+    ``component`` holds each curve's component label (by default each its
+    own), and the caller may relabel as it links: a pair whose curves share
+    a label when its rank distance comes up is dropped there, with one
+    comparison for the whole distance.
     """
     spans = [(-np.inf, np.inf) if c.degenerate or threshold <= 0.0 else c.x_range for c in curves]
     lows, highs = np.array(spans, dtype=np.float64).reshape(-1, 2).T
     rank = np.lexsort(([c.peak for c in curves], [c.floor for c in curves]))
+    if component is None:
+        component = np.arange(len(curves))
     for d in range(1, len(curves)):
         i, j = np.minimum(rank[:-d], rank[d:]), np.maximum(rank[:-d], rank[d:])
-        overlap = (lows[j] <= highs[i]) & (highs[j] >= lows[i])
-        yield from zip(i[overlap].tolist(), j[overlap].tolist())
+        keep = (lows[j] <= highs[i]) & (highs[j] >= lows[i]) & (component[i] != component[j])
+        yield from zip(i[keep].tolist(), j[keep].tolist())
 
 
 def cluster_groups(
@@ -271,8 +295,9 @@ def cluster_groups(
     Candidate pairs are scored rank neighbours first: the curves are ranked
     by floor, then by peak, and pairs are visited by rank distance, so
     curves of similar level meet early and only one distance's pairs are
-    held at a time.  A pair already inside one component is skipped.  The
-    components do not depend on the visit order, and every pair spanning
+    held at a time.  A pair already inside one component is skipped: when
+    its rank distance comes up if its groups are joined by then, else when
+    it is reached.  The components do not depend on the visit order, and every pair spanning
     two components is scored, so only which pairs inside a cluster get
     scored changes with it.  Each pair is scored with the threshold as its
     limit, so a pair whose envelope bound rules out a link is not
@@ -286,10 +311,12 @@ def cluster_groups(
         return []
     ordered = sorted(groups, key=lambda g: g.key)
     curves = [build_curve(g.points, resample_points) for g in ordered]
-    # label[i] is the component of group i, members[c] the groups in component c
+    # label[i] is the component of group i, members[c] the groups in component c;
+    # component mirrors label for _candidate_pairs' one comparison per distance
     label = list(range(len(ordered)))
+    component = np.arange(len(ordered))
     members = [[i] for i in label]
-    for i, j in _candidate_pairs(curves, threshold):
+    for i, j in _candidate_pairs(curves, threshold, component):
         if label[i] == label[j]:
             # already joined: single linkage keeps only the components
             continue
@@ -299,6 +326,7 @@ def cluster_groups(
                 into, moved = moved, into
             for k in members[moved]:
                 label[k] = into
+            component[members[moved]] = into
             members[into] += members[moved]
             members[moved] = []
     clusters = []

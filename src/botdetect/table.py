@@ -1,0 +1,198 @@
+"""Flow records stored a column at a time, the form every stage works on.
+
+A :class:`FlowTable` holds one numpy array per :class:`FlowRecord` field:
+addresses as ``uint32``, protocol and TCP state as codes into
+:data:`PROTOS` and :data:`STATES`, counters as ``uint64`` and the payload
+as a code into the table's distinct payloads.  The flow parser fills one
+block by block (:class:`TableBuilder`) and makes no record; windowing,
+filtering, classification, grouping and activity index and reduce its
+columns.  Iterating a table yields the records it holds, and
+:meth:`FlowTable.from_records` builds one from records.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, fields
+from functools import partial
+from ipaddress import IPv4Network
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator
+
+import numpy as np
+
+from .model import FlowRecord, Proto, TcpState
+
+PROTOS = tuple(Proto)
+STATES = tuple(TcpState)
+PROTO_CODE = {p: code for code, p in enumerate(PROTOS)}
+STATE_CODE = {s: code for code, s in enumerate(STATES)}
+
+_new_record = partial(tuple.__new__, FlowRecord)  # FlowRecord(*fields) without a Python call
+
+
+def addresses(texts: list[str]) -> np.ndarray:
+    """The dotted quads ``texts`` as ``uint32`` integers.
+
+    All the octets are parsed in one numpy call; each text must be a
+    dotted quad as ``model._valid_ipv4`` accepts it, as every parsed or
+    validated flow's ``sip`` and ``dip`` is.
+    """
+    octets = np.fromstring(".".join(texts), dtype=np.uint32, sep=".").reshape(-1, 4)
+    return octets[:, 0] << 24 | octets[:, 1] << 16 | octets[:, 2] << 8 | octets[:, 3]
+
+
+def dotted(values: np.ndarray) -> list[str]:
+    """The ``uint32`` addresses ``values`` as dotted quads, each distinct
+    value rendered once."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    texts = [f"{a >> 24}.{a >> 16 & 255}.{a >> 8 & 255}.{a & 255}" for a in distinct.tolist()]
+    return list(map(texts.__getitem__, inverse.tolist()))
+
+
+def inside(values: np.ndarray, networks: Iterable[IPv4Network]) -> np.ndarray:
+    """Whether each ``uint32`` address lies in any of ``networks``: one
+    integer mask per network."""
+    found = np.zeros(len(values), dtype=bool)
+    for network in networks:
+        found |= values & int(network.netmask) == int(network.network_address)
+    return found
+
+
+@dataclass(frozen=True, eq=False)
+class FlowTable:
+    """Flows as columns of equal length, in row order.
+
+    ``payload`` holds each row's index into ``payloads``, the distinct
+    payload prefixes; the other columns are named and ordered as the
+    :class:`FlowRecord` fields.  Indexing with an integer gives one record;
+    with a slice, a boolean mask or an index array it gives a table of
+    those rows (sharing ``payloads``).  A table equals a table, list or tuple
+    of the same records.
+    """
+
+    start_ts: np.ndarray  # float64
+    duration: np.ndarray  # float64
+    proto: np.ndarray  # uint8 index into PROTOS
+    sip: np.ndarray  # uint32
+    sport: np.ndarray  # int32
+    dip: np.ndarray  # uint32
+    dport: np.ndarray  # int32
+    npkts: np.ndarray  # uint64
+    nbytes: np.ndarray  # uint64
+    tcp_state: np.ndarray  # uint8 index into STATES
+    payload: np.ndarray  # int32 index into payloads
+    payloads: tuple[bytes, ...]
+
+    @classmethod
+    def from_records(cls, records: Iterable[FlowRecord]) -> FlowTable:
+        """The table of ``records``, in order; each must be valid
+        (``validate_flow``), as parsed and generated records are."""
+        builder = TableBuilder()
+        builder.add_records(list(records))
+        return builder.build()
+
+    def __len__(self) -> int:
+        return len(self.start_ts)
+
+    def __iter__(self) -> Iterator[FlowRecord]:
+        return map(
+            _new_record,
+            zip(
+                self.start_ts.tolist(),
+                self.duration.tolist(),
+                map(PROTOS.__getitem__, self.proto.tolist()),
+                dotted(self.sip),
+                self.sport.tolist(),
+                dotted(self.dip),
+                self.dport.tolist(),
+                self.npkts.tolist(),
+                self.nbytes.tolist(),
+                map(STATES.__getitem__, self.tcp_state.tolist()),
+                map(self.payloads.__getitem__, self.payload.tolist()),
+            ),
+        )
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            (record,) = self[[index]]
+            return record
+        return FlowTable(*[column[index] for column in _COLUMNS(self)], self.payloads)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (FlowTable, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"FlowTable({list(self)!r})"
+
+
+# every field but payloads, in order
+_COLUMNS = attrgetter(*(f.name for f in fields(FlowTable)[:-1]))
+
+
+def as_table(flows: FlowTable | Iterable[FlowRecord]) -> FlowTable:
+    """``flows`` as a table: a table as it is, records through
+    :meth:`FlowTable.from_records`."""
+    return flows if isinstance(flows, FlowTable) else FlowTable.from_records(flows)
+
+
+class TableBuilder:
+    """A table built a chunk of rows at a time, with one payload index
+    shared by every chunk."""
+
+    def __init__(self) -> None:
+        self._chunks: list[tuple[np.ndarray, ...]] = []
+        self._codes: dict[bytes, int] = {}  # payload -> code, in first-seen order
+
+    def payload_codes(self, values: list, decode=None) -> np.ndarray:
+        """Each row's payload code; ``decode`` (if given) turns a value
+        into its payload bytes, once per distinct value."""
+        codes = self._codes
+        code_of = {
+            value: codes.setdefault(value if decode is None else decode(value), len(codes))
+            for value in dict.fromkeys(values)
+        }
+        return np.fromiter(map(code_of.__getitem__, values), np.int32, len(values))
+
+    def add(self, *columns: np.ndarray) -> None:
+        """Append rows given as the table's columns, ``payload`` as codes
+        from :meth:`payload_codes`."""
+        self._chunks.append(columns)
+
+    def add_records(self, records: list[FlowRecord]) -> None:
+        if not records:
+            return
+        # a column at a time: zip(*records) would make an iterator per record
+        start_ts, duration, proto, sip, sport, dip, dport, npkts, nbytes, state, payload = (
+            list(map(itemgetter(i), records)) for i in range(len(FlowRecord._fields))
+        )
+        self.add(
+            np.array(start_ts, dtype=np.float64),
+            np.array(duration, dtype=np.float64),
+            np.fromiter(map(PROTO_CODE.__getitem__, proto), np.uint8, len(records)),
+            addresses(sip),
+            np.array(sport, dtype=np.int32),
+            addresses(dip),
+            np.array(dport, dtype=np.int32),
+            np.array(npkts, dtype=np.uint64),
+            np.array(nbytes, dtype=np.uint64),
+            np.fromiter(map(STATE_CODE.__getitem__, state), np.uint8, len(records)),
+            self.payload_codes(payload),
+        )
+
+    def build(self) -> FlowTable:
+        if not self._chunks:
+            return FlowTable(*(np.zeros(0, dtype) for dtype in _DTYPES), ())
+        columns = (
+            self._chunks[0] if len(self._chunks) == 1 else map(np.concatenate, zip(*self._chunks))
+        )
+        return FlowTable(*columns, tuple(self._codes))
+
+
+_DTYPES = (
+    np.float64, np.float64, np.uint8, np.uint32, np.int32, np.uint32, np.int32,
+    np.uint64, np.uint64, np.uint8, np.int32,
+)  # fmt: skip

@@ -19,7 +19,7 @@ from botdetect.activity import (
     spam_detect,
     window_activity,
 )
-from botdetect.model import OsdMode, Proto, TcpState, default_config, inside_texts
+from botdetect.model import OsdMode, Proto, TcpState, default_config
 
 from .conftest import make_flow, pooled_flows
 
@@ -302,27 +302,3 @@ class TestWindowActivityOracle:
         want = oracle_window_activity(all_flows, failed_flows, internal, self.LOW)
         assert [type(host) for host in got] == [IPv4Address] * len(want)
         assert list(got.items()) == list(want.items())
-
-
-# dotted quads clustered near the edges of small networks, plus any address
-QUADS = st.one_of(
-    st.integers(0, 2**32 - 1),
-    st.tuples(st.sampled_from((0, 10, 127, 192, 255)), st.integers(0, 255), st.integers(0, 255),
-              st.sampled_from((0, 1, 127, 128, 255))).map(lambda q: int.from_bytes(bytes(q), "big")),
-).map(lambda n: str(IPv4Address(n)))
-
-
-NETWORKS = st.lists(
-    st.tuples(QUADS, st.one_of(st.sampled_from((0, 32)), st.integers(0, 32))).map(
-        lambda pair: IPv4Network(f"{pair[0]}/{pair[1]}", strict=False)
-    ),
-    max_size=3,
-)
-
-
-@given(st.lists(QUADS, max_size=20), NETWORKS)
-def test_inside_texts_is_network_membership(texts, networks):
-    edges = [str(address) for n in networks for address in (n.network_address, n.broadcast_address)]
-    want = {t for t in texts + edges if any(IPv4Address(t) in n for n in networks)}
-    assert inside_texts(texts + edges, networks) == want
-    assert inside_texts([], networks) == set()

@@ -14,7 +14,7 @@ from .conftest import ADDRESS_POOL, make_flow, pooled_flows
 def kept(flows, wl):
     """The flows ``run_filter`` keeps, in input order, and how many it dropped."""
     out = run_filter(flows, wl)
-    return sorted(out.clean + out.failed, key=flows.index), out.whitelisted_count
+    return sorted(list(out.clean) + list(out.failed), key=flows.index), out.whitelisted_count
 
 
 class TestWhitelist:

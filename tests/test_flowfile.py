@@ -217,7 +217,7 @@ def _outcome(parse, data: bytes) -> tuple[str, str]:
     """What ``parse`` makes of ``data``: the records' repr (exact to the
     float bit), or the error's type and message."""
     try:
-        return "records", repr(parse(data))
+        return "records", repr(list(parse(data)))
     except FlowFileError as exc:
         return type(exc).__name__, str(exc)
 
@@ -375,7 +375,7 @@ class TestChunkedParse:
     )
     def test_any_bytes_give_records_or_a_flow_file_error(self, data):
         try:
-            records = parse_flow_file(data)
+            records = list(parse_flow_file(data))
         except FlowFileError:
             return
         assert isinstance(records, list)
@@ -423,10 +423,10 @@ class TestChunkedParse:
         parse_block = flowfile._parse_block
         rows_per_block = []
 
-        def counted(block):
-            records = parse_block(block)
-            rows_per_block.append(len(records or ()))
-            return records
+        def counted(block, table):
+            rows = parse_block(block, table)
+            rows_per_block.append(rows or 0)
+            return rows
 
         with (
             mock.patch.object(flowfile, "_parse_block", counted),

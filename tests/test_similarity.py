@@ -58,6 +58,11 @@ def constant_group(name: str, host: str, level: float) -> FlowGroup:
     return group(name, host, (5.0, level))
 
 
+def _columns(flows) -> tuple[list, list, list]:
+    """The npkts, nbytes and duration columns that batch_features takes."""
+    return [r.npkts for r in flows], [r.nbytes for r in flows], [r.duration for r in flows]
+
+
 class TestFlowFeatures:
     def test_basic_arithmetic(self):
         f = flow_features(make_flow(nbytes=1000, duration=10.0, npkts=4), 0.001)
@@ -75,7 +80,7 @@ class TestFlowFeatures:
         with pytest.raises(ZeroPackets):
             flow_features(make_flow(npkts=0, nbytes=0), 0.001)
         with pytest.raises(ZeroPackets, match="npkts=-1"):  # the first such flow is named
-            batch_features([make_flow(), make_flow(npkts=-1), make_flow(npkts=0)], 0.001)
+            batch_features(*_columns([make_flow(), make_flow(npkts=-1), make_flow(npkts=0)]), 0.001)
 
     def test_matches_one_line_recomputation(self):
         from botdetect.synth import Xorshift64Star
@@ -87,7 +92,7 @@ class TestFlowFeatures:
             npkts = 1 + rng.randint(10**4)
             duration = rng.uniform(0.0, 100.0)
             flows.append(make_flow(nbytes=nbytes, duration=duration, npkts=npkts))
-        batch = batch_features(flows, 0.001)
+        batch = batch_features(*_columns(flows), 0.001)
         assert [type(f) for f in batch] == [FlowFeatures] * len(flows)
         for rec, f in zip(flows, batch):
             assert f == flow_features(rec, 0.001)

@@ -1,0 +1,208 @@
+"""The flow table: records in and out, the address columns, and the bins
+that windowing and IRC grouping take from its ``start_ts`` column."""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import math
+import re
+from collections import Counter
+from ipaddress import IPv4Address, IPv4Network
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from botdetect.filtering import EMPTY_WHITELIST
+from botdetect.flowfile import parse_flow_file, write_flow_file
+from botdetect.model import ConfigError, FlowRecord, Proto, TcpState, default_config
+from botdetect.monitors import group_flows_irc, window_partition
+from botdetect.pipeline import run_detection
+from botdetect.report import report_to_json
+from botdetect.similarity import batch_features
+from botdetect.synth import generate, irc_botnet_scenario, p2p_botnet_scenario
+from botdetect.table import FlowTable, addresses, dotted, inside
+
+from .conftest import make_flow
+
+CFG = default_config()
+INTERNAL = IPv4Network("10.0.0.0/16")
+
+_proto_state = st.one_of(
+    st.tuples(st.just(Proto.TCP), st.sampled_from([TcpState.ESTABLISHED, TcpState.SYN_ONLY, TcpState.RESET])),
+    st.tuples(st.sampled_from([Proto.UDP, Proto.ICMP, Proto.OTHER]), st.just(TcpState.NOT_TCP)),
+)
+_ip = st.integers(0, 2**32 - 1).map(lambda v: str(IPv4Address(v)))
+_counter = st.one_of(st.integers(0, 10), st.integers(0, 2**64 - 1), st.just(2**64 - 1), st.just(2**53 + 1))
+# a few payloads, so that rows share them, and any payload
+_payload = st.one_of(st.sampled_from([b"", b"NICK b\r\n", b"GET / HTTP/1.1"]), st.binary(max_size=64))
+
+
+@st.composite
+def wide_flows(draw) -> FlowRecord:
+    """Any valid flow, counters up to 2**64 - 1."""
+    proto, state = draw(_proto_state)
+    npkts = draw(_counter)
+    return FlowRecord(
+        start_ts=draw(st.floats(min_value=0, max_value=1e12, allow_nan=False)),
+        duration=draw(st.floats(min_value=0, max_value=1e6, allow_nan=False)),
+        proto=proto,
+        sip=draw(_ip),
+        sport=draw(st.integers(0, 65535)),
+        dip=draw(_ip),
+        dport=draw(st.integers(0, 65535)),
+        npkts=npkts,
+        nbytes=draw(_counter) if npkts else 0,
+        tcp_state=state,
+        payload_prefix=draw(_payload),
+    )
+
+
+class TestRecords:
+    @given(st.lists(wide_flows(), max_size=12))
+    def test_from_records_yields_the_records(self, flows):
+        table = FlowTable.from_records(flows)
+        assert len(table) == len(flows)
+        assert list(table) == flows
+        assert [table[i] for i in range(len(flows))] == flows
+
+    @given(st.lists(wide_flows(), max_size=12))
+    def test_parse_of_written_flows_yields_the_records(self, flows):
+        assert list(parse_flow_file(write_flow_file(flows))) == flows
+
+    @given(st.lists(wide_flows(), max_size=12), st.data())
+    def test_rows_of_a_table_are_a_table_of_those_records(self, flows, data):
+        mask = data.draw(st.lists(st.booleans(), min_size=len(flows), max_size=len(flows)))
+        picked = FlowTable.from_records(flows)[mask]
+        assert list(picked) == [rec for rec, keep in zip(flows, mask) if keep]
+
+    def test_record_types_are_the_fields_own(self):
+        (rec,) = FlowTable.from_records([make_flow(npkts=2**64 - 1, nbytes=2**64 - 1)])
+        assert [type(v) for v in rec] == [float, float, Proto, str, int, str, int, int, int, TcpState, bytes]
+        assert rec.npkts == rec.nbytes == 2**64 - 1
+
+    def test_equality_is_by_records(self):
+        flows = [make_flow(sport=1), make_flow(sport=2)]
+        table = FlowTable.from_records(flows)
+        assert table == flows and table == FlowTable.from_records(flows) and table == tuple(flows)
+        assert table != flows[:1] and table != list(reversed(flows))
+        assert FlowTable.from_records([]) == []
+
+
+@given(st.lists(_ip, max_size=20))
+def test_addresses_and_dotted_are_inverse(texts):
+    values = addresses(texts)
+    assert values.tolist() == [int(IPv4Address(t)) for t in texts]
+    assert dotted(values) == texts
+
+
+# dotted quads clustered near the edges of small networks, plus any address
+QUADS = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.tuples(st.sampled_from((0, 10, 127, 192, 255)), st.integers(0, 255), st.integers(0, 255),
+              st.sampled_from((0, 1, 127, 128, 255))).map(lambda q: int.from_bytes(bytes(q), "big")),
+).map(lambda n: str(IPv4Address(n)))
+
+
+NETWORKS = st.lists(
+    st.tuples(QUADS, st.one_of(st.sampled_from((0, 32)), st.integers(0, 32))).map(
+        lambda pair: IPv4Network(f"{pair[0]}/{pair[1]}", strict=False)
+    ),
+    max_size=3,
+)
+
+
+@given(st.lists(QUADS, max_size=20), NETWORKS)
+def test_inside_is_network_membership(texts, networks):
+    edges = [str(address) for n in networks for address in (n.network_address, n.broadcast_address)]
+    want = [any(IPv4Address(t) in n for n in networks) for t in texts + edges]
+    assert inside(addresses(texts + edges), networks).tolist() == want
+    assert inside(addresses([]), networks).tolist() == []
+
+
+# start times and bin widths at the edges of float floor division: zero,
+# subnormals, integers past 2**53, the largest floats, and near multiples
+EDGE_STARTS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 0.1, 59.99999999999999, 60.0, 2.0**53, 2.0**53 + 2, 1e300, 1.7976931348623157e308]),
+    st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+    st.integers(0, 10**6).map(lambda n: n * 0.1),
+)
+EDGE_SECONDS = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 0.1, 0.3, 1.0, 60.0, 21600.0, 1e300]),
+    st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False),
+)
+
+
+def _past_float_range(starts: list[float], seconds: float) -> bool:
+    top = max(starts)
+    return not math.isfinite((top // seconds + 1) * seconds)
+
+
+@given(st.lists(EDGE_STARTS, min_size=1, max_size=12), EDGE_SECONDS)
+def test_windows_are_python_floor_division(starts, seconds):
+    flows = [make_flow(start_ts=t, sport=i) for i, t in enumerate(starts)]
+    if _past_float_range(starts, seconds):
+        with pytest.raises(ConfigError, match="window_seconds"):
+            window_partition(flows, seconds)
+        return
+    got = [(w.index, rec.sport) for w, rows in window_partition(flows, seconds) for rec in rows]
+    # each window's flows in input order, windows ascending
+    want = sorted(((int(t // seconds), i) for i, t in enumerate(starts)), key=lambda pair: pair[0])
+    assert got == want
+    assert all(type(index) is int for index, _ in got)
+
+
+@given(st.lists(EDGE_STARTS, min_size=1, max_size=12), EDGE_SECONDS)
+def test_irc_time_bins_are_python_floor_division(starts, seconds):
+    cfg = dataclasses.replace(CFG, pat_bin_seconds=seconds)
+    flows = [make_flow(start_ts=t) for t in starts]
+    if _past_float_range(starts, seconds):
+        with pytest.raises(ConfigError, match="pat_bin_seconds"):
+            group_flows_irc(flows, cfg)
+        return
+    groups, _ = group_flows_irc(flows, cfg)
+    assert [(g.key.pat_bin, len(g.points)) for g in groups] == sorted(
+        Counter(int(t // seconds) for t in starts).items()
+    )
+
+
+def _shift_windows(report: dict, k: int, cfg) -> dict:
+    """``report`` as it reads when every start_ts is later by k windows."""
+    seconds = k * cfg.window_seconds
+    bins = round(seconds / cfg.pat_bin_seconds)
+    for group in report["groups"]:
+        window = group["window"]
+        window.update(index=window["index"] + k, start=window["start"] + seconds, end=window["end"] + seconds)
+        group["evidence"]["cluster_keys"] = [
+            re.sub(r"@b(\d+)$", lambda m: f"@b{int(m[1]) + bins}", key)
+            for key in group["evidence"]["cluster_keys"]
+        ]
+    return report
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    scenario=st.sampled_from([p2p_botnet_scenario, irc_botnet_scenario]),
+    seed=st.integers(1, 50),
+    k=st.integers(1, 40),
+)
+def test_time_shift_by_whole_windows_moves_only_the_windows(scenario, seed, k):
+    """Shifting every start by k windows shifts each reported window by k
+    (and each IRC time bin with it) and changes nothing else.
+
+    Starts are rounded to 1/1024 s first, so each shifted start, and so
+    its window and time bin, is exact.
+    """
+    flows = [rec._replace(start_ts=round(rec.start_ts * 1024) / 1024) for rec in generate(scenario(seed))[0]]
+    shifted = [rec._replace(start_ts=rec.start_ts + k * CFG.window_seconds) for rec in flows]
+    base = json.loads(report_to_json(run_detection(flows, EMPTY_WHITELIST, INTERNAL, CFG)))
+    moved = json.loads(report_to_json(run_detection(shifted, EMPTY_WHITELIST, INTERNAL, CFG)))
+    assert base["groups"]  # the planted group is reported, so there is something to shift
+    assert moved == _shift_windows(base, k, CFG)
+
+
+@given(st.lists(wide_flows().filter(lambda rec: rec.npkts > 0), max_size=12), st.sampled_from([0.001, 1.0]))
+def test_features_of_table_columns_are_python_division(flows, floor):
+    table = FlowTable.from_records(flows)
+    got = batch_features(table.npkts, table.nbytes, table.duration, floor)
+    assert got == [(rec.nbytes / rec.npkts, rec.nbytes / max(rec.duration, floor)) for rec in flows]
