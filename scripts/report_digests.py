@@ -10,12 +10,14 @@ Runs ``detect``, ``curves --path p2p|irc``, ``scan-score`` and
 one ``sha256  command  input`` line per output.  Each input also gets a
 ``parse`` line, the sha256 of the ``repr`` of its parsed records,
 which pins the fields that no report shows (every ``start_ts`` bit, the
-payload bytes), and a ``scores`` line, the sha256 of the score of every
-pair of groups that ``detect`` clusters, per window and path in canonical
-key order, computed directly with ``build_curve`` and ``curve_similarity``:
-the ``repr`` of its two group keys and the score's float64 bytes.  That
-line pins every bit of the scorer, whichever pairs clustering visits and
-in whatever order.  The workloads are the inputs that exercise the
+payload bytes).  It also gets a ``curves`` and a ``scores`` line, computed
+directly with ``build_curve`` and ``curve_similarity`` from the groups that
+``detect`` clusters, per window and path in canonical key order: the
+sha256 of every curve's xs, ys, floor and peak float64 bytes (the
+``curves`` command prints only 12 significant digits), and of every pair
+of groups' score, with the ``repr`` of its two group keys.  Those lines
+pin every bit of the curves and of the scorer, whichever pairs clustering
+visits and in whatever order.  The workloads are the inputs that exercise the
 whitelist filter, scanners and spammers; ``scan_mix``'s own whitelist is
 empty, so only under ``deep_day``'s rule does the filter meet scanner
 traffic.
@@ -98,25 +100,30 @@ def inputs(work: Path, n_seeds: int):
             yield name, path, whitelist
 
 
-def pair_scores(flows: Path, whitelist: Path | None) -> str:
-    """The sha256 of every pair's score, per window and path of ``detect``'s
-    default config, each pair in canonical key order."""
+def curve_digests(flows: Path, whitelist: Path | None) -> tuple[str, str]:
+    """The sha256 of every curve and of every pair's score, per window and
+    path of ``detect``'s default config, in canonical key order: each
+    curve's xs, ys, floor and peak bytes, and each pair's two keys and
+    score."""
     cfg = default_config()
     records = parse_flow_file(flows.read_bytes())
     if whitelist is None:
         rules = EMPTY_WHITELIST
     else:
         rules = parse_whitelist(whitelist.read_text(encoding="utf-8"))
-    digest = hashlib.sha256()
+    curve_digest, score_digest = hashlib.sha256(), hashlib.sha256()
     for streams in window_streams(records, rules, cfg):
         for path in BotPath:
             groups, _ = group_path(path, streams, cfg)
             ordered = sorted(groups, key=lambda g: g.key)
             curves = [build_curve(g.points, cfg.resample_points) for g in ordered]
+            for curve in curves:
+                curve_digest.update(curve.xs.tobytes() + curve.ys.tobytes())
+                curve_digest.update(struct.pack("<dd", curve.floor, curve.peak))
             for (a, curve_a), (b, curve_b) in combinations(zip(ordered, curves), 2):
-                digest.update(repr((a.key, b.key)).encode())
-                digest.update(struct.pack("<d", curve_similarity(curve_a, curve_b)))
-    return digest.hexdigest()
+                score_digest.update(repr((a.key, b.key)).encode())
+                score_digest.update(struct.pack("<d", curve_similarity(curve_a, curve_b)))
+    return curve_digest.hexdigest(), score_digest.hexdigest()
 
 
 def main() -> int:
@@ -132,7 +139,9 @@ def main() -> int:
                 assert cli([*command, "--flows", str(flows), *extra, "--out", str(out)]) == 0
                 digest = hashlib.sha256(out.read_bytes()).hexdigest()
                 print(f"{digest}  {' '.join(command)}  {name}")
-            print(f"{pair_scores(flows, whitelist)}  scores  {name}")
+            curves, scores = curve_digests(flows, whitelist)
+            print(f"{curves}  curves  {name}")
+            print(f"{scores}  scores  {name}")
     return 0
 
 

@@ -6,7 +6,9 @@ to ``--out`` (``synth`` writes its two files itself and returns None).
 
 Exit codes: 0 success, 2 unreadable/unparsable input (with line
 diagnostics) or an unwritable ``--out`` (checked before any input is read),
-3 bad configuration or scenario spec.
+3 bad configuration or scenario spec.  A flow command reads its config,
+``--internal`` and whitelist before the flow file, so a bad one is
+reported without parsing the flows.
 """
 
 from __future__ import annotations
@@ -72,9 +74,8 @@ def _parse_internal(cidr: str) -> IPv4Network:
 def run_detect(args: argparse.Namespace) -> str:
     cfg = _load_config(args.config)
     internal = _parse_internal(args.internal)
-    flows = _load_flows(args.flows)
     wl = _load_whitelist(args.whitelist)
-    return report_to_json(run_detection(flows, wl, internal, cfg))
+    return report_to_json(run_detection(_load_flows(args.flows), wl, internal, cfg))
 
 
 def run_classify(args: argparse.Namespace) -> str:
@@ -94,9 +95,9 @@ def run_activity_table(
     """One CSV row per internal host per window, ``row`` formatting its activity."""
     cfg = _load_config(args.config)
     internal = _parse_internal(args.internal)
-    flows = _load_flows(args.flows)
+    wl = _load_whitelist(args.whitelist)
     rows = []
-    for streams in window_streams(flows, _load_whitelist(args.whitelist), cfg):
+    for streams in window_streams(_load_flows(args.flows), wl, cfg):
         filtered = streams.filtered
         activity = window_activity(filtered.clean, filtered.failed, internal, cfg)
         rows.extend(
@@ -134,9 +135,9 @@ def run_synth(args: argparse.Namespace) -> None:
 
 def run_curves(args: argparse.Namespace) -> str:
     cfg = _load_config(args.config)
-    flows = _load_flows(args.flows)
+    wl = _load_whitelist(args.whitelist)
     rows = []
-    for streams in window_streams(flows, _load_whitelist(args.whitelist), cfg):
+    for streams in window_streams(_load_flows(args.flows), wl, cfg):
         groups, _ = group_path(BotPath(args.path), streams, cfg)
         for group in groups:
             curve = build_curve(group.points, cfg.resample_points)

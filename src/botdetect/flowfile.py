@@ -40,23 +40,27 @@ _BLOCK_CHARS = 1 << 16
 _LINE_END = re.compile(r"\r\n?|\n")
 
 _PORT = "(?:0|[1-9][0-9]{0,4})"  # up to 5 digits; _parse_block checks <= 65535
-_COUNTER = "(?:0|[1-9][0-9]{0,19})"  # up to 20 digits; _parse_block checks < 2**64
+# Up to 19 digits, so below 10**19 < 2**64: a block holding a larger counter
+# takes the row path, which accepts up to 2**64 - 1.
+_COUNTER = "(?:0|[1-9][0-9]{0,18})"
 # A canonical row with every field in its plainest form (seconds as the
-# writer emits them when six fractional digits hold them).
+# writer emits them when six fractional digits hold them).  The names and
+# the payload are matched loosely: _parse_block checks each distinct
+# (proto, tcp_state) pair and each distinct payload's even length.
 _ROW = re.compile(
     ",".join(
         (
             _PLAIN_SECONDS.pattern,
             _PLAIN_SECONDS.pattern,
-            "(?:" + "|".join(_PROTO_BY_NAME) + ")",
+            "[a-z]+",
             _DOTTED_QUAD.pattern,
             _PORT,
             _DOTTED_QUAD.pattern,
             _PORT,
             _COUNTER,
             _COUNTER,
-            "(?:" + "|".join(_STATE_BY_NAME) + ")",
-            f"(?:[0-9a-f]{{2}}){{0,{PAYLOAD_PREFIX_MAX}}}",
+            "[a-z_]+",
+            f"[0-9a-f]{{0,{2 * PAYLOAD_PREFIX_MAX}}}",
         )
     )
 )
@@ -196,26 +200,28 @@ def _parse_block(block: str, table: TableBuilder) -> int | None:
     n = len(start_ts)
     start_ts = np.fromiter(map(float, start_ts), np.float64, n)
     duration = np.fromiter(map(float, duration), np.float64, n)
-    # _PORT's five digits parse exactly as int32 in one numpy call
+    # _PORT's five digits parse exactly as int32, and _COUNTER's nineteen
+    # as uint64, in one numpy call a column
     sport = np.fromstring(",".join(sport), dtype=np.int32, sep=",")
     dport = np.fromstring(",".join(dport), dtype=np.int32, sep=",")
-    npkts = list(map(int, npkts))
-    nbytes = list(map(int, nbytes))
-    # validate_flow's invariants that _ROW cannot express; digit-only
-    # seconds are finite unless they overflow to inf
+    npkts = np.fromstring(",".join(npkts), dtype=np.uint64, sep=",")
+    nbytes = np.fromstring(",".join(nbytes), dtype=np.uint64, sep=",")
+    # validate_flow's invariants that _ROW cannot express, the names among
+    # them; digit-only seconds are finite unless they overflow to inf
     if not (
         np.isfinite(start_ts).all()
         and np.isfinite(duration).all()
         and sport.max() <= 65535
         and dport.max() <= 65535
-        and max(npkts) < 2**64
-        and max(nbytes) < 2**64
         and {*zip(proto, state)} <= _VALID_PAIRS
+        and not (nbytes[npkts == 0] != 0).any()
     ):
         return None
-    npkts = np.array(npkts, dtype=np.uint64)
-    nbytes = np.array(nbytes, dtype=np.uint64)
-    if (nbytes[npkts == 0] != 0).any():
+    # each distinct payload decoded before any is added to the table:
+    # fromhex refuses an odd number of digits
+    try:
+        payloads = {text: bytes.fromhex(text) for text in dict.fromkeys(payload)}
+    except ValueError:
         return None
     table.add(
         start_ts,
@@ -228,7 +234,7 @@ def _parse_block(block: str, table: TableBuilder) -> int | None:
         npkts,
         nbytes,
         np.fromiter(map(_STATE_CODE.__getitem__, state), np.uint8, n),
-        table.payload_codes(payload, bytes.fromhex),
+        table.payload_codes(payload, payloads.__getitem__),
     )
     return n
 

@@ -48,10 +48,11 @@ def _bins(start_ts: np.ndarray, seconds: float, name: str) -> np.ndarray:
     return np.floor_divide(start_ts, seconds)
 
 
-def _runs(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The rows in key order (``keys[0]`` first, ties in row order) and the
-    start of each run of equal keys in that order, then the row count."""
-    order = np.lexsort(keys[::-1])
+def _runs(keys: list[np.ndarray], ties: tuple[np.ndarray, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """The rows in key order (``keys[0]`` first, then the ``ties`` columns
+    in turn, remaining ties in row order) and the start of each run of
+    equal ``keys`` in that order, then the row count."""
+    order = np.lexsort([*keys, *ties][::-1])
     changed = np.zeros(len(order), dtype=bool)
     changed[:1] = True
     for key in keys:
@@ -127,18 +128,19 @@ def _collect_groups(
     # key_columns are the groupable rows' key columns in key_type's field
     # order: sip and dip as uint32, the other fields as ints or float bins,
     # proto last as its code; addresses become IPv4Address and the code
-    # Proto.value once per group, and the groups come in numeric key order
-    order, starts = _runs(key_columns)
-    features = batch_features(
-        table.npkts[order], table.nbytes[order], table.duration[order], duration_floor
-    )
+    # Proto.value once per group, and the groups come in numeric key order,
+    # each group's points sorted by nbpp, then nbps
+    nbpp, nbps = batch_features(table.npkts, table.nbytes, table.duration, duration_floor)
+    order, starts = _runs(key_columns, (nbpp, nbps))
+    points = np.column_stack((nbpp[order], nbps[order]))
+    points.flags.writeable = False
     firsts = order[starts[:-1]]
     sips, dips, *rest, protos = (column[firsts].tolist() for column in key_columns)
     address = {value: IPv4Address(value) for value in {*sips, *dips}}
     return [
         FlowGroup(
             key_type(address[sip], address[dip], *map(int, fields), PROTOS[proto].value),
-            tuple(features[start:stop]),
+            points[start:stop],
         )
         for sip, dip, *fields, proto, start, stop in zip(
             sips, dips, *rest, protos, starts[:-1].tolist(), starts[1:].tolist()

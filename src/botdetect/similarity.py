@@ -23,9 +23,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, reduce
 from ipaddress import IPv4Address
-from operator import truediv
+from operator import add, truediv
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -56,14 +56,12 @@ class FlowFeatures(NamedTuple):
     nbps: float
 
 
-_new_features = partial(tuple.__new__, FlowFeatures)  # FlowFeatures(*fields) without a Python call
-
-
 def batch_features(
     npkts: Sequence[int], nbytes: Sequence[int], duration: Sequence[float], duration_floor: float
-) -> list[FlowFeatures]:
-    """Each flow's features from its columns, in order, computed a column
-    at a time: nbps = nbytes / max(duration, floor); nbpp = nbytes / npkts.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each flow's features as two float64 columns, nbpp and nbps, in
+    order, computed a column at a time: nbps = nbytes / max(duration,
+    floor); nbpp = nbytes / npkts.
 
     Each quotient is Python's ``int / int`` or ``int / float``: a counter
     below 2**53 converts to float64 exactly, so one float64 division gives
@@ -84,24 +82,26 @@ def batch_features(
         exact_bytes = nbytes[large].tolist()
         nbps[large] = list(map(truediv, exact_bytes, seconds[large].tolist()))
         nbpp[large] = list(map(truediv, exact_bytes, npkts[large].tolist()))
-    return list(map(_new_features, zip(nbpp.tolist(), nbps.tolist())))
+    return nbpp, nbps
 
 
 def flow_features(rec: FlowRecord, duration_floor: float) -> FlowFeatures:
     """One flow's features: the one-row case of :func:`batch_features`."""
-    return batch_features([rec.npkts], [rec.nbytes], [rec.duration], duration_floor)[0]
+    nbpp, nbps = batch_features([rec.npkts], [rec.nbytes], [rec.duration], duration_floor)
+    return FlowFeatures(nbpp.item(), nbps.item())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowGroup:
     """Feature points of all flows sharing one grouping key.
 
     The key is a tuple whose field order is its canonical sort order, and
-    whose ``sip`` is the group's one host.
+    whose ``sip`` is the group's one host.  ``points`` is a read-only
+    ``(k, 2)`` float64 array of (nbpp, nbps) rows sorted by nbpp, then nbps.
     """
 
     key: tuple
-    points: tuple[FlowFeatures, ...]
+    points: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,36 +128,43 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def build_curve(points: list[FlowFeatures] | tuple[FlowFeatures, ...], resample_points: int) -> Curve:
-    """Build a curve from feature points.
+def build_curve(points: np.ndarray | Sequence[FlowFeatures], resample_points: int) -> Curve:
+    """Build a curve from feature points: a ``(k, 2)`` array of (nbpp,
+    nbps) rows or a sequence of :class:`FlowFeatures`, in any order.
 
-    Points are sorted by nbpp; points sharing an nbpp value are replaced by
-    their mean nbps.  With two or more distinct nbpp values the polyline is
-    resampled at ``resample_points`` evenly spaced positions across
-    [min nbpp, max nbpp]; with exactly one it degenerates to a constant.
+    Points are sorted by nbpp, then nbps; points sharing an nbpp value are
+    replaced by their mean nbps, summed left to right in that order.  With
+    two or more distinct nbpp values the polyline is resampled at
+    ``resample_points`` evenly spaced positions across [min nbpp, max
+    nbpp]; with exactly one it degenerates to a constant.
     """
-    if not points:
+    if not len(points):
         raise EmptyGroup("cannot build a curve from zero points")
-    ordered = sorted(points)
-    xs: list[float] = []
-    ys: list[float] = []
-    i = 0
-    while i < len(ordered):
-        j = i
-        total = 0.0
-        while j < len(ordered) and ordered[j].nbpp == ordered[i].nbpp:
-            total += ordered[j].nbps
-            j += 1
-        xs.append(ordered[i].nbpp)
-        ys.append(total / (j - i))
-        i = j
-    lo, hi = xs[0], xs[-1]
+    points = np.asarray(points, dtype=np.float64)
+    nbpp, nbps = points[:, 0], points[:, 1]
+    order = np.lexsort((nbps, nbpp))
+    nbpp, nbps = nbpp[order], nbps[order]
+    k = len(nbpp)
+    # a one-point run's mean is 0.0 + y, which is y + 0.0 (-0.0 included);
+    # a longer run's nbps are added in Python, in order, as the mean was
+    # always taken: np.add.reduce sums pairwise, so its bits may differ
+    ends = (nbpp[1:] != nbpp[:-1]).nonzero()[0]  # the last point of each run but the last
+    if len(ends) == k - 1:
+        xs, ys = nbpp, nbps + 0.0
+    else:
+        bounds = [0, *(ends + 1).tolist(), k]
+        xs, ys = nbpp[bounds[:-1]], nbps[bounds[:-1]] + 0.0
+        values = nbps.tolist()
+        for run, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            if stop - start > 1:
+                ys[run] = reduce(add, values[start:stop], 0.0) / (stop - start)
+    lo, hi = float(xs[0]), float(xs[-1])
     if len(xs) == 1:
         sample_xs = np.full(resample_points, lo)
         sample_ys = np.full(resample_points, ys[0])
     else:
         sample_xs = _linspace(lo, hi, resample_points)
-        sample_ys = np.interp(sample_xs, np.asarray(xs), np.asarray(ys))
+        sample_ys = np.interp(sample_xs, xs, ys)
     return Curve(
         xs=_readonly(sample_xs),
         ys=_readonly(sample_ys),

@@ -10,6 +10,8 @@ from botdetect.activity import (
     AllZero,
     FailedCounts,
     HostActivity,
+    ScanScores,
+    SpamReport,
     count_failed,
     entropy_norm,
     isd_score,
@@ -260,9 +262,16 @@ class TestWindowActivity:
         )
 
 
+def _failed_counts(failed, hs_ports) -> FailedCounts:
+    """Failed flows to a high-severity ``(proto, dport)`` and to any other."""
+    severe = sum((rec.proto, rec.dport) in hs_ports for rec in failed)
+    return FailedCounts(fhs=severe, fls=len(failed) - severe)
+
+
 def oracle_window_activity(all_flows, failed_flows, internal, cfg) -> dict:
     """Reference ``window_activity``: both addresses of every flow are parsed
-    and tested against ``internal``."""
+    and tested against ``internal``, and every count is made from the
+    records in plain Python; only the scalar score helpers are shared."""
     outbound, outbound_failed, inbound_failed = {}, {}, {}
     for rec in all_flows:
         sip = IPv4Address(rec.sip)
@@ -277,12 +286,28 @@ def oracle_window_activity(all_flows, failed_flows, internal, cfg) -> dict:
             inbound_failed.setdefault(dip, []).append(rec)
     activity = {}
     for host in sorted(set(outbound) | set(outbound_failed) | set(inbound_failed)):
-        clean = outbound.get(host, [])
-        inbound_fc = count_failed(inbound_failed.get(host, []), cfg.hs_ports)
-        isd_s = isd_score(inbound_fc, cfg.w1, cfg.w2)
+        clean, failed = outbound.get(host, []), outbound_failed.get(host, [])
+        attempts = clean + failed
+        per_target: dict[str, int] = {}
+        for rec in attempts:
+            per_target[rec.dip] = per_target.get(rec.dip, 0) + 1
+        scans, m = len(attempts), len(per_target)
+        s1 = m / (cfg.window_seconds / 60.0)
+        s2 = osd_s2(_failed_counts(failed, cfg.hs_ports), cfg.w1, cfg.w2, scans)
+        s3 = entropy_norm(list(per_target.values())) if scans else 0.0
+        smtp = [rec for rec in clean if rec.proto is Proto.TCP and rec.dport in (25, 587)]
+        servers = len({rec.dip for rec in smtp})
+        isd_s = isd_score(_failed_counts(inbound_failed.get(host, []), cfg.hs_ports), cfg.w1, cfg.w2)
         activity[host] = HostActivity(
-            scores=osd_scores(clean, outbound_failed.get(host, []), cfg),
-            spam=spam_detect(clean, cfg),
+            scores=ScanScores(
+                s1=s1, s2=s2, s3=s3, scans=scans, targets=m,
+                flagged=scans >= cfg.osd_min_scans and osd_vote(s1, s2, s3, cfg),
+            ),
+            spam=SpamReport(
+                smtp_flows=len(smtp),
+                distinct_servers=servers,
+                flagged=servers >= cfg.spam_distinct_servers or len(smtp) >= cfg.spam_total_flows,
+            ),
             isd_s=isd_s,
             isd_flagged=isd_s >= cfg.isd_threshold,
         )

@@ -213,13 +213,17 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", "error: similarity_threshold must be in [0, 1]\n")
 
     @pytest.mark.parametrize("output", ["detect", "scan-score", "spam-score", "curves.p2p"])
-    def test_bad_whitelist_exits_two(self, tmp_path, capsys, s1_flows, output):
+    def test_bad_whitelist_exits_two(self, tmp_path, capsys, monkeypatch, s1_flows, output):
+        # the whitelist is read before the flow file, which is never parsed
+        parsed = []
+        monkeypatch.setattr(cli, "parse_flow_file", parsed.append)
         wl = tmp_path / "bad.wl"
         wl.write_text("8.8.8.0/24\nnot-a-cidr\n")
         argv = [*FLOW_COMMANDS[output], "--flows", str(s1_flows), "--whitelist", str(wl)]
         assert main(argv) == 2
         err = "error: line 2: not an IPv4 address or CIDR: 'not-a-cidr'\n"
         assert capsys.readouterr() == ("", err)
+        assert parsed == []
 
     @pytest.mark.parametrize("option", ["--whitelist", "--config", "--spec"])
     def test_non_utf8_input_exits_two(self, tmp_path, capsys, s1_flows, option):

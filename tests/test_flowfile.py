@@ -21,6 +21,7 @@ from botdetect.flowfile import (
     write_flow_file,
 )
 from botdetect.model import FlowRecord, Proto, TcpState
+from botdetect.table import TableBuilder
 
 from .conftest import make_flow
 
@@ -409,10 +410,12 @@ class TestChunkedParse:
         assert data.index(b",1e-07,") > _BLOCK_CHARS
         assert parse_flow_file(data) == flows
 
-    @pytest.mark.parametrize("form", ["LF", "CRLF", "CR", "comment first"])
+    @pytest.mark.parametrize("form", ["LF", "CRLF", "CR", "comment first", "19-digit counters"])
     def test_every_row_of_a_written_file_comes_out_of_the_block_parse(self, form):
         flows = [make_flow(start_ts=i * 0.5, sport=1024 + i, payload=b"NICK x\r\n" * (i % 2))
                  for i in range(3 * _ROWS_PER_BLOCK)]
+        if form == "19-digit counters":  # the largest that _COUNTER matches
+            flows = [rec._replace(npkts=10**19 - 1 - i, nbytes=10**19 - 1) for i, rec in enumerate(flows)]
         text = write_flow_file(flows).decode()
         if form == "CRLF":
             text = text.replace("\n", "\r\n")
@@ -435,6 +438,28 @@ class TestChunkedParse:
             assert parse_flow_file(text.encode()) == flows
         assert len(rows_per_block) >= 3
         assert sum(rows_per_block) == len(flows)
+
+    @pytest.mark.parametrize(
+        "row, outcome",
+        [
+            pytest.param(_BASE_ROW.replace(",1,10,", f",{2**64 - 1},{2**64 - 1},"), "records",
+                         id="2**64-1 counters"),
+            pytest.param(_BASE_ROW.replace(",udp,", ",sctp,"), "MalformedRow", id="unknown proto"),
+            pytest.param(_BASE_ROW.replace(",not_tcp,", ",closed,"), "MalformedRow", id="unknown tcp_state"),
+            pytest.param(_BASE_ROW.replace(",not_tcp,", ",established,"), "MalformedRow",
+                         id="udp established"),
+            pytest.param(_BASE_ROW + "abc", "MalformedRow", id="odd-length payload"),
+        ],
+    )
+    def test_a_refused_block_adds_nothing_and_takes_the_row_path(self, row, outcome):
+        # the first row's payload would be the table's first
+        data = _file("0,0,tcp,1.2.3.4,1,5.6.7.8,2,1,10,established,4e49434b", row)
+        table = TableBuilder()
+        assert flowfile._parse_block(data.decode().split("\n", 1)[1], table) is None
+        assert len(table.build()) == 0 and table.build().payloads == ()
+        got = _outcome(parse_flow_file, data)
+        assert got == _outcome(_row_by_row, data)
+        assert got[0] == outcome
 
     @pytest.mark.parametrize("newline", ["\n", "\r"], ids=["LF", "CR"])
     def test_transient_memory_is_bounded_by_the_chunk(self, newline):

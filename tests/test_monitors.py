@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from ipaddress import IPv4Address
 
+import numpy as np
 from hypothesis import given, strategies as st
 
 from botdetect.filtering import EMPTY_WHITELIST
@@ -89,9 +90,8 @@ class TestP2PGrouping:
         flows = [make_flow(sport=i, nbytes=100 * (i + 1)) for i in range(6)]
         a, _ = group_flows_p2p(flows, CFG.duration_floor)
         b, _ = group_flows_p2p(list(reversed(flows)), CFG.duration_floor)
-        assert sorted(a[0].points, key=lambda p: (p.nbpp, p.nbps)) == sorted(
-            b[0].points, key=lambda p: (p.nbpp, p.nbps)
-        )
+        # each group's points come sorted by nbpp, then nbps
+        assert a[0].points.tolist() == b[0].points.tolist() == sorted(a[0].points.tolist())
 
 
 class TestIRCGrouping:
@@ -117,7 +117,7 @@ class TestIRCGrouping:
         established = [f for f in flows if f.npkts >= 1 and f.proto in (Proto.TCP, Proto.UDP)]
         irc_groups, _ = group_flows_irc(established, CFG)
         p2p_groups, _ = group_flows_p2p(established, CFG.duration_floor)
-        p2p_points = {g.key: sorted((p.nbpp, p.nbps) for p in g.points) for g in p2p_groups}
+        p2p_points = {g.key: g.points.tolist() for g in p2p_groups}
         for g in irc_groups:
             projected = (g.key.sip, g.key.dip, g.key.dport, g.key.proto)
             matches = [
@@ -125,8 +125,8 @@ class TestIRCGrouping:
             ]
             assert len(matches) == 1
             coarse = p2p_points[matches[0]]
-            for point in g.points:
-                assert (point.nbpp, point.nbps) in coarse
+            for point in g.points.tolist():
+                assert point in coarse
 
 
 class TestCanonicalOrder:
@@ -184,7 +184,10 @@ def oracle_groups(flows, key_fn, duration_floor: float) -> GroupingResult:
             skipped += 1
             continue
         points.setdefault(key_fn(rec), []).append(flow_features(rec, duration_floor))
-    groups = [FlowGroup(key, tuple(points[key])) for key in sorted(points)]
+    groups = [
+        FlowGroup(key, np.array(sorted(points[key]), dtype=np.float64).reshape(-1, 2))
+        for key in sorted(points)
+    ]
     return GroupingResult(groups=groups, skipped=skipped)
 
 
@@ -209,8 +212,9 @@ def oracle_irc_key(rec) -> IRCGroupKey:
 
 
 def typed(result: GroupingResult) -> list:
-    """Each group with its key's type, which plain tuple equality ignores."""
-    return [(type(g.key), g.key, g.points) for g in result.groups]
+    """Each group with its key's type, which plain tuple equality ignores,
+    and its points as (nbpp, nbps) lists."""
+    return [(type(g.key), g.key, g.points.tolist()) for g in result.groups]
 
 
 class TestGroupingOracle:

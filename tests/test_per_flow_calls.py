@@ -22,6 +22,7 @@ from botdetect.filtering import Whitelist, run_filter
 from botdetect.flowfile import _BLOCK_CHARS, parse_flow_file, write_flow_file
 from botdetect.model import default_config
 from botdetect.monitors import group_flows_irc, group_flows_p2p
+from botdetect.similarity import build_curve
 from botdetect.synth import PlantedGroup, PlantedKind, ScenarioSpec, generate
 
 INTERNAL = IPv4Network("10.0.0.0/16")
@@ -76,6 +77,12 @@ def python_calls(fn, *args) -> int:
     return calls
 
 
+def group_curves(flows) -> list:
+    """The P2P groups of ``flows`` and the curve of each."""
+    groups, _ = group_flows_p2p(flows, CFG.duration_floor)
+    return [build_curve(group.points, CFG.resample_points) for group in groups]
+
+
 def test_the_input_exercises_every_stage():
     assert 200 <= len(FLOWS) <= 400
     assert FILTERED.failed and IRC and OTHER
@@ -92,6 +99,8 @@ def test_the_input_exercises_every_stage():
         pytest.param(partition_by_label, lambda k: (list(FILTERED.clean) * k,), id="partition_by_label"),
         pytest.param(group_flows_p2p, lambda k: (list(OTHER) * k, CFG.duration_floor), id="group_flows_p2p"),
         pytest.param(group_flows_irc, lambda k: (list(IRC) * k, CFG), id="group_flows_irc"),
+        # k flows per group, then 3k: each equal-nbpp run of the curves triples
+        pytest.param(group_curves, lambda k: (list(OTHER) * k,), id="group_flows_p2p+build_curve"),
         pytest.param(
             window_activity,
             lambda k: (list(FILTERED.clean) * k, list(FILTERED.failed) * k, INTERNAL, CFG),

@@ -59,8 +59,10 @@ def test_report_digests_cover_every_command_and_input(monkeypatch, capsys):
     inputs = {name for _, _, name in lines}
     assert len(inputs) == 9 and "p2p_botnet_scenario(1)" in inputs
     assert {"deep_day(1)", "scan_mix(1)", "scan_mix(1) under deep_day whitelist"} <= inputs
-    # + one parse and one scores line each
-    assert len(lines) == len(inputs) * (len(digests.COMMANDS) + 2)
+    # + one parse, one curves and one scores line each
+    kinds = [" ".join(command) for command in digests.COMMANDS] + ["parse", "curves", "scores"]
+    assert {command for _, command, _ in lines} == set(kinds)
+    assert len(lines) == len(inputs) * len(kinds)
     detect = {name: digest for digest, command, name in lines if command.startswith("detect")}
     for scenario, pins in REPORT_SHA256.items():
         assert detect[f"scenarios/{scenario}.spec"] == pins["detect"]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import random
 import struct
 import sys
 from ipaddress import IPv4Address
@@ -11,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import Phase, find, given, settings, strategies as st
+from hypothesis import Phase, example, find, given, settings, strategies as st
 
 from botdetect import similarity
 from botdetect.filtering import EMPTY_WHITELIST, parse_whitelist
@@ -92,9 +93,10 @@ class TestFlowFeatures:
             npkts = 1 + rng.randint(10**4)
             duration = rng.uniform(0.0, 100.0)
             flows.append(make_flow(nbytes=nbytes, duration=duration, npkts=npkts))
-        batch = batch_features(*_columns(flows), 0.001)
-        assert [type(f) for f in batch] == [FlowFeatures] * len(flows)
-        for rec, f in zip(flows, batch):
+        nbpp, nbps = batch_features(*_columns(flows), 0.001)
+        assert nbpp.dtype == nbps.dtype == np.float64
+        assert len(nbpp) == len(nbps) == len(flows)
+        for rec, f in zip(flows, map(FlowFeatures, nbpp.tolist(), nbps.tolist())):
             assert f == flow_features(rec, 0.001)
             assert f.nbps == rec.nbytes / max(rec.duration, 0.001)
             assert f.nbpp == rec.nbytes / rec.npkts
@@ -138,6 +140,35 @@ class TestBuildCurve:
         b = build_curve(list(reversed(pts)), 8)
         assert tuple(a.xs) == tuple(b.xs) and tuple(a.ys) == tuple(b.ys)
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from((0.0, 1.0, 2.5, 1e300)),
+                st.one_of(st.sampled_from((0.0, -0.0, math.nan)), st.floats(-1e9, 1e9), st.floats(0, 1e-300)),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.randoms(use_true_random=False),
+        st.sampled_from((2, 3, 32)),
+    )
+    # np.add.reduce sums ten 0.1s to 1.0 (in eight lanes), not to
+    # 0.9999999999999999; two -0.0s average to 0.0 only when summed from 0.0;
+    # 1e16, 1.0 and 1.0 sum to 1e16 + 2 only in ascending order
+    @example(pts=[(1.0, 0.1)] * 10 + [(2.5, 3.0)], rng=random.Random(0), r=32)
+    @example(pts=[(1.0, -0.0), (1.0, -0.0), (2.5, 3.0)], rng=random.Random(0), r=3)
+    @example(pts=[(1.0, 1e16), (1.0, 1.0), (1.0, 1.0), (2.5, 3.0)], rng=random.Random(0), r=3)
+    def test_array_and_features_give_the_same_bits(self, pts, rng, r):
+        """A ``(k, 2)`` array in any row order gives the curve of the same
+        points as FlowFeatures, and both give the per-point loop's curve:
+        equal-nbpp runs averaged from 0.0, summed in (nbpp, nbps) order."""
+        rows = list(pts)
+        rng.shuffle(rows)
+        got = build_curve(np.array(rows, dtype=np.float64).reshape(-1, 2), r)
+        want = build_curve([FlowFeatures(nbpp=x, nbps=y) for x, y in pts], r)
+        assert _curve_bits(got) == _curve_bits(want)
+        assert _curve_bits(got) == _curve_bits(_per_point_curve(pts, r))
+
 
 def reference_similarity(a, b):
     """``curve_similarity`` as first written, on ``np.linspace`` and ``np.mean``:
@@ -167,6 +198,41 @@ def reference_similarity(a, b):
 X_VALUES = st.one_of(
     st.floats(0, 1e4), st.floats(0, 1e15), st.sampled_from((0.0, 5e-324, 1e-320, 2.2e-308))
 )
+def _curve_bits(curve) -> tuple:
+    """Every field of a curve, floats as their bytes."""
+    return (
+        curve.xs.tobytes(),
+        curve.ys.tobytes(),
+        struct.pack("<4d", *curve.x_range, curve.floor, curve.peak),
+        curve.degenerate,
+    )
+
+
+def _per_point_curve(pts: list[tuple[float, float]], r: int) -> similarity.Curve:
+    """The reference curve: points sorted as Python tuples, each equal-nbpp
+    run's nbps added in turn from 0.0 and divided by its length."""
+    ordered = sorted(pts)
+    xs, ys = [], []
+    i = 0
+    while i < len(ordered):
+        j, total = i, 0.0
+        while j < len(ordered) and ordered[j][0] == ordered[i][0]:
+            total += ordered[j][1]
+            j += 1
+        xs.append(ordered[i][0])
+        ys.append(total / (j - i))
+        i = j
+    lo, hi = xs[0], xs[-1]
+    if len(xs) == 1:
+        sample_xs, sample_ys = np.full(r, lo), np.full(r, ys[0])
+    else:
+        sample_xs = np.linspace(lo, hi, r)
+        sample_ys = np.interp(sample_xs, xs, ys)
+    return similarity.Curve(
+        sample_xs, sample_ys, (lo, hi), lo == hi, float(np.min(sample_ys)), float(np.max(sample_ys))
+    )
+
+
 # tiny nbps values keep the slopes over subnormal spans finite
 Y_VALUES = st.one_of(st.just(0.0), st.floats(0, 1e9), st.floats(0, 1e-300))
 

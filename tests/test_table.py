@@ -204,5 +204,6 @@ def test_time_shift_by_whole_windows_moves_only_the_windows(scenario, seed, k):
 @given(st.lists(wide_flows().filter(lambda rec: rec.npkts > 0), max_size=12), st.sampled_from([0.001, 1.0]))
 def test_features_of_table_columns_are_python_division(flows, floor):
     table = FlowTable.from_records(flows)
-    got = batch_features(table.npkts, table.nbytes, table.duration, floor)
-    assert got == [(rec.nbytes / rec.npkts, rec.nbytes / max(rec.duration, floor)) for rec in flows]
+    nbpp, nbps = batch_features(table.npkts, table.nbytes, table.duration, floor)
+    assert nbpp.tolist() == [rec.nbytes / rec.npkts for rec in flows]
+    assert nbps.tolist() == [rec.nbytes / max(rec.duration, floor) for rec in flows]
