@@ -30,6 +30,12 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+try:
+    # the compiled function np.interp calls for real input, without its wrapper
+    from numpy._core.multiarray import interp as _interp
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import interp as _interp
+
 from .model import FlowRecord
 
 
@@ -164,7 +170,7 @@ def build_curve(points: np.ndarray | Sequence[FlowFeatures], resample_points: in
         sample_ys = np.full(resample_points, ys[0])
     else:
         sample_xs = _linspace(lo, hi, resample_points)
-        sample_ys = np.interp(sample_xs, xs, ys)
+        sample_ys = _interp(sample_xs, xs, ys)
     return Curve(
         xs=_readonly(sample_xs),
         ys=_readonly(sample_ys),
@@ -194,41 +200,49 @@ def curve_similarity(a: Curve, b: Curve, at_least: float = -math.inf) -> float:
     r = len(a.ys)
     if len(b.ys) != r:
         raise MismatchedR(f"curves resampled at different resolutions: {r} vs {len(b.ys)}")
+    # each field is read once; a conditional expression picks what max/min
+    # would (the first argument unless the second is larger/smaller), nan included
+    range_a, range_b = a.x_range, b.x_range
     if a.degenerate:
-        lo, hi = (0.0, 0.0) if b.degenerate else b.x_range
+        lo, hi = (0.0, 0.0) if b.degenerate else range_b
     elif b.degenerate:
-        lo, hi = a.x_range
+        lo, hi = range_a
     else:
-        lo = max(a.x_range[0], b.x_range[0])
-        hi = min(a.x_range[1], b.x_range[1])
+        lo_a, hi_a = range_a
+        lo_b, hi_b = range_b
+        lo = lo_b if lo_b > lo_a else lo_a
+        hi = hi_b if hi_b < hi_a else hi_a
         if hi < lo:
             return 0.0
     # a curve with a nan sample has a nan floor, so such a pair takes the exact path
-    top = max(a.peak, b.peak)
-    if _SMALLEST_NORMAL <= top <= _LARGEST and a.floor >= 0.0 and b.floor >= 0.0:
-        bound = 1.0 - max(a.floor - b.peak, b.floor - a.peak) / top
+    peak_a, peak_b, floor_a, floor_b = a.peak, b.peak, a.floor, b.floor
+    top = peak_b if peak_b > peak_a else peak_a
+    if _SMALLEST_NORMAL <= top <= _LARGEST and floor_a >= 0.0 and floor_b >= 0.0:
+        gap_a, gap_b = floor_a - peak_b, floor_b - peak_a
+        bound = 1.0 - (gap_b if gap_b > gap_a else gap_a) / top
         if bound < at_least - 1e-9:
             return bound
     # A side scored on its own range keeps its samples: _linspace rebuilds
-    # its xs bit for bit, np.interp returns fp[j] where x == xp[j], and a
+    # its xs bit for bit, interp returns fp[j] where x == xp[j], and a
     # degenerate curve's ys is already its constant.  When only one side
     # keeps its samples it is not degenerate (a degenerate side is scored on
     # the other's range), so its xs are the positions at which the other is
-    # resampled.
-    own_a = a.degenerate or a.x_range == (lo, hi)
-    own_b = b.degenerate or b.x_range == (lo, hi)
+    # resampled.  _interp is np.interp's own compiled function, so it gives
+    # np.interp's bits for these float64 arrays.
+    own_a = a.degenerate or range_a == (lo, hi)
+    own_b = b.degenerate or range_b == (lo, hi)
     positions = a.xs if own_a else b.xs if own_b else _linspace(lo, hi, r)
     if own_a:
-        ya, peak_a = a.ys, a.peak
+        ya = a.ys
     else:
-        ya = np.interp(positions, a.xs, a.ys)
+        ya = _interp(positions, a.xs, a.ys)
         peak_a = np.maximum.reduce(ya)
     if own_b:
-        yb, peak_b = b.ys, b.peak
+        yb = b.ys
     else:
-        yb = np.interp(positions, b.xs, b.ys)
+        yb = _interp(positions, b.xs, b.ys)
         peak_b = np.maximum.reduce(yb)
-    peak = float(max(peak_a, peak_b))
+    peak = float(peak_b if peak_b > peak_a else peak_a)
     if peak == 0.0:
         return 1.0
     # the same pairwise sum and division as np.mean, without its dispatch
@@ -266,6 +280,11 @@ class SimilarityCluster:
     hosts: tuple[IPv4Address, ...]
 
 
+# the most pairs _candidate_pairs builds in one numpy pass, unless one rank
+# distance alone holds more; it bounds the walk's transient memory
+_BLOCK_PAIRS = 4096
+
+
 def _candidate_pairs(
     curves: list[Curve], threshold: float, component: np.ndarray | None = None
 ) -> Iterator[tuple[int, int]]:
@@ -275,23 +294,40 @@ def _candidate_pairs(
     0 and cannot link, so a pair is a candidate only if its ranges overlap.
     A degenerate curve reaches every range, and at a threshold of 0 or less
     every curve does.  The curves are ranked once by floor, then by peak
-    (nan last), and the pairs come by rank distance 1, 2, ..., so only one
-    distance's pairs are held at a time.
+    (nan last), and the pairs come by rank distance 1, 2, ..., then by rank
+    position.  They are built a block of consecutive distances at a time,
+    at most ``_BLOCK_PAIRS`` pairs (or one distance's, if more), so the
+    memory held is linear in the curves.
 
     ``component`` holds each curve's component label (by default each its
     own), and the caller may relabel as it links: a pair whose curves share
-    a label when its rank distance comes up is dropped there, with one
-    comparison for the whole distance.
+    a label when its block is built is dropped there, with one comparison
+    for the whole block.  Pairs joined later in the block still come, so a
+    caller that skips joined pairs checks the labels itself.
     """
     spans = [(-np.inf, np.inf) if c.degenerate or threshold <= 0.0 else c.x_range for c in curves]
     lows, highs = np.array(spans, dtype=np.float64).reshape(-1, 2).T
     rank = np.lexsort(([c.peak for c in curves], [c.floor for c in curves]))
+    n = len(curves)
     if component is None:
-        component = np.arange(len(curves))
-    for d in range(1, len(curves)):
-        i, j = np.minimum(rank[:-d], rank[d:]), np.maximum(rank[:-d], rank[d:])
+        component = np.arange(n)
+    d = 1
+    while d < n:
+        # distances d .. e-1, of n-d, n-d-1, ... pairs each
+        e, size = d + 1, n - d
+        while e < n and size + n - e <= _BLOCK_PAIRS:
+            size += n - e
+            e += 1
+        counts = np.arange(n - d, n - e, -1)
+        # the rank positions of each pair's curves: for n = 4, d = 1, e = 3,
+        # near is 0 1 2 0 1 and far is 1 2 3 2 3
+        near = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)
+        far = near + np.repeat(np.arange(d, e), counts)
+        near, far = rank[near], rank[far]
+        i, j = np.minimum(near, far), np.maximum(near, far)
         keep = (lows[j] <= highs[i]) & (highs[j] >= lows[i]) & (component[i] != component[j])
         yield from zip(i[keep].tolist(), j[keep].tolist())
+        d = e
 
 
 def cluster_groups(
@@ -301,14 +337,14 @@ def cluster_groups(
 
     Candidate pairs are scored rank neighbours first: the curves are ranked
     by floor, then by peak, and pairs are visited by rank distance, so
-    curves of similar level meet early and only one distance's pairs are
-    held at a time.  A pair already inside one component is skipped: when
-    its rank distance comes up if its groups are joined by then, else when
-    it is reached.  The components do not depend on the visit order, and every pair spanning
-    two components is scored, so only which pairs inside a cluster get
-    scored changes with it.  Each pair is scored with the threshold as its
-    limit, so a pair whose envelope bound rules out a link is not
-    resampled; every decision stays the exact score's.
+    curves of similar level meet early; they are built a bounded block of
+    consecutive distances at a time.  A pair already inside one component
+    is skipped: when its block is built if its groups are joined by then,
+    else when it is reached.  The components do not depend on the visit
+    order, and every pair spanning two components is scored, so only which
+    pairs inside a cluster get scored changes with it.  Each pair is scored
+    with the threshold as its limit, so a pair whose envelope bound rules
+    out a link is not resampled; every decision stays the exact score's.
 
     Output is canonical: clusters ordered by (smallest member host, smallest
     key), keys and hosts sorted within each cluster — invariant under any
@@ -319,7 +355,7 @@ def cluster_groups(
     ordered = sorted(groups, key=lambda g: g.key)
     curves = [build_curve(g.points, resample_points) for g in ordered]
     # label[i] is the component of group i, members[c] the groups in component c;
-    # component mirrors label for _candidate_pairs' one comparison per distance
+    # component mirrors label for _candidate_pairs' one comparison per block
     label = list(range(len(ordered)))
     component = np.arange(len(ordered))
     members = [[i] for i in label]

@@ -1,10 +1,11 @@
-"""No stage enters a Python frame once per flow.
+"""No stage enters a Python frame or runs a Python line once per flow.
 
-Each stage's Python-level calls (``sys.setprofile`` "call" events, which
-count a generator's every resume too) are counted on an input and on the
-same rows repeated three times: the distinct values, hosts and groups are
-the same, so a stage whose per-flow work runs in C makes as many calls on
-both.
+Each stage's Python-level calls and lines (``sys.settrace`` "call" events,
+which count a generator's every resume too, and "line" events in every
+frame it enters) are counted on an input and on the same rows repeated
+three times: the distinct values, hosts and groups are the same, so a
+stage whose per-flow work runs in C makes as many calls and runs as many
+lines on both.
 """
 
 from __future__ import annotations
@@ -54,27 +55,30 @@ FILTERED = run_filter(FLOWS, Whitelist(frozenset()))
 IRC, _, OTHER = partition_by_label(FILTERED.clean)
 
 
-def python_calls(fn, *args) -> int:
-    """Python-level calls that ``fn(*args)`` makes, after one warm-up call.
+def python_events(fn, *args) -> tuple[int, int]:
+    """Python-level calls and lines that ``fn(*args)`` runs, after one
+    warm-up call.
 
     The counted call starts just after a collection, so whether it triggers
     one does not depend on what ran before it: a collection runs the
     ``gc.callbacks`` (hypothesis installs one), whose calls would count.
     """
     fn(*args)
-    calls = 0
+    calls = lines = 0
     gc.collect()
 
-    def profile(frame, event, arg):
-        nonlocal calls
+    def trace(frame, event, arg):
+        nonlocal calls, lines
         calls += event == "call"
+        lines += event == "line"
+        return trace
 
-    sys.setprofile(profile)
+    sys.settrace(trace)
     try:
         fn(*args)
     finally:
-        sys.setprofile(None)
-    return calls
+        sys.settrace(None)
+    return calls, lines
 
 
 def group_curves(flows) -> list:
@@ -99,8 +103,10 @@ def test_the_input_exercises_every_stage():
         pytest.param(partition_by_label, lambda k: (list(FILTERED.clean) * k,), id="partition_by_label"),
         pytest.param(group_flows_p2p, lambda k: (list(OTHER) * k, CFG.duration_floor), id="group_flows_p2p"),
         pytest.param(group_flows_irc, lambda k: (list(IRC) * k, CFG), id="group_flows_irc"),
-        # k flows per group, then 3k: each equal-nbpp run of the curves triples
-        pytest.param(group_curves, lambda k: (list(OTHER) * k,), id="group_flows_p2p+build_curve"),
+        # two copies of each flow, then six: each equal-nbpp run of the
+        # curves triples.  (One copy against three would differ in lines:
+        # a group with no repeated nbpp skips the per-run loop, copies of it do not.)
+        pytest.param(group_curves, lambda k: (list(OTHER) * 2 * k,), id="group_flows_p2p+build_curve"),
         pytest.param(
             window_activity,
             lambda k: (list(FILTERED.clean) * k, list(FILTERED.failed) * k, INTERNAL, CFG),
@@ -109,7 +115,7 @@ def test_the_input_exercises_every_stage():
     ],
 )
 def test_stage_makes_no_call_per_flow(stage, args):
-    assert python_calls(stage, *args(1)) == python_calls(stage, *args(3))
+    assert python_events(stage, *args(1)) == python_events(stage, *args(3))
 
 
 def test_whitelist_makes_no_call_per_destination():
@@ -117,7 +123,7 @@ def test_whitelist_makes_no_call_per_destination():
     flows = [FLOWS[0]._replace(dip=f"192.0.{i // 256}.{i % 256}") for i in range(300)]
     assert run_filter(flows[:100], whitelist).whitelisted_count == 64
     assert run_filter(flows, whitelist).whitelisted_count == 65
-    assert python_calls(run_filter, flows[:100], whitelist) == python_calls(run_filter, flows, whitelist)
+    assert python_events(run_filter, flows[:100], whitelist) == python_events(run_filter, flows, whitelist)
 
 
 def test_parse_makes_no_call_per_row():
@@ -127,4 +133,4 @@ def test_parse_makes_no_call_per_row():
     thrice = header + b"\n" + rows * 3
     assert len(thrice) < _BLOCK_CHARS  # both files fit in one block
     assert parse_flow_file(thrice) == flows * 3
-    assert python_calls(parse_flow_file, once) == python_calls(parse_flow_file, thrice)
+    assert python_events(parse_flow_file, once) == python_events(parse_flow_file, thrice)

@@ -260,6 +260,21 @@ def curve_pairs(draw):
     return a, curve(pool)
 
 
+ANY_FLOAT = st.floats() | st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 0.0))
+
+
+@st.composite
+def interp_inputs(draw):
+    """``(x, xp, fp)`` float64 arrays for an interpolation: ``xp`` sorted,
+    with repeated values, ``-0.0`` and infinities; ``x`` and ``fp`` any
+    floats, nan included, so ``x`` may lie outside ``xp``."""
+    values = draw(st.lists(ANY_FLOAT.filter(lambda v: not math.isnan(v)), min_size=1, max_size=6))
+    xp = sorted(values + draw(st.lists(st.sampled_from(values), max_size=3)))
+    fp = draw(st.lists(ANY_FLOAT, min_size=len(xp), max_size=len(xp)))
+    x = draw(st.lists(ANY_FLOAT, min_size=1, max_size=8))
+    return np.array(x), np.array(xp), np.array(fp)
+
+
 class TestCurveSimilarity:
     def test_identical_curves_score_exactly_one(self):
         curve = build_curve([FlowFeatures(nbps=3, nbpp=1), FlowFeatures(nbps=9, nbpp=4)], 16)
@@ -359,7 +374,7 @@ class TestCurveSimilarity:
         def no_resampling(*args):
             raise AssertionError("resampled a pair the envelope bound rules out")
 
-        monkeypatch.setattr(similarity.np, "interp", no_resampling)
+        monkeypatch.setattr(similarity, "_interp", no_resampling)
         monkeypatch.setattr(similarity, "_linspace", no_resampling)
         assert curve_similarity(a, b, 0.85) == bound
         assert curve_similarity(b, a, 0.85) == bound
@@ -388,6 +403,35 @@ class TestCurveSimilarity:
     def test_positions_are_linspace_bit_for_bit(self, x, y, r):
         lo, hi = sorted((x, y))
         assert similarity._linspace(lo, hi, r).tobytes() == np.linspace(lo, hi, r).tobytes()
+
+    def test_interp_is_the_function_np_interp_calls(self, monkeypatch):
+        # np.interp's module: a numpy that moves it fails here rather than
+        # letting similarity call some other function
+        major = int(np.__version__.split(".")[0])
+        impl = importlib.import_module(
+            "numpy.lib._function_base_impl" if major >= 2 else "numpy.lib.function_base"
+        )
+        assert similarity._interp is impl.compiled_interp
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return similarity._interp(*args)
+
+        monkeypatch.setattr(impl, "compiled_interp", spy)
+        x, xp, fp = np.array([0.5]), np.array([0.0, 1.0]), np.array([2.0, 4.0])
+        assert np.interp(x, xp, fp).tolist() == [3.0]
+        assert calls == [(x, xp, fp, None, None)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=300)
+    @given(interp_inputs())
+    @example((np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, np.inf, np.nan]),
+              np.array([-0.0, 0.0, 0.0, 1.0, 1.0]),
+              np.array([1.0, -0.0, np.nan, np.inf, -np.inf])))
+    @example((np.array([0.0, 2.0]), np.array([-np.inf, 1.0, np.inf]), np.array([1.0, 2.0, 3.0])))
+    def test_interp_is_np_interp_bit_for_bit(self, args):
+        assert similarity._interp(*args).tobytes() == np.interp(*args).tobytes()
 
     @settings(max_examples=50)
     @given(
@@ -587,6 +631,15 @@ class TestClusterGroups:
         permuted = data.draw(st.permutations(groups))
         assert scored_pairs(permuted, threshold, r) == scored_pairs(groups, threshold, r)
 
+    @settings(max_examples=100)
+    @given(cluster_inputs())
+    def test_scores_the_same_sequence_whatever_the_block(self, case):
+        want = scored_pairs(*case)
+        for block in (1, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(similarity, "_BLOCK_PAIRS", block)
+                assert scored_pairs(*case) == want
+
     def test_identical_groups_scored_once_each_but_the_first(self, monkeypatch):
         scores = count_scores(monkeypatch)
         k = 7
@@ -644,11 +697,10 @@ class TestClusterGroups:
         assert len(clusters) == 1
 
 
-@pytest.mark.parametrize("threshold", [0.0, 0.85])
-def test_candidate_pairs_yields_each_candidate_once_rank_neighbours_first(threshold):
+def mixed_curves() -> list:
+    """Sixty curves: degenerate, all-zero, copied and overlapping ones."""
     from botdetect.synth import Xorshift64Star
 
-    # degenerate, all-zero, copied and overlapping curves
     rng = Xorshift64Star(12)
     shapes = []
     for k in range(60):
@@ -662,7 +714,12 @@ def test_candidate_pairs_yields_each_candidate_once_rank_neighbours_first(thresh
         else:
             hi = lo + rng.uniform(1, 30)
             shapes.append([(lo, rng.uniform(1, 1000)), (hi, rng.uniform(1, 1000))])
-    curves = [build_curve([FlowFeatures(nbps=y, nbpp=x) for x, y in pts], 8) for pts in shapes]
+    return [build_curve([FlowFeatures(nbps=y, nbpp=x) for x, y in pts], 8) for pts in shapes]
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.85])
+def test_candidate_pairs_yields_each_candidate_once_rank_neighbours_first(threshold):
+    curves = mixed_curves()
     n = len(curves)
     candidates = {
         (i, j) for i, j in combinations(range(n), 2) if is_candidate(curves[i], curves[j], threshold)
@@ -673,8 +730,48 @@ def test_candidate_pairs_yields_each_candidate_once_rank_neighbours_first(thresh
     assert all(type(i) is int and type(j) is int and i < j for i, j in pairs)
     rank = sorted(range(n), key=lambda k: (curves[k].floor, curves[k].peak))
     position = {k: p for p, k in enumerate(rank)}
-    distances = [abs(position[i] - position[j]) for i, j in pairs]
-    assert distances == sorted(distances)
+    # by rank distance, then by rank position
+    order = [(abs(position[i] - position[j]), min(position[i], position[j])) for i, j in pairs]
+    assert order == sorted(order)
+
+
+def relabelling_walk(curves, threshold) -> tuple[list, int]:
+    """The pairs ``_candidate_pairs`` yields to a caller that relabels
+    ``component`` as it links, as ``cluster_groups`` does, kept when their
+    labels differ on arrival; and how many were dropped by that check."""
+    label = list(range(len(curves)))
+    component = np.arange(len(curves))
+    members = [[k] for k in label]
+    kept, dropped = [], 0
+    for i, j in similarity._candidate_pairs(curves, threshold, component):
+        if label[i] == label[j]:
+            dropped += 1
+            continue
+        kept.append((i, j))
+        if curve_similarity(curves[i], curves[j]) >= threshold:
+            into, moved = label[i], label[j]
+            for k in members[moved]:
+                label[k] = into
+            component[members[moved]] = into
+            members[into] += members[moved]
+            members[moved] = []
+    return kept, dropped
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.5, 0.85])
+def test_candidate_pairs_come_in_the_same_order_whatever_the_block(monkeypatch, threshold):
+    curves = mixed_curves()
+    # rank distance 1 alone holds more pairs than a block of 7
+    assert len(curves) - 1 > 7
+    plain = list(similarity._candidate_pairs(curves, threshold))
+    relabelled, dropped = relabelling_walk(curves, threshold)
+    # at the default every pair is in one block, so pairs joined in it still come
+    assert len(curves) * (len(curves) - 1) // 2 <= similarity._BLOCK_PAIRS
+    assert dropped > 0
+    for block in (1, 7):
+        monkeypatch.setattr(similarity, "_BLOCK_PAIRS", block)
+        assert list(similarity._candidate_pairs(curves, threshold)) == plain
+        assert relabelling_walk(curves, threshold)[0] == relabelled
 
 
 @pytest.mark.parametrize("n", [0, 1])
