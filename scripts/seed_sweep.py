@@ -22,13 +22,14 @@ from botdetect.filtering import EMPTY_WHITELIST
 from botdetect.model import default_config
 from botdetect.pipeline import run_detection
 from botdetect.synth import benign_scenario, generate, irc_botnet_scenario, p2p_botnet_scenario
+from botdetect.table import FlowTable
 
 INTERNAL = IPv4Network("10.0.0.0/16")
 
 
 def score(spec):
     flows, truth = generate(spec)
-    report = run_detection(flows, EMPTY_WHITELIST, INTERNAL, default_config())
+    report = run_detection(FlowTable.from_records(flows), EMPTY_WHITELIST, INTERNAL, default_config())
     reported = {str(h) for g in report.groups for h in g.hosts}
     planted = {str(h) for g in truth.groups for h in g.hosts}
     tp = len(reported & planted)

@@ -30,12 +30,11 @@ from functools import partial
 from ipaddress import IPv4Address, IPv4Network
 from itertools import repeat
 from operator import gt, lt, mul, truediv
-from typing import Iterable
 
 import numpy as np
 
-from .model import DetectorConfig, FlowRecord, OsdMode, Proto
-from .table import PROTO_CODE, FlowTable, as_table, inside
+from .model import DetectorConfig, OsdMode, Proto
+from .table import PROTO_CODE, FlowTable, inside
 
 SMTP_PORTS = (25, 587)
 _SMTP = frozenset((Proto.TCP, port) for port in SMTP_PORTS)
@@ -209,40 +208,6 @@ def _spam_reports(host: np.ndarray, flows: FlowTable, n: int, cfg: DetectorConfi
     ]
 
 
-def _one_host(flows: FlowTable | Iterable[FlowRecord]) -> tuple[np.ndarray, FlowTable]:
-    table = as_table(flows)
-    return np.zeros(len(table), dtype=np.intp), table
-
-
-def count_failed(
-    failed: FlowTable | Iterable[FlowRecord], hs_ports: frozenset[tuple[Proto, int]]
-) -> FailedCounts:
-    (fc,) = _failed_counts(*_one_host(failed), 1, hs_ports)
-    return fc
-
-
-def osd_scores(
-    outbound_flows: FlowTable | Iterable[FlowRecord],
-    failed: FlowTable | Iterable[FlowRecord],
-    cfg: DetectorConfig,
-) -> ScanScores:
-    """Score one host's outbound behavior for a window.
-
-    ``outbound_flows`` are the host's completed connections, ``failed`` its
-    failed attempts; together they are the C connection attempts.  The
-    target distribution runs over distinct destination addresses of all
-    attempts.
-    """
-    (scores,) = _scan_scores(*_one_host(outbound_flows), *_one_host(failed), 1, cfg)
-    return scores
-
-
-def spam_detect(flows: FlowTable | Iterable[FlowRecord], cfg: DetectorConfig) -> SpamReport:
-    """Flag mail fan-out: many SMTP/Submission flows or many distinct servers."""
-    (report,) = _spam_reports(*_one_host(flows), 1, cfg)
-    return report
-
-
 def _crossing(
     flows: FlowTable, internal: IPv4Network, outbound: bool
 ) -> tuple[np.ndarray, FlowTable]:
@@ -257,18 +222,16 @@ def _crossing(
 
 
 def window_activity(
-    all_flows: FlowTable | Iterable[FlowRecord],
-    failed_flows: FlowTable | Iterable[FlowRecord],
-    internal: IPv4Network,
-    cfg: DetectorConfig,
+    clean: FlowTable, failed: FlowTable, internal: IPv4Network, cfg: DetectorConfig
 ) -> dict[IPv4Address, HostActivity]:
     """Score every internal host seen in one window, in address order.
 
-    ``all_flows`` are the window's completed (clean) flows, ``failed_flows``
-    its failed connection attempts.  Spam is judged on completed flows only;
-    failed attempts still count toward the scan scores.
+    ``clean`` are the window's completed flows, ``failed`` its failed
+    connection attempts.  A host's outbound completed and failed flows
+    together are its C connection attempts, and its target distribution
+    runs over the distinct destination addresses of all of them.  Spam is
+    judged on completed flows only.
     """
-    clean, failed = as_table(all_flows), as_table(failed_flows)
     out_hosts, outbound = _crossing(clean, internal, outbound=True)
     out_failed_hosts, outbound_failed = _crossing(failed, internal, outbound=True)
     in_hosts, inbound_failed = _crossing(failed, internal, outbound=False)

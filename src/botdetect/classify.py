@@ -10,12 +10,11 @@ by the peer-to-peer path.
 from __future__ import annotations
 
 import enum
-from typing import Iterable
 
 import numpy as np
 
 from .model import FlowRecord, Proto
-from .table import PROTOS, FlowTable, as_table
+from .table import PROTOS, FlowTable
 
 # Client-side IRC commands; each must start a line and be followed by a space.
 IRC_TOKENS = (b"NICK ", b"PASS ", b"USER ", b"JOIN ", b"OPER ", b"PRIVMSG ")
@@ -39,6 +38,9 @@ def classify_flow(rec: FlowRecord) -> AppLabel:
     (uppercase, case-sensitive).  HTTP: TCP, not IRC, and the payload itself
     starts with a request method.  Everything else: OTHER.  Prefixes shorter
     than a token never match.
+
+    The scalar reference for :func:`flow_labels`, and tested against it, as
+    ``curve_similarity`` is for the clustering's scorer.
     """
     return _label(rec.proto, rec.payload_prefix)
 
@@ -58,14 +60,13 @@ def _label(proto: Proto, payload: bytes) -> AppLabel:
 LABELS = tuple(AppLabel)
 
 
-def flow_labels(flows: FlowTable | Iterable[FlowRecord]) -> np.ndarray:
+def flow_labels(table: FlowTable) -> np.ndarray:
     """Each flow's :func:`classify_flow` label, as its index into :data:`LABELS`.
 
     Only the protocol and the payload decide a label, so it is decided once
     per distinct ``(proto, payload)`` of the table, and every row takes its
     pair's label by index.
     """
-    table = as_table(flows)
     pairs, inverse = np.unique(
         table.proto.astype(np.int64) << 32 | table.payload, return_inverse=True
     )
@@ -76,11 +77,8 @@ def flow_labels(flows: FlowTable | Iterable[FlowRecord]) -> np.ndarray:
     return np.array(decided, dtype=np.uint8)[inverse]
 
 
-def partition_by_label(
-    flows: FlowTable | Iterable[FlowRecord],
-) -> tuple[FlowTable, FlowTable, FlowTable]:
+def partition_by_label(table: FlowTable) -> tuple[FlowTable, FlowTable, FlowTable]:
     """Split flows into (irc, http, other) streams, order preserved."""
-    table = as_table(flows)
     labels = flow_labels(table)
     irc, http, other = (table[labels == code] for code in range(len(LABELS)))
     return irc, http, other

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
-from typing import Iterable
 
 import numpy as np
 
-from .model import FlowRecord, TcpState, content_lines
-from .table import STATES, FlowTable, as_table, inside
+from .model import TcpState, content_lines
+from .table import STATES, FlowTable, inside
 
 # whether a handshake in each state failed, by state code
 _FAILED = np.array([state in (TcpState.SYN_ONLY, TcpState.RESET) for state in STATES])
@@ -61,7 +60,7 @@ class FilterOutput:
     whitelisted_count: int
 
 
-def run_filter(flows: FlowTable | Iterable[FlowRecord], wl: Whitelist) -> FilterOutput:
+def run_filter(table: FlowTable, wl: Whitelist) -> FilterOutput:
     """Drop flows to whitelisted destinations, then route incomplete-handshake
     TCP flows to ``failed`` and the rest to ``clean``.
 
@@ -69,7 +68,6 @@ def run_filter(flows: FlowTable | Iterable[FlowRecord], wl: Whitelist) -> Filter
     tcp_state decides the split, so non-TCP flows stay clean.  Order is
     preserved within each stream.
     """
-    table = as_table(flows)
     kept = ~inside(table.dip, wl.entries)
     failed = _FAILED[table.tcp_state]
     return FilterOutput(

@@ -18,13 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from ipaddress import IPv4Address
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import ConfigError, DetectorConfig, FlowRecord, Proto
+from .model import ConfigError, DetectorConfig, Proto
 from .similarity import FlowGroup, batch_features
-from .table import PROTOS, FlowTable, as_table
+from .table import PROTOS, FlowTable
 
 # whether flows of each protocol are grouped, by protocol code; the two that
 # are come in the order of their values ("tcp" < "udp"), so keys sorted by
@@ -70,15 +70,12 @@ class WindowIndex:
     end: float
 
 
-def window_partition(
-    flows: FlowTable | Iterable[FlowRecord], window_seconds: float
-) -> list[tuple[WindowIndex, FlowTable]]:
+def window_partition(table: FlowTable, window_seconds: float) -> list[tuple[WindowIndex, FlowTable]]:
     """Assign each flow to window floor(start_ts / window_seconds).
 
     Windows come out in ascending index order, each window's flows in
     their input order; empty windows are omitted.
     """
-    table = as_table(flows)
     bins = _bins(table.start_ts, window_seconds, "window_seconds")
     order, starts = _runs([bins])
     windows = []
@@ -148,21 +145,20 @@ def _collect_groups(
     ]
 
 
-def _groupable(flows: FlowTable | Iterable[FlowRecord]) -> tuple[FlowTable, int]:
+def _groupable(table: FlowTable) -> tuple[FlowTable, int]:
     """The TCP and UDP flows with packets, and how many others were skipped."""
-    table = as_table(flows)
     kept = table[_GROUPABLE[table.proto] & (table.npkts > 0)]
     return kept, len(table) - len(kept)
 
 
-def group_flows_p2p(flows: FlowTable | Iterable[FlowRecord], duration_floor: float) -> GroupingResult:
+def group_flows_p2p(flows: FlowTable, duration_floor: float) -> GroupingResult:
     """Group one window's flows by (sip, dip, dport, proto)."""
     kept, skipped = _groupable(flows)
     keys = [kept.sip, kept.dip, kept.dport, kept.proto]
     return GroupingResult(_collect_groups(kept, keys, P2PGroupKey, duration_floor), skipped)
 
 
-def group_flows_irc(flows: FlowTable | Iterable[FlowRecord], cfg: DetectorConfig) -> GroupingResult:
+def group_flows_irc(flows: FlowTable, cfg: DetectorConfig) -> GroupingResult:
     """Group one window's flows by (sip, dip, sport, dport, PAT bin, proto).
 
     The PAT bin is floor(start_ts / pat_bin_seconds): exact-time equality

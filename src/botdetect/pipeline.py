@@ -11,12 +11,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from ipaddress import IPv4Network
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 from .activity import window_activity
 from .classify import partition_by_label
 from .filtering import FilterOutput, Whitelist, run_filter
-from .model import DetectorConfig, FlowRecord
+from .model import DetectorConfig
 from .monitors import GroupingResult, WindowIndex, group_flows_irc, group_flows_p2p, window_partition
 from .report import BotnetReport, BotPath, build_report, correlate_irc, correlate_p2p
 from .similarity import SimilarityCluster, cluster_groups
@@ -34,9 +34,7 @@ class WindowStreams:
     other: FlowTable
 
 
-def window_streams(
-    flows: FlowTable | Iterable[FlowRecord], whitelist: Whitelist, cfg: DetectorConfig
-) -> Iterator[WindowStreams]:
+def window_streams(flows: FlowTable, whitelist: Whitelist, cfg: DetectorConfig) -> Iterator[WindowStreams]:
     """Window the flows once, then filter and classify each window.
 
     Windows come in ascending index order.  Filtering and classification
@@ -67,13 +65,9 @@ def path_clusters(
 
 
 def run_detection(
-    flows: FlowTable | Sequence[FlowRecord],
-    whitelist: Whitelist,
-    internal: IPv4Network,
-    cfg: DetectorConfig,
+    flows: FlowTable, whitelist: Whitelist, internal: IPv4Network, cfg: DetectorConfig
 ) -> BotnetReport:
-    """Run the whole pipeline over one flow table (or list of records) and
-    build the report.
+    """Run the whole pipeline over one flow table and build the report.
 
     Deterministic: the report (and its JSON) is a pure function of the
     inputs, invariant under permutation of the flow rows.

@@ -92,7 +92,11 @@ def batch_features(
 
 
 def flow_features(rec: FlowRecord, duration_floor: float) -> FlowFeatures:
-    """One flow's features: the one-row case of :func:`batch_features`."""
+    """One flow's features: the one-row case of :func:`batch_features`.
+
+    The scalar reference for :func:`batch_features`, and tested against
+    it, as :func:`curve_similarity` is for the clustering's scorer.
+    """
     nbpp, nbps = batch_features([rec.npkts], [rec.nbytes], [rec.duration], duration_floor)
     return FlowFeatures(nbpp.item(), nbps.item())
 

@@ -133,12 +133,6 @@ class FlowTable:
 _COLUMNS = attrgetter(*(f.name for f in fields(FlowTable)[:-1]))
 
 
-def as_table(flows: FlowTable | Iterable[FlowRecord]) -> FlowTable:
-    """``flows`` as a table: a table as it is, records through
-    :meth:`FlowTable.from_records`."""
-    return flows if isinstance(flows, FlowTable) else FlowTable.from_records(flows)
-
-
 class TableBuilder:
     """A table built a chunk of rows at a time, with one payload index
     shared by every chunk."""

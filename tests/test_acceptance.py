@@ -33,6 +33,7 @@ from botdetect.synth import (
     irc_botnet_scenario,
     p2p_botnet_scenario,
 )
+from botdetect.table import FlowTable
 
 from .conftest import make_flow
 
@@ -151,7 +152,7 @@ def test_c05_benign_scenario_quiet():
     started = time.perf_counter()
     clean_seeds = []
     for seed in SEEDS:
-        flows, _ = generate(benign_scenario(seed))
+        flows = FlowTable.from_records(generate(benign_scenario(seed))[0])
         report = run_detection(flows, EMPTY_WHITELIST, INTERNAL, CFG)
         filtered = run_filter(flows, EMPTY_WHITELIST)
         activity = window_activity(filtered.clean, filtered.failed, INTERNAL, CFG)
@@ -165,7 +166,7 @@ def test_c05_benign_scenario_quiet():
 
 def test_c06_two_bot_negative_control():
     started = time.perf_counter()
-    flows, _ = generate(p2p_botnet_scenario(42, size=2))
+    flows = FlowTable.from_records(generate(p2p_botnet_scenario(42, size=2))[0])
     report = run_detection(flows, EMPTY_WHITELIST, INTERNAL, CFG)
     _finish(6, "two-bot group stays below the size gate", started, 2.0,
             len(report.groups) == 0)

@@ -12,26 +12,35 @@ from botdetect.activity import (
     HostActivity,
     ScanScores,
     SpamReport,
-    count_failed,
     entropy_norm,
     isd_score,
     osd_s2,
-    osd_scores,
     osd_vote,
-    spam_detect,
     window_activity,
 )
 from botdetect.model import OsdMode, Proto, TcpState, default_config
+from botdetect.table import FlowTable
 
 from .conftest import make_flow, pooled_flows
 
 CFG = default_config()
+INTERNAL = IPv4Network("10.0.0.0/16")
 
 
 def malicious(all_flows, failed_flows, internal):
     """Hosts flagged by any detector, as the pipeline selects them from window_activity."""
-    activity = window_activity(all_flows, failed_flows, internal, CFG)
+    activity = window_activity(
+        FlowTable.from_records(all_flows), FlowTable.from_records(failed_flows), internal, CFG
+    )
     return sorted(host for host, act in activity.items() if act.malicious)
+
+
+def one_host(clean=(), failed=()) -> HostActivity:
+    """The window's activity of 10.0.0.5, the only internal host that
+    ``clean`` and ``failed`` reach."""
+    activity = window_activity(FlowTable.from_records(clean), FlowTable.from_records(failed), INTERNAL, CFG)
+    assert list(activity) == [IPv4Address("10.0.0.5")]
+    return activity[IPv4Address("10.0.0.5")]
 
 
 def scan_flow(i: int, dport: int = 8080, sip: str = "10.0.0.5") -> object:
@@ -125,14 +134,16 @@ class TestVote:
 
 class TestOsdScores:
     def test_no_flows_all_zero(self):
-        scores = osd_scores([], [], CFG)
+        # a host seen only through inbound failures has no outbound flows
+        inbound = make_flow(sip="198.51.100.1", dip="10.0.0.5", tcp_state=TcpState.SYN_ONLY)
+        scores = one_host(failed=[inbound]).scores
         assert (scores.scans, scores.targets) == (0, 0)
         assert scores.s1 == scores.s2 == scores.s3 == 0.0
         assert scores.flagged is False
 
     def test_hundred_uniform_failures(self):
         failed = [scan_flow(i) for i in range(100)]
-        scores = osd_scores([], failed, CFG)
+        scores = one_host(failed=failed).scores
         assert scores.s1 == pytest.approx(100 / 360)
         assert scores.s3 == pytest.approx(1.0, abs=1e-12)
         assert scores.s2 == 1.0  # all low-severity, w2 = 1
@@ -144,31 +155,32 @@ class TestOsdScores:
             make_flow(dip="198.51.100.9", tcp_state=TcpState.SYN_ONLY, sport=i, npkts=1, nbytes=60)
             for i in range(50)
         ]
-        scores = osd_scores([], failed, CFG)
+        scores = one_host(failed=failed).scores
         assert scores.s3 == 0.0 and scores.targets == 1
 
     def test_min_scans_gate(self):
         failed = [scan_flow(i) for i in range(9)]  # below osd_min_scans=10
-        scores = osd_scores([], failed, CFG)
+        scores = one_host(failed=failed).scores
         assert scores.flagged is False
 
     def test_high_severity_ports_weighted(self):
         failed = [scan_flow(i, dport=445) for i in range(10)]
-        scores = osd_scores([], failed, CFG)
+        scores = one_host(failed=failed).scores
         assert scores.s2 == 3.0  # w1 * fhs / C
 
 
 class TestCountFailed:
     def test_split_by_port_severity(self):
         flows = [scan_flow(0, dport=445), scan_flow(1, dport=8080), scan_flow(2, dport=1433)]
-        fc = count_failed(flows, CFG.hs_ports)
-        assert (fc.fhs, fc.fls) == (2, 1)
+        # (w1*fhs + w2*fls) / C, with C = fhs + fls and w1 != w2, gives the split
+        assert one_host(failed=flows).scores.s2 == (CFG.w1 * 2 + CFG.w2 * 1) / 3
 
     def test_udp_port_severity_uses_proto(self):
         udp_1434 = make_flow(proto=Proto.UDP, dport=1434, tcp_state=TcpState.NOT_TCP)
         tcp_1434 = make_flow(dport=1434, tcp_state=TcpState.SYN_ONLY)
-        assert count_failed([udp_1434], CFG.hs_ports).fhs == 1
-        assert count_failed([tcp_1434], CFG.hs_ports).fhs == 0
+        # one failure, so s2 is the weight of its severity
+        assert one_host(failed=[udp_1434]).scores.s2 == CFG.w1  # fhs = 1
+        assert one_host(failed=[tcp_1434]).scores.s2 == CFG.w2  # fhs = 0
 
 
 class TestSpamDetect:
@@ -176,38 +188,39 @@ class TestSpamDetect:
         return make_flow(sip=sip, dip=f"203.0.113.{i + 1}", dport=dport, sport=3000 + i)
 
     def test_single_mail_flow_not_flagged(self):
-        report = spam_detect([self.smtp(0)], CFG)
+        report = one_host([self.smtp(0)]).spam
         assert report.smtp_flows == 1 and report.flagged is False
 
     def test_heavy_fanout_flagged_on_both_criteria(self):
         flows = [self.smtp(i % 10) for i in range(60)]
-        report = spam_detect(flows, CFG)
+        report = one_host(flows).spam
         assert report.smtp_flows == 60 and report.distinct_servers == 10
         assert report.flagged is True
 
     def test_boundary_below_both_thresholds(self):
         flows = [self.smtp(i % 4) for i in range(49)]
-        report = spam_detect(flows, CFG)
+        report = one_host(flows).spam
         assert report.distinct_servers == 4 and report.smtp_flows == 49
         assert report.flagged is False
 
     def test_submission_port_counts(self):
         flows = [self.smtp(i, dport=587) for i in range(5)]
-        assert spam_detect(flows, CFG).flagged is True
+        assert one_host(flows).spam.flagged is True
 
     def test_udp_25_ignored(self):
         flows = [
             make_flow(proto=Proto.UDP, dport=25, dip=f"203.0.113.{i}", tcp_state=TcpState.NOT_TCP)
             for i in range(10)
         ]
-        assert spam_detect(flows, CFG).smtp_flows == 0
+        assert one_host(flows).spam.smtp_flows == 0
 
     @given(st.integers(0, 30), st.integers(0, 30))
     def test_monotone_under_added_flows(self, n_before, n_extra):
         before = [self.smtp(i % 7) for i in range(n_before)]
         after = before + [self.smtp(7 + i % 5) for i in range(n_extra)]
-        if spam_detect(before, CFG).flagged:
-            assert spam_detect(after, CFG).flagged
+        # no flows at all is no host, and so not flagged
+        if before and one_host(before).spam.flagged:
+            assert one_host(after).spam.flagged
 
 
 class TestWindowActivity:
@@ -235,7 +248,9 @@ class TestWindowActivity:
                       tcp_state=TcpState.SYN_ONLY, npkts=1, nbytes=60)
             for i in range(4)
         ]  # 4 * w1 = 12 >= 10
-        activity = window_activity([], inbound, internal_net, CFG)
+        activity = window_activity(
+            FlowTable.from_records([]), FlowTable.from_records(inbound), internal_net, CFG
+        )
         host = IPv4Address("10.0.0.9")
         assert activity[host].isd_flagged is True
         assert activity[host].isd_s == 12.0
@@ -323,7 +338,9 @@ class TestWindowActivityOracle:
     @given(st.lists(pooled_flows(), max_size=30), st.lists(pooled_flows(), max_size=30))
     def test_same_hosts_in_same_order_with_same_scores(self, all_flows, failed_flows):
         internal = IPv4Network("10.0.0.0/16")
-        got = window_activity(all_flows, failed_flows, internal, self.LOW)
+        got = window_activity(
+            FlowTable.from_records(all_flows), FlowTable.from_records(failed_flows), internal, self.LOW
+        )
         want = oracle_window_activity(all_flows, failed_flows, internal, self.LOW)
         assert [type(host) for host in got] == [IPv4Address] * len(want)
         assert list(got.items()) == list(want.items())

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from botdetect.classify import AppLabel, HTTP_METHODS, IRC_TOKENS, classify_flow, partition_by_label
 from botdetect.model import Proto
+from botdetect.table import FlowTable
 
 from .conftest import make_flow
 
@@ -81,19 +82,19 @@ class TestAdversarial:
 
 class TestPartition:
     def test_empty(self):
-        assert partition_by_label([]) == ([], [], [])
+        assert partition_by_label(FlowTable.from_records([])) == ([], [], [])
 
     def test_one_of_each(self):
         irc = make_flow(payload=b"NICK a\r\n")
         http = make_flow(payload=b"GET / HTTP/1.1\r\n")
         other = make_flow()
-        got_irc, got_http, got_other = partition_by_label([other, irc, http])
+        got_irc, got_http, got_other = partition_by_label(FlowTable.from_records([other, irc, http]))
         assert got_irc == [irc] and got_http == [http] and got_other == [other]
 
     def test_partition_agrees_with_per_flow_labels(self):
         payloads = [b"NICK a\r\n", b"GET /\r\n", b"", b"PRIVMSG #c :m\r\n", b"HEAD / x\r\n"] * 20
         flows = [make_flow(payload=p, sport=i) for i, p in enumerate(payloads)]
-        irc, http, other = partition_by_label(flows)
+        irc, http, other = partition_by_label(FlowTable.from_records(flows))
         by_label = {AppLabel.IRC: irc, AppLabel.HTTP: http, AppLabel.OTHER: other}
         for rec in flows:
             assert rec in by_label[classify_flow(rec)]

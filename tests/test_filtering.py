@@ -7,13 +7,14 @@ from hypothesis import given, strategies as st
 
 from botdetect.filtering import EMPTY_WHITELIST, WhitelistError, parse_whitelist, run_filter
 from botdetect.model import Proto, TcpState
+from botdetect.table import FlowTable
 
 from .conftest import ADDRESS_POOL, make_flow, pooled_flows
 
 
 def kept(flows, wl):
     """The flows ``run_filter`` keeps, in input order, and how many it dropped."""
-    out = run_filter(flows, wl)
+    out = run_filter(FlowTable.from_records(flows), wl)
     return sorted(list(out.clean) + list(out.failed), key=flows.index), out.whitelisted_count
 
 
@@ -33,8 +34,8 @@ class TestWhitelist:
 
     def test_bare_ip_means_slash_32(self):
         wl = parse_whitelist("8.8.8.8")
-        assert run_filter([make_flow(dip="8.8.8.8")], wl).whitelisted_count == 1
-        assert run_filter([make_flow(dip="8.8.8.9")], wl).whitelisted_count == 0
+        assert run_filter(FlowTable.from_records([make_flow(dip="8.8.8.8")]), wl).whitelisted_count == 1
+        assert run_filter(FlowTable.from_records([make_flow(dip="8.8.8.9")]), wl).whitelisted_count == 0
 
     def test_comments_blanks_and_dedup(self):
         wl = parse_whitelist("# corp\n8.8.8.0/24\n\n8.8.8.0/24  # repeat\n")
@@ -55,32 +56,32 @@ class TestWhitelist:
         net = ip_network((ip_int & (0xFFFFFFFF << (32 - prefix)) & 0xFFFFFFFF, prefix))
         wl = parse_whitelist(str(net))
         dip = str(IPv4Address(ip_int))
-        dropped = run_filter([make_flow(dip=dip)], wl).whitelisted_count
+        dropped = run_filter(FlowTable.from_records([make_flow(dip=dip)]), wl).whitelisted_count
         assert dropped == (1 if IPv4Address(dip) in net else 0)
 
 
 class TestSplitHandshake:
     def test_syn_only_goes_to_failed(self):
-        out = run_filter([make_flow(tcp_state=TcpState.SYN_ONLY)], EMPTY_WHITELIST)
+        out = run_filter(FlowTable.from_records([make_flow(tcp_state=TcpState.SYN_ONLY)]), EMPTY_WHITELIST)
         assert len(out.failed) == 1 and out.clean == []
 
     def test_reset_goes_to_failed(self):
-        out = run_filter([make_flow(tcp_state=TcpState.RESET)], EMPTY_WHITELIST)
+        out = run_filter(FlowTable.from_records([make_flow(tcp_state=TcpState.RESET)]), EMPTY_WHITELIST)
         assert len(out.failed) == 1
 
     def test_udp_stays_clean(self):
-        out = run_filter([make_flow(proto=Proto.UDP)], EMPTY_WHITELIST)
+        out = run_filter(FlowTable.from_records([make_flow(proto=Proto.UDP)]), EMPTY_WHITELIST)
         assert len(out.clean) == 1 and out.failed == []
 
     def test_established_stays_clean(self):
-        out = run_filter([make_flow(tcp_state=TcpState.ESTABLISHED)], EMPTY_WHITELIST)
+        out = run_filter(FlowTable.from_records([make_flow(tcp_state=TcpState.ESTABLISHED)]), EMPTY_WHITELIST)
         assert len(out.clean) == 1
 
     def test_routing_ignores_payload_and_counters(self):
         base = make_flow(tcp_state=TcpState.SYN_ONLY)
         mutated = base._replace(payload_prefix=b"GET /\r\n", npkts=999, nbytes=12345)
         for rec in (base, mutated):
-            out = run_filter([rec], EMPTY_WHITELIST)
+            out = run_filter(FlowTable.from_records([rec]), EMPTY_WHITELIST)
             assert out.failed == [rec]
 
     def test_order_preserved_within_streams(self):
@@ -90,7 +91,7 @@ class TestSplitHandshake:
             make_flow(sport=3),
             make_flow(sport=4, tcp_state=TcpState.RESET),
         ]
-        out = run_filter(flows, EMPTY_WHITELIST)
+        out = run_filter(FlowTable.from_records(flows), EMPTY_WHITELIST)
         assert [f.sport for f in out.clean] == [1, 3]
         assert [f.sport for f in out.failed] == [2, 4]
 
@@ -104,14 +105,14 @@ class TestRunFilter:
             make_flow(),
             make_flow(proto=Proto.UDP),
         ]
-        out = run_filter(flows, wl)
+        out = run_filter(FlowTable.from_records(flows), wl)
         assert len(out.clean) + len(out.failed) + out.whitelisted_count == len(flows)
         assert out.whitelisted_count == 1
 
     def test_whitelist_applies_before_split(self):
         # a failed handshake to a whitelisted target is dropped, not failed
         wl = parse_whitelist("8.8.8.8")
-        out = run_filter([make_flow(dip="8.8.8.8", tcp_state=TcpState.SYN_ONLY)], wl)
+        out = run_filter(FlowTable.from_records([make_flow(dip="8.8.8.8", tcp_state=TcpState.SYN_ONLY)]), wl)
         assert out.failed == [] and out.whitelisted_count == 1
 
 
@@ -144,5 +145,5 @@ def oracle_filter(flows, entries):
     st.lists(st.sampled_from(WHITELIST_ENTRIES), max_size=3),
 )
 def test_run_filter_equals_drop_then_split_oracle(flows, entries):
-    out = run_filter(flows, parse_whitelist("\n".join(entries)))
+    out = run_filter(FlowTable.from_records(flows), parse_whitelist("\n".join(entries)))
     assert (out.clean, out.failed, out.whitelisted_count) == oracle_filter(flows, entries)

@@ -19,6 +19,7 @@ from botdetect.pipeline import path_clusters, window_streams
 from botdetect.report import BotPath
 from botdetect.similarity import FlowGroup, cluster_groups, flow_features
 from botdetect.synth import Xorshift64Star, generate, irc_botnet_scenario, p2p_botnet_scenario
+from botdetect.table import FlowTable
 
 from .conftest import make_flow, pooled_flows
 
@@ -29,36 +30,36 @@ def candidates(flows, path: BotPath):
     """Each window's multi-host clusters on one path, as the pipeline finds them."""
     return [
         (streams.window, path_clusters(path, streams, CFG))
-        for streams in window_streams(flows, EMPTY_WHITELIST, CFG)
+        for streams in window_streams(FlowTable.from_records(flows), EMPTY_WHITELIST, CFG)
     ]
 
 
 class TestWindowPartition:
     def test_half_open_boundary(self):
         flows = [make_flow(start_ts=0.0), make_flow(start_ts=21599.999)]
-        windows = window_partition(flows, 21600)
+        windows = window_partition(FlowTable.from_records(flows), 21600)
         assert len(windows) == 1
         assert windows[0][0].index == 0
         assert len(windows[0][1]) == 2
 
     def test_exact_boundary_starts_next_window(self):
-        windows = window_partition([make_flow(start_ts=21600.0)], 21600)
+        windows = window_partition(FlowTable.from_records([make_flow(start_ts=21600.0)]), 21600)
         assert windows[0][0].index == 1
         assert windows[0][0].start == 21600.0
         assert windows[0][0].end == 43200.0
 
     def test_empty_input(self):
-        assert window_partition([], 21600) == []
+        assert window_partition(FlowTable.from_records([]), 21600) == []
 
     def test_empty_windows_omitted_and_order_ascending(self):
         flows = [make_flow(start_ts=90000.0), make_flow(start_ts=10.0)]
-        windows = window_partition(flows, 21600)
+        windows = window_partition(FlowTable.from_records(flows), 21600)
         assert [w.index for w, _ in windows] == [0, 4]
 
     def test_every_flow_lands_in_exactly_one_window(self):
         rng = Xorshift64Star(1)
         flows = [make_flow(start_ts=rng.uniform(0, 10 * 21600)) for _ in range(500)]
-        windows = window_partition(flows, 21600)
+        windows = window_partition(FlowTable.from_records(flows), 21600)
         assert sum(len(f) for _, f in windows) == len(flows)
         for window, chunk in windows:
             for rec in chunk:
@@ -68,28 +69,29 @@ class TestWindowPartition:
 class TestP2PGrouping:
     def test_same_key_same_group(self):
         flows = [make_flow(sport=1), make_flow(sport=2)]
-        groups, skipped = group_flows_p2p(flows, CFG.duration_floor)
+        groups, skipped = group_flows_p2p(FlowTable.from_records(flows), CFG.duration_floor)
         assert len(groups) == 1 and skipped == 0
         assert len(groups[0].points) == 2
 
     def test_distinct_dport_distinct_groups(self):
         flows = [make_flow(dport=80), make_flow(dport=81)]
-        groups, _ = group_flows_p2p(flows, CFG.duration_floor)
+        groups, _ = group_flows_p2p(FlowTable.from_records(flows), CFG.duration_floor)
         assert len(groups) == 2
 
     def test_icmp_skipped_with_counter(self):
         flow = make_flow(proto=Proto.ICMP, sport=0, dport=0)
-        groups, skipped = group_flows_p2p([flow], CFG.duration_floor)
+        groups, skipped = group_flows_p2p(FlowTable.from_records([flow]), CFG.duration_floor)
         assert groups == [] and skipped == 1
 
     def test_zero_packet_flows_skipped(self):
-        groups, skipped = group_flows_p2p([make_flow(npkts=0, nbytes=0)], CFG.duration_floor)
+        flows = FlowTable.from_records([make_flow(npkts=0, nbytes=0)])
+        groups, skipped = group_flows_p2p(flows, CFG.duration_floor)
         assert groups == [] and skipped == 1
 
     def test_points_permutation_invariant(self):
         flows = [make_flow(sport=i, nbytes=100 * (i + 1)) for i in range(6)]
-        a, _ = group_flows_p2p(flows, CFG.duration_floor)
-        b, _ = group_flows_p2p(list(reversed(flows)), CFG.duration_floor)
+        a, _ = group_flows_p2p(FlowTable.from_records(flows), CFG.duration_floor)
+        b, _ = group_flows_p2p(FlowTable.from_records(list(reversed(flows))), CFG.duration_floor)
         # each group's points come sorted by nbpp, then nbps
         assert a[0].points.tolist() == b[0].points.tolist() == sorted(a[0].points.tolist())
 
@@ -97,24 +99,26 @@ class TestP2PGrouping:
 class TestIRCGrouping:
     def test_same_bin_same_group(self):
         flows = [make_flow(start_ts=10.0), make_flow(start_ts=20.0)]
-        groups, _ = group_flows_irc(flows, CFG)
+        groups, _ = group_flows_irc(FlowTable.from_records(flows), CFG)
         assert len(groups) == 1
 
     def test_different_bins_split(self):
         flows = [make_flow(start_ts=10.0), make_flow(start_ts=70.0)]
-        groups, _ = group_flows_irc(flows, CFG)
+        groups, _ = group_flows_irc(FlowTable.from_records(flows), CFG)
         assert len(groups) == 2
         assert {g.key.pat_bin for g in groups} == {0, 1}
 
     def test_sport_splits_groups_unlike_p2p(self):
         flows = [make_flow(sport=1000), make_flow(sport=1001)]
-        irc_groups, _ = group_flows_irc(flows, CFG)
-        p2p_groups, _ = group_flows_p2p(flows, CFG.duration_floor)
+        irc_groups, _ = group_flows_irc(FlowTable.from_records(flows), CFG)
+        p2p_groups, _ = group_flows_p2p(FlowTable.from_records(flows), CFG.duration_floor)
         assert len(irc_groups) == 2 and len(p2p_groups) == 1
 
     def test_refines_p2p_grouping(self):
         flows, _ = generate(irc_botnet_scenario(3))
-        established = [f for f in flows if f.npkts >= 1 and f.proto in (Proto.TCP, Proto.UDP)]
+        established = FlowTable.from_records(
+            f for f in flows if f.npkts >= 1 and f.proto in (Proto.TCP, Proto.UDP)
+        )
         irc_groups, _ = group_flows_irc(established, CFG)
         p2p_groups, _ = group_flows_p2p(established, CFG.duration_floor)
         p2p_points = {g.key: g.points.tolist() for g in p2p_groups}
@@ -151,7 +155,7 @@ class TestCanonicalOrder:
         return list(reversed(flows))
 
     def test_p2p_groups(self):
-        groups, _ = group_flows_p2p(self.p2p_flows(), CFG.duration_floor)
+        groups, _ = group_flows_p2p(FlowTable.from_records(self.p2p_flows()), CFG.duration_floor)
         assert [g.key.label() for g in groups] == self.P2P_LABELS
 
     def test_irc_groups_sort_by_sport_then_dport_then_bin(self):
@@ -160,7 +164,7 @@ class TestCanonicalOrder:
             make_flow(sport=900, dport=7000, start_ts=10.0),
             make_flow(sport=900, dport=6667, start_ts=70.0),
         ]
-        groups, _ = group_flows_irc(flows, CFG)
+        groups, _ = group_flows_irc(FlowTable.from_records(flows), CFG)
         assert [(g.key.sport, g.key.dport, g.key.pat_bin) for g in groups] == [
             (900, 6667, 1),
             (900, 7000, 0),
@@ -168,7 +172,7 @@ class TestCanonicalOrder:
         ]
 
     def test_cluster_keeps_key_order(self):
-        groups, _ = group_flows_p2p(self.p2p_flows(), CFG.duration_floor)
+        groups, _ = group_flows_p2p(FlowTable.from_records(self.p2p_flows()), CFG.duration_floor)
         clusters = cluster_groups(list(reversed(groups)), CFG.similarity_threshold, CFG.resample_points)
         assert len(clusters) == 1
         assert [k.label() for k in clusters[0].group_keys] == self.P2P_LABELS
@@ -223,14 +227,14 @@ class TestGroupingOracle:
 
     @given(st.lists(pooled_flows(), max_size=40))
     def test_p2p(self, flows):
-        got = group_flows_p2p(flows, CFG.duration_floor)
+        got = group_flows_p2p(FlowTable.from_records(flows), CFG.duration_floor)
         want = oracle_groups(flows, oracle_p2p_key, CFG.duration_floor)
         assert typed(got) == typed(want)
         assert got.skipped == want.skipped
 
     @given(st.lists(pooled_flows(), max_size=40))
     def test_irc(self, flows):
-        got = group_flows_irc(flows, CFG)
+        got = group_flows_irc(FlowTable.from_records(flows), CFG)
         want = oracle_groups(flows, oracle_irc_key, CFG.duration_floor)
         assert typed(got) == typed(want)
         assert got.skipped == want.skipped

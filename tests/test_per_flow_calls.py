@@ -22,9 +22,11 @@ from botdetect.classify import partition_by_label
 from botdetect.filtering import Whitelist, run_filter
 from botdetect.flowfile import _BLOCK_CHARS, parse_flow_file, write_flow_file
 from botdetect.model import default_config
-from botdetect.monitors import group_flows_irc, group_flows_p2p
+from botdetect.monitors import group_flows_irc, group_flows_p2p, window_partition
+from botdetect.pipeline import run_detection
 from botdetect.similarity import build_curve
 from botdetect.synth import PlantedGroup, PlantedKind, ScenarioSpec, generate
+from botdetect.table import FlowTable
 
 INTERNAL = IPv4Network("10.0.0.0/16")
 # every host reaches the vote, with its input tripled or not
@@ -51,7 +53,7 @@ def _flows():
 
 
 FLOWS = _flows()
-FILTERED = run_filter(FLOWS, Whitelist(frozenset()))
+FILTERED = run_filter(FlowTable.from_records(FLOWS), Whitelist(frozenset()))
 IRC, _, OTHER = partition_by_label(FILTERED.clean)
 
 
@@ -94,23 +96,54 @@ def test_the_input_exercises_every_stage():
     assert any(act.scores.flagged for act in activity.values())
     assert any(act.spam.flagged for act in activity.values())
     assert group_flows_irc(IRC, CFG).groups and group_flows_p2p(OTHER, CFG.duration_floor).groups
+    assert len(window_partition(FlowTable.from_records(FLOWS), 600.0)) == 6
 
 
 @pytest.mark.parametrize(
     "stage, args",
     [
-        pytest.param(run_filter, lambda k: (FLOWS * k, Whitelist(frozenset())), id="run_filter"),
-        pytest.param(partition_by_label, lambda k: (list(FILTERED.clean) * k,), id="partition_by_label"),
-        pytest.param(group_flows_p2p, lambda k: (list(OTHER) * k, CFG.duration_floor), id="group_flows_p2p"),
-        pytest.param(group_flows_irc, lambda k: (list(IRC) * k, CFG), id="group_flows_irc"),
+        pytest.param(
+            run_filter, lambda k: (FlowTable.from_records(FLOWS * k), Whitelist(frozenset())), id="run_filter"
+        ),
+        pytest.param(  # six windows of 600 s
+            window_partition, lambda k: (FlowTable.from_records(FLOWS * k), 600.0), id="window_partition"
+        ),
+        pytest.param(
+            partition_by_label,
+            lambda k: (FlowTable.from_records(list(FILTERED.clean) * k),),
+            id="partition_by_label",
+        ),
+        pytest.param(
+            group_flows_p2p,
+            lambda k: (FlowTable.from_records(list(OTHER) * k), CFG.duration_floor),
+            id="group_flows_p2p",
+        ),
+        pytest.param(
+            group_flows_irc, lambda k: (FlowTable.from_records(list(IRC) * k), CFG), id="group_flows_irc"
+        ),
         # two copies of each flow, then six: each equal-nbpp run of the
         # curves triples.  (One copy against three would differ in lines:
         # a group with no repeated nbpp skips the per-run loop, copies of it do not.)
-        pytest.param(group_curves, lambda k: (list(OTHER) * 2 * k,), id="group_flows_p2p+build_curve"),
+        pytest.param(
+            group_curves,
+            lambda k: (FlowTable.from_records(list(OTHER) * 2 * k),),
+            id="group_flows_p2p+build_curve",
+        ),
         pytest.param(
             window_activity,
-            lambda k: (list(FILTERED.clean) * k, list(FILTERED.failed) * k, INTERNAL, CFG),
+            lambda k: (
+                FlowTable.from_records(list(FILTERED.clean) * k),
+                FlowTable.from_records(list(FILTERED.failed) * k),
+                INTERNAL,
+                CFG,
+            ),
             id="window_activity",
+        ),
+        # two copies against six, as for the curves
+        pytest.param(
+            run_detection,
+            lambda k: (FlowTable.from_records(FLOWS * 2 * k), Whitelist(frozenset()), INTERNAL, CFG),
+            id="run_detection",
         ),
     ],
 )
@@ -121,9 +154,10 @@ def test_stage_makes_no_call_per_flow(stage, args):
 def test_whitelist_makes_no_call_per_destination():
     whitelist = Whitelist(frozenset({IPv4Network("192.0.0.0/26"), IPv4Network("192.0.1.7/32")}))
     flows = [FLOWS[0]._replace(dip=f"192.0.{i // 256}.{i % 256}") for i in range(300)]
-    assert run_filter(flows[:100], whitelist).whitelisted_count == 64
-    assert run_filter(flows, whitelist).whitelisted_count == 65
-    assert python_events(run_filter, flows[:100], whitelist) == python_events(run_filter, flows, whitelist)
+    some, all_ = FlowTable.from_records(flows[:100]), FlowTable.from_records(flows)
+    assert run_filter(some, whitelist).whitelisted_count == 64
+    assert run_filter(all_, whitelist).whitelisted_count == 65
+    assert python_events(run_filter, some, whitelist) == python_events(run_filter, all_, whitelist)
 
 
 def test_parse_makes_no_call_per_row():

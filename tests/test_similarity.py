@@ -33,6 +33,7 @@ from botdetect.similarity import (
     flow_features,
 )
 from botdetect.synth import generate, parse_scenario
+from botdetect.table import FlowTable
 
 from .conftest import make_flow
 
@@ -650,7 +651,7 @@ class TestClusterGroups:
     @pytest.mark.parametrize("spec", sorted(SCENARIO_DIR.glob("*.spec")), ids=lambda p: p.stem)
     def test_every_linking_score_joins_two_clusters(self, monkeypatch, spec):
         cfg = default_config()
-        flows, _ = generate(parse_scenario(spec.read_text()))
+        flows = FlowTable.from_records(generate(parse_scenario(spec.read_text()))[0])
         scores = count_scores(monkeypatch)
         for streams in window_streams(flows, EMPTY_WHITELIST, cfg):
             for path in BotPath:

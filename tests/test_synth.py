@@ -25,6 +25,7 @@ from botdetect.synth import (
     validate_spec,
     write_truth,
 )
+from botdetect.table import FlowTable
 
 from .conftest import NON_FINITE, float_fields, setting_text
 
@@ -129,7 +130,7 @@ class TestGenerate:
         # planted groups must stay mutually similar at the default jitter
         for seed in range(1, 11):
             flows, truth = generate(p2p_botnet_scenario(seed, benign_hosts=0))
-            cc = [f for f in flows if f.tcp_state is TcpState.ESTABLISHED]
+            cc = FlowTable.from_records(f for f in flows if f.tcp_state is TcpState.ESTABLISHED)
             groups, _ = group_flows_p2p(cc, CFG.duration_floor)
             curves = [build_curve(g.points, CFG.resample_points) for g in groups]
             for a, b in combinations(curves, 2):
@@ -140,7 +141,7 @@ class TestGenerate:
         cc = [f for f in flows if f.tcp_state is TcpState.ESTABLISHED]
         bins = {int(f.start_ts // CFG.pat_bin_seconds) for f in cc}
         assert len(bins) == 1
-        groups, _ = group_flows_irc(cc, CFG)
+        groups, _ = group_flows_irc(FlowTable.from_records(cc), CFG)
         assert len(groups) == 4  # one per bot
 
     def test_invalid_spec_rejected(self):

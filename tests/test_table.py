@@ -13,14 +13,14 @@ from ipaddress import IPv4Address, IPv4Network
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from botdetect.filtering import EMPTY_WHITELIST
+from botdetect.filtering import EMPTY_WHITELIST, Whitelist
 from botdetect.flowfile import parse_flow_file, write_flow_file
 from botdetect.model import ConfigError, FlowRecord, Proto, TcpState, default_config
 from botdetect.monitors import group_flows_irc, window_partition
 from botdetect.pipeline import run_detection
 from botdetect.report import report_to_json
 from botdetect.similarity import batch_features
-from botdetect.synth import generate, irc_botnet_scenario, p2p_botnet_scenario
+from botdetect.synth import benign_scenario, generate, irc_botnet_scenario, p2p_botnet_scenario
 from botdetect.table import FlowTable, addresses, dotted, inside
 
 from .conftest import make_flow
@@ -140,7 +140,7 @@ def _past_float_range(starts: list[float], seconds: float) -> bool:
 
 @given(st.lists(EDGE_STARTS, min_size=1, max_size=12), EDGE_SECONDS)
 def test_windows_are_python_floor_division(starts, seconds):
-    flows = [make_flow(start_ts=t, sport=i) for i, t in enumerate(starts)]
+    flows = FlowTable.from_records(make_flow(start_ts=t, sport=i) for i, t in enumerate(starts))
     if _past_float_range(starts, seconds):
         with pytest.raises(ConfigError, match="window_seconds"):
             window_partition(flows, seconds)
@@ -155,7 +155,7 @@ def test_windows_are_python_floor_division(starts, seconds):
 @given(st.lists(EDGE_STARTS, min_size=1, max_size=12), EDGE_SECONDS)
 def test_irc_time_bins_are_python_floor_division(starts, seconds):
     cfg = dataclasses.replace(CFG, pat_bin_seconds=seconds)
-    flows = [make_flow(start_ts=t) for t in starts]
+    flows = FlowTable.from_records(make_flow(start_ts=t) for t in starts)
     if _past_float_range(starts, seconds):
         with pytest.raises(ConfigError, match="pat_bin_seconds"):
             group_flows_irc(flows, cfg)
@@ -164,6 +164,12 @@ def test_irc_time_bins_are_python_floor_division(starts, seconds):
     assert [(g.key.pat_bin, len(g.points)) for g in groups] == sorted(
         Counter(int(t // seconds) for t in starts).items()
     )
+
+
+def _report(records: list[FlowRecord], whitelist: Whitelist) -> dict:
+    """The ``detect`` report of ``records``, as its JSON reads back."""
+    report = run_detection(FlowTable.from_records(records), whitelist, INTERNAL, CFG)
+    return json.loads(report_to_json(report))
 
 
 def _shift_windows(report: dict, k: int, cfg) -> dict:
@@ -195,10 +201,58 @@ def test_time_shift_by_whole_windows_moves_only_the_windows(scenario, seed, k):
     """
     flows = [rec._replace(start_ts=round(rec.start_ts * 1024) / 1024) for rec in generate(scenario(seed))[0]]
     shifted = [rec._replace(start_ts=rec.start_ts + k * CFG.window_seconds) for rec in flows]
-    base = json.loads(report_to_json(run_detection(flows, EMPTY_WHITELIST, INTERNAL, CFG)))
-    moved = json.loads(report_to_json(run_detection(shifted, EMPTY_WHITELIST, INTERNAL, CFG)))
+    base = _report(flows, EMPTY_WHITELIST)
+    moved = _report(shifted, EMPTY_WHITELIST)
     assert base["groups"]  # the planted group is reported, so there is something to shift
     assert moved == _shift_windows(base, k, CFG)
+
+
+# TEST-NET-1, which no generated flow reaches
+WHITELISTED = IPv4Network("192.0.2.0/24")
+# TCP in a clean and both failed states, and UDP; an IRC, an HTTP and no payload
+_WHITELISTED_KINDS = st.tuples(
+    st.sampled_from([
+        (Proto.TCP, TcpState.ESTABLISHED),
+        (Proto.TCP, TcpState.SYN_ONLY),
+        (Proto.TCP, TcpState.RESET),
+        (Proto.UDP, TcpState.NOT_TCP),
+    ]),
+    st.sampled_from([b"", b"NICK bot\r\nJOIN #cc\r\n", b"GET / HTTP/1.1\r\n"]),
+    st.sampled_from([25, 80, 445, 6667]),
+    st.integers(0, 255),
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    scenario=st.sampled_from([p2p_botnet_scenario, irc_botnet_scenario, benign_scenario]),
+    seed=st.integers(1, 50),
+    data=st.data(),
+)
+def test_whitelisted_flows_move_only_their_counters(scenario, seed, data):
+    """Adding N flows to a whitelisted network, from the scenario's own
+    hosts, at its own times, in any row order, raises ``flows_ingested``
+    and ``whitelisted`` by N and changes nothing else in the report."""
+    flows = generate(scenario(seed))[0]
+    assert not inside(FlowTable.from_records(flows).dip, (WHITELISTED,)).any()
+    lo, hi = flows[0].start_ts, flows[-1].start_ts  # the generator sorts by start
+    sips = sorted({rec.sip for rec in flows})
+    n = data.draw(st.integers(1, 300))
+    drawn = st.tuples(st.floats(lo, hi), st.sampled_from(sips), _WHITELISTED_KINDS)
+    rows = data.draw(st.lists(drawn, min_size=n, max_size=n))
+    extra = [
+        make_flow(
+            start_ts=start, sip=sip, dip=str(WHITELISTED[host]), dport=dport,
+            proto=proto, tcp_state=state, payload=payload,
+        )
+        for start, sip, ((proto, state), payload, dport, host) in rows
+    ]
+    mixed = flows + extra
+    data.draw(st.randoms(use_true_random=False)).shuffle(mixed)
+    want = _report(flows, EMPTY_WHITELIST)
+    want["counters"]["flows_ingested"] += len(extra)
+    want["counters"]["whitelisted"] += len(extra)
+    assert _report(mixed, Whitelist(frozenset({WHITELISTED}))) == want
 
 
 @given(st.lists(wide_flows().filter(lambda rec: rec.npkts > 0), max_size=12), st.sampled_from([0.001, 1.0]))
