@@ -231,15 +231,18 @@ def window_activity(
     together are its C connection attempts, and its target distribution
     runs over the distinct destination addresses of all of them.  Spam is
     judged on completed flows only.
+
+    The hosts of the three crossing streams are indexed together by one
+    ``np.unique`` with its inverse (a plain ``np.unique`` would import
+    ``numpy.ma`` on numpy 2.4, a cost paid by every fresh ``detect``).
     """
     out_hosts, outbound = _crossing(clean, internal, outbound=True)
     out_failed_hosts, outbound_failed = _crossing(failed, internal, outbound=True)
     in_hosts, inbound_failed = _crossing(failed, internal, outbound=False)
-    hosts = np.unique(np.concatenate([out_hosts, out_failed_hosts, in_hosts]))
+    found = np.concatenate([out_hosts, out_failed_hosts, in_hosts])
+    hosts, host = np.unique(found, return_inverse=True)
     n = len(hosts)
-    out, out_failed, into = (
-        np.searchsorted(hosts, found) for found in (out_hosts, out_failed_hosts, in_hosts)
-    )
+    out, out_failed, into = np.split(host, np.cumsum([len(out_hosts), len(out_failed_hosts)]))
     scores = _scan_scores(out, outbound, out_failed, outbound_failed, n, cfg)
     spam = _spam_reports(out, outbound, n, cfg)
     inbound_fc = _failed_counts(into, inbound_failed, n, cfg.hs_ports)

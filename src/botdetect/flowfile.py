@@ -31,13 +31,13 @@ _VALID_PAIRS = frozenset(
     (p.value, s.value) for p in Proto for s in TcpState if p is Proto.TCP or s is TcpState.NOT_TCP
 )
 
-# The decoded text is split a block of at least this many characters at a
-# time, each block ending at a line end: only one block is ever split into
-# lines and columns, so the transient memory is bounded, not proportional to
-# the file.
+# The file's bytes are cut a block of at least this many bytes at a time,
+# each block ending at a line end, and decoded a block at a time: only one
+# block is ever decoded and split into lines and columns, so the transient
+# memory is bounded, not proportional to the file.
 _BLOCK_CHARS = 1 << 16
 # the line ends a block may end at, a "\r\n" whole
-_LINE_END = re.compile(r"\r\n?|\n")
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 _PORT = "(?:0|[1-9][0-9]{0,4})"  # up to 5 digits; _parse_block checks <= 65535
 # Up to 19 digits, so below 10**19 < 2**64: a block holding a larger counter
@@ -166,20 +166,22 @@ def _parse_row(line: str, lineno: int) -> FlowRecord:
     return rec
 
 
-def _blocks(text: str, size: int, start: int = 0) -> Iterator[str]:
-    """Yield ``text`` from ``start``, a line boundary, in consecutive blocks
-    of at least ``size`` characters (the last may be shorter), each but the
+def _blocks(data: bytes, size: int, start: int = 0) -> Iterator[str]:
+    """Yield ``data`` from ``start``, a line boundary, decoded in consecutive
+    blocks of at least ``size`` bytes (the last may be shorter), each but the
     last ending just after a ``\n``, a ``\r\n`` or a bare ``\r``.
 
     Each of those always ends a line, and a ``\r\n`` is never split, so the
     blocks' lines are the text's lines, and a block holding less than one
-    whole line grows to its end.
+    whole line grows to its end.  Neither byte occurs inside a multi-byte
+    UTF-8 sequence, so each block of valid UTF-8 decodes to the matching
+    slice of the whole text without that text being built.
     """
-    end = len(text)
+    end = len(data)
     while start < end:
-        found = _LINE_END.search(text, start + size - 1)
+        found = _LINE_END.search(data, start + size - 1)
         stop = found.end() if found else end
-        yield text[start:stop]
+        yield data[start:stop].decode("utf-8")
         start = stop
 
 
@@ -245,22 +247,28 @@ def parse_flow_file(data: bytes) -> FlowTable:
     Raises :class:`BadHeader` on a schema mismatch and :class:`MalformedRow`
     (with its line number) on the first bad row.
 
-    Lines are numbered as ``str.splitlines`` numbers them.  The lines up to
-    and including the header are read one at a time.  The rest of the text
-    goes in blocks, each parsed as one piece by :func:`_parse_block`, or,
-    when it holds a comment, a blank line, surrounding whitespace or a row
-    outside ``_ROW``, line by line through :func:`_parse_row`, which accepts
-    the rows the grammar leaves out (such as the writer's ``1e-07``) and
-    raises the first bad row's own message; either way the rows are added
-    to the one table.
+    Lines are numbered as ``str.splitlines`` numbers them.  A file that is
+    not valid UTF-8 is refused before anything else.  The lines up to and
+    including the header are read one at a time.  The rest of the bytes are
+    cut at line ends into blocks (:func:`_blocks`), each decoded on its own
+    and parsed as one piece by :func:`_parse_block`, or, when it holds a
+    comment, a blank line, surrounding whitespace or a row outside
+    ``_ROW``, line by line through :func:`_parse_row`, which accepts the
+    rows the grammar leaves out (such as the writer's ``1e-07``) and raises
+    the first bad row's own message; either way the rows are added to the
+    one table.  Beyond ``data`` and the table, the parse holds one block
+    (and, checking a non-ASCII file, its whole text for a moment).
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FlowFileError(f"flow file is not valid UTF-8: {exc}") from None
-    start = 0  # where the rows begin: just after the header's line end
-    for lineno, line in enumerate(chain.from_iterable(map(_lines_with_ends, _blocks(text, 1))), 1):
-        start += len(line)
+    # every UTF-8 error comes first, named by its place in the whole file;
+    # the text decoded to find it is dropped before the first block
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FlowFileError(f"flow file is not valid UTF-8: {exc}") from None
+    start = 0  # where the rows begin: the byte just after the header's line end
+    for lineno, line in enumerate(chain.from_iterable(map(_lines_with_ends, _blocks(data, 1))), 1):
+        start += len(line.encode("utf-8"))
         line = line.strip()
         if line == HEADER:
             break
@@ -270,7 +278,7 @@ def parse_flow_file(data: bytes) -> FlowTable:
         raise BadHeader("missing header line")
     # from here on, lineno is the number of lines before the next block
     table = TableBuilder()
-    for block in _blocks(text, _BLOCK_CHARS, start):
+    for block in _blocks(data, _BLOCK_CHARS, start):
         rows = _parse_block(block, table)
         if rows is None:
             lines = block.splitlines()

@@ -74,16 +74,21 @@ def window_partition(table: FlowTable, window_seconds: float) -> list[tuple[Wind
     """Assign each flow to window floor(start_ts / window_seconds).
 
     Windows come out in ascending index order, each window's flows in
-    their input order; empty windows are omitted.
+    their input order; empty windows are omitted.  A window whose rows are
+    consecutive in ``table``, as every window of a time-ordered file is, is
+    a view of its rows (a slice, sharing memory with ``table``); any other
+    window's rows are gathered into a table of their own.
     """
     bins = _bins(table.start_ts, window_seconds, "window_seconds")
     order, starts = _runs([bins])
     windows = []
     for start, stop in zip(starts[:-1].tolist(), starts[1:].tolist()):
-        rows = order[start:stop]
-        i = int(bins[rows[0]])
+        rows = order[start:stop]  # ascending: the sort is stable
+        first, last = int(rows[0]), int(rows[-1])
+        flows = table[first : last + 1] if last - first + 1 == len(rows) else table[rows]
+        i = int(bins[first])
         windows.append(
-            (WindowIndex(index=i, start=i * window_seconds, end=(i + 1) * window_seconds), table[rows])
+            (WindowIndex(index=i, start=i * window_seconds, end=(i + 1) * window_seconds), flows)
         )
     return windows
 

@@ -138,7 +138,7 @@ class TableBuilder:
     shared by every chunk."""
 
     def __init__(self) -> None:
-        self._chunks: list[tuple[np.ndarray, ...]] = []
+        self._chunks: tuple[list[np.ndarray], ...] = tuple([] for _ in _DTYPES)  # per column
         self._codes: dict[bytes, int] = {}  # payload -> code, in first-seen order
 
     def payload_codes(self, values: list, decode=None) -> np.ndarray:
@@ -154,7 +154,8 @@ class TableBuilder:
     def add(self, *columns: np.ndarray) -> None:
         """Append rows given as the table's columns, ``payload`` as codes
         from :meth:`payload_codes`."""
-        self._chunks.append(columns)
+        for chunks, column in zip(self._chunks, columns):
+            chunks.append(column)
 
     def add_records(self, records: list[FlowRecord]) -> None:
         if not records:
@@ -178,11 +179,16 @@ class TableBuilder:
         )
 
     def build(self) -> FlowTable:
-        if not self._chunks:
-            return FlowTable(*(np.zeros(0, dtype) for dtype in _DTYPES), ())
-        columns = (
-            self._chunks[0] if len(self._chunks) == 1 else map(np.concatenate, zip(*self._chunks))
-        )
+        """The table of every row added, in order, taking the chunks out of
+        the builder: each column's chunks are joined and dropped before the
+        next column's, so the chunks and the table are never both held
+        whole."""
+        columns = []
+        for chunks, dtype in zip(self._chunks, _DTYPES):
+            # one chunk is taken as it is; with no chunk the column is empty
+            column = chunks[0] if len(chunks) == 1 else np.concatenate([np.zeros(0, dtype), *chunks])
+            columns.append(column)
+            chunks.clear()
         return FlowTable(*columns, tuple(self._codes))
 
 

@@ -21,7 +21,7 @@ from botdetect.flowfile import (
     write_flow_file,
 )
 from botdetect.model import FlowRecord, Proto, TcpState
-from botdetect.table import TableBuilder
+from botdetect.table import FlowTable, TableBuilder
 
 from .conftest import make_flow
 
@@ -310,10 +310,10 @@ def broken_texts(draw) -> str:
 def test_lines_are_split_where_splitlines_splits(text, block, data):
     lines = text.splitlines(keepends=True)
     skipped = data.draw(st.integers(0, len(lines)), label="lines before the start offset")
-    start = sum(map(len, lines[:skipped]))
-    blocks = list(_blocks(text, block, start))
-    assert "".join(blocks) == text[start:]
-    assert all(len(piece) >= block and piece.endswith(("\n", "\r")) for piece in blocks[:-1])
+    start = len("".join(lines[:skipped]).encode())
+    blocks = list(_blocks(text.encode(), block, start))
+    assert "".join(blocks) == "".join(lines[skipped:])
+    assert all(len(piece.encode()) >= block and piece.endswith(("\n", "\r")) for piece in blocks[:-1])
     # each block ends at a line end, so its lines, numbered on from the
     # blocks before it, are the text's lines
     got = [line for piece in blocks for line in piece.splitlines(keepends=True)]
@@ -361,9 +361,33 @@ def test_block_split_parse_agrees_with_the_row_path(newline, bad):
     for size in range(1, len(text) + 2):
         with mock.patch.object(flowfile, "_BLOCK_CHARS", size):
             assert _outcome(parse_flow_file, data) == expected, size
-        ends.update(accumulate(map(len, _blocks(text, size))))
+        ends.update(accumulate(map(len, _blocks(data, size))))
     if bad is not None:
         assert len(newline.join(lines[:at]) + newline) in ends
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("bad", [False, True], ids=["good", "late-row-invariant"])
+def test_non_ascii_comments_keep_their_line_numbers(newline, bad):
+    """Valid non-ASCII comments, before the header and among the rows, each
+    holding a character that str.splitlines breaks at ("\x85", "\u2028"),
+    leave the rows and every line number as the row-by-row parse has them,
+    at every block size in bytes (so a block's nominal end falls inside a
+    multi-byte character too)."""
+    lines = _numbered_file()
+    lines[0] = "# café\x85# naïve"  # two lines
+    lines[5] = "  # ünïcödé \u2028 # — ok"  # two lines
+    if bad:
+        lines[8] = _broken(lines[8], 4, "65536")
+    data = (newline.join(lines) + newline).encode()
+    expected = _outcome(_row_by_row, data)
+    if bad:  # line 9 of the list, after two lines split in two
+        assert expected[1].startswith("line 11: ")
+    else:
+        assert len(_row_by_row(data)) == 6
+    for size in range(1, len(data) + 2):
+        with mock.patch.object(flowfile, "_BLOCK_CHARS", size):
+            assert _outcome(parse_flow_file, data) == expected, size
 
 
 class TestChunkedParse:
@@ -439,6 +463,17 @@ class TestChunkedParse:
         assert len(rows_per_block) >= 3
         assert sum(rows_per_block) == len(flows)
 
+    def test_a_utf8_error_in_a_later_block_comes_before_a_bad_row_in_the_first(self):
+        rows = [_BASE_ROW] * (2 * _BASE_ROWS_PER_BLOCK)
+        rows[1] = _broken(_BASE_ROW, 4, "65536")
+        head = _file(*rows)
+        data = head + b"# \xff\n"
+        assert len(head) > _BLOCK_CHARS
+        outcome = _outcome(parse_flow_file, data)
+        assert outcome == _outcome(_row_by_row, data)
+        assert outcome[0] == "FlowFileError"
+        assert f"can't decode byte 0xff in position {len(head) + 2}:" in outcome[1]
+
     @pytest.mark.parametrize(
         "row, outcome",
         [
@@ -464,23 +499,37 @@ class TestChunkedParse:
     @pytest.mark.parametrize("newline", ["\n", "\r"], ids=["LF", "CR"])
     def test_transient_memory_is_bounded_by_the_chunk(self, newline):
         # 8192 rows in an 0.8 MB file.  Beyond the records, the parse holds
-        # the decoded text (about 0.8 MB) and one 64 KiB block with its cells
-        # and columns (about 0.6 MB); a list of every line would add about
-        # 1.1 MB, and splitting the whole file into columns at once would
-        # take about 8 MB.
-        rows = 8192
-        flows = [
-            make_flow(start_ts=i * 0.5, sip=f"10.0.{i % 7}.{i % 250}", sport=1024 + i, nbytes=1000 + i,
-                      payload=b"GET / HTTP/1.1\r\n")
-            for i in range(rows)
-        ]
-        data = write_flow_file(flows).replace(b"\n", newline.encode())
-        assert len(data) >= 3 * _BLOCK_CHARS
-        tracemalloc.start()
-        try:
-            records = parse_flow_file(data)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # one 64 KiB block, as bytes and as text, with its cells and columns
+        # (about 0.6 MB); a list of every line would add about 1.1 MB, and
+        # splitting the whole file into columns at once would take about 8 MB.
+        data, flows, records, kept, peak = _traced_parse(newline)
         assert records == flows
         assert peak - kept < 2_200_000
+
+    @pytest.mark.parametrize("newline", ["\n", "\r"], ids=["LF", "CR"])
+    def test_no_second_copy_of_the_file_is_held(self, newline):
+        # the whole decoded text, or the table's chunks beside the joined
+        # table, would each come to some 0.8 MB on this file
+        data, flows, records, kept, peak = _traced_parse(newline)
+        assert records == flows
+        assert peak - kept < len(data)
+
+
+def _traced_parse(newline: str) -> tuple[bytes, list[FlowRecord], FlowTable, int, int]:
+    """A written file of 8192 rows ended by ``newline``, its flows, its
+    parse, and the memory the parse kept and its peak under tracemalloc."""
+    rows = 8192
+    flows = [
+        make_flow(start_ts=i * 0.5, sip=f"10.0.{i % 7}.{i % 250}", sport=1024 + i, nbytes=1000 + i,
+                  payload=b"GET / HTTP/1.1\r\n")
+        for i in range(rows)
+    ]
+    data = write_flow_file(flows).replace(b"\n", newline.encode())
+    assert len(data) >= 3 * _BLOCK_CHARS
+    tracemalloc.start()
+    try:
+        records = parse_flow_file(data)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return data, flows, records, kept, peak

@@ -65,6 +65,23 @@ class TestWindowPartition:
             for rec in chunk:
                 assert window.start <= rec.start_ts < window.end
 
+    def test_consecutive_rows_are_a_view_and_interleaved_rows_are_gathered(self):
+        rng = Xorshift64Star(2)
+        starts = sorted(rng.uniform(0, 3 * 21600) for _ in range(300))
+        table = FlowTable.from_records([make_flow(start_ts=t, sport=1024 + i) for i, t in enumerate(starts)])
+        ordered = window_partition(table, 21600)
+        assert [w.index for w, _ in ordered] == [0, 1, 2]
+        assert all(np.shares_memory(flows.start_ts, table.start_ts) for _, flows in ordered)
+        # windows 0 and 1 interleaved, each in its own order; window 2 after them
+        first, second, third = (np.flatnonzero(table.start_ts // 21600 == i) for i in range(3))
+        k = min(len(first), len(second))
+        pairs = np.stack([first[:k], second[:k]], axis=1).ravel()
+        mixed = table[np.concatenate([pairs, first[k:], second[k:], third])]
+        windows = window_partition(mixed, 21600)
+        shared = [np.shares_memory(flows.start_ts, mixed.start_ts) for _, flows in windows]
+        assert shared == [False, False, True]
+        assert [(w, list(flows)) for w, flows in windows] == [(w, list(flows)) for w, flows in ordered]
+
 
 class TestP2PGrouping:
     def test_same_key_same_group(self):

@@ -8,10 +8,11 @@ import json
 import math
 import re
 from collections import Counter
+from functools import lru_cache
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from botdetect.filtering import EMPTY_WHITELIST, Whitelist
 from botdetect.flowfile import parse_flow_file, write_flow_file
@@ -172,6 +173,29 @@ def _report(records: list[FlowRecord], whitelist: Whitelist) -> dict:
     return json.loads(report_to_json(report))
 
 
+def _scenario_flows(scenario, seed: int, rounded: bool) -> list[FlowRecord]:
+    """``scenario(seed)``'s flows; with each start rounded to 1/1024 s if
+    ``rounded``."""
+    flows = generate(scenario(seed))[0]
+    if rounded:
+        flows = [rec._replace(start_ts=round(rec.start_ts * 1024) / 1024) for rec in flows]
+    return flows
+
+
+@lru_cache(maxsize=None)
+def _scenario_report(scenario, seed: int, rounded: bool) -> str:
+    """The report JSON of ``_scenario_flows(scenario, seed, rounded)``, with
+    no whitelist, made once per scenario and seed: each example of the
+    whole-pipeline properties below then runs ``run_detection`` once."""
+    return json.dumps(_report(_scenario_flows(scenario, seed, rounded), EMPTY_WHITELIST))
+
+
+# The whole-pipeline properties skip shrinking: one of their examples takes
+# a scenario's full run, and a failure already names the scenario, the seed
+# and the drawn flows that reproduce it.
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+
+
 def _shift_windows(report: dict, k: int, cfg) -> dict:
     """``report`` as it reads when every start_ts is later by k windows."""
     seconds = k * cfg.window_seconds
@@ -186,7 +210,7 @@ def _shift_windows(report: dict, k: int, cfg) -> dict:
     return report
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8, deadline=None, phases=_NO_SHRINK)
 @given(
     scenario=st.sampled_from([p2p_botnet_scenario, irc_botnet_scenario]),
     seed=st.integers(1, 50),
@@ -199,9 +223,9 @@ def test_time_shift_by_whole_windows_moves_only_the_windows(scenario, seed, k):
     Starts are rounded to 1/1024 s first, so each shifted start, and so
     its window and time bin, is exact.
     """
-    flows = [rec._replace(start_ts=round(rec.start_ts * 1024) / 1024) for rec in generate(scenario(seed))[0]]
+    flows = _scenario_flows(scenario, seed, rounded=True)
     shifted = [rec._replace(start_ts=rec.start_ts + k * CFG.window_seconds) for rec in flows]
-    base = _report(flows, EMPTY_WHITELIST)
+    base = json.loads(_scenario_report(scenario, seed, rounded=True))
     moved = _report(shifted, EMPTY_WHITELIST)
     assert base["groups"]  # the planted group is reported, so there is something to shift
     assert moved == _shift_windows(base, k, CFG)
@@ -223,7 +247,7 @@ _WHITELISTED_KINDS = st.tuples(
 )
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, phases=_NO_SHRINK)
 @given(
     scenario=st.sampled_from([p2p_botnet_scenario, irc_botnet_scenario, benign_scenario]),
     seed=st.integers(1, 50),
@@ -233,7 +257,7 @@ def test_whitelisted_flows_move_only_their_counters(scenario, seed, data):
     """Adding N flows to a whitelisted network, from the scenario's own
     hosts, at its own times, in any row order, raises ``flows_ingested``
     and ``whitelisted`` by N and changes nothing else in the report."""
-    flows = generate(scenario(seed))[0]
+    flows = _scenario_flows(scenario, seed, rounded=False)
     assert not inside(FlowTable.from_records(flows).dip, (WHITELISTED,)).any()
     lo, hi = flows[0].start_ts, flows[-1].start_ts  # the generator sorts by start
     sips = sorted({rec.sip for rec in flows})
@@ -249,7 +273,7 @@ def test_whitelisted_flows_move_only_their_counters(scenario, seed, data):
     ]
     mixed = flows + extra
     data.draw(st.randoms(use_true_random=False)).shuffle(mixed)
-    want = _report(flows, EMPTY_WHITELIST)
+    want = json.loads(_scenario_report(scenario, seed, rounded=False))
     want["counters"]["flows_ingested"] += len(extra)
     want["counters"]["whitelisted"] += len(extra)
     assert _report(mixed, Whitelist(frozenset({WHITELISTED}))) == want
