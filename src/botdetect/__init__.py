@@ -22,8 +22,20 @@ from .model import (
 from .pipeline import run_detection
 from .report import BotnetGroup, BotnetReport, report_to_json
 from .similarity import FlowFeatures, build_curve, cluster_groups, curve_similarity, flow_features
-from .synth import GroundTruth, PlantedGroup, PlantedKind, ScenarioSpec, generate
 from .table import FlowTable
+
+# the generator's names load on first use (PEP 562), so importing the
+# package for detection does not compile and import synth
+_SYNTH_NAMES = frozenset({"GroundTruth", "PlantedGroup", "PlantedKind", "ScenarioSpec", "generate"})
+
+
+def __getattr__(name: str):
+    if name in _SYNTH_NAMES:
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AppLabel",

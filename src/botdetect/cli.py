@@ -30,7 +30,6 @@ from .model import ConfigError, DetectorConfig, Proto, default_config, parse_con
 from .pipeline import group_path, run_detection, window_streams
 from .report import BotPath, report_to_json
 from .similarity import build_curve
-from .synth import InvalidSpec, generate, parse_scenario, write_truth
 
 
 def _write_text(out_path: str, text: str) -> None:
@@ -125,6 +124,9 @@ def _spam_row(act: HostActivity) -> str:
 
 
 def run_synth(args: argparse.Namespace) -> None:
+    # imported here, so the other commands never load the generator
+    from .synth import generate, parse_scenario, write_truth
+
     spec = parse_scenario(_read_text(args.spec))
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
@@ -213,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FlowFileError, WhitelistError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, InvalidSpec) as exc:
+    except ConfigError as exc:  # a bad scenario spec (synth.InvalidSpec) is one too
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

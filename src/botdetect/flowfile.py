@@ -23,6 +23,8 @@ _COLUMNS = HEADER.count(",") + 1
 
 _PROTO_BY_NAME = {p.value: p for p in Proto}
 _STATE_BY_NAME = {s.value: s for s in TcpState}
+_PROTO_NAME = {p: p.value for p in Proto}
+_STATE_NAME = {s: s.value for s in TcpState}
 _PROTO_CODE = {p.value: code for code, p in enumerate(PROTOS)}
 _STATE_CODE = {s.value: code for code, s in enumerate(STATES)}
 _PLAIN_SECONDS = re.compile(r"[0-9]+(?:\.[0-9]{1,6})?")
@@ -95,8 +97,6 @@ def format_seconds(value: float) -> str:
     exactly, so parse(write(x)) always reproduces x.
     """
     text = f"{value:.6f}".rstrip("0").rstrip(".")
-    if not text:
-        text = "0"
     if float(text) == value:
         return text
     return repr(value)
@@ -297,23 +297,9 @@ def parse_flow_file(data: bytes) -> FlowTable:
 
 def write_flow_file(flows: Iterable[FlowRecord]) -> bytes:
     """Serialize flows; inverse of :func:`parse_flow_file` field-for-field."""
-    lines = [HEADER]
-    for rec in flows:
-        lines.append(
-            ",".join(
-                (
-                    format_seconds(rec.start_ts),
-                    format_seconds(rec.duration),
-                    rec.proto.value,
-                    rec.sip,
-                    str(rec.sport),
-                    rec.dip,
-                    str(rec.dport),
-                    str(rec.npkts),
-                    str(rec.nbytes),
-                    rec.tcp_state.value,
-                    rec.payload_prefix.hex(),
-                )
-            )
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    lines = [
+        f"{format_seconds(start)},{format_seconds(duration)},{_PROTO_NAME[proto]},"
+        f"{sip},{sport},{dip},{dport},{npkts},{nbytes},{_STATE_NAME[state]},{payload.hex()}"
+        for start, duration, proto, sip, sport, dip, dport, npkts, nbytes, state, payload in flows
+    ]
+    return ("\n".join([HEADER, *lines]) + "\n").encode("utf-8")

@@ -25,9 +25,16 @@ probes and ``smtp_fanout`` mail servers, whatever its kind.
 * Benign host — a few stable external peers with wide log-uniform flow
   shapes, occasional ICMP, an HTTP mix, and rare legitimate IRC chatter.
 
-Addresses: internal hosts live in 10.0.0.0/16 (benign in 10.0.1.0/24,
-planted group g in 10.0.(2+g).0/24); external endpoints are allocated
-sequentially from 198.51.0.0/16.
+Addresses: internal hosts live in 10.0.0.0/16.  Benign host i is
+10.0.1.(i+1) for the first 250; later ones fill 10.0.202.0/24 upward, 250
+to a /24, so they never meet planted group g in 10.0.(2+g).0/24.  External
+endpoints are allocated sequentially from 198.51.0.0/16.
+
+Per-flow loops of a fixed number of draws (the benign flows, the command
+flows, the scan probes) take their draws in one :meth:`Xorshift64Star.draws`
+call, the same xorshift64* sequence computed a block at a time, and do their
+float arithmetic on numpy columns with the same IEEE-754 operations as the
+scalar draws, so every byte is what one draw at a time would give.
 """
 
 from __future__ import annotations
@@ -35,11 +42,21 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cache
 from ipaddress import IPv4Address
+from itertools import repeat
+from operator import itemgetter
 
-from .model import FlowRecord, Proto, TcpState, content_lines, field_parsers, parse_setting, read_settings
+import numpy as np
+
+from .model import ConfigError, FlowRecord, Proto, TcpState, content_lines, field_parsers
+from .model import parse_setting, read_settings
 
 MASK64 = (1 << 64) - 1
+
+# states per block of a bulk draw: the jump table holds 64 * _JUMP_BLOCK
+# uint64 (512 KiB)
+_JUMP_BLOCK = 1024
 
 _EXT_BASE = (198 << 24) | (51 << 16)  # 198.51.0.0
 
@@ -57,6 +74,12 @@ _PAT_BIN = 60.0  # IRC groups synchronize to the default arrival-time bin
 
 _BENIGN_IRC_PROB = 0.08
 _BENIGN_ICMP_PROB = 0.05
+_BENIGN_HTTP_PAYLOAD = b"GET /index.html HTTP/1.1\r\nHost: upd.example\r\n"
+
+# benign hosts fill 10.0.1.0/24, then 10.0.202.0/24 up to 10.0.255.0/24,
+# 250 to a /24, above every planted group's /24 (10.0.2-201)
+_HOSTS_PER_24 = 250
+_MAX_BENIGN_HOSTS = _HOSTS_PER_24 * (256 - 201)
 
 
 class Xorshift64Star:
@@ -86,6 +109,26 @@ class Xorshift64Star:
         self._state = x
         return (x * self.MULTIPLIER) & MASK64
 
+    def draws(self, n: int) -> np.ndarray:
+        """The next ``n`` ``next_u64()`` outputs as uint64, a block at a time.
+
+        The step is linear over GF(2), so the state ``k + 1`` steps on is
+        the XOR of ``T^(k+1)(1 << j)`` over the state's set bits ``j``
+        (Haramoto et al., "Efficient Jump Ahead for F2-Linear Random Number
+        Generators", 2008): one XOR reduction over the jump table's rows
+        gives a block of states.
+        """
+        states = np.empty(n, dtype=np.uint64)
+        x = self._state
+        for lo in range(0, n, _JUMP_BLOCK):
+            hi = min(n, lo + _JUMP_BLOCK)
+            bits = [j for j in range(64) if x >> j & 1]
+            np.bitwise_xor.reduce(_jump_table()[bits, : hi - lo], axis=0, out=states[lo:hi])
+            x = int(states[hi - 1])
+        self._state = x
+        # array products wrap modulo 2**64, as the scalar mask does
+        return states * np.uint64(self.MULTIPLIER)
+
     def fraction(self) -> float:
         return (self.next_u64() >> 11) * 2.0**-53
 
@@ -104,6 +147,32 @@ class Xorshift64Star:
         """Log-spread positive float in [2**lo_exp, 2**(hi_exp+1))."""
         exponent = lo_exp + self.randint(hi_exp - lo_exp + 1)
         return math.ldexp(1.0 + self.fraction(), exponent)
+
+
+@cache
+def _jump_table() -> np.ndarray:
+    """Row ``j``, column ``k``: the xorshift step applied ``k + 1`` times to
+    the state ``1 << j``; built on the first bulk draw."""
+    table = np.empty((64, _JUMP_BLOCK), dtype=np.uint64)
+    x = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    for k in range(_JUMP_BLOCK):
+        x ^= x >> np.uint64(12)
+        x ^= x << np.uint64(25)
+        x ^= x >> np.uint64(27)
+        table[:, k] = x
+    table.flags.writeable = False  # shared by every generator in the process
+    return table
+
+
+def _uniform(draws: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``Xorshift64Star.uniform(lo, hi)`` of each draw (its top 53 bits are
+    exact in a float64)."""
+    return lo + (hi - lo) * ((draws >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+
+
+def _randint(draws: np.ndarray, n: int) -> np.ndarray:
+    """``Xorshift64Star.randint(n)`` of each draw, as int64."""
+    return (draws % np.uint64(n)).astype(np.int64)
 
 
 class PlantedKind(enum.Enum):
@@ -153,16 +222,17 @@ class GroundTruth:
     malicious: tuple[IPv4Address, ...]
 
 
-class InvalidSpec(ValueError):
-    pass
+class InvalidSpec(ConfigError):
+    """A bad scenario spec or ground-truth sidecar; a :class:`ConfigError`,
+    so the command line exits 3 on it without importing this module."""
 
 
 def validate_spec(spec: ScenarioSpec) -> list[str]:
     problems = []
     if spec.duration <= 0:
         problems.append("duration must be > 0")
-    if not 0 <= spec.benign_hosts <= 250:
-        problems.append("benign_hosts must be in [0, 250]")
+    if not 0 <= spec.benign_hosts <= _MAX_BENIGN_HOSTS:
+        problems.append(f"benign_hosts must be in [0, {_MAX_BENIGN_HOSTS}]")
     if spec.benign_flow_rate < 0:
         problems.append("benign_flow_rate must be >= 0")
     if len(spec.planted) > 200:
@@ -191,6 +261,22 @@ def validate_spec(spec: ScenarioSpec) -> list[str]:
 def _q6(value: float) -> float:
     """Quantize seconds to microseconds so files render compactly."""
     return round(value * 1e6) / 1e6
+
+
+def _q6_column(values: np.ndarray) -> np.ndarray:
+    """:func:`_q6` of each value: ``np.rint`` rounds half to even, as ``round`` does."""
+    return np.rint(values * 1e6) / 1e6
+
+
+def _records(*columns) -> list[FlowRecord]:
+    """Records from field columns in ``FlowRecord`` order (a field shared by
+    every record is ``repeat(value)``), each made from its tuple of fields."""
+    return list(map(tuple.__new__, repeat(FlowRecord), zip(*columns)))
+
+
+def _benign_address(i: int) -> str:
+    block, host = divmod(i, _HOSTS_PER_24)
+    return f"10.0.{201 + block if block else 1}.{host + 1}"
 
 
 class _Allocator:
@@ -234,23 +320,21 @@ def _group_anchors(group: PlantedGroup) -> list[_Anchor]:
 
 
 def _scan_flows(rng, spec, sip, targets, alloc) -> list[FlowRecord]:
-    flows = []
-    for _ in range(targets):
-        flows.append(
-            FlowRecord(
-                start_ts=_q6(rng.uniform(0.0, spec.duration * 0.99)),
-                duration=0.0,
-                proto=Proto.TCP,
-                sip=sip,
-                sport=1024 + rng.randint(64511),
-                dip=alloc.external(),
-                dport=rng.choice(_SCAN_PORTS),
-                npkts=1,
-                nbytes=60,
-                tcp_state=TcpState.SYN_ONLY,
-            )
-        )
-    return flows
+    # per target: start, sport, dport
+    start, sport, port = rng.draws(3 * targets).reshape(targets, 3).T
+    return _records(
+        _q6_column(_uniform(start, 0.0, spec.duration * 0.99)).tolist(),
+        repeat(0.0),
+        repeat(Proto.TCP),
+        repeat(sip),
+        (1024 + _randint(sport, 64511)).tolist(),
+        [alloc.external() for _ in range(targets)],
+        np.array(_SCAN_PORTS)[_randint(port, len(_SCAN_PORTS))].tolist(),
+        repeat(1),
+        repeat(60),
+        repeat(TcpState.SYN_ONLY),
+        repeat(b""),
+    )
 
 
 def _smtp_flows(rng, spec, sip, fanout, alloc) -> list[FlowRecord]:
@@ -299,81 +383,79 @@ def _planted_flows(rng, spec, group, members, alloc) -> list[FlowRecord]:
     else:
         dests = []
     anchors = _group_anchors(group)
+    n = len(anchors)
     jitter = group.jitter_pct / 100.0
+    nominal = np.array([anchor.duration for anchor in anchors])
+    # the command flows' fields in (destination, anchor) order
+    dips = [dip for dip in dests for _ in anchors]
+    npkts = [anchor.npkts for anchor in anchors] * len(dests)
+    nbytes = [anchor.nbytes for anchor in anchors] * len(dests)
     flows = []
     for j, sip in enumerate(members):
-        payload = f"NICK b{j:03d}\r\n".encode() if irc else b""
-        for dip in dests:
-            sport = 1024 + rng.randint(64511)
-            for anchor in anchors:
-                duration = _q6(anchor.duration * (1.0 + rng.uniform(-jitter, jitter)))
-                flows.append(
-                    FlowRecord(
-                        start_ts=_q6(min(first + rng.uniform(0.0, span), last)),
-                        duration=duration,
-                        proto=Proto.TCP,
-                        sip=sip,
-                        sport=sport,
-                        dip=dip,
-                        dport=dport,
-                        npkts=anchor.npkts,
-                        nbytes=anchor.nbytes,
-                        tcp_state=TcpState.ESTABLISHED,
-                        payload_prefix=payload,
-                    )
-                )
+        if dests:
+            # a row per destination, in draw order: its sport, then each
+            # anchor's duration jitter and start
+            draws = rng.draws(len(dests) * (1 + 2 * n)).reshape(len(dests), 1 + 2 * n)
+            duration = _q6_column(nominal * (1.0 + _uniform(draws[:, 1::2], -jitter, jitter)))
+            start = _q6_column(np.minimum(first + _uniform(draws[:, 2::2], 0.0, span), last))
+            flows += _records(
+                start.ravel().tolist(),
+                duration.ravel().tolist(),
+                repeat(Proto.TCP),
+                repeat(sip),
+                np.repeat(1024 + _randint(draws[:, 0], 64511), n).tolist(),
+                dips,
+                repeat(dport),
+                npkts,
+                nbytes,
+                repeat(TcpState.ESTABLISHED),
+                repeat(f"NICK b{j:03d}\r\n".encode() if irc else b""),
+            )
         flows.extend(_scan_flows(rng, spec, sip, group.scan_targets, alloc))
         flows.extend(_smtp_flows(rng, spec, sip, group.smtp_fanout, alloc))
     return flows
 
 
 def _benign_host_flows(rng, spec, sip, alloc) -> list[FlowRecord]:
-    flows: list[FlowRecord] = []
     peer_count = 2 + rng.randint(4)
-    peers = []
+    # each peer's (proto, dip, dport, tcp_state, payload) and flow shape
+    fields, nbpp, nbps = [], [], []
     for _ in range(peer_count):
         r = rng.fraction()
         if r < 0.25:
-            kind, dport = "http", rng.choice((80, 8080))
+            proto, state, payload = Proto.TCP, TcpState.ESTABLISHED, _BENIGN_HTTP_PAYLOAD
+            dport = rng.choice((80, 8080))
         elif r < 0.5:
-            kind, dport = "udp", rng.choice(_UDP_SERVICE_PORTS)
+            proto, state, payload = Proto.UDP, TcpState.NOT_TCP, b""
+            dport = rng.choice(_UDP_SERVICE_PORTS)
         else:
-            kind, dport = "tcp", 1024 + rng.randint(64511)
-        peers.append(
-            {
-                "dip": alloc.external(),
-                "kind": kind,
-                "dport": dport,
-                "nbpp": rng.log2_uniform(5, 9),
-                "nbps": rng.log2_uniform(5, 15),
-            }
-        )
+            proto, state, payload = Proto.TCP, TcpState.ESTABLISHED, b""
+            dport = 1024 + rng.randint(64511)
+        fields.append((proto, alloc.external(), dport, state, payload))
+        nbpp.append(rng.log2_uniform(5, 9))
+        nbps.append(rng.log2_uniform(5, 15))
     total = round(spec.benign_flow_rate * spec.duration / 3600.0)
-    for _ in range(total):
-        peer = peers[rng.randint(peer_count)]
-        npkts = 1 + rng.randint(200)
-        nbpp = peer["nbpp"] * (1.0 + rng.uniform(-0.3, 0.3))
-        nbytes = max(1, round(nbpp * npkts))
-        rate = peer["nbps"] * (1.0 + rng.uniform(-0.3, 0.3))
-        duration = _q6(min(nbytes / rate, 3600.0))
-        payload = b""
-        if peer["kind"] == "http":
-            payload = b"GET /index.html HTTP/1.1\r\nHost: upd.example\r\n"
-        flows.append(
-            FlowRecord(
-                start_ts=_q6(rng.uniform(0.0, spec.duration * 0.99)),
-                duration=duration,
-                proto=Proto.UDP if peer["kind"] == "udp" else Proto.TCP,
-                sip=sip,
-                sport=1024 + rng.randint(64511),
-                dip=peer["dip"],
-                dport=peer["dport"],
-                npkts=npkts,
-                nbytes=nbytes,
-                tcp_state=TcpState.NOT_TCP if peer["kind"] == "udp" else TcpState.ESTABLISHED,
-                payload_prefix=payload,
-            )
-        )
+    # per flow, in draw order: peer, npkts, nbpp jitter, rate jitter, start, sport
+    peer, npkts, nbpp_jitter, rate_jitter, start, sport = rng.draws(6 * total).reshape(total, 6).T
+    peer = _randint(peer, peer_count)
+    npkts = 1 + _randint(npkts, 200)
+    nbpp = np.array(nbpp)[peer] * (1.0 + _uniform(nbpp_jitter, -0.3, 0.3))
+    nbytes = np.maximum(1.0, np.rint(nbpp * npkts))
+    rate = np.array(nbps)[peer] * (1.0 + _uniform(rate_jitter, -0.3, 0.3))
+    proto, dip, dport, state, payload = np.array(fields, dtype=object)[peer].T.tolist()
+    flows = _records(
+        _q6_column(_uniform(start, 0.0, spec.duration * 0.99)).tolist(),
+        _q6_column(np.minimum(nbytes / rate, 3600.0)).tolist(),
+        proto,
+        repeat(sip),
+        (1024 + _randint(sport, 64511)).tolist(),
+        dip,
+        dport,
+        npkts.tolist(),
+        nbytes.astype(np.int64).tolist(),
+        state,
+        payload,
+    )
     if rng.fraction() < _BENIGN_ICMP_PROB:
         npkts = 2 + rng.randint(8)
         flows.append(
@@ -430,7 +512,7 @@ def generate(spec: ScenarioSpec) -> tuple[list[FlowRecord], GroundTruth]:
     alloc = _Allocator()
     flows: list[FlowRecord] = []
     for i in range(spec.benign_hosts):
-        flows.extend(_benign_host_flows(rng, spec, f"10.0.1.{i + 1}", alloc))
+        flows.extend(_benign_host_flows(rng, spec, _benign_address(i), alloc))
     truths = []
     malicious: set[IPv4Address] = set()
     for g, group in enumerate(spec.planted):
@@ -440,7 +522,7 @@ def generate(spec: ScenarioSpec) -> tuple[list[FlowRecord], GroundTruth]:
         truths.append(PlantedTruth(kind=group.kind, hosts=hosts))
         if group.malicious:
             malicious.update(hosts)
-    flows.sort(key=lambda f: (f.start_ts, f.sip, f.dip, f.sport, f.dport))
+    flows.sort(key=itemgetter(0, 3, 5, 4, 6))  # start_ts, sip, dip, sport, dport
     return flows, GroundTruth(groups=tuple(truths), malicious=tuple(sorted(malicious)))
 
 

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import enum
+import importlib.util
+import sys
 from ipaddress import IPv4Network
+from pathlib import Path
 from typing import get_type_hints
 
 import pytest
@@ -61,6 +64,16 @@ def setting_text(value) -> str:
     if isinstance(value, frozenset):
         return ",".join(f"{proto.value}:{port}" for proto, port in sorted(value, key=str))
     return str(value)
+
+
+def bench_workloads(monkeypatch) -> dict:
+    """``bench/workloads.py``'s ``WORKLOADS``, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up by name
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -20,7 +19,7 @@ from botdetect.flowfile import HEADER, write_flow_file
 from botdetect.model import Proto, TcpState, default_config
 from botdetect.synth import generate, irc_botnet_scenario, p2p_botnet_scenario
 
-from .conftest import make_flow
+from .conftest import bench_workloads, make_flow
 
 S1_SPEC = """
 seed = 42
@@ -98,16 +97,16 @@ class TestDetect:
         assert doc["groups"][0]["hosts"] == ["10.0.2.1", "10.0.2.2", "10.0.2.3"]
         assert doc["counters"]["flows_ingested"] > 0
 
-    def test_detect_imports_no_numpy_ma(self, tmp_path, s1_flows):
-        """No stage needs numpy.ma, which costs a fresh process about 0.8 MB
-        and 10 ms to import; a plain np.unique imports it."""
+    @staticmethod
+    def detect_modules(tmp_path, flows) -> set[str]:
+        """The modules a fresh interpreter holds after one ``detect`` run."""
         out = tmp_path / "report.json"
         code = "\n".join(
             ["import sys", "from botdetect.cli import main", "assert main(sys.argv[1:]) == 0",
-             "print('numpy.ma' in sys.modules)"]
+             "print(*sys.modules)"]
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code, "detect", "--flows", str(s1_flows), "--internal", "10.0.0.0/16",
+            [sys.executable, "-c", code, "detect", "--flows", str(flows), "--internal", "10.0.0.0/16",
              "--out", str(out)],
             env={**os.environ, "PYTHONPATH": str(Path(botdetect.__file__).resolve().parent.parent)},
             capture_output=True,
@@ -115,7 +114,19 @@ class TestDetect:
             check=True,
         )
         assert json.loads(out.read_text())["groups"]
-        assert proc.stdout == "False\n"
+        return set(proc.stdout.split())
+
+    def test_detect_imports_no_numpy_ma(self, tmp_path, s1_flows):
+        """No stage needs numpy.ma, which costs a fresh process about 0.8 MB
+        and 10 ms to import; a plain np.unique imports it."""
+        assert "numpy.ma" not in self.detect_modules(tmp_path, s1_flows)
+
+    def test_detect_imports_no_generator(self, tmp_path, s1_flows):
+        """Neither the command line nor the package root loads ``synth``
+        for ``detect``, so a fresh process does not compile it."""
+        modules = self.detect_modules(tmp_path, s1_flows)
+        assert {"botdetect", "botdetect.cli"} <= modules
+        assert "botdetect.synth" not in modules
 
     def test_empty_flow_file_exits_zero(self, tmp_path):
         flows = tmp_path / "empty.csv"
@@ -403,6 +414,15 @@ class TestSynth:
         spec.write_text("planted.0.kind = scanner\nplanted.0.size = -1\nplanted.0.scan_targets = 5\n")
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 3
 
+    def test_bad_spec_exits_three_with_one_error_line(self, tmp_path, capsys):
+        """``synth`` loads the generator itself; its InvalidSpec is a
+        ConfigError, which ``main`` maps to 3."""
+        spec = tmp_path / "bad.spec"
+        spec.write_text("benign_hosts = 20000\n")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr() == ("", "error: benign_hosts must be in [0, 13750]\n")
+        assert not list(tmp_path.glob("x.*"))
+
 
 class TestCurves:
     def test_blocks_per_group(self, tmp_path, s1_flows):
@@ -647,22 +667,12 @@ class TestWindowSplit:
         ]
 
 
-def _bench_workloads(monkeypatch) -> dict:
-    """``bench/workloads.py``'s ``WORKLOADS``, loaded from its file."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up by name
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
-
-
 @pytest.mark.parametrize("workload", ["scan_mix", "deep_day"])
 def test_report_bytes_do_not_depend_on_hash_order(tmp_path, monkeypatch, workload):
     """``detect`` writes the same bytes under two string-hash seeds, so no
     set or dict order on its path (nor the enums' identity hashes, which
     differ in every interpreter) reaches the report."""
-    bench = _bench_workloads(monkeypatch)[workload]
+    bench = bench_workloads(monkeypatch)[workload]
     flows, _ = generate(bench.make_spec(1, 1.0))
     flow_path, whitelist = tmp_path / "flows.csv", tmp_path / "wl.txt"
     flow_path.write_bytes(write_flow_file(flows))

@@ -1,10 +1,9 @@
 from __future__ import annotations
 
-import importlib.util
+import importlib
 import math
 import random
 import struct
-import sys
 from ipaddress import IPv4Address
 from itertools import combinations
 from pathlib import Path
@@ -35,7 +34,7 @@ from botdetect.similarity import (
 from botdetect.synth import generate, parse_scenario
 from botdetect.table import FlowTable
 
-from .conftest import make_flow
+from .conftest import bench_workloads, make_flow
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -802,22 +801,12 @@ def test_candidate_pairs_memory_is_linear_in_the_curves():
     assert large <= 6 * small
 
 
-def bench_workload(name: str, monkeypatch):
-    """One of ``bench/workloads.py``'s ``WORKLOADS``, loaded from its file."""
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up by name
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module.WORKLOADS[name]
-
-
 # Pairs ``detect`` scores at seed 1.  In index order (each row's candidates
 # by ascending key) it scored 9,407 and 23,666; rank neighbours first, these.
 @pytest.mark.parametrize("workload, most", [("scan_mix", 6225), ("wide_window", 1888)])
 def test_rank_neighbours_first_bounds_the_pairs_scored(monkeypatch, workload, most):
     cfg = default_config()
-    work = bench_workload(workload, monkeypatch)
+    work = bench_workloads(monkeypatch)[workload]
     flows = parse_flow_file(write_flow_file(generate(work.make_spec(1, 1.0))[0]))
     whitelist = parse_whitelist("".join(f"{dip}\n" for dip in work.whitelist(flows)))
     scores = count_scores(monkeypatch)

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import botdetect
+from botdetect import synth
+from botdetect.cli import main
 from botdetect.flowfile import write_flow_file
 from botdetect.model import Proto, TcpState, default_config, validate_flow
 from botdetect.monitors import group_flows_irc, group_flows_p2p
@@ -27,7 +34,7 @@ from botdetect.synth import (
 )
 from botdetect.table import FlowTable
 
-from .conftest import NON_FINITE, float_fields, setting_text
+from .conftest import NON_FINITE, bench_workloads, float_fields, setting_text
 
 CFG = default_config()
 
@@ -55,6 +62,44 @@ class TestRng:
         for _ in range(1000):
             v = rng.log2_uniform(5, 9)
             assert 32.0 <= v < 1024.0
+
+
+BLOCK = synth._JUMP_BLOCK
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+class TestBulkDraws:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=SEEDS,
+        n=st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK, 3 * BLOCK + 5])
+        | st.integers(0, 2 * BLOCK + 2),
+    )
+    def test_draws_are_the_next_scalar_draws(self, seed, n):
+        bulk, scalar = Xorshift64Star(seed), Xorshift64Star(seed)
+        out = bulk.draws(n)
+        assert out.dtype == np.uint64 and out.shape == (n,)
+        assert out.tolist() == [scalar.next_u64() for _ in range(n)]
+        assert bulk._state == scalar._state
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, steps=st.lists(st.tuples(st.booleans(), st.integers(0, BLOCK + 2)), max_size=5))
+    def test_mixed_scalar_and_bulk_draws_are_one_stream(self, seed, steps):
+        mixed, reference = Xorshift64Star(seed), Xorshift64Star(seed)
+        drawn = []
+        for bulk, n in steps:
+            drawn += mixed.draws(n).tolist() if bulk else [mixed.next_u64() for _ in range(n)]
+        assert drawn == [reference.next_u64() for _ in drawn]
+        assert mixed.fraction() == reference.fraction()
+
+    def test_jump_table_is_built_on_the_first_bulk_draw(self):
+        synth._jump_table.cache_clear()
+        rng = Xorshift64Star(3)
+        rng.next_u64(), rng.fraction(), rng.uniform(-1.0, 1.0), rng.randint(7), rng.log2_uniform(5, 9)
+        assert synth._jump_table.cache_info().currsize == 0
+        rng.draws(2)
+        assert synth._jump_table.cache_info().currsize == 1
+        assert synth._jump_table().shape == (64, BLOCK)
 
 
 class TestGenerate:
@@ -154,6 +199,127 @@ class TestGenerate:
         bad = ScenarioSpec(planted=(PlantedGroup(kind=PlantedKind.SCANNER, size=1),))
         with pytest.raises(InvalidSpec):
             generate(bad)
+
+    def test_benign_hosts_past_250_take_the_upper_slash_24s(self, tmp_path):
+        """Hosts past the first /24 go to 10.0.202.0/24 upward, never into a
+        planted group's 10.0.2-201; detect runs on the result."""
+        spec = ScenarioSpec(
+            seed=4, duration=3600.0, benign_hosts=600, benign_flow_rate=2.0,
+            planted=(PlantedGroup(kind=PlantedKind.P2P_BOT_GROUP, size=3, scan_targets=30),),
+        )
+        flows, truth = generate(spec)
+        planted = {str(h) for h in truth.groups[0].hosts}
+        benign = {f.sip for f in flows} - planted
+        assert len(benign) == 600
+        assert {sip.rsplit(".", 2)[1] for sip in benign} == {"1", "202", "203"}
+        assert {"10.0.1.250", "10.0.202.1", "10.0.203.100"} <= benign
+        assert planted == {"10.0.2.1", "10.0.2.2", "10.0.2.3"}
+        path = tmp_path / "wide.flows.csv"
+        path.write_bytes(write_flow_file(flows))
+        out = tmp_path / "report.json"
+        assert main(["detect", "--flows", str(path), "--internal", "10.0.0.0/16", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["counters"]["flows_ingested"] == len(flows)
+
+    def test_benign_host_cap_is_what_the_upper_slash_24s_hold(self):
+        # 250 in 10.0.1.0/24, then 250 in each of 10.0.202.0/24 ... 10.0.255.0/24
+        assert validate_spec(ScenarioSpec(benign_hosts=250 * 55)) == []
+        assert validate_spec(ScenarioSpec(benign_hosts=250 * 55 + 1)) == [
+            "benign_hosts must be in [0, 13750]"
+        ]
+        assert synth._benign_address(250 * 55 - 1) == "10.0.255.250"
+
+    def test_package_root_exports_the_generator(self):
+        from botdetect import GroundTruth as root_truth, generate as root_generate
+
+        assert root_generate is generate and root_truth is GroundTruth
+        assert {"generate", "ScenarioSpec", "PlantedGroup", "PlantedKind", "GroundTruth"} <= set(
+            botdetect.__all__
+        )
+        with pytest.raises(AttributeError):
+            botdetect.no_such_name
+
+
+# sha256 of write_flow_file(flows) and write_truth(truth) from generate(spec),
+# recorded from the one-draw-at-a-time generator, for bench/workloads.py's
+# specs at full scale
+GENERATOR_SHA256 = {
+    ("deep_day", 1): (
+        "57b91259070a8d3dc66109ddba94b27ef076708f513a02f1db07a080599f59b4",
+        "dcfa25d27ec92888fb7f3e1e3196208a86af9f2adf620fa858f2ccaa52da0925",
+    ),
+    ("deep_day", 2): (
+        "61d535d2dd5ceb1f8b69030430aabaddd640c679440d3d3e3275da3c9a907c31",
+        "dcfa25d27ec92888fb7f3e1e3196208a86af9f2adf620fa858f2ccaa52da0925",
+    ),
+    ("deep_day", 3): (
+        "7323412a5748acd62d7dd11485552e676ef615a5ef4f3e76f43a84869cfb8422",
+        "dcfa25d27ec92888fb7f3e1e3196208a86af9f2adf620fa858f2ccaa52da0925",
+    ),
+    ("scan_mix", 1): (
+        "3d9384ab5ff18169c0cfe6acc1021eb179a5126162c6239fc039acab5bf653f5",
+        "c461baea7bf000c2a1293a4cd13a81e0eba2911c7472faf6470a0c43d3ac0b84",
+    ),
+    ("scan_mix", 2): (
+        "10e55da05d6946f9140b9fb491c8a01522c0188ed008c9d4d5d2fc7fca79b4ef",
+        "c461baea7bf000c2a1293a4cd13a81e0eba2911c7472faf6470a0c43d3ac0b84",
+    ),
+    ("scan_mix", 3): (
+        "58860e718cb32410c51b6bcfb88c2bdf90617d171f24e2fb9ba01efcd6435828",
+        "c461baea7bf000c2a1293a4cd13a81e0eba2911c7472faf6470a0c43d3ac0b84",
+    ),
+    ("wide_window", 1): (
+        "7fbcf5e52b414c62c6d35d451422f3d9b68ebe77958b233964f9389016cfaed3",
+        "ba4de7c4d9eca8cc8b352055d3f556759d14ffadcd431d1cc22eeb687ec4132a",
+    ),
+    ("wide_window", 2): (
+        "7cc101d112a2a2006e29db930e91a7a4042e63e33e628920b579a545d213e28b",
+        "ba4de7c4d9eca8cc8b352055d3f556759d14ffadcd431d1cc22eeb687ec4132a",
+    ),
+    ("wide_window", 3): (
+        "96cb3e97282c6231598989a065665448b9efc9e2e189260cb4c14ed4c47772c5",
+        "ba4de7c4d9eca8cc8b352055d3f556759d14ffadcd431d1cc22eeb687ec4132a",
+    ),
+}
+
+# plants every kind (a P2P group that also scans and mails, an IRC group
+# that mails, scanners, spammers) over benign hosts whose draws reach the
+# ICMP and IRC-chatter branches
+EVERY_KIND = ScenarioSpec(
+    seed=7, duration=7200.0, benign_hosts=20, benign_flow_rate=3.0,
+    planted=(
+        PlantedGroup(kind=PlantedKind.P2P_BOT_GROUP, size=3, flows_per_peer=5, scan_targets=4, smtp_fanout=2),
+        PlantedGroup(kind=PlantedKind.IRC_BOT_GROUP, size=2, peers=1, flows_per_peer=1, smtp_fanout=1),
+        PlantedGroup(kind=PlantedKind.SCANNER, size=2, scan_targets=7),
+        PlantedGroup(kind=PlantedKind.SPAMMER, size=2, smtp_fanout=3),
+    ),
+)
+EVERY_KIND_SHA256 = (
+    "dc91eb13375c15393d25675ed919daae5049ce5321d28d9f5d8250175ac70ffa",
+    "0f82b4714612d0a36f9e084cc7badfb7a0627474a7633372df9e88b733b4dead",
+)
+
+
+def _digests(spec: ScenarioSpec) -> tuple[list, tuple[str, str]]:
+    flows, truth = generate(spec)
+    return flows, (
+        hashlib.sha256(write_flow_file(flows)).hexdigest(),
+        hashlib.sha256(write_truth(truth).encode()).hexdigest(),
+    )
+
+
+class TestGeneratorBytes:
+    @pytest.mark.parametrize("workload, seed", sorted(GENERATOR_SHA256))
+    def test_bench_workload_bytes(self, monkeypatch, workload, seed):
+        spec = bench_workloads(monkeypatch)[workload].make_spec(seed, 1.0)
+        assert _digests(spec)[1] == GENERATOR_SHA256[workload, seed]
+
+    def test_every_kind_and_branch_bytes(self):
+        flows, digests = _digests(EVERY_KIND)
+        assert digests == EVERY_KIND_SHA256
+        benign = [f for f in flows if f.sip.startswith("10.0.1.")]
+        assert any(f.proto is Proto.ICMP for f in benign)
+        assert any(f.dport == 6667 for f in benign)
+        assert {f.sip.rsplit(".", 1)[0] for f in flows} == {f"10.0.{i}" for i in range(1, 6)}
 
 
 SPEC_TEXT = """
