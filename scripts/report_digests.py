@@ -10,9 +10,12 @@ Runs ``detect``, ``curves --path p2p|irc``, ``scan-score`` and
 one ``sha256  command  input`` line per output.  Each input also gets a
 ``parse`` line, the sha256 of the ``repr`` of its parsed records,
 which pins the fields that no report shows (every ``start_ts`` bit, the
-payload bytes).  It also gets a ``curves`` and a ``scores`` line, computed
-directly with ``build_curve`` and ``curve_similarity`` from the groups that
-``detect`` clusters, per window and path in canonical key order: the
+payload bytes), and an ``annotated-parse`` line, the same digest of the
+input rewritten with CRLF line ends, a blank line after the header and a
+comment before every 200th row, which must equal the ``parse`` line.  It
+also gets a ``curves`` and a ``scores`` line, computed directly with
+``build_curve`` and ``curve_similarity`` from the groups that ``detect``
+clusters, per window and path in canonical key order: the
 sha256 of every curve's xs, ys, floor and peak float64 bytes (the
 ``curves`` command prints only 12 significant digits), and of every pair
 of groups' score, with the ``repr`` of its two group keys.  Those lines
@@ -100,6 +103,23 @@ def inputs(work: Path, n_seeds: int):
             yield name, path, whitelist
 
 
+def annotated(data: bytes) -> bytes:
+    """The flow file ``data`` with CRLF line ends, a blank line after the
+    header and a comment before every 200th row: the same records."""
+    header, *rows = data.decode("utf-8").splitlines()
+    lines = [header, ""]
+    for i, row in enumerate(rows):
+        if i % 200 == 0:
+            lines.append(f"# row {i}")
+        lines.append(row)
+    return ("\r\n".join(lines) + "\r\n").encode("utf-8")
+
+
+def parse_digest(data: bytes) -> str:
+    """The sha256 of the ``repr`` of the records parsed from ``data``."""
+    return hashlib.sha256(repr(list(parse_flow_file(data))).encode()).hexdigest()
+
+
 def curve_digests(flows: Path, whitelist: Path | None) -> tuple[str, str]:
     """The sha256 of every curve and of every pair's score, per window and
     path of ``detect``'s default config, in canonical key order: each
@@ -132,8 +152,9 @@ def main() -> int:
         work = Path(tmp)
         out = work / "output"
         for name, flows, whitelist in inputs(work, n_seeds):
-            digest = hashlib.sha256(repr(list(parse_flow_file(flows.read_bytes()))).encode()).hexdigest()
-            print(f"{digest}  parse  {name}")
+            data = flows.read_bytes()
+            print(f"{parse_digest(data)}  parse  {name}")
+            print(f"{parse_digest(annotated(data))}  annotated-parse  {name}")
             extra = [] if whitelist is None else ["--whitelist", str(whitelist)]
             for command in COMMANDS:
                 assert cli([*command, "--flows", str(flows), *extra, "--out", str(out)]) == 0

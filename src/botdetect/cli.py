@@ -17,7 +17,7 @@ import argparse
 import dataclasses
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from ipaddress import IPv4Network
 from pathlib import Path
 from typing import Callable, Iterable
@@ -158,6 +158,7 @@ _FLOW_OPTIONS = {
 _SCORED = ("--whitelist", "--config", "--internal")
 
 
+@cache  # built once per process: parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="botdetect",

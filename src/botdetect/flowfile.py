@@ -15,8 +15,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .model import _DOTTED_QUAD, PAYLOAD_PREFIX_MAX, FlowRecord, Proto, TcpState, validate_flow
-from .table import PROTOS, STATES, FlowTable, TableBuilder, addresses
+from .model import PAYLOAD_PREFIX_MAX, FlowRecord, Proto, TcpState, validate_flow
+from .table import PROTOS, STATES, FlowTable, TableBuilder, quads
 
 HEADER = "start_ts,duration,proto,sip,sport,dip,dport,npkts,nbytes,tcp_state,payload_prefix_hex"
 _COLUMNS = HEADER.count(",") + 1
@@ -28,10 +28,8 @@ _STATE_NAME = {s: s.value for s in TcpState}
 _PROTO_CODE = {p.value: code for code, p in enumerate(PROTOS)}
 _STATE_CODE = {s.value: code for code, s in enumerate(STATES)}
 _PLAIN_SECONDS = re.compile(r"[0-9]+(?:\.[0-9]{1,6})?")
-# the (proto, tcp_state) text pairs that validate_flow accepts
-_VALID_PAIRS = frozenset(
-    (p.value, s.value) for p in Proto for s in TcpState if p is Proto.TCP or s is TcpState.NOT_TCP
-)
+# _VALID_PAIR[proto code, tcp_state code]: the pairs that validate_flow accepts
+_VALID_PAIR = np.array([[p is Proto.TCP or s is TcpState.NOT_TCP for s in STATES] for p in PROTOS])
 
 # The file's bytes are cut a block of at least this many bytes at a time,
 # each block ending at a line end, and decoded a block at a time: only one
@@ -42,22 +40,26 @@ _BLOCK_CHARS = 1 << 16
 _LINE_END = re.compile(rb"\r\n?|\n")
 
 _PORT = "(?:0|[1-9][0-9]{0,4})"  # up to 5 digits; _parse_block checks <= 65535
-# Up to 19 digits, so below 10**19 < 2**64: a block holding a larger counter
-# takes the row path, which accepts up to 2**64 - 1.
+# Up to 19 digits, so below 10**19 < 2**64: a row with a larger counter is
+# checked alone by _parse_row, which accepts up to 2**64 - 1.
 _COUNTER = "(?:0|[1-9][0-9]{0,18})"
+# one to three digits an octet; _parse_block checks that each is at most
+# 255 with no leading zero, as model._DOTTED_QUAD has it
+_QUAD = r"\.".join(["[0-9]{1,3}"] * 4)
 # A canonical row with every field in its plainest form (seconds as the
-# writer emits them when six fractional digits hold them).  The names and
-# the payload are matched loosely: _parse_block checks each distinct
-# (proto, tcp_state) pair and each distinct payload's even length.
+# writer emits them when six fractional digits hold them).  The addresses,
+# the names and the payload are matched loosely: _parse_block checks the
+# octets, each (proto, tcp_state) pair and each distinct payload's even
+# length.
 _ROW = re.compile(
     ",".join(
         (
             _PLAIN_SECONDS.pattern,
             _PLAIN_SECONDS.pattern,
             "[a-z]+",
-            _DOTTED_QUAD.pattern,
+            _QUAD,
             _PORT,
-            _DOTTED_QUAD.pattern,
+            _QUAD,
             _PORT,
             _COUNTER,
             _COUNTER,
@@ -66,11 +68,11 @@ _ROW = re.compile(
         )
     )
 )
-# A block of canonical rows, each ended by "\n", "\r\n", a bare "\r" or the
-# end of the text; so it holds no comment, blank line or surrounding
-# whitespace.  The repeat is possessive (Python 3.11+): a match keeps no
-# backtracking state per row, which for a 64 KiB block would take some 2.8 MB.
-_ROWS = re.compile(f"(?:(?:{_ROW.pattern})(?:\r\n?|\n|\\Z))*+")
+# A run of canonical rows, each ended by "\n" or the end of the text, so
+# holding no comment, blank line or surrounding whitespace.  The repeat is
+# possessive (Python 3.11+): a match keeps no backtracking state per row,
+# which for a 64 KiB block would take some 2.8 MB.
+_ROWS = re.compile(f"(?:(?:{_ROW.pattern})(?:\n|\\Z))*+")
 
 _lines_with_ends = partial(str.splitlines, keepends=True)
 
@@ -185,14 +187,59 @@ def _blocks(data: bytes, size: int, start: int = 0) -> Iterator[str]:
         start = stop
 
 
+def _column_text(block: str) -> tuple[str, int] | None:
+    """The rows of ``block``, whose ``\r\n`` and bare ``\r`` line ends are
+    already ``\n``, as text for the column pass, and the count of comment
+    and blank lines left out of it; None if a row outside ``_ROW`` is bad.
+
+    ``_ROWS`` matches the runs of canonical rows.  Each line between them,
+    up to its ``\n`` and split further where ``str.splitlines`` splits, is
+    left out if it is a comment or blank; any other line is checked alone
+    by :func:`_parse_row` and kept at its place, stripped and ``\n``-ended.
+    Every field :func:`_parse_row` accepts converts in the column pass as a
+    canonical one does.
+    """
+    end = _ROWS.match(block).end()
+    if end == len(block):
+        return block, 0
+    pieces = []
+    start = skipped = 0
+    while end < len(block):
+        pieces.append(block[start:end])
+        start = block.find("\n", end) + 1 or len(block)
+        for line in block[end:start].splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                skipped += 1
+                continue
+            try:
+                _parse_row(line, 0)  # the row path raises its error, with its line number
+            except MalformedRow:
+                return None
+            pieces.append(line + "\n")
+        end = _ROWS.match(block, start).end()
+    pieces.append(block[start:])
+    return "".join(pieces), skipped
+
+
 def _parse_block(block: str, table: TableBuilder) -> int | None:
-    """Add a block of canonical rows to ``table`` a column at a time and
-    return its row count; None, adding nothing, unless every row matches
-    ``_ROW`` and meets every invariant."""
-    if not _ROWS.fullmatch(block):
+    """Add the rows of a block to ``table`` in one column pass and return
+    the block's line count; None, adding nothing, unless every row is good.
+
+    A comment or blank line is skipped, and a row outside ``_ROW`` is
+    checked on its own and converted with the rest (:func:`_column_text`).
+    A block with a bad row of either kind is refused whole: its row path
+    then raises the first bad line's own error.
+    """
+    # every "\r\n" and bare "\r" ends a line, as a "\n" does
+    if "\r" in block:
+        block = block.replace("\r\n", "\n").replace("\r", "\n")
+    found = _column_text(block)
+    if found is None:
         return None
-    # after the match, every "\r\n" and bare "\r" ends a row, as a "\n" does
-    rows = block.replace("\r\n", "\n").replace("\r", "\n")
+    rows, skipped = found
+    if not rows:
+        return skipped
     cells = rows.replace("\n", ",").split(",")
     if rows.endswith("\n"):
         cells.pop()
@@ -202,43 +249,53 @@ def _parse_block(block: str, table: TableBuilder) -> int | None:
     n = len(start_ts)
     start_ts = np.fromiter(map(float, start_ts), np.float64, n)
     duration = np.fromiter(map(float, duration), np.float64, n)
-    # _PORT's five digits parse exactly as int32, and _COUNTER's nineteen
-    # as uint64, in one numpy call a column
+    # five-digit ports parse exactly as int32, and counters below 2**64 as
+    # uint64, in one numpy call a column
     sport = np.fromstring(",".join(sport), dtype=np.int32, sep=",")
     dport = np.fromstring(",".join(dport), dtype=np.int32, sep=",")
     npkts = np.fromstring(",".join(npkts), dtype=np.uint64, sep=",")
     nbytes = np.fromstring(",".join(nbytes), dtype=np.uint64, sep=",")
-    # validate_flow's invariants that _ROW cannot express, the names among
-    # them; digit-only seconds are finite unless they overflow to inf
+    sip = _addresses(sip)
+    dip = _addresses(dip)
+    # each distinct payload decoded before any is added to the table:
+    # fromhex refuses an odd number of digits; an unknown name has no code
+    try:
+        proto = np.fromiter(map(_PROTO_CODE.__getitem__, proto), np.uint8, n)
+        state = np.fromiter(map(_STATE_CODE.__getitem__, state), np.uint8, n)
+        payloads = {text: bytes.fromhex(text) for text in dict.fromkeys(payload)}
+    except (KeyError, ValueError):
+        return None
+    # validate_flow's invariants that _ROW cannot express; digit-only
+    # seconds are finite unless they overflow to inf
     if not (
-        np.isfinite(start_ts).all()
+        sip is not None
+        and dip is not None
+        and np.isfinite(start_ts).all()
         and np.isfinite(duration).all()
         and sport.max() <= 65535
         and dport.max() <= 65535
-        and {*zip(proto, state)} <= _VALID_PAIRS
+        and _VALID_PAIR[proto, state].all()
         and not (nbytes[npkts == 0] != 0).any()
     ):
         return None
-    # each distinct payload decoded before any is added to the table:
-    # fromhex refuses an odd number of digits
-    try:
-        payloads = {text: bytes.fromhex(text) for text in dict.fromkeys(payload)}
-    except ValueError:
-        return None
     table.add(
-        start_ts,
-        duration,
-        np.fromiter(map(_PROTO_CODE.__getitem__, proto), np.uint8, n),
-        addresses(sip),
-        sport,
-        addresses(dip),
-        dport,
-        npkts,
-        nbytes,
-        np.fromiter(map(_STATE_CODE.__getitem__, state), np.uint8, n),
+        start_ts, duration, proto, sip, sport, dip, dport, npkts, nbytes, state,
         table.payload_codes(payload, payloads.__getitem__),
-    )
-    return n
+    )  # fmt: skip
+    return n + skipped
+
+
+def _addresses(texts: list[str]) -> np.ndarray | None:
+    """The dotted quads ``texts``, each four octets of one to three digits,
+    as ``uint32`` addresses; None unless every octet is at most 255 with no
+    leading zero."""
+    joined = ".".join(texts)
+    octets = np.fromstring(joined, dtype=np.uint32, sep=".")
+    # a leading zero makes the text longer than its octets' plainest digits
+    digits = octets.size + np.count_nonzero(octets >= 10) + np.count_nonzero(octets >= 100)
+    if octets.max() > 255 or len(joined) != digits + octets.size - 1:
+        return None
+    return quads(octets)
 
 
 def parse_flow_file(data: bytes) -> FlowTable:
@@ -251,13 +308,13 @@ def parse_flow_file(data: bytes) -> FlowTable:
     not valid UTF-8 is refused before anything else.  The lines up to and
     including the header are read one at a time.  The rest of the bytes are
     cut at line ends into blocks (:func:`_blocks`), each decoded on its own
-    and parsed as one piece by :func:`_parse_block`, or, when it holds a
-    comment, a blank line, surrounding whitespace or a row outside
-    ``_ROW``, line by line through :func:`_parse_row`, which accepts the
-    rows the grammar leaves out (such as the writer's ``1e-07``) and raises
-    the first bad row's own message; either way the rows are added to the
-    one table.  Beyond ``data`` and the table, the parse holds one block
-    (and, checking a non-ASCII file, its whole text for a moment).
+    and parsed in one column pass by :func:`_parse_block`, which skips
+    comments and blank lines and checks each row outside ``_ROW`` (such as
+    the writer's ``1e-07``) on its own with :func:`_parse_row`.  A block
+    holding a bad row goes line by line through :func:`_parse_row`, which
+    raises the first bad row's own message.  Either way the rows are added
+    to the one table.  Beyond ``data`` and the table, the parse holds one
+    block (and, checking a non-ASCII file, its whole text for a moment).
     """
     # every UTF-8 error comes first, named by its place in the whole file;
     # the text decoded to find it is dropped before the first block
@@ -279,19 +336,18 @@ def parse_flow_file(data: bytes) -> FlowTable:
     # from here on, lineno is the number of lines before the next block
     table = TableBuilder()
     for block in _blocks(data, _BLOCK_CHARS, start):
-        rows = _parse_block(block, table)
-        if rows is None:
-            lines = block.splitlines()
+        lines = _parse_block(block, table)
+        if lines is None:
+            rows = block.splitlines()
             table.add_records(
                 [
                     _parse_row(line, n)
-                    for n, line in enumerate(map(str.strip, lines), lineno + 1)
+                    for n, line in enumerate(map(str.strip, rows), lineno + 1)
                     if line and not line.startswith("#")
                 ]
             )
-            lineno += len(lines)
-        else:
-            lineno += rows  # one row per line
+            lines = len(rows)
+        lineno += lines
     return table.build()
 
 

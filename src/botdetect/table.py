@@ -37,7 +37,12 @@ def addresses(texts: list[str]) -> np.ndarray:
     dotted quad as ``model._valid_ipv4`` accepts it, as every parsed or
     validated flow's ``sip`` and ``dip`` is.
     """
-    octets = np.fromstring(".".join(texts), dtype=np.uint32, sep=".").reshape(-1, 4)
+    return quads(np.fromstring(".".join(texts), dtype=np.uint32, sep="."))
+
+
+def quads(octets: np.ndarray) -> np.ndarray:
+    """``uint32`` octets 0-255, four an address in order, as ``uint32`` addresses."""
+    octets = octets.reshape(-1, 4)
     return octets[:, 0] << 24 | octets[:, 1] << 16 | octets[:, 2] << 8 | octets[:, 3]
 
 

@@ -690,3 +690,25 @@ def test_report_bytes_do_not_depend_on_hash_order(tmp_path, monkeypatch, workloa
     ]
     assert json.loads(reports[0])["counters"]["flows_ingested"] == len(flows)
     assert reports[0] == reports[1]
+
+
+def test_calls_in_turn_in_one_process_give_what_a_fresh_process_gives(s1_flows, capsys):
+    """``main`` builds its parser once per process, and a call, a failed
+    one included, leaves nothing behind for the next: each of these calls
+    in turn gives the exit code and output of the same call in a fresh
+    process."""
+    detect = ["detect", "--flows", str(s1_flows), "--internal", "10.0.0.0/16"]
+    src = str(Path(botdetect.__file__).resolve().parent.parent)
+    codes = []
+    for argv in (detect, ["detect", "--flows", str(s1_flows), "--internal"], ["classify", "--flows", str(s1_flows)],
+                 detect):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's exit on a bad argument
+            code = exc.code
+        fresh = subprocess.run([sys.executable, "-m", "botdetect.cli", *argv], env={**os.environ, "PYTHONPATH": src},
+                               capture_output=True, text=True)
+        assert (code, *capsys.readouterr()) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(code)
+    assert codes == [0, 2, 0, 0]
+    assert cli._build_parser() is cli._build_parser()

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from botdetect import flowfile
 from botdetect.flowfile import (
     _BLOCK_CHARS,
+    _ROW,
     HEADER,
     BadHeader,
     FlowFileError,
@@ -390,6 +391,33 @@ def test_non_ascii_comments_keep_their_line_numbers(newline, bad):
             assert _outcome(parse_flow_file, data) == expected, size
 
 
+@pytest.mark.parametrize(
+    "address", ["0.0.0.0", "255.255.255.255", "256.0.0.1", "01.2.3.4", "1.2.3", "1..2.3", "1.2.3.4.5"]
+)
+@pytest.mark.parametrize("column", [3, 5], ids=["sip", "dip"])
+@pytest.mark.parametrize("at", [2, 8], ids=["first-row", "late-row"])
+def test_address_edge_cases_agree_with_the_row_path_at_every_block_size(address, column, at):
+    """An address at the edge of ``_ROW``'s loose octets, in either column
+    of the first or a late row, parses as row by row at every block size.
+    Its block is refused exactly when the address is bad, and a good one
+    stays on the column path: only the whitespace-wrapped row goes to
+    ``_parse_row``."""
+    lines = _numbered_file()
+    lines[at] = _broken(lines[at], column, address)
+    text = "\n".join(lines) + "\n"
+    data = text.encode()
+    expected = _outcome(_row_by_row, data)
+    for size in range(1, len(text) + 2):
+        with mock.patch.object(flowfile, "_BLOCK_CHARS", size):
+            assert _outcome(parse_flow_file, data) == expected, size
+    with mock.patch.object(flowfile, "_parse_row", wraps=_parse_row) as row_path:
+        taken = flowfile._parse_block("\n".join(lines[2:]) + "\n", TableBuilder())
+    if expected[0] == "records":
+        assert taken == 8 and row_path.call_count == 1
+    else:
+        assert taken is None and expected[1].startswith(f"line {at + 1}: ")
+
+
 class TestChunkedParse:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -434,13 +462,32 @@ class TestChunkedParse:
         assert data.index(b",1e-07,") > _BLOCK_CHARS
         assert parse_flow_file(data) == flows
 
-    @pytest.mark.parametrize("form", ["LF", "CRLF", "CR", "comment first", "19-digit counters"])
+    @pytest.mark.parametrize(
+        "form",
+        ["LF", "CRLF", "CR", "comment first", "19-digit counters", "comment every 200 rows",
+         "blank line every 200 rows", "1e-07 in every block", "space-wrapped row in every block",
+         "20-digit counter"],
+    )
     def test_every_row_of_a_written_file_comes_out_of_the_block_parse(self, form):
+        """Every line after the header is taken by the block parse: a data
+        line outside ``_ROW`` goes to ``_parse_row`` once, on its own, and a
+        comment or blank line never does."""
         flows = [make_flow(start_ts=i * 0.5, sport=1024 + i, payload=b"NICK x\r\n" * (i % 2))
                  for i in range(3 * _ROWS_PER_BLOCK)]
         if form == "19-digit counters":  # the largest that _COUNTER matches
             flows = [rec._replace(npkts=10**19 - 1 - i, nbytes=10**19 - 1) for i, rec in enumerate(flows)]
-        text = write_flow_file(flows).decode()
+        elif form == "1e-07 in every block":  # some 900 rows fill a block
+            flows = [rec._replace(duration=1e-07) if i % 300 == 7 else rec for i, rec in enumerate(flows)]
+        elif form == "20-digit counter":
+            flows[1500] = flows[1500]._replace(npkts=2**64 - 1, nbytes=2**64 - 1)
+        header, *lines = write_flow_file(flows).decode().splitlines()
+        if form == "space-wrapped row in every block":
+            lines = [f" {line}\t" if i % 300 == 7 else line for i, line in enumerate(lines)]
+        elif form in ("comment every 200 rows", "blank line every 200 rows"):
+            extra = "# a comment" if form.startswith("comment") else ""
+            lines = [new for i, line in enumerate(lines) for new in ([extra, line] if i % 200 == 0 else [line])]
+        off_grammar = [line.strip() for line in lines if line and line[0] != "#" and not _ROW.fullmatch(line)]
+        text = "\n".join([header, *lines]) + "\n"
         if form == "CRLF":
             text = text.replace("\n", "\r\n")
         elif form == "CR":
@@ -448,20 +495,27 @@ class TestChunkedParse:
         elif form == "comment first":
             text = "# before the header\n" + text
         parse_block = flowfile._parse_block
-        rows_per_block = []
+        row_path = mock.Mock(wraps=flowfile._parse_row)
+        per_block = []  # lines taken, and rows sent to _parse_row
 
         def counted(block, table):
-            rows = parse_block(block, table)
-            rows_per_block.append(rows or 0)
-            return rows
+            before = row_path.call_count
+            taken = parse_block(block, table)
+            per_block.append((taken or 0, row_path.call_count - before))
+            return taken
 
         with (
             mock.patch.object(flowfile, "_parse_block", counted),
-            mock.patch.object(flowfile, "_parse_row", side_effect=AssertionError("parsed row by row")),
+            mock.patch.object(flowfile, "_parse_row", row_path),
         ):
             assert parse_flow_file(text.encode()) == flows
-        assert len(rows_per_block) >= 3
-        assert sum(rows_per_block) == len(flows)
+        assert len(per_block) >= 3
+        assert sum(taken for taken, _ in per_block) == len(lines)
+        assert [call.args[0] for call in row_path.call_args_list] == off_grammar
+        assert len(off_grammar) == {"1e-07 in every block": 11, "space-wrapped row in every block": 11,
+                                    "20-digit counter": 1}.get(form, 0)
+        if form.endswith("in every block"):  # the last block may be short
+            assert all(calls for _, calls in per_block[:-1])
 
     def test_a_utf8_error_in_a_later_block_comes_before_a_bad_row_in_the_first(self):
         rows = [_BASE_ROW] * (2 * _BASE_ROWS_PER_BLOCK)
@@ -484,17 +538,28 @@ class TestChunkedParse:
             pytest.param(_BASE_ROW.replace(",not_tcp,", ",established,"), "MalformedRow",
                          id="udp established"),
             pytest.param(_BASE_ROW + "abc", "MalformedRow", id="odd-length payload"),
+            pytest.param(_BASE_ROW.replace(",udp,", ",tcp,"), "records", id="tcp not_tcp"),
+            pytest.param(_BASE_ROW.replace(",udp,", ",icmp,").replace(",not_tcp,", ",established,"),
+                         "MalformedRow", id="icmp established"),
+            pytest.param("\n".join([_BASE_ROW] * 40 + [_BASE_ROW.replace(",udp,", ",sctp,")]), "MalformedRow",
+                         id="unknown proto in a late row"),
         ],
     )
     def test_a_refused_block_adds_nothing_and_takes_the_row_path(self, row, outcome):
+        """A block is refused exactly when its row path raises; a good one,
+        rows outside ``_ROW`` and all, is added whole."""
         # the first row's payload would be the table's first
         data = _file("0,0,tcp,1.2.3.4,1,5.6.7.8,2,1,10,established,4e49434b", row)
         table = TableBuilder()
-        assert flowfile._parse_block(data.decode().split("\n", 1)[1], table) is None
-        assert len(table.build()) == 0 and table.build().payloads == ()
+        taken = flowfile._parse_block(data.decode().split("\n", 1)[1], table)
         got = _outcome(parse_flow_file, data)
         assert got == _outcome(_row_by_row, data)
         assert got[0] == outcome
+        if outcome == "records":
+            assert taken == 2 and table.build() == _row_by_row(data)
+        else:
+            assert taken is None
+            assert len(table.build()) == 0 and table.build().payloads == ()
 
     @pytest.mark.parametrize("newline", ["\n", "\r"], ids=["LF", "CR"])
     def test_transient_memory_is_bounded_by_the_chunk(self, newline):

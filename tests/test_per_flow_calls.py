@@ -168,3 +168,8 @@ def test_parse_makes_no_call_per_row():
     assert len(thrice) < _BLOCK_CHARS  # both files fit in one block
     assert parse_flow_file(thrice) == flows * 3
     assert python_events(parse_flow_file, once) == python_events(parse_flow_file, thrice)
+    # a comment and a blank line cost only themselves, whatever the rows around them
+    once, thrice = (header + b"\n# a comment\n\n" + rows * k for k in (1, 3))
+    assert len(thrice) < _BLOCK_CHARS
+    assert parse_flow_file(thrice) == flows * 3
+    assert python_events(parse_flow_file, once) == python_events(parse_flow_file, thrice)
