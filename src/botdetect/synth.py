@@ -18,23 +18,30 @@ Behavior models:
 * Scanner — failed (SYN-only) probes to many distinct addresses.
 * Spammer — completed SMTP/Submission connections fanned out across many
   mail servers.
-
-Every planted kind is emitted by one function: a bot group's command flows
-(none for scanners and spammers), then each member's ``scan_targets``
-probes and ``smtp_fanout`` mail servers, whatever its kind.
 * Benign host — a few stable external peers with wide log-uniform flow
   shapes, occasional ICMP, an HTTP mix, and rare legitimate IRC chatter.
+
+Every planted kind is emitted by one function, as one block a group: its
+members' command flows (none for scanners and spammers) and their
+``scan_targets`` probes each, whatever the kind, then their mail to
+``smtp_fanout`` servers each.
 
 Addresses: internal hosts live in 10.0.0.0/16.  Benign host i is
 10.0.1.(i+1) for the first 250; later ones fill 10.0.202.0/24 upward, 250
 to a /24, so they never meet planted group g in 10.0.(2+g).0/24.  External
-endpoints are allocated sequentially from 198.51.0.0/16.
+endpoints are allocated in order from 198.51.0.1, past 198.51.255.255 into
+198.52.0.0 and up.
 
-Per-flow loops of a fixed number of draws (the benign flows, the command
-flows, the scan probes) take their draws in one :meth:`Xorshift64Star.draws`
-call, the same xorshift64* sequence computed a block at a time, and do their
-float arithmetic on numpy columns with the same IEEE-754 operations as the
-scalar draws, so every byte is what one draw at a time would give.
+Per-flow loops of a fixed number of draws (the benign flows, a planted
+group's command flows and scan probes) take their draws in one
+:meth:`Xorshift64Star.draws` call, the same xorshift64* sequence computed a
+block at a time, and do their float arithmetic on numpy columns with the
+same IEEE-754 operations as the scalar draws, so every byte is what one draw
+at a time would give.  A planted group's draws form one (members, draws per
+member) matrix: one call for the whole group, or one row per member when the
+group mails, since the mail between them draws scalars.  The flows are put in
+order by one stable sort on the start time, then a sort of each run of equal
+starts by (start, sip, dip, sport, dport).
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ MASK64 = (1 << 64) - 1
 _JUMP_BLOCK = 1024
 
 _EXT_BASE = (198 << 24) | (51 << 16)  # 198.51.0.0
+_OCTETS = tuple(map(str, range(256)))
 
 # anchor-ladder shape constants shared by every planted group
 _ANCHOR_NPKTS_BASE = 3
@@ -283,10 +291,19 @@ class _Allocator:
     def __init__(self):
         self.count = 0
 
-    def external(self) -> str:
-        self.count += 1
-        value = _EXT_BASE + self.count
-        return f"{(value >> 24) & 255}.{(value >> 16) & 255}.{(value >> 8) & 255}.{value & 255}"
+    def externals(self, n: int) -> list[str]:
+        """The next ``n`` external addresses, in order from 198.51.0.1; each
+        /24's first three octets are formatted once."""
+        value = _EXT_BASE + self.count + 1
+        end = value + n
+        self.count += n
+        addresses: list[str] = []
+        while value < end:
+            stop = min(end, (value | 255) + 1)
+            prefix = f"{value >> 24 & 255}.{value >> 16 & 255}.{value >> 8 & 255}."
+            addresses += map(prefix.__add__, _OCTETS[value & 255 : (value & 255) + stop - value])
+            value = stop
+        return addresses
 
 
 @dataclass(frozen=True)
@@ -319,28 +336,9 @@ def _group_anchors(group: PlantedGroup) -> list[_Anchor]:
     return anchors
 
 
-def _scan_flows(rng, spec, sip, targets, alloc) -> list[FlowRecord]:
-    # per target: start, sport, dport
-    start, sport, port = rng.draws(3 * targets).reshape(targets, 3).T
-    return _records(
-        _q6_column(_uniform(start, 0.0, spec.duration * 0.99)).tolist(),
-        repeat(0.0),
-        repeat(Proto.TCP),
-        repeat(sip),
-        (1024 + _randint(sport, 64511)).tolist(),
-        [alloc.external() for _ in range(targets)],
-        np.array(_SCAN_PORTS)[_randint(port, len(_SCAN_PORTS))].tolist(),
-        repeat(1),
-        repeat(60),
-        repeat(TcpState.SYN_ONLY),
-        repeat(b""),
-    )
-
-
 def _smtp_flows(rng, spec, sip, fanout, alloc) -> list[FlowRecord]:
     flows = []
-    for _ in range(fanout):
-        server = alloc.external()
+    for server in alloc.externals(fanout):
         for _ in range(1 + rng.randint(3)):
             npkts = 10 + rng.randint(40)
             nbytes = npkts * (100 + rng.randint(1400))
@@ -363,64 +361,97 @@ def _smtp_flows(rng, spec, sip, fanout, alloc) -> list[FlowRecord]:
 
 
 def _planted_flows(rng, spec, group, members, alloc) -> list[FlowRecord]:
-    """Every member's command flows, then its scan probes and mail.
+    """Every member's command flows and scan probes, then the group's mail.
 
     A P2P group talks to its peers on one random port at any time of the
     scenario; an IRC group talks to one server on 6667 inside one
     arrival-time bin; scanners and spammers send no command flows.  Each
     member sends every anchor of the shared ladder to every destination.
+
+    Each member's command-flow and probe draws are one row of a
+    (members, draws per member) matrix: one bulk draw for the group, or,
+    when the group mails, one per member between its mail's scalar draws.
     """
     irc = group.kind is PlantedKind.IRC_BOT_GROUP
+    dport, dests, first, span, last = 0, [], 0.0, 0.0, 0.0
     if irc:
-        dport, dests = 6667, [alloc.external()]
+        dport, dests = 6667, alloc.externals(1)
         bins = max(1, int(spec.duration // _PAT_BIN) - 1)
         base = rng.randint(bins) * _PAT_BIN + 20.0
         first, span, last = base, 10.0, spec.duration * 0.999
     elif group.kind is PlantedKind.P2P_BOT_GROUP:
         dport = 20000 + rng.randint(20000)
-        dests = [alloc.external() for _ in range(group.peers)]
+        dests = alloc.externals(group.peers)
         first, span, last = 0.0, spec.duration * 0.99, math.inf
-    else:
-        dests = []
     anchors = _group_anchors(group)
-    n = len(anchors)
+    size, n, targets = len(members), len(anchors), group.scan_targets
+    # a member's row: per destination its sport, then each anchor's
+    # duration jitter and start; then per probe its start, sport and port
+    width = len(dests) * (1 + 2 * n)
+    mail = []
+    if group.smtp_fanout:
+        rows, probe_dips = [], []
+        for sip in members:
+            rows.append(rng.draws(width + 3 * targets))
+            probe_dips += alloc.externals(targets)
+            mail += _smtp_flows(rng, spec, sip, group.smtp_fanout, alloc)
+        draws = np.stack(rows)
+    else:
+        draws = rng.draws(size * (width + 3 * targets)).reshape(size, -1)
+        probe_dips = alloc.externals(size * targets)
+    command = draws[:, :width].reshape(size, len(dests), 1 + 2 * n)
+    probe = draws[:, width:].reshape(size, targets, 3)
+    commands = len(dests) * n
+
+    def column(command_field, probe_field, dtype) -> list:
+        """One field of the records, member by member: each member's
+        command flows in (destination, anchor) order, then its probes."""
+        out = np.empty((size, commands + targets), dtype=dtype)
+        out[:, :commands] = command_field
+        out[:, commands:] = probe_field
+        return out.ravel().tolist()
+
     jitter = group.jitter_pct / 100.0
     nominal = np.array([anchor.duration for anchor in anchors])
-    # the command flows' fields in (destination, anchor) order
-    dips = [dip for dip in dests for _ in anchors]
-    npkts = [anchor.npkts for anchor in anchors] * len(dests)
-    nbytes = [anchor.nbytes for anchor in anchors] * len(dests)
-    flows = []
-    for j, sip in enumerate(members):
-        if dests:
-            # a row per destination, in draw order: its sport, then each
-            # anchor's duration jitter and start
-            draws = rng.draws(len(dests) * (1 + 2 * n)).reshape(len(dests), 1 + 2 * n)
-            duration = _q6_column(nominal * (1.0 + _uniform(draws[:, 1::2], -jitter, jitter)))
-            start = _q6_column(np.minimum(first + _uniform(draws[:, 2::2], 0.0, span), last))
-            flows += _records(
-                start.ravel().tolist(),
-                duration.ravel().tolist(),
-                repeat(Proto.TCP),
-                repeat(sip),
-                np.repeat(1024 + _randint(draws[:, 0], 64511), n).tolist(),
-                dips,
-                repeat(dport),
-                npkts,
-                nbytes,
-                repeat(TcpState.ESTABLISHED),
-                repeat(f"NICK b{j:03d}\r\n".encode() if irc else b""),
-            )
-        flows.extend(_scan_flows(rng, spec, sip, group.scan_targets, alloc))
-        flows.extend(_smtp_flows(rng, spec, sip, group.smtp_fanout, alloc))
-    return flows
+    sip = np.array(members, dtype=object)[:, None]
+    nick = [f"NICK b{j:03d}\r\n".encode() if irc else b"" for j in range(size)]
+    flows = _records(
+        column(
+            _q6_column(np.minimum(first + _uniform(command[:, :, 2::2], 0.0, span), last)).reshape(size, -1),
+            _q6_column(_uniform(probe[:, :, 0], 0.0, spec.duration * 0.99)),
+            float,
+        ),
+        column(
+            _q6_column(nominal * (1.0 + _uniform(command[:, :, 1::2], -jitter, jitter))).reshape(size, -1),
+            0.0,
+            float,
+        ),
+        repeat(Proto.TCP),
+        column(sip, sip, object),
+        column(
+            np.repeat(1024 + _randint(command[:, :, 0], 64511), n, axis=1),
+            1024 + _randint(probe[:, :, 1], 64511),
+            int,
+        ),
+        column(
+            np.repeat(dests, n).astype(object), np.array(probe_dips, dtype=object).reshape(size, -1), object
+        ),
+        column(dport, np.array(_SCAN_PORTS)[_randint(probe[:, :, 2], len(_SCAN_PORTS))], int),
+        column([anchor.npkts for anchor in anchors] * len(dests), 1, int),
+        column([anchor.nbytes for anchor in anchors] * len(dests), 60, int),
+        column(TcpState.ESTABLISHED, TcpState.SYN_ONLY, object),
+        column(np.array(nick, dtype=object)[:, None], b"", object),
+    )
+    # each external address is allocated once, so no mail flow shares a dip
+    # with the block's flows, and where it goes here leaves the sorted order
+    return flows + mail
 
 
 def _benign_host_flows(rng, spec, sip, alloc) -> list[FlowRecord]:
     peer_count = 2 + rng.randint(4)
     # each peer's (proto, dip, dport, tcp_state, payload) and flow shape
     fields, nbpp, nbps = [], [], []
-    for _ in range(peer_count):
+    for dip in alloc.externals(peer_count):
         r = rng.fraction()
         if r < 0.25:
             proto, state, payload = Proto.TCP, TcpState.ESTABLISHED, _BENIGN_HTTP_PAYLOAD
@@ -431,7 +462,7 @@ def _benign_host_flows(rng, spec, sip, alloc) -> list[FlowRecord]:
         else:
             proto, state, payload = Proto.TCP, TcpState.ESTABLISHED, b""
             dport = 1024 + rng.randint(64511)
-        fields.append((proto, alloc.external(), dport, state, payload))
+        fields.append((proto, dip, dport, state, payload))
         nbpp.append(rng.log2_uniform(5, 9))
         nbps.append(rng.log2_uniform(5, 15))
     total = round(spec.benign_flow_rate * spec.duration / 3600.0)
@@ -465,7 +496,7 @@ def _benign_host_flows(rng, spec, sip, alloc) -> list[FlowRecord]:
                 proto=Proto.ICMP,
                 sip=sip,
                 sport=0,
-                dip=alloc.external(),
+                dip=alloc.externals(1)[0],
                 dport=0,
                 npkts=npkts,
                 nbytes=npkts * 64,
@@ -473,8 +504,7 @@ def _benign_host_flows(rng, spec, sip, alloc) -> list[FlowRecord]:
             )
         )
     if rng.fraction() < _BENIGN_IRC_PROB:
-        for _ in range(1 + rng.randint(2)):
-            server = alloc.external()
+        for server in alloc.externals(1 + rng.randint(2)):
             sport = 1024 + rng.randint(64511)
             bins = max(1, int(spec.duration // _PAT_BIN))
             chat_bin = rng.randint(bins)
@@ -503,6 +533,24 @@ def _benign_host_flows(rng, spec, sip, alloc) -> list[FlowRecord]:
     return flows
 
 
+_FLOW_ORDER = itemgetter(0, 3, 5, 4, 6)  # start_ts, sip, dip, sport, dport
+
+
+def _sort_flows(flows: list[FlowRecord]) -> None:
+    """Sort ``flows`` in place by :data:`_FLOW_ORDER`, stably.
+
+    One stable sort on ``start_ts`` alone, then a re-sort of each run of
+    equal starts by the whole key: the order of one sort by the whole key,
+    without a key tuple per record.
+    """
+    flows.sort(key=itemgetter(0))
+    starts = np.fromiter(map(itemgetter(0), flows), np.float64, len(flows))
+    # +1 at the first record of each run of equal starts, -1 at its last
+    edges = np.diff(np.concatenate(([0], starts[1:] == starts[:-1], [0])))
+    for first, last in zip(np.flatnonzero(edges == 1).tolist(), np.flatnonzero(edges == -1).tolist()):
+        flows[first : last + 1] = sorted(flows[first : last + 1], key=_FLOW_ORDER)
+
+
 def generate(spec: ScenarioSpec) -> tuple[list[FlowRecord], GroundTruth]:
     """Generate a scenario's flows and ground truth; deterministic in the spec."""
     problems = validate_spec(spec)
@@ -522,7 +570,7 @@ def generate(spec: ScenarioSpec) -> tuple[list[FlowRecord], GroundTruth]:
         truths.append(PlantedTruth(kind=group.kind, hosts=hosts))
         if group.malicious:
             malicious.update(hosts)
-    flows.sort(key=itemgetter(0, 3, 5, 4, 6))  # start_ts, sip, dip, sport, dport
+    _sort_flows(flows)
     return flows, GroundTruth(groups=tuple(truths), malicious=tuple(sorted(malicious)))
 
 

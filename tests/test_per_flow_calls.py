@@ -17,6 +17,7 @@ from ipaddress import IPv4Network
 
 import pytest
 
+from botdetect import synth
 from botdetect.activity import window_activity
 from botdetect.classify import partition_by_label
 from botdetect.filtering import Whitelist, run_filter
@@ -25,7 +26,7 @@ from botdetect.model import default_config
 from botdetect.monitors import group_flows_irc, group_flows_p2p, window_partition
 from botdetect.pipeline import run_detection
 from botdetect.similarity import build_curve
-from botdetect.synth import PlantedGroup, PlantedKind, ScenarioSpec, generate
+from botdetect.synth import PlantedGroup, PlantedKind, ScenarioSpec, Xorshift64Star, generate
 from botdetect.table import FlowTable
 
 INTERNAL = IPv4Network("10.0.0.0/16")
@@ -173,3 +174,43 @@ def test_parse_makes_no_call_per_row():
     assert len(thrice) < _BLOCK_CHARS
     assert parse_flow_file(thrice) == flows * 3
     assert python_events(parse_flow_file, once) == python_events(parse_flow_file, thrice)
+
+
+def _planted_only(**group) -> ScenarioSpec:
+    return ScenarioSpec(seed=3, duration=3600.0, benign_hosts=0, planted=(PlantedGroup(**group),))
+
+
+def draws_calls(spec: ScenarioSpec) -> int:
+    """``Xorshift64Star.draws`` calls that ``generate(spec)`` makes."""
+    calls = 0
+
+    def trace(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is Xorshift64Star.draws.__code__
+
+    sys.settrace(trace)
+    try:
+        generate(spec)
+    finally:
+        sys.settrace(None)
+    return calls
+
+
+@pytest.mark.parametrize("kind", [PlantedKind.P2P_BOT_GROUP, PlantedKind.SCANNER], ids=lambda k: k.value)
+def test_planted_group_makes_no_call_per_probe(kind):
+    """A group without mail takes its members' command-flow and probe draws
+    in one bulk draw, and its probes' addresses in one allocation.  Calls
+    only: the allocator runs a few lines per /24 of addresses."""
+    # a member's row: a P2P member's 5 command-flow draws (one peer, two
+    # anchors), then 3 per probe; at most 992 draws, inside one jump-table block
+    few, many = (
+        _planted_only(kind=kind, size=4, peers=1, flows_per_peer=2, scan_targets=targets) for targets in (21, 81)
+    )
+    assert 4 * (5 + 3 * 81) < synth._JUMP_BLOCK
+    assert draws_calls(few) == draws_calls(many) == 1
+    assert python_events(generate, few)[0] == python_events(generate, many)[0]
+
+
+def test_mailing_group_draws_one_row_per_member():
+    spec = _planted_only(kind=PlantedKind.P2P_BOT_GROUP, size=4, scan_targets=5, smtp_fanout=2)
+    assert draws_calls(spec) == 4

@@ -3,7 +3,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from ipaddress import IPv4Address
 from itertools import combinations
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from botdetect.synth import (
 )
 from botdetect.table import FlowTable
 
-from .conftest import NON_FINITE, bench_workloads, float_fields, setting_text
+from .conftest import NON_FINITE, bench_workloads, float_fields, make_flow, setting_text
 
 CFG = default_config()
 
@@ -237,6 +239,78 @@ class TestGenerate:
         )
         with pytest.raises(AttributeError):
             botdetect.no_such_name
+
+
+# the order generate() promises: start_ts, sip, dip, sport, dport, ties kept
+# in generation order
+FLOW_ORDER = itemgetter(0, 3, 5, 4, 6)
+
+
+class TestSortFlows:
+    def test_equal_starts_are_ordered_by_the_other_four_keys(self):
+        # generation order is the reverse of the order wanted, at one start
+        wanted = [
+            make_flow(start_ts=5.0, sip="10.0.1.1", dip="198.51.0.9", sport=2000, dport=80),
+            make_flow(start_ts=5.0, sip="10.0.1.1", dip="198.51.0.9", sport=2000, dport=443),
+            make_flow(start_ts=5.0, sip="10.0.1.1", dip="198.51.0.9", sport=3000, dport=22),
+            make_flow(start_ts=5.0, sip="10.0.1.1", dip="198.51.1.1", sport=1024, dport=22),
+            make_flow(start_ts=5.0, sip="10.0.1.2", dip="198.51.0.1", sport=1024, dport=22),
+        ]
+        flows = [make_flow(start_ts=9.0), *wanted[::-1], make_flow(start_ts=1.0)]
+        synth._sort_flows(flows)
+        assert flows[1:-1] == wanted
+        assert [f.start_ts for f in flows] == [1.0] + [5.0] * 5 + [9.0]
+
+    def test_records_tied_on_every_key_keep_their_generation_order(self):
+        # equal on all five keys, told apart only by their other fields
+        tied = [make_flow(start_ts=3.0, npkts=k) for k in (7, 2, 9)]
+        flows = [make_flow(start_ts=3.0, sip="10.0.9.9"), tied[0], make_flow(start_ts=1.0), tied[1], tied[2]]
+        synth._sort_flows(flows)
+        assert [f.npkts for f in flows[1:4]] == [7, 2, 9]
+        assert all(got is want for got, want in zip(flows[1:4], tied))
+        assert flows[4].sip == "10.0.9.9"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.5, 1.0, 7.25]),
+                st.sampled_from(["10.0.1.1", "10.0.1.2", "10.0.2.1"]),
+                st.sampled_from(["198.51.0.1", "198.51.0.2"]),
+                st.sampled_from([1024, 2048]),
+                st.sampled_from([25, 80]),
+            ),
+            max_size=40,
+        )
+    )
+    def test_same_order_as_one_sort_by_the_whole_key(self, keys):
+        flows = [
+            make_flow(start_ts=start, sip=sip, dip=dip, sport=sport, dport=dport, npkts=k + 1)
+            for k, (start, sip, dip, sport, dport) in enumerate(keys)
+        ]
+        wanted = sorted(flows, key=FLOW_ORDER)
+        synth._sort_flows(flows)
+        assert all(got is want for got, want in zip(flows, wanted, strict=True))
+
+    def test_generated_flows_tied_on_every_key_keep_their_generation_order(self):
+        """Benign IRC chatter in the last arrival-time bin is clipped to
+        ``duration * 0.999``: here one chat's three flows share a start, host,
+        server and ports, and its JOIN, generated first, stays first."""
+        spec = benign_scenario(5)
+        flows, _ = generate(spec)
+        tied = [f for f in flows if f.start_ts == round(spec.duration * 0.999, 6)]
+        assert len({FLOW_ORDER(f) for f in tied}) == 1
+        assert [f.payload_prefix for f in tied] == [b"JOIN #news\r\n"] + [b"PRIVMSG #news :hi\r\n"] * 2
+
+
+class TestAllocator:
+    @pytest.mark.parametrize("count, n", [(0, 0), (0, 1), (0, 256), (254, 3), (255, 1), (65_530, 20), (0, 70_000)])
+    def test_externals_count_on_from_198_51_0_1(self, count, n):
+        alloc = synth._Allocator()
+        alloc.count = count
+        got = alloc.externals(n)
+        assert alloc.count == count + n
+        assert got == [str(IPv4Address("198.51.0.0") + count + k) for k in range(1, n + 1)]
 
 
 # sha256 of write_flow_file(flows) and write_truth(truth) from generate(spec),
