@@ -8,12 +8,14 @@ Runs ``detect``, ``curves --path p2p|irc``, ``scan-score`` and
 (``bench/workloads.py``) at seeds 1..min(n_seeds, 3) with their whitelists
 (and ``scan_mix`` again under ``deep_day``'s whitelist rule), and prints
 one ``sha256  command  input`` line per output.  Each input also gets a
-``parse`` line, the sha256 of the ``repr`` of its parsed records,
-which pins the fields that no report shows (every ``start_ts`` bit, the
-payload bytes), and an ``annotated-parse`` line, the same digest of the
-input rewritten with CRLF line ends, a blank line after the header and a
-comment before every 200th row, which must equal the ``parse`` line.  It
-also gets a ``curves`` and a ``scores`` line, computed directly with
+``parse`` line, the sha256 of the ``repr`` of its parsed records, which
+pins the fields that no report shows (every ``start_ts`` bit, the payload
+bytes).  Two more lines hold the same digest and must equal it: an
+``annotated-parse`` line, of the input rewritten with CRLF line ends, a
+blank line after the header and a comment before every 200th row; and a
+``from-records`` line, of ``FlowTable.from_records`` of the generated
+records, which passes them through the writer and the parser.  It also
+gets a ``curves`` and a ``scores`` line, computed directly with
 ``build_curve`` and ``curve_similarity`` from the groups that ``detect``
 clusters, per window and path in canonical key order: the
 sha256 of every curve's xs, ys, floor and peak float64 bytes (the
@@ -51,7 +53,14 @@ from botdetect.model import default_config
 from botdetect.pipeline import group_path, window_streams
 from botdetect.report import BotPath
 from botdetect.similarity import build_curve, curve_similarity
-from botdetect.synth import benign_scenario, generate, irc_botnet_scenario, p2p_botnet_scenario
+from botdetect.synth import (
+    benign_scenario,
+    generate,
+    irc_botnet_scenario,
+    p2p_botnet_scenario,
+    parse_scenario,
+)
+from botdetect.table import FlowTable
 
 INTERNAL = ["--internal", "10.0.0.0/16"]
 COMMANDS = (
@@ -77,18 +86,20 @@ def bench_workloads() -> dict:
 
 
 def inputs(work: Path, n_seeds: int):
-    """Yield (name, flow file path, whitelist path or None) for every input,
-    writing its files first."""
+    """Yield (name, generated records, flow file path, whitelist path or
+    None) for every input, writing its files first."""
     for spec in sorted((ROOT / "scenarios").glob("*.spec")):
         prefix = work / spec.stem
         assert cli(["synth", "--spec", str(spec), "--out", str(prefix)]) == 0
-        yield f"scenarios/{spec.name}", Path(f"{prefix}.flows.csv"), None
+        flows, _ = generate(parse_scenario(spec.read_text(encoding="utf-8")))
+        yield f"scenarios/{spec.name}", flows, Path(f"{prefix}.flows.csv"), None
     for factory in FACTORIES:
         for seed in range(1, n_seeds + 1):
             name = f"{factory.__name__}({seed})"
             path = work / f"{name}.flows.csv"
-            path.write_bytes(write_flow_file(generate(factory(seed))[0]))
-            yield name, path, None
+            flows, _ = generate(factory(seed))
+            path.write_bytes(write_flow_file(flows))
+            yield name, flows, path, None
     workloads = bench_workloads()
     for flows_from, rule_from in WORKLOADS:
         for seed in range(1, min(n_seeds, WORKLOAD_SEEDS) + 1):
@@ -100,7 +111,7 @@ def inputs(work: Path, n_seeds: int):
             path.write_bytes(write_flow_file(flows))
             whitelist = work / f"{name}.whitelist"
             whitelist.write_text("".join(f"{dip}\n" for dip in workloads[rule_from].whitelist(flows)))
-            yield name, path, whitelist
+            yield name, flows, path, whitelist
 
 
 def annotated(data: bytes) -> bytes:
@@ -115,9 +126,9 @@ def annotated(data: bytes) -> bytes:
     return ("\r\n".join(lines) + "\r\n").encode("utf-8")
 
 
-def parse_digest(data: bytes) -> str:
-    """The sha256 of the ``repr`` of the records parsed from ``data``."""
-    return hashlib.sha256(repr(list(parse_flow_file(data))).encode()).hexdigest()
+def records_digest(table: FlowTable) -> str:
+    """The sha256 of the ``repr`` of the records of ``table``."""
+    return hashlib.sha256(repr(list(table)).encode()).hexdigest()
 
 
 def curve_digests(flows: Path, whitelist: Path | None) -> tuple[str, str]:
@@ -151,10 +162,11 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         out = work / "output"
-        for name, flows, whitelist in inputs(work, n_seeds):
+        for name, records, flows, whitelist in inputs(work, n_seeds):
             data = flows.read_bytes()
-            print(f"{parse_digest(data)}  parse  {name}")
-            print(f"{parse_digest(annotated(data))}  annotated-parse  {name}")
+            print(f"{records_digest(parse_flow_file(data))}  parse  {name}")
+            print(f"{records_digest(parse_flow_file(annotated(data)))}  annotated-parse  {name}")
+            print(f"{records_digest(FlowTable.from_records(records))}  from-records  {name}")
             extra = [] if whitelist is None else ["--whitelist", str(whitelist)]
             for command in COMMANDS:
                 assert cli([*command, "--flows", str(flows), *extra, "--out", str(out)]) == 0

@@ -1,8 +1,10 @@
 """Reading and writing the canonical CSV flow-record format.
 
-This is the only I/O boundary for traffic data.  The wire format is
-bit-exact: fixed column order, lowercase enum values, lowercase hex for the
-payload prefix, and decimal seconds with up to six fractional digits.
+This is the only I/O boundary for traffic data, and the parser is the one
+way into a ``FlowTable``: ``FlowTable.from_records`` parses what
+:func:`write_flow_file` writes.  The wire format is bit-exact: fixed column
+order, lowercase enum values, lowercase hex for the payload prefix, and
+decimal seconds with up to six fractional digits.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .model import PAYLOAD_PREFIX_MAX, FlowRecord, Proto, TcpState, validate_flow
-from .table import PROTOS, STATES, FlowTable, TableBuilder, quads
+from .table import PROTOS, STATES, FlowTable, TableBuilder, addresses
 
 HEADER = "start_ts,duration,proto,sip,sport,dip,dport,npkts,nbytes,tcp_state,payload_prefix_hex"
 _COLUMNS = HEADER.count(",") + 1
@@ -95,13 +97,14 @@ class MalformedRow(FlowFileError):
 def format_seconds(value: float) -> str:
     """Render seconds with six fractional digits, trimmed.
 
-    Falls back to ``repr`` for values that six digits cannot represent
-    exactly, so parse(write(x)) always reproduces x.
+    Falls back to the ``repr`` of the float for values that six digits
+    cannot represent exactly (a numpy float's own ``repr`` names its type),
+    so parse(write(x)) always reproduces x.
     """
     text = f"{value:.6f}".rstrip("0").rstrip(".")
     if float(text) == value:
         return text
-    return repr(value)
+    return repr(float(value))
 
 
 def _parse_seconds(name: str, text: str, lineno: int) -> float:
@@ -228,8 +231,8 @@ def _parse_block(block: str, table: TableBuilder) -> int | None:
 
     A comment or blank line is skipped, and a row outside ``_ROW`` is
     checked on its own and converted with the rest (:func:`_column_text`).
-    A block with a bad row of either kind is refused whole: its row path
-    then raises the first bad line's own error.
+    A block with a bad row of either kind is refused whole: checking its
+    rows one at a time then raises the first bad line's own error.
     """
     # every "\r\n" and bare "\r" ends a line, as a "\n" does
     if "\r" in block:
@@ -255,8 +258,8 @@ def _parse_block(block: str, table: TableBuilder) -> int | None:
     dport = np.fromstring(",".join(dport), dtype=np.int32, sep=",")
     npkts = np.fromstring(",".join(npkts), dtype=np.uint64, sep=",")
     nbytes = np.fromstring(",".join(nbytes), dtype=np.uint64, sep=",")
-    sip = _addresses(sip)
-    dip = _addresses(dip)
+    sip = addresses(sip)
+    dip = addresses(dip)
     # each distinct payload decoded before any is added to the table:
     # fromhex refuses an odd number of digits; an unknown name has no code
     try:
@@ -285,19 +288,6 @@ def _parse_block(block: str, table: TableBuilder) -> int | None:
     return n + skipped
 
 
-def _addresses(texts: list[str]) -> np.ndarray | None:
-    """The dotted quads ``texts``, each four octets of one to three digits,
-    as ``uint32`` addresses; None unless every octet is at most 255 with no
-    leading zero."""
-    joined = ".".join(texts)
-    octets = np.fromstring(joined, dtype=np.uint32, sep=".")
-    # a leading zero makes the text longer than its octets' plainest digits
-    digits = octets.size + np.count_nonzero(octets >= 10) + np.count_nonzero(octets >= 100)
-    if octets.max() > 255 or len(joined) != digits + octets.size - 1:
-        return None
-    return quads(octets)
-
-
 def parse_flow_file(data: bytes) -> FlowTable:
     """Parse a flow CSV into a table of its rows, in row order.
 
@@ -311,10 +301,10 @@ def parse_flow_file(data: bytes) -> FlowTable:
     and parsed in one column pass by :func:`_parse_block`, which skips
     comments and blank lines and checks each row outside ``_ROW`` (such as
     the writer's ``1e-07``) on its own with :func:`_parse_row`.  A block
-    holding a bad row goes line by line through :func:`_parse_row`, which
-    raises the first bad row's own message.  Either way the rows are added
-    to the one table.  Beyond ``data`` and the table, the parse holds one
-    block (and, checking a non-ASCII file, its whole text for a moment).
+    holding a bad row adds nothing: its lines are then only checked, one at
+    a time by :func:`_parse_row`, which raises the first bad row's own
+    error.  Beyond ``data`` and the table, the parse holds one block (and,
+    checking a non-ASCII file, its whole text for a moment).
     """
     # every UTF-8 error comes first, named by its place in the whole file;
     # the text decoded to find it is dropped before the first block
@@ -338,15 +328,11 @@ def parse_flow_file(data: bytes) -> FlowTable:
     for block in _blocks(data, _BLOCK_CHARS, start):
         lines = _parse_block(block, table)
         if lines is None:
-            rows = block.splitlines()
-            table.add_records(
-                [
+            # a refused block holds a bad row: the row path names the first
+            for n, line in enumerate(map(str.strip, block.splitlines()), lineno + 1):
+                if line and not line.startswith("#"):
                     _parse_row(line, n)
-                    for n, line in enumerate(map(str.strip, rows), lineno + 1)
-                    if line and not line.startswith("#")
-                ]
-            )
-            lines = len(rows)
+            raise AssertionError(f"a block after line {lineno} was refused, yet each of its rows parses")
         lineno += lines
     return table.build()
 

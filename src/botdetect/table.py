@@ -6,8 +6,9 @@ addresses as ``uint32``, protocol and TCP state as codes into
 as a code into the table's distinct payloads.  The flow parser fills one
 block by block (:class:`TableBuilder`) and makes no record; windowing,
 filtering, classification, grouping and activity index and reduce its
-columns.  Iterating a table yields the records it holds, and
-:meth:`FlowTable.from_records` builds one from records.
+columns.  Iterating a table yields the records it holds.  A table has one
+way in, the parser: :meth:`FlowTable.from_records` parses what the writer
+writes of the records.  :func:`addresses` is the one dotted-quad parser.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import partial
 from ipaddress import IPv4Network
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -25,23 +26,20 @@ from .model import FlowRecord, Proto, TcpState
 PROTOS = tuple(Proto)
 STATES = tuple(TcpState)
 PROTO_CODE = {p: code for code, p in enumerate(PROTOS)}
-STATE_CODE = {s: code for code, s in enumerate(STATES)}
 
 _new_record = partial(tuple.__new__, FlowRecord)  # FlowRecord(*fields) without a Python call
 
 
-def addresses(texts: list[str]) -> np.ndarray:
-    """The dotted quads ``texts`` as ``uint32`` integers.
-
-    All the octets are parsed in one numpy call; each text must be a
-    dotted quad as ``model._valid_ipv4`` accepts it, as every parsed or
-    validated flow's ``sip`` and ``dip`` is.
-    """
-    return quads(np.fromstring(".".join(texts), dtype=np.uint32, sep="."))
-
-
-def quads(octets: np.ndarray) -> np.ndarray:
-    """``uint32`` octets 0-255, four an address in order, as ``uint32`` addresses."""
+def addresses(texts: list[str]) -> np.ndarray | None:
+    """The dotted quads ``texts``, each four octets of one to three digits,
+    as ``uint32`` addresses, all parsed in one numpy call; None unless every
+    octet is at most 255 with no leading zero, as ``model._valid_ipv4`` has it."""
+    joined = ".".join(texts)
+    octets = np.fromstring(joined, dtype=np.uint32, sep=".")
+    # a leading zero makes the text longer than its octets' plainest digits
+    digits = octets.size + np.count_nonzero(octets >= 10) + np.count_nonzero(octets >= 100)
+    if octets.size and (octets.max() > 255 or len(joined) != digits + octets.size - 1):
+        return None
     octets = octets.reshape(-1, 4)
     return octets[:, 0] << 24 | octets[:, 1] << 16 | octets[:, 2] << 8 | octets[:, 3]
 
@@ -90,11 +88,12 @@ class FlowTable:
 
     @classmethod
     def from_records(cls, records: Iterable[FlowRecord]) -> FlowTable:
-        """The table of ``records``, in order; each must be valid
-        (``validate_flow``), as parsed and generated records are."""
-        builder = TableBuilder()
-        builder.add_records(list(records))
-        return builder.build()
+        """The table of ``records``, in order: the parse of what the writer
+        writes of them, so a record the parser refuses raises its
+        ``flowfile.MalformedRow``."""
+        from .flowfile import parse_flow_file, write_flow_file  # flowfile imports this module
+
+        return parse_flow_file(write_flow_file(records))
 
     def __len__(self) -> int:
         return len(self.start_ts)
@@ -146,14 +145,11 @@ class TableBuilder:
         self._chunks: tuple[list[np.ndarray], ...] = tuple([] for _ in _DTYPES)  # per column
         self._codes: dict[bytes, int] = {}  # payload -> code, in first-seen order
 
-    def payload_codes(self, values: list, decode=None) -> np.ndarray:
-        """Each row's payload code; ``decode`` (if given) turns a value
-        into its payload bytes, once per distinct value."""
+    def payload_codes(self, values: list, decode) -> np.ndarray:
+        """Each row's payload code; ``decode`` turns a value into its
+        payload bytes, once per distinct value."""
         codes = self._codes
-        code_of = {
-            value: codes.setdefault(value if decode is None else decode(value), len(codes))
-            for value in dict.fromkeys(values)
-        }
+        code_of = {value: codes.setdefault(decode(value), len(codes)) for value in dict.fromkeys(values)}
         return np.fromiter(map(code_of.__getitem__, values), np.int32, len(values))
 
     def add(self, *columns: np.ndarray) -> None:
@@ -161,27 +157,6 @@ class TableBuilder:
         from :meth:`payload_codes`."""
         for chunks, column in zip(self._chunks, columns):
             chunks.append(column)
-
-    def add_records(self, records: list[FlowRecord]) -> None:
-        if not records:
-            return
-        # a column at a time: zip(*records) would make an iterator per record
-        start_ts, duration, proto, sip, sport, dip, dport, npkts, nbytes, state, payload = (
-            list(map(itemgetter(i), records)) for i in range(len(FlowRecord._fields))
-        )
-        self.add(
-            np.array(start_ts, dtype=np.float64),
-            np.array(duration, dtype=np.float64),
-            np.fromiter(map(PROTO_CODE.__getitem__, proto), np.uint8, len(records)),
-            addresses(sip),
-            np.array(sport, dtype=np.int32),
-            addresses(dip),
-            np.array(dport, dtype=np.int32),
-            np.array(npkts, dtype=np.uint64),
-            np.array(nbytes, dtype=np.uint64),
-            np.fromiter(map(STATE_CODE.__getitem__, state), np.uint8, len(records)),
-            self.payload_codes(payload),
-        )
 
     def build(self) -> FlowTable:
         """The table of every row added, in order, taking the chunks out of

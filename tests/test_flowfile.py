@@ -4,6 +4,7 @@ import tracemalloc
 from itertools import accumulate
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -144,8 +145,11 @@ class TestFormatSeconds:
         assert format_seconds(value) == expected
 
     def test_fallback_keeps_exactness(self):
-        value = 0.1 + 0.2  # not representable in 6 decimal digits
-        assert float(format_seconds(value)) == value
+        # not representable in 6 decimal digits; numpy's repr names its type
+        for value in (0.1 + 0.2, np.float64(1e-7)):
+            assert float(format_seconds(value)) == value
+            (rec,) = FlowTable.from_records([make_flow(start_ts=value, duration=value)])
+            assert rec.start_ts == rec.duration == value
 
 
 _proto_state = st.one_of(

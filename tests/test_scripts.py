@@ -59,13 +59,16 @@ def test_report_digests_cover_every_command_and_input(monkeypatch, capsys):
     inputs = {name for _, _, name in lines}
     assert len(inputs) == 9 and "p2p_botnet_scenario(1)" in inputs
     assert {"deep_day(1)", "scan_mix(1)", "scan_mix(1) under deep_day whitelist"} <= inputs
-    # + one parse, one annotated-parse, one curves and one scores line each
-    kinds = [" ".join(command) for command in digests.COMMANDS] + ["parse", "annotated-parse", "curves", "scores"]
+    # + one parse, one annotated-parse, one from-records, one curves and one scores line each
+    kinds = [" ".join(command) for command in digests.COMMANDS]
+    kinds += ["parse", "annotated-parse", "from-records", "curves", "scores"]
     assert {command for _, command, _ in lines} == set(kinds)
     assert len(lines) == len(inputs) * len(kinds)
-    # comments, a blank line and CRLF line ends change no record
-    parses = {(command, name): digest for digest, command, name in lines if command.endswith("parse")}
-    assert all(parses["annotated-parse", name] == parses["parse", name] for name in inputs)
+    # comments, a blank line and CRLF line ends change no record, nor does
+    # building the table from the generated records
+    parses = {(command, name): digest for digest, command, name in lines}
+    for name in inputs:
+        assert parses["annotated-parse", name] == parses["from-records", name] == parses["parse", name]
     detect = {name: digest for digest, command, name in lines if command.startswith("detect")}
     for scenario, pins in REPORT_SHA256.items():
         assert detect[f"scenarios/{scenario}.spec"] == pins["detect"]

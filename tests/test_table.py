@@ -15,7 +15,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from botdetect.filtering import EMPTY_WHITELIST, Whitelist
-from botdetect.flowfile import parse_flow_file, write_flow_file
+from botdetect.flowfile import MalformedRow, parse_flow_file, write_flow_file
 from botdetect.model import ConfigError, FlowRecord, Proto, TcpState, default_config
 from botdetect.monitors import group_flows_irc, window_partition
 from botdetect.pipeline import run_detection
@@ -88,6 +88,13 @@ class TestRecords:
         assert table == flows and table == FlowTable.from_records(flows) and table == tuple(flows)
         assert table != flows[:1] and table != list(reversed(flows))
         assert FlowTable.from_records([]) == []
+
+    @pytest.mark.parametrize(
+        "flow", [make_flow(payload=bytes(65)), make_flow(proto=Proto.UDP, tcp_state=TcpState.SYN_ONLY)]
+    )
+    def test_from_records_refuses_what_the_parser_refuses(self, flow):
+        with pytest.raises(MalformedRow, match="^line 2: "):
+            FlowTable.from_records([flow, make_flow()])
 
 
 @given(st.lists(_ip, max_size=20))
