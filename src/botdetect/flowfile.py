@@ -29,7 +29,7 @@ _PROTO_NAME = {p: p.value for p in Proto}
 _STATE_NAME = {s: s.value for s in TcpState}
 _PROTO_CODE = {p.value: code for code, p in enumerate(PROTOS)}
 _STATE_CODE = {s.value: code for code, s in enumerate(STATES)}
-_PLAIN_SECONDS = re.compile(r"[0-9]+(?:\.[0-9]{1,6})?")
+_PLAIN_SECONDS = re.compile(r"[0-9]++(?:\.[0-9]{1,6}+)?+")
 # _VALID_PAIR[proto code, tcp_state code]: the pairs that validate_flow accepts
 _VALID_PAIR = np.array([[p is Proto.TCP or s is TcpState.NOT_TCP for s in STATES] for p in PROTOS])
 
@@ -41,35 +41,40 @@ _BLOCK_CHARS = 1 << 16
 # the line ends a block may end at, a "\r\n" whole
 _LINE_END = re.compile(rb"\r\n?|\n")
 
-_PORT = "(?:0|[1-9][0-9]{0,4})"  # up to 5 digits; _parse_block checks <= 65535
+# Integers are matched as digit runs, each quantifier possessive: the match
+# never branches or backtracks.  _integers checks a column's integers for a
+# leading zero all at once.
+_PORT = "[0-9]{1,5}+"  # up to 5 digits; _parse_block checks <= 65535
 # Up to 19 digits, so below 10**19 < 2**64: a row with a larger counter is
 # checked alone by _parse_row, which accepts up to 2**64 - 1.
-_COUNTER = "(?:0|[1-9][0-9]{0,18})"
+_COUNTER = "[0-9]{1,19}+"
 # one to three digits an octet; _parse_block checks that each is at most
 # 255 with no leading zero, as model._DOTTED_QUAD has it
-_QUAD = r"\.".join(["[0-9]{1,3}"] * 4)
-# A canonical row with every field in its plainest form (seconds as the
-# writer emits them when six fractional digits hold them).  The addresses,
-# the names and the payload are matched loosely: _parse_block checks the
-# octets, each (proto, tcp_state) pair and each distinct payload's even
-# length.
-_ROW = re.compile(
-    ",".join(
-        (
-            _PLAIN_SECONDS.pattern,
-            _PLAIN_SECONDS.pattern,
-            "[a-z]+",
-            _QUAD,
-            _PORT,
-            _QUAD,
-            _PORT,
-            _COUNTER,
-            _COUNTER,
-            "[a-z_]+",
-            f"[0-9a-f]{{0,{2 * PAYLOAD_PREFIX_MAX}}}",
-        )
-    )
-)
+_QUAD = r"\.".join(["[0-9]{1,3}+"] * 4)
+# a digit run with a leading zero, in "," and a column's runs joined by ","
+_LEADING_ZERO = re.compile(",0[0-9]")
+# Seconds in any shape the writer emits: plain, its repr fallback
+# ("1e-07", "0.30000000000000004") or "-0".  _WRITTEN_ROW takes them, so
+# that such a row stays in the column pass once _written has checked them.
+_WRITTEN_SECONDS = r"-?[0-9]++(?:\.[0-9]++)?+(?:e[-+][0-9]++)?+"
+
+
+def _row(seconds: str) -> str:
+    """A row with both seconds fields matching ``seconds``.  Every other
+    field is matched loosely, as a run of the characters it may hold:
+    _parse_block checks the integers' leading zeros and ranges, the octets,
+    each (proto, tcp_state) pair and each distinct payload's even length."""
+    fields = (seconds, seconds, "[a-z]++", _QUAD, _PORT, _QUAD, _PORT, _COUNTER, _COUNTER, "[a-z_]++",
+              f"[0-9a-f]{{0,{2 * PAYLOAD_PREFIX_MAX}}}+")  # fmt: skip
+    return ",".join(fields)
+
+
+# A canonical row, its seconds as the writer emits them when six
+# fractional digits hold them.
+_ROW = re.compile(_row(_PLAIN_SECONDS.pattern))
+# A row and its line end, its seconds fields in any shape the writer
+# emits, each captured unless it is plain.
+_WRITTEN_ROW = re.compile(_row(f"(?:{_PLAIN_SECONDS.pattern}(?=,)|({_WRITTEN_SECONDS}))") + "(?:\n|\\Z)")
 # A run of canonical rows, each ended by "\n" or the end of the text, so
 # holding no comment, blank line or surrounding whitespace.  The repeat is
 # possessive (Python 3.11+): a match keeps no backtracking state per row,
@@ -190,24 +195,46 @@ def _blocks(data: bytes, size: int, start: int = 0) -> Iterator[str]:
         start = stop
 
 
+def _written(text: str, seen: dict[str, bool]) -> bool:
+    """Whether ``text``, seconds in ``_WRITTEN_SECONDS``' shape, is how the
+    writer renders a finite value >= 0, as :func:`_parse_row` requires;
+    each text is checked once, its answer kept in ``seen``."""
+    ok = seen.get(text)
+    if ok is None:
+        value = float(text)
+        ok = seen[text] = format_seconds(value) == text and math.isfinite(value) and value >= 0
+    return ok
+
+
 def _column_text(block: str) -> tuple[str, int] | None:
     """The rows of ``block``, whose ``\r\n`` and bare ``\r`` line ends are
     already ``\n``, as text for the column pass, and the count of comment
     and blank lines left out of it; None if a row outside ``_ROW`` is bad.
 
-    ``_ROWS`` matches the runs of canonical rows.  Each line between them,
-    up to its ``\n`` and split further where ``str.splitlines`` splits, is
-    left out if it is a comment or blank; any other line is checked alone
-    by :func:`_parse_row` and kept at its place, stripped and ``\n``-ended.
-    Every field :func:`_parse_row` accepts converts in the column pass as a
-    canonical one does.
+    ``_ROWS`` matches the runs of canonical rows.  A row between them in
+    ``_WRITTEN_ROW`` whose seconds are the writer's own (each distinct text
+    checked once by :func:`_written`) stays where it is, as a canonical
+    row does.  Each other line, up to its ``\n`` and split further where
+    ``str.splitlines`` splits, is left out if it is a comment or blank; any
+    other line is checked alone by :func:`_parse_row` and kept at its
+    place, stripped and ``\n``-ended.  Every field :func:`_parse_row`
+    accepts converts in the column pass as a canonical one does.
     """
     end = _ROWS.match(block).end()
     if end == len(block):
         return block, 0
     pieces = []
     start = skipped = 0
+    written = {}  # seconds text outside _PLAIN_SECONDS -> whether the writer emits it
     while end < len(block):
+        row = _WRITTEN_ROW.match(block, end)
+        if row:
+            start_ts, duration = row.groups()  # None where plain
+            if (start_ts is None or _written(start_ts, written)) and (
+                duration is None or _written(duration, written)
+            ):
+                end = _ROWS.match(block, row.end()).end()
+                continue
         pieces.append(block[start:end])
         start = block.find("\n", end) + 1 or len(block)
         for line in block[end:start].splitlines():
@@ -225,12 +252,22 @@ def _column_text(block: str) -> tuple[str, int] | None:
     return "".join(pieces), skipped
 
 
+def _integers(texts: list[str], dtype: type) -> np.ndarray | None:
+    """The decimal digit runs ``texts`` as a ``dtype`` column, parsed in one
+    numpy call; None if any has a leading zero, which :func:`_parse_int`
+    refuses."""
+    joined = ",".join(texts)
+    if _LEADING_ZERO.search("," + joined):
+        return None
+    return np.fromstring(joined, dtype=dtype, sep=",")
+
+
 def _parse_block(block: str, table: TableBuilder) -> int | None:
     """Add the rows of a block to ``table`` in one column pass and return
     the block's line count; None, adding nothing, unless every row is good.
 
     A comment or blank line is skipped, and a row outside ``_ROW`` is
-    checked on its own and converted with the rest (:func:`_column_text`).
+    checked by :func:`_column_text` and converted with the rest.
     A block with a bad row of either kind is refused whole: checking its
     rows one at a time then raises the first bad line's own error.
     """
@@ -252,12 +289,11 @@ def _parse_block(block: str, table: TableBuilder) -> int | None:
     n = len(start_ts)
     start_ts = np.fromiter(map(float, start_ts), np.float64, n)
     duration = np.fromiter(map(float, duration), np.float64, n)
-    # five-digit ports parse exactly as int32, and counters below 2**64 as
-    # uint64, in one numpy call a column
-    sport = np.fromstring(",".join(sport), dtype=np.int32, sep=",")
-    dport = np.fromstring(",".join(dport), dtype=np.int32, sep=",")
-    npkts = np.fromstring(",".join(npkts), dtype=np.uint64, sep=",")
-    nbytes = np.fromstring(",".join(nbytes), dtype=np.uint64, sep=",")
+    # five-digit ports parse exactly as int32, and counters below 2**64 as uint64
+    sport = _integers(sport, np.int32)
+    dport = _integers(dport, np.int32)
+    npkts = _integers(npkts, np.uint64)
+    nbytes = _integers(nbytes, np.uint64)
     sip = addresses(sip)
     dip = addresses(dip)
     # each distinct payload decoded before any is added to the table:
@@ -273,6 +309,10 @@ def _parse_block(block: str, table: TableBuilder) -> int | None:
     if not (
         sip is not None
         and dip is not None
+        and sport is not None
+        and dport is not None
+        and npkts is not None
+        and nbytes is not None
         and np.isfinite(start_ts).all()
         and np.isfinite(duration).all()
         and sport.max() <= 65535
@@ -299,8 +339,9 @@ def parse_flow_file(data: bytes) -> FlowTable:
     including the header are read one at a time.  The rest of the bytes are
     cut at line ends into blocks (:func:`_blocks`), each decoded on its own
     and parsed in one column pass by :func:`_parse_block`, which skips
-    comments and blank lines and checks each row outside ``_ROW`` (such as
-    the writer's ``1e-07``) on its own with :func:`_parse_row`.  A block
+    comments and blank lines, keeps a row whose only departure from ``_ROW``
+    is the writer's own seconds (such as ``1e-07``) and checks each other
+    row outside ``_ROW`` on its own with :func:`_parse_row`.  A block
     holding a bad row adds nothing: its lines are then only checked, one at
     a time by :func:`_parse_row`, which raises the first bad row's own
     error.  Beyond ``data`` and the table, the parse holds one block (and,

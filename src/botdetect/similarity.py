@@ -143,7 +143,10 @@ def build_curve(points: np.ndarray | Sequence[FlowFeatures], resample_points: in
     nbps) rows or a sequence of :class:`FlowFeatures`, in any order.
 
     Points are sorted by nbpp, then nbps; points sharing an nbpp value are
-    replaced by their mean nbps, summed left to right in that order.  With
+    replaced by their mean nbps, summed left to right in that order.
+    Points whose nbpp already strictly increases, as grouping hands over
+    most groups, are taken as they are: for them the sort is the identity
+    and every run is one point, so the curve is the same to the bit.  With
     two or more distinct nbpp values the polyline is resampled at
     ``resample_points`` evenly spaced positions across [min nbpp, max
     nbpp]; with exactly one it degenerates to a constant.
@@ -152,16 +155,16 @@ def build_curve(points: np.ndarray | Sequence[FlowFeatures], resample_points: in
         raise EmptyGroup("cannot build a curve from zero points")
     points = np.asarray(points, dtype=np.float64)
     nbpp, nbps = points[:, 0], points[:, 1]
-    order = np.lexsort((nbps, nbpp))
-    nbpp, nbps = nbpp[order], nbps[order]
-    k = len(nbpp)
-    # a one-point run's mean is 0.0 + y, which is y + 0.0 (-0.0 included);
-    # a longer run's nbps are added in Python, in order, as the mean was
-    # always taken: np.add.reduce sums pairwise, so its bits may differ
-    ends = (nbpp[1:] != nbpp[:-1]).nonzero()[0]  # the last point of each run but the last
-    if len(ends) == k - 1:
+    # a one-point run's mean is 0.0 + y, which is y + 0.0 (-0.0 included)
+    if (nbpp[1:] > nbpp[:-1]).all():  # a tie, -0.0 before 0.0 or a nan is sorted
         xs, ys = nbpp, nbps + 0.0
     else:
+        order = np.lexsort((nbps, nbpp))
+        nbpp, nbps = nbpp[order], nbps[order]
+        k = len(nbpp)
+        # a longer run's nbps are added in Python, in order, as the mean was
+        # always taken: np.add.reduce sums pairwise, so its bits may differ
+        ends = (nbpp[1:] != nbpp[:-1]).nonzero()[0]  # the last point of each run but the last
         bounds = [0, *(ends + 1).tolist(), k]
         xs, ys = nbpp[bounds[:-1]], nbps[bounds[:-1]] + 0.0
         values = nbps.tolist()

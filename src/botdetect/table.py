@@ -120,6 +120,10 @@ class FlowTable:
         if isinstance(index, (int, np.integer)):
             (record,) = self[[index]]
             return record
+        # a mask of the table's length is scanned once, not once a column;
+        # numpy refuses any other mask as before
+        if isinstance(index, np.ndarray) and index.dtype == bool and index.shape == (len(self),):
+            index = np.flatnonzero(index)
         return FlowTable(*[column[index] for column in _COLUMNS(self)], self.payloads)
 
     def __eq__(self, other: object) -> bool:

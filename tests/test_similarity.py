@@ -169,6 +169,30 @@ class TestBuildCurve:
         assert _curve_bits(got) == _curve_bits(want)
         assert _curve_bits(got) == _curve_bits(_per_point_curve(pts, r))
 
+    @given(
+        st.one_of(
+            # strictly increasing, as grouping hands most groups over; one point too
+            st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=12, unique=True).map(sorted),
+            # ties and nans.  A -0.0/0.0 tie with equal nbps is left out: the
+            # sort keeps such points in input order, so x_range's zero sign
+            # follows the input
+            st.lists(st.sampled_from((0.0, 1.0, 2.5, math.nan)), min_size=1, max_size=12),
+        ).flatmap(
+            lambda xs: st.lists(
+                st.one_of(st.sampled_from((0.0, -0.0, math.nan)), st.floats(-1e9, 1e9)),
+                min_size=len(xs),
+                max_size=len(xs),
+            ).map(lambda ys: list(zip(xs, ys)))
+        ),
+        st.sampled_from((2, 3, 32)),
+    )
+    @example(pts=[(-0.0, -0.0), (1.0, -0.0)], r=3)
+    def test_points_and_their_reverse_give_the_same_bits(self, pts, r):
+        """Strictly increasing nbpp, taken without a sort, give the bits
+        the sort gives their reverse; ties, -0.0 and nans sort either way."""
+        points = np.array(pts, dtype=np.float64)
+        assert _curve_bits(build_curve(points, r)) == _curve_bits(build_curve(points[::-1], r))
+
 
 def reference_similarity(a, b):
     """``curve_similarity`` as first written, on ``np.linspace`` and ``np.mean``:

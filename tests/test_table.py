@@ -11,6 +11,7 @@ from collections import Counter
 from functools import lru_cache
 from ipaddress import IPv4Address, IPv4Network
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
@@ -76,6 +77,24 @@ class TestRecords:
         mask = data.draw(st.lists(st.booleans(), min_size=len(flows), max_size=len(flows)))
         picked = FlowTable.from_records(flows)[mask]
         assert list(picked) == [rec for rec, keep in zip(flows, mask) if keep]
+
+    @pytest.mark.parametrize("pattern", ["none", "all", "interleaved"])
+    def test_a_mask_picks_what_its_row_indices_pick(self, pattern):
+        flows = [make_flow(sport=1024 + i, payload=b"NICK x\r\n" * (i % 3)) for i in range(9)]
+        table = FlowTable.from_records(flows)
+        mask = {"none": np.zeros(9, bool), "all": np.ones(9, bool),
+                "interleaved": np.arange(9) % 2 == 1}[pattern]
+        picked, indexed = table[mask], table[np.flatnonzero(mask)]
+        assert picked == indexed == [rec for rec, keep in zip(flows, mask) if keep]
+        assert picked.payloads is table.payloads
+        for name in ("start_ts", "sip", "sport", "npkts", "tcp_state", "payload"):
+            got, want = getattr(picked, name), getattr(indexed, name)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    def test_a_mask_one_row_short_is_refused(self):
+        table = FlowTable.from_records([make_flow(sport=1024 + i) for i in range(4)])
+        with pytest.raises(IndexError):
+            table[np.ones(3, bool)]
 
     def test_record_types_are_the_fields_own(self):
         (rec,) = FlowTable.from_records([make_flow(npkts=2**64 - 1, nbytes=2**64 - 1)])
