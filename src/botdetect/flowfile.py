@@ -51,30 +51,30 @@ _COUNTER = "[0-9]{1,19}+"
 # one to three digits an octet; _parse_block checks that each is at most
 # 255 with no leading zero, as model._DOTTED_QUAD has it
 _QUAD = r"\.".join(["[0-9]{1,3}+"] * 4)
-# a digit run with a leading zero, in "," and a column's runs joined by ","
+# a digit run with a leading zero, after a ","
 _LEADING_ZERO = re.compile(",0[0-9]")
-# Seconds in any shape the writer emits: plain, its repr fallback
-# ("1e-07", "0.30000000000000004") or "-0".  _WRITTEN_ROW takes them, so
-# that such a row stays in the column pass once _written has checked them.
-_WRITTEN_SECONDS = r"-?[0-9]++(?:\.[0-9]++)?+(?:e[-+][0-9]++)?+"
-
-
-def _row(seconds: str) -> str:
-    """A row with both seconds fields matching ``seconds``.  Every other
-    field is matched loosely, as a run of the characters it may hold:
-    _parse_block checks the integers' leading zeros and ranges, the octets,
-    each (proto, tcp_state) pair and each distinct payload's even length."""
-    fields = (seconds, seconds, "[a-z]++", _QUAD, _PORT, _QUAD, _PORT, _COUNTER, _COUNTER, "[a-z_]++",
-              f"[0-9a-f]{{0,{2 * PAYLOAD_PREFIX_MAX}}}+")  # fmt: skip
-    return ",".join(fields)
-
-
-# A canonical row, its seconds as the writer emits them when six
-# fractional digits hold them.
-_ROW = re.compile(_row(_PLAIN_SECONDS.pattern))
-# A row and its line end, its seconds fields in any shape the writer
-# emits, each captured unless it is plain.
-_WRITTEN_ROW = re.compile(_row(f"(?:{_PLAIN_SECONDS.pattern}(?=,)|({_WRITTEN_SECONDS}))") + "(?:\n|\\Z)")
+# A canonical row with every field in its plainest form (seconds as the
+# writer emits them when six fractional digits hold them).  Every other
+# field is matched loosely, as a run of the characters it may hold:
+# _parse_block checks the integers' leading zeros and ranges, the octets,
+# each (proto, tcp_state) pair and each distinct payload's even length.
+_ROW = re.compile(
+    ",".join(
+        (
+            _PLAIN_SECONDS.pattern,
+            _PLAIN_SECONDS.pattern,
+            "[a-z]++",
+            _QUAD,
+            _PORT,
+            _QUAD,
+            _PORT,
+            _COUNTER,
+            _COUNTER,
+            "[a-z_]++",
+            f"[0-9a-f]{{0,{2 * PAYLOAD_PREFIX_MAX}}}+",
+        )
+    )
+)
 # A run of canonical rows, each ended by "\n" or the end of the text, so
 # holding no comment, blank line or surrounding whitespace.  The repeat is
 # possessive (Python 3.11+): a match keeps no backtracking state per row,
@@ -195,46 +195,24 @@ def _blocks(data: bytes, size: int, start: int = 0) -> Iterator[str]:
         start = stop
 
 
-def _written(text: str, seen: dict[str, bool]) -> bool:
-    """Whether ``text``, seconds in ``_WRITTEN_SECONDS``' shape, is how the
-    writer renders a finite value >= 0, as :func:`_parse_row` requires;
-    each text is checked once, its answer kept in ``seen``."""
-    ok = seen.get(text)
-    if ok is None:
-        value = float(text)
-        ok = seen[text] = format_seconds(value) == text and math.isfinite(value) and value >= 0
-    return ok
-
-
 def _column_text(block: str) -> tuple[str, int] | None:
     """The rows of ``block``, whose ``\r\n`` and bare ``\r`` line ends are
     already ``\n``, as text for the column pass, and the count of comment
     and blank lines left out of it; None if a row outside ``_ROW`` is bad.
 
-    ``_ROWS`` matches the runs of canonical rows.  A row between them in
-    ``_WRITTEN_ROW`` whose seconds are the writer's own (each distinct text
-    checked once by :func:`_written`) stays where it is, as a canonical
-    row does.  Each other line, up to its ``\n`` and split further where
-    ``str.splitlines`` splits, is left out if it is a comment or blank; any
-    other line is checked alone by :func:`_parse_row` and kept at its
-    place, stripped and ``\n``-ended.  Every field :func:`_parse_row`
-    accepts converts in the column pass as a canonical one does.
+    ``_ROWS`` matches the runs of canonical rows.  Each line between them,
+    up to its ``\n`` and split further where ``str.splitlines`` splits, is
+    left out if it is a comment or blank; any other line is checked alone
+    by :func:`_parse_row` and kept at its place, stripped and ``\n``-ended.
+    Every field :func:`_parse_row` accepts converts in the column pass as a
+    canonical one does.
     """
     end = _ROWS.match(block).end()
     if end == len(block):
         return block, 0
     pieces = []
     start = skipped = 0
-    written = {}  # seconds text outside _PLAIN_SECONDS -> whether the writer emits it
     while end < len(block):
-        row = _WRITTEN_ROW.match(block, end)
-        if row:
-            start_ts, duration = row.groups()  # None where plain
-            if (start_ts is None or _written(start_ts, written)) and (
-                duration is None or _written(duration, written)
-            ):
-                end = _ROWS.match(block, row.end()).end()
-                continue
         pieces.append(block[start:end])
         start = block.find("\n", end) + 1 or len(block)
         for line in block[end:start].splitlines():
@@ -257,7 +235,8 @@ def _integers(texts: list[str], dtype: type) -> np.ndarray | None:
     numpy call; None if any has a leading zero, which :func:`_parse_int`
     refuses."""
     joined = ",".join(texts)
-    if _LEADING_ZERO.search("," + joined):
+    # the first run has no "," before it in joined
+    if _LEADING_ZERO.match("," + texts[0]) or _LEADING_ZERO.search(joined):
         return None
     return np.fromstring(joined, dtype=dtype, sep=",")
 
@@ -267,7 +246,7 @@ def _parse_block(block: str, table: TableBuilder) -> int | None:
     the block's line count; None, adding nothing, unless every row is good.
 
     A comment or blank line is skipped, and a row outside ``_ROW`` is
-    checked by :func:`_column_text` and converted with the rest.
+    checked on its own and converted with the rest (:func:`_column_text`).
     A block with a bad row of either kind is refused whole: checking its
     rows one at a time then raises the first bad line's own error.
     """
@@ -339,9 +318,8 @@ def parse_flow_file(data: bytes) -> FlowTable:
     including the header are read one at a time.  The rest of the bytes are
     cut at line ends into blocks (:func:`_blocks`), each decoded on its own
     and parsed in one column pass by :func:`_parse_block`, which skips
-    comments and blank lines, keeps a row whose only departure from ``_ROW``
-    is the writer's own seconds (such as ``1e-07``) and checks each other
-    row outside ``_ROW`` on its own with :func:`_parse_row`.  A block
+    comments and blank lines and checks each row outside ``_ROW`` (such as
+    the writer's ``1e-07``) on its own with :func:`_parse_row`.  A block
     holding a bad row adds nothing: its lines are then only checked, one at
     a time by :func:`_parse_row`, which raises the first bad row's own
     error.  Beyond ``data`` and the table, the parse holds one block (and,

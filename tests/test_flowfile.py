@@ -343,9 +343,9 @@ def _broken(line: str, column: int, text: str) -> str:
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
 @pytest.mark.parametrize(
     "bad",
-    [None, (2, 2, "xyz"), (2, 4, "65536"), (8, 2, "xyz"), (8, 4, "65536"), (8, 6, "080"), (8, 1, "1e-07")],
+    [None, (2, 2, "xyz"), (2, 4, "65536"), (8, 2, "xyz"), (8, 4, "65536"), (8, 6, "080")],
     ids=["good", "first-row-ungrammatical", "first-row-invariant", "late-row-ungrammatical",
-         "late-row-invariant", "late-row-leading-zero", "late-row-repr-seconds"],
+         "late-row-invariant", "late-row-leading-zero"],
 )
 def test_block_split_parse_agrees_with_the_row_path(newline, bad):
     """At every block size from one character up (so a block's nominal end
@@ -358,10 +358,10 @@ def test_block_split_parse_agrees_with_the_row_path(newline, bad):
     text = newline.join(lines) + newline
     data = text.encode()
     expected = _outcome(_row_by_row, data)
-    if bad is None or bad[2] == "1e-07":  # the writer's own seconds are good
-        assert len(_row_by_row(data)) == 6
-    else:  # an ungrammatical row and one breaking an invariant alike
+    if bad is not None:  # an ungrammatical row and one breaking an invariant alike
         assert expected[1].startswith(f"line {at + 1}: ")
+    else:
+        assert len(_row_by_row(data)) == 6
     ends = set()
     for size in range(1, len(text) + 2):
         with mock.patch.object(flowfile, "_BLOCK_CHARS", size):
@@ -400,8 +400,9 @@ def test_non_ascii_comments_keep_their_line_numbers(newline, bad):
 @pytest.mark.parametrize("column", [4, 6, 7, 8], ids=["sport", "dport", "npkts", "nbytes"])
 def test_a_leading_zero_in_an_integer_raises_the_row_path_error(column, text, block):
     """``_ROW`` takes an integer as a run of digits, so a row with a
-    leading zero matches it; the column pass refuses its block by digit
-    count, and the row path names the field and the line."""
+    leading zero matches it; the column pass refuses its block, in the
+    first row of a block as in a later one, and the row path names the
+    field and the line."""
     row = _broken(_BASE_ROW, column, text)
     assert _ROW.fullmatch(row)
     data = _file(_BASE_ROW, row, _BASE_ROW)
@@ -498,13 +499,12 @@ class TestChunkedParse:
         "form",
         ["LF", "CRLF", "CR", "comment first", "19-digit counters", "comment every 200 rows",
          "blank line every 200 rows", "1e-07 in every block", "space-wrapped row in every block",
-         "20-digit counter", "repr and -0 seconds in every block"],
+         "20-digit counter"],
     )
     def test_every_row_of_a_written_file_comes_out_of_the_block_parse(self, form):
         """Every line after the header is taken by the block parse: a data
-        line outside ``_ROW`` goes to ``_parse_row`` once, on its own, unless
-        only its seconds are off-grammar and are the writer's own (``1e-07``),
-        and a comment or blank line never does."""
+        line outside ``_ROW`` goes to ``_parse_row`` once, on its own, and a
+        comment or blank line never does."""
         flows = [make_flow(start_ts=i * 0.5, sport=1024 + i, payload=b"NICK x\r\n" * (i % 2))
                  for i in range(3 * _ROWS_PER_BLOCK)]
         if form == "19-digit counters":  # the largest that _COUNTER matches
@@ -513,21 +513,13 @@ class TestChunkedParse:
             flows = [rec._replace(duration=1e-07) if i % 300 == 7 else rec for i, rec in enumerate(flows)]
         elif form == "20-digit counter":
             flows[1500] = flows[1500]._replace(npkts=2**64 - 1, nbytes=2**64 - 1)
-        elif form == "repr and -0 seconds in every block":  # written 0.30000000000000004 and -0
-            flows = [rec._replace(start_ts=-0.0, duration=0.1 + 0.2) if i % 300 == 7 else rec
-                     for i, rec in enumerate(flows)]
         header, *lines = write_flow_file(flows).decode().splitlines()
         if form == "space-wrapped row in every block":
             lines = [f" {line}\t" if i % 300 == 7 else line for i, line in enumerate(lines)]
         elif form in ("comment every 200 rows", "blank line every 200 rows"):
             extra = "# a comment" if form.startswith("comment") else ""
             lines = [new for i, line in enumerate(lines) for new in ([extra, line] if i % 200 == 0 else [line])]
-
-        def as_plain(line: str) -> str:  # the writer's own seconds keep a row in the column pass
-            return line.replace(",1e-07,", ",0,").replace("-0,0.30000000000000004,", "0,0,")
-
-        off_grammar = [line.strip() for line in lines
-                       if line and line[0] != "#" and not _ROW.fullmatch(as_plain(line))]
+        off_grammar = [line.strip() for line in lines if line and line[0] != "#" and not _ROW.fullmatch(line)]
         text = "\n".join([header, *lines]) + "\n"
         if form == "CRLF":
             text = text.replace("\n", "\r\n")
@@ -553,9 +545,9 @@ class TestChunkedParse:
         assert len(per_block) >= 3
         assert sum(taken for taken, _ in per_block) == len(lines)
         assert [call.args[0] for call in row_path.call_args_list] == off_grammar
-        assert len(off_grammar) == {"space-wrapped row in every block": 11,
+        assert len(off_grammar) == {"1e-07 in every block": 11, "space-wrapped row in every block": 11,
                                     "20-digit counter": 1}.get(form, 0)
-        if form == "space-wrapped row in every block":  # the last block may be short
+        if form.endswith("in every block"):  # the last block may be short
             assert all(calls for _, calls in per_block[:-1])
 
     def test_a_utf8_error_in_a_later_block_comes_before_a_bad_row_in_the_first(self):
