@@ -195,10 +195,11 @@ def _blocks(data: bytes, size: int, start: int = 0) -> Iterator[str]:
         start = stop
 
 
-def _column_text(block: str) -> tuple[str, int] | None:
+def _column_text(block: str) -> tuple[str, int]:
     """The rows of ``block``, whose ``\r\n`` and bare ``\r`` line ends are
     already ``\n``, as text for the column pass, and the count of comment
-    and blank lines left out of it; None if a row outside ``_ROW`` is bad.
+    and blank lines left out of it; a row outside ``_ROW`` that is bad
+    raises its :class:`MalformedRow`, a ``ValueError``.
 
     ``_ROWS`` matches the runs of canonical rows.  Each line between them,
     up to its ``\n`` and split further where ``str.splitlines`` splits, is
@@ -220,24 +221,21 @@ def _column_text(block: str) -> tuple[str, int] | None:
             if not line or line.startswith("#"):
                 skipped += 1
                 continue
-            try:
-                _parse_row(line, 0)  # the row path raises its error, with its line number
-            except MalformedRow:
-                return None
+            _parse_row(line, 0)  # refuses the block; the row path then names the line
             pieces.append(line + "\n")
         end = _ROWS.match(block, start).end()
     pieces.append(block[start:])
     return "".join(pieces), skipped
 
 
-def _integers(texts: list[str], dtype: type) -> np.ndarray | None:
+def _integers(texts: list[str], dtype: type) -> np.ndarray:
     """The decimal digit runs ``texts`` as a ``dtype`` column, parsed in one
-    numpy call; None if any has a leading zero, which :func:`_parse_int`
-    refuses."""
+    numpy call; ``ValueError`` if any has a leading zero, which
+    :func:`_parse_int` refuses."""
     joined = ",".join(texts)
     # the first run has no "," before it in joined
     if _LEADING_ZERO.match("," + texts[0]) or _LEADING_ZERO.search(joined):
-        return None
+        raise ValueError("an integer with a leading zero")
     return np.fromstring(joined, dtype=dtype, sep=",")
 
 
@@ -247,37 +245,35 @@ def _parse_block(block: str, table: TableBuilder) -> int | None:
 
     A comment or blank line is skipped, and a row outside ``_ROW`` is
     checked on its own and converted with the rest (:func:`_column_text`).
-    A block with a bad row of either kind is refused whole: checking its
-    rows one at a time then raises the first bad line's own error.
+    Every refusal in the pass is a ``KeyError`` or ``ValueError``, caught
+    once.  A block with a bad row of either kind is refused whole: checking
+    its rows one at a time then raises the first bad line's own error.
     """
     # every "\r\n" and bare "\r" ends a line, as a "\n" does
     if "\r" in block:
         block = block.replace("\r\n", "\n").replace("\r", "\n")
-    found = _column_text(block)
-    if found is None:
-        return None
-    rows, skipped = found
-    if not rows:
-        return skipped
-    cells = rows.replace("\n", ",").split(",")
-    if rows.endswith("\n"):
-        cells.pop()
-    start_ts, duration, proto, sip, sport, dip, dport, npkts, nbytes, state, payload = (
-        cells[i::_COLUMNS] for i in range(_COLUMNS)
-    )
-    n = len(start_ts)
-    start_ts = np.fromiter(map(float, start_ts), np.float64, n)
-    duration = np.fromiter(map(float, duration), np.float64, n)
-    # five-digit ports parse exactly as int32, and counters below 2**64 as uint64
-    sport = _integers(sport, np.int32)
-    dport = _integers(dport, np.int32)
-    npkts = _integers(npkts, np.uint64)
-    nbytes = _integers(nbytes, np.uint64)
-    sip = addresses(sip)
-    dip = addresses(dip)
-    # each distinct payload decoded before any is added to the table:
-    # fromhex refuses an odd number of digits; an unknown name has no code
     try:
+        rows, skipped = _column_text(block)
+        if not rows:
+            return skipped
+        cells = rows.replace("\n", ",").split(",")
+        if rows.endswith("\n"):
+            cells.pop()
+        start_ts, duration, proto, sip, sport, dip, dport, npkts, nbytes, state, payload = (
+            cells[i::_COLUMNS] for i in range(_COLUMNS)
+        )
+        n = len(start_ts)
+        start_ts = np.fromiter(map(float, start_ts), np.float64, n)
+        duration = np.fromiter(map(float, duration), np.float64, n)
+        # five-digit ports parse exactly as int32, and counters below 2**64 as uint64
+        sport = _integers(sport, np.int32)
+        dport = _integers(dport, np.int32)
+        npkts = _integers(npkts, np.uint64)
+        nbytes = _integers(nbytes, np.uint64)
+        sip = addresses(sip)
+        dip = addresses(dip)
+        # an unknown name has no code; fromhex refuses an odd number of
+        # digits, each distinct payload decoded before any is added
         proto = np.fromiter(map(_PROTO_CODE.__getitem__, proto), np.uint8, n)
         state = np.fromiter(map(_STATE_CODE.__getitem__, state), np.uint8, n)
         payloads = {text: bytes.fromhex(text) for text in dict.fromkeys(payload)}
@@ -286,13 +282,7 @@ def _parse_block(block: str, table: TableBuilder) -> int | None:
     # validate_flow's invariants that _ROW cannot express; digit-only
     # seconds are finite unless they overflow to inf
     if not (
-        sip is not None
-        and dip is not None
-        and sport is not None
-        and dport is not None
-        and npkts is not None
-        and nbytes is not None
-        and np.isfinite(start_ts).all()
+        np.isfinite(start_ts).all()
         and np.isfinite(duration).all()
         and sport.max() <= 65535
         and dport.max() <= 65535
@@ -302,7 +292,7 @@ def _parse_block(block: str, table: TableBuilder) -> int | None:
         return None
     table.add(
         start_ts, duration, proto, sip, sport, dip, dport, npkts, nbytes, state,
-        table.payload_codes(payload, payloads.__getitem__),
+        table.payload_codes(payload, payloads),
     )  # fmt: skip
     return n + skipped
 

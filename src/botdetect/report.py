@@ -1,11 +1,13 @@
 """Correlation of similarity clusters with malicious activity, and the report.
 
-A P2P botnet group is a similarity cluster's hosts that the window's
-activity map marks malicious, kept only when at least ``min_group_size``
-hosts survive.  IRC clusters are emitted directly at the same size gate:
-their grouping key (source port + arrival-time bin) is already strong
-evidence of one-to-many C&C pushes.  Setting ``irc_require_malicious``
-applies the malicious-intersection rule to the IRC path as well.
+One gate, ``correlate``, serves both paths.  A P2P botnet group is a
+similarity cluster's hosts that the window's activity map marks malicious,
+kept only when at least ``min_group_size`` hosts survive.  IRC clusters are
+emitted directly at the same size gate: their grouping key (source port +
+arrival-time bin) is already strong evidence of one-to-many C&C pushes.
+Setting ``irc_require_malicious`` applies the malicious-intersection rule to
+the IRC path as well.  ``correlate_p2p`` and ``correlate_irc`` are
+``correlate`` with its path bound.
 
 The report is a pure function of its inputs and serializes to stable JSON:
 top-level keys ``config``, ``counters``, ``groups``.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, fields
+from functools import partial
 from ipaddress import IPv4Address
 from typing import Iterable, Mapping
 
@@ -60,7 +63,7 @@ def _flags_for(
     return flags
 
 
-def _groups_of_min_size(
+def correlate(
     path: BotPath,
     clusters: list[SimilarityCluster],
     activity: Mapping[IPv4Address, HostActivity],
@@ -89,25 +92,8 @@ def _groups_of_min_size(
     return groups
 
 
-def correlate_p2p(
-    clusters: list[SimilarityCluster],
-    activity: Mapping[IPv4Address, HostActivity],
-    cfg: DetectorConfig,
-    window: WindowIndex,
-) -> list[BotnetGroup]:
-    """Keep each cluster's malicious hosts; keep groups of min size."""
-    return _groups_of_min_size(BotPath.P2P, clusters, activity, cfg, window)
-
-
-def correlate_irc(
-    clusters: list[SimilarityCluster],
-    activity: Mapping[IPv4Address, HostActivity],
-    cfg: DetectorConfig,
-    window: WindowIndex,
-) -> list[BotnetGroup]:
-    """Emit IRC clusters of min size, gated on malicious activity when
-    ``irc_require_malicious`` is set."""
-    return _groups_of_min_size(BotPath.IRC, clusters, activity, cfg, window)
+correlate_p2p = partial(correlate, BotPath.P2P)
+correlate_irc = partial(correlate, BotPath.IRC)
 
 
 def build_report(

@@ -140,7 +140,11 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 def build_curve(points: np.ndarray | Sequence[FlowFeatures], resample_points: int) -> Curve:
     """Build a curve from feature points: a ``(k, 2)`` array of (nbpp,
-    nbps) rows or a sequence of :class:`FlowFeatures`, in any order.
+    nbps) rows or a sequence of :class:`FlowFeatures`, in any order.  The
+    one bit the order can change: in a ``-0.0``/``0.0`` nbpp tie with equal
+    nbps, ``x_range[0]`` keeps the zero's sign that comes first in the
+    input (``xs`` is the same either way).  Grouping never makes such a tie,
+    as nbpp is a ratio of unsigned counters.
 
     Points are sorted by nbpp, then nbps; points sharing an nbpp value are
     replaced by their mean nbps, summed left to right in that order.
@@ -293,7 +297,7 @@ _BLOCK_PAIRS = 4096
 
 
 def _candidate_pairs(
-    curves: list[Curve], threshold: float, component: np.ndarray | None = None
+    curves: list[Curve], threshold: float, component: np.ndarray
 ) -> Iterator[tuple[int, int]]:
     """The candidate pairs ``i < j``, as ints, rank neighbours first.
 
@@ -306,18 +310,16 @@ def _candidate_pairs(
     at most ``_BLOCK_PAIRS`` pairs (or one distance's, if more), so the
     memory held is linear in the curves.
 
-    ``component`` holds each curve's component label (by default each its
-    own), and the caller may relabel as it links: a pair whose curves share
-    a label when its block is built is dropped there, with one comparison
-    for the whole block.  Pairs joined later in the block still come, so a
-    caller that skips joined pairs checks the labels itself.
+    ``component`` holds each curve's component label, and the caller may
+    relabel as it links: a pair whose curves share a label when its block
+    is built is dropped there, with one comparison for the whole block.
+    Pairs joined later in the block still come, so a caller that skips
+    joined pairs checks the labels itself.
     """
     spans = [(-np.inf, np.inf) if c.degenerate or threshold <= 0.0 else c.x_range for c in curves]
     lows, highs = np.array(spans, dtype=np.float64).reshape(-1, 2).T
     rank = np.lexsort(([c.peak for c in curves], [c.floor for c in curves]))
     n = len(curves)
-    if component is None:
-        component = np.arange(n)
     d = 1
     while d < n:
         # distances d .. e-1, of n-d, n-d-1, ... pairs each

@@ -306,15 +306,9 @@ class _Allocator:
         return addresses
 
 
-@dataclass(frozen=True)
-class _Anchor:
-    npkts: int
-    nbytes: int
-    duration: float
-
-
-def _group_anchors(group: PlantedGroup) -> list[_Anchor]:
-    """The shared flow-shape ladder of one planted group.
+def _group_anchors(group: PlantedGroup) -> tuple[list[int], list[int], list[float]]:
+    """The shared flow-shape ladder of one planted group: each anchor's
+    packet count, byte count and nominal duration, as three lists.
 
     Packet/byte counts are integers, identical for every member, so the
     bytes-per-packet positions of the resulting curves match exactly; the
@@ -322,18 +316,18 @@ def _group_anchors(group: PlantedGroup) -> list[_Anchor]:
     ladder that jitter then perturbs.
     """
     k = group.flows_per_peer
-    anchors = []
+    npkts, nbytes, durations = [], [], []
     level = _ANCHOR_LEVEL_START
     for i in range(k):
-        npkts = _ANCHOR_NPKTS_BASE + _ANCHOR_NPKTS_STEP * i
+        npkts.append(_ANCHOR_NPKTS_BASE + _ANCHOR_NPKTS_STEP * i)
         if k == 1:
             x = group.nbpp
         else:
             x = group.nbpp * (_ANCHOR_X_LO + (_ANCHOR_X_HI - _ANCHOR_X_LO) * i / (k - 1))
-        nbytes = max(1, round(x * npkts))
-        anchors.append(_Anchor(npkts=npkts, nbytes=nbytes, duration=nbytes / (group.nbps * level)))
+        nbytes.append(max(1, round(x * npkts[-1])))
+        durations.append(nbytes[-1] / (group.nbps * level))
         level *= _ANCHOR_LEVEL_RATIO
-    return anchors
+    return npkts, nbytes, durations
 
 
 def _smtp_flows(rng, spec, sip, fanout, alloc) -> list[FlowRecord]:
@@ -383,8 +377,8 @@ def _planted_flows(rng, spec, group, members, alloc) -> list[FlowRecord]:
         dport = 20000 + rng.randint(20000)
         dests = alloc.externals(group.peers)
         first, span, last = 0.0, spec.duration * 0.99, math.inf
-    anchors = _group_anchors(group)
-    size, n, targets = len(members), len(anchors), group.scan_targets
+    npkts, nbytes, durations = _group_anchors(group)
+    size, n, targets = len(members), len(npkts), group.scan_targets
     # a member's row: per destination its sport, then each anchor's
     # duration jitter and start; then per probe its start, sport and port
     width = len(dests) * (1 + 2 * n)
@@ -412,7 +406,7 @@ def _planted_flows(rng, spec, group, members, alloc) -> list[FlowRecord]:
         return out.ravel().tolist()
 
     jitter = group.jitter_pct / 100.0
-    nominal = np.array([anchor.duration for anchor in anchors])
+    nominal = np.array(durations)
     sip = np.array(members, dtype=object)[:, None]
     nick = [f"NICK b{j:03d}\r\n".encode() if irc else b"" for j in range(size)]
     flows = _records(
@@ -437,8 +431,8 @@ def _planted_flows(rng, spec, group, members, alloc) -> list[FlowRecord]:
             np.repeat(dests, n).astype(object), np.array(probe_dips, dtype=object).reshape(size, -1), object
         ),
         column(dport, np.array(_SCAN_PORTS)[_randint(probe[:, :, 2], len(_SCAN_PORTS))], int),
-        column([anchor.npkts for anchor in anchors] * len(dests), 1, int),
-        column([anchor.nbytes for anchor in anchors] * len(dests), 60, int),
+        column(npkts * len(dests), 1, int),
+        column(nbytes * len(dests), 60, int),
         column(TcpState.ESTABLISHED, TcpState.SYN_ONLY, object),
         column(np.array(nick, dtype=object)[:, None], b"", object),
     )

@@ -30,16 +30,17 @@ PROTO_CODE = {p: code for code, p in enumerate(PROTOS)}
 _new_record = partial(tuple.__new__, FlowRecord)  # FlowRecord(*fields) without a Python call
 
 
-def addresses(texts: list[str]) -> np.ndarray | None:
+def addresses(texts: list[str]) -> np.ndarray:
     """The dotted quads ``texts``, each four octets of one to three digits,
-    as ``uint32`` addresses, all parsed in one numpy call; None unless every
-    octet is at most 255 with no leading zero, as ``model._valid_ipv4`` has it."""
+    as ``uint32`` addresses, all parsed in one numpy call; ``ValueError``
+    unless every octet is at most 255 with no leading zero, as
+    ``model._valid_ipv4`` has it."""
     joined = ".".join(texts)
     octets = np.fromstring(joined, dtype=np.uint32, sep=".")
     # a leading zero makes the text longer than its octets' plainest digits
     digits = octets.size + np.count_nonzero(octets >= 10) + np.count_nonzero(octets >= 100)
     if octets.size and (octets.max() > 255 or len(joined) != digits + octets.size - 1):
-        return None
+        raise ValueError("an octet above 255 or with a leading zero")
     octets = octets.reshape(-1, 4)
     return octets[:, 0] << 24 | octets[:, 1] << 16 | octets[:, 2] << 8 | octets[:, 3]
 
@@ -149,11 +150,11 @@ class TableBuilder:
         self._chunks: tuple[list[np.ndarray], ...] = tuple([] for _ in _DTYPES)  # per column
         self._codes: dict[bytes, int] = {}  # payload -> code, in first-seen order
 
-    def payload_codes(self, values: list, decode) -> np.ndarray:
-        """Each row's payload code; ``decode`` turns a value into its
-        payload bytes, once per distinct value."""
+    def payload_codes(self, values: list, payloads: dict) -> np.ndarray:
+        """Each row's payload code; ``payloads`` maps each distinct value,
+        in first-seen order, to its payload bytes."""
         codes = self._codes
-        code_of = {value: codes.setdefault(decode(value), len(codes)) for value in dict.fromkeys(values)}
+        code_of = {value: codes.setdefault(payload, len(codes)) for value, payload in payloads.items()}
         return np.fromiter(map(code_of.__getitem__, values), np.int32, len(values))
 
     def add(self, *columns: np.ndarray) -> None:

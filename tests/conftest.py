@@ -8,9 +8,15 @@ from pathlib import Path
 from typing import get_type_hints
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import Phase, strategies as st
 
 from botdetect.model import FlowRecord, Proto, TcpState
+
+
+# The whole-pipeline properties skip shrinking: one of their examples takes
+# a scenario's full run, and a failure already names the scenario, the seed
+# and the draws that reproduce it.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
 
 def make_flow(

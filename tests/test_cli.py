@@ -10,6 +10,8 @@ from ipaddress import IPv4Address
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import botdetect
 from botdetect import activity, cli, filtering, model, monitors, pipeline
@@ -19,7 +21,7 @@ from botdetect.flowfile import HEADER, write_flow_file
 from botdetect.model import Proto, TcpState, default_config
 from botdetect.synth import generate, irc_botnet_scenario, p2p_botnet_scenario
 
-from .conftest import bench_workloads, make_flow
+from .conftest import NO_SHRINK, bench_workloads, make_flow
 
 S1_SPEC = """
 seed = 42
@@ -625,8 +627,10 @@ class TestWindowSplit:
     carry an arrival-time bin that moves with the copies.
     """
 
-    @pytest.mark.parametrize("seed", [1, 5, 42])
-    def test_shifted_copies_repeat_window_zero(self, tmp_path, seed):
+    @settings(max_examples=15, deadline=None, phases=NO_SHRINK)
+    @given(seed=st.integers(1, 50))
+    def test_shifted_copies_repeat_window_zero(self, tmp_path_factory, seed):
+        tmp_path = tmp_path_factory.mktemp("split")
         width = default_config().window_seconds
         flows, _ = generate(p2p_botnet_scenario(seed))
         shifted = [

@@ -6,7 +6,7 @@ from ipaddress import IPv4Address
 
 from botdetect.activity import HostActivity, ScanScores, SpamReport
 from botdetect.model import default_config
-from botdetect.monitors import WindowIndex
+from botdetect.monitors import IRCGroupKey, P2PGroupKey, WindowIndex
 from botdetect.report import (
     BotPath,
     build_report,
@@ -21,17 +21,18 @@ CFG = default_config()
 WINDOW = WindowIndex(index=0, start=0.0, end=21600.0)
 
 
-class FakeKey:
-    def __init__(self, name):
-        self.name = name
-
-    def label(self):
-        return self.name
+SERVER = IPv4Address("198.51.100.7")
 
 
-def cluster(*ips: str) -> SimilarityCluster:
+def cluster(*ips: str, irc: bool = False) -> SimilarityCluster:
+    """A cluster of one group per host, every group talking to ``SERVER``:
+    P2P grouping keys, or IRC ones of one arrival-time bin."""
     hosts = tuple(sorted(IPv4Address(ip) for ip in ips))
-    return SimilarityCluster(group_keys=(FakeKey("k"),), hosts=hosts)
+    keys = tuple(
+        IRCGroupKey(host, SERVER, 40000, 6667, 3, "tcp") if irc else P2PGroupKey(host, SERVER, 6881, "tcp")
+        for host in hosts
+    )
+    return SimilarityCluster(group_keys=keys, hosts=hosts)
 
 
 def hosts_of(group) -> list[str]:
@@ -72,10 +73,10 @@ class TestCorrelateP2P:
     def test_host_missing_from_activity_is_not_malicious(self):
         # a clustered source outside --internal gets no activity entry
         activity = activity_map(("10.0.0.2", "10.0.0.3", "10.0.0.4"))
-        clusters = [cluster("8.8.8.8", "10.0.0.2", "10.0.0.3", "10.0.0.4")]
-        (group,) = correlate_p2p(clusters, activity, CFG, WINDOW)
+        hosts = ("8.8.8.8", "10.0.0.2", "10.0.0.3", "10.0.0.4")
+        (group,) = correlate_p2p([cluster(*hosts)], activity, CFG, WINDOW)
         assert hosts_of(group) == ["10.0.0.2", "10.0.0.3", "10.0.0.4"]
-        (irc,) = correlate_irc(clusters, activity, CFG, WINDOW)
+        (irc,) = correlate_irc([cluster(*hosts, irc=True)], activity, CFG, WINDOW)
         assert hosts_of(irc) == ["8.8.8.8", "10.0.0.2", "10.0.0.3", "10.0.0.4"]
         assert irc.activity_flags["8.8.8.8"] == {"isd": False, "osd": False, "spam": False}
         assert irc.activity_flags["10.0.0.2"] == {"isd": False, "osd": True, "spam": False}
@@ -83,19 +84,19 @@ class TestCorrelateP2P:
 
 class TestCorrelateIRC:
     def test_three_host_cluster_emitted_directly(self):
-        groups = correlate_irc([cluster("10.0.0.1", "10.0.0.2", "10.0.0.3")], {}, CFG, WINDOW)
+        groups = correlate_irc([cluster("10.0.0.1", "10.0.0.2", "10.0.0.3", irc=True)], {}, CFG, WINDOW)
         assert len(groups) == 1 and groups[0].path is BotPath.IRC
 
     def test_two_host_cluster_not_emitted(self):
-        assert correlate_irc([cluster("10.0.0.1", "10.0.0.2")], {}, CFG, WINDOW) == []
+        assert correlate_irc([cluster("10.0.0.1", "10.0.0.2", irc=True)], {}, CFG, WINDOW) == []
 
     def test_empty(self):
         assert correlate_irc([], {}, CFG, WINDOW) == []
 
     def test_strict_mode_requires_malicious(self):
         strict = dataclasses.replace(CFG, irc_require_malicious=True)
-        clusters = [cluster("10.0.0.1", "10.0.0.2", "10.0.0.3")]
         hosts = ("10.0.0.1", "10.0.0.2", "10.0.0.3")
+        clusters = [cluster(*hosts, irc=True)]
         assert correlate_irc(clusters, activity_map(benign=hosts), strict, WINDOW) == []
         assert len(correlate_irc(clusters, activity_map(hosts), strict, WINDOW)) == 1
 
@@ -121,14 +122,16 @@ class TestReport:
         assert entry["path"] == "p2p"
         assert entry["hosts"] == ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
         assert entry["window"] == {"index": 0, "start": 0.0, "end": 21600.0}
-        assert entry["evidence"]["cluster_keys"] == ["k"]
+        assert entry["evidence"]["cluster_keys"] == [
+            f"tcp:10.0.0.{i}->198.51.100.7:6881" for i in (1, 2, 3)
+        ]
         assert set(entry["evidence"]["activity"]["10.0.0.1"]) == {"isd", "osd", "spam"}
 
     def test_groups_sorted_by_window_path_first_host(self):
         w1 = WindowIndex(index=1, start=21600.0, end=43200.0)
         activity = activity_map([f"10.0.0.{i}" for i in range(1, 7)])
         later = correlate_p2p([cluster("10.0.0.1", "10.0.0.2", "10.0.0.3")], activity, CFG, w1)
-        irc = correlate_irc([cluster("10.0.0.4", "10.0.0.5", "10.0.0.6")], activity, CFG, WINDOW)
+        irc = correlate_irc([cluster("10.0.0.4", "10.0.0.5", "10.0.0.6", irc=True)], activity, CFG, WINDOW)
         p2p = correlate_p2p([cluster("10.0.0.4", "10.0.0.5", "10.0.0.6")], activity, CFG, WINDOW)
         report = build_report(later + p2p + irc, {}, CFG)
         assert [(g.window.index, g.path.value) for g in report.groups] == [

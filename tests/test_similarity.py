@@ -174,8 +174,8 @@ class TestBuildCurve:
             # strictly increasing, as grouping hands most groups over; one point too
             st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=12, unique=True).map(sorted),
             # ties and nans.  A -0.0/0.0 tie with equal nbps is left out: the
-            # sort keeps such points in input order, so x_range's zero sign
-            # follows the input
+            # sort keeps such points in input order, so x_range[0] keeps the
+            # sign that comes first, as build_curve's docstring says
             st.lists(st.sampled_from((0.0, 1.0, 2.5, math.nan)), min_size=1, max_size=12),
         ).flatmap(
             lambda xs: st.lists(
@@ -748,7 +748,7 @@ def test_candidate_pairs_yields_each_candidate_once_rank_neighbours_first(thresh
     candidates = {
         (i, j) for i, j in combinations(range(n), 2) if is_candidate(curves[i], curves[j], threshold)
     }
-    pairs = list(similarity._candidate_pairs(curves, threshold))
+    pairs = list(similarity._candidate_pairs(curves, threshold, np.arange(len(curves))))
     assert len(pairs) == len(set(pairs))
     assert set(pairs) == candidates
     assert all(type(i) is int and type(j) is int and i < j for i, j in pairs)
@@ -787,21 +787,21 @@ def test_candidate_pairs_come_in_the_same_order_whatever_the_block(monkeypatch, 
     curves = mixed_curves()
     # rank distance 1 alone holds more pairs than a block of 7
     assert len(curves) - 1 > 7
-    plain = list(similarity._candidate_pairs(curves, threshold))
+    plain = list(similarity._candidate_pairs(curves, threshold, np.arange(len(curves))))
     relabelled, dropped = relabelling_walk(curves, threshold)
     # at the default every pair is in one block, so pairs joined in it still come
     assert len(curves) * (len(curves) - 1) // 2 <= similarity._BLOCK_PAIRS
     assert dropped > 0
     for block in (1, 7):
         monkeypatch.setattr(similarity, "_BLOCK_PAIRS", block)
-        assert list(similarity._candidate_pairs(curves, threshold)) == plain
+        assert list(similarity._candidate_pairs(curves, threshold, np.arange(len(curves)))) == plain
         assert relabelling_walk(curves, threshold)[0] == relabelled
 
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_candidate_pairs_of_fewer_than_two_curves_is_empty(n):
     curves = [build_curve([FlowFeatures(nbps=5.0, nbpp=2.0)], 8)] * n
-    assert list(similarity._candidate_pairs(curves, 0.85)) == []
+    assert list(similarity._candidate_pairs(curves, 0.85, np.arange(len(curves)))) == []
 
 
 def test_candidate_pairs_memory_is_linear_in_the_curves():
@@ -811,7 +811,7 @@ def test_candidate_pairs_memory_is_linear_in_the_curves():
         curves = [build_curve([FlowFeatures(nbps=float(k), nbpp=1.0)], 4) for k in range(n)]
         tracemalloc.start()
         try:
-            for _ in similarity._candidate_pairs(curves, 0.85):
+            for _ in similarity._candidate_pairs(curves, 0.85, np.arange(len(curves))):
                 pass
             return tracemalloc.get_traced_memory()[1]
         finally:

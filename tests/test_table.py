@@ -13,7 +13,7 @@ from ipaddress import IPv4Address, IPv4Network
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from botdetect.filtering import EMPTY_WHITELIST, Whitelist
 from botdetect.flowfile import MalformedRow, parse_flow_file, write_flow_file
@@ -25,7 +25,7 @@ from botdetect.similarity import batch_features
 from botdetect.synth import benign_scenario, generate, irc_botnet_scenario, p2p_botnet_scenario
 from botdetect.table import FlowTable, addresses, dotted, inside
 
-from .conftest import make_flow
+from .conftest import NO_SHRINK, make_flow
 
 CFG = default_config()
 INTERNAL = IPv4Network("10.0.0.0/16")
@@ -123,6 +123,13 @@ def test_addresses_and_dotted_are_inverse(texts):
     assert dotted(values) == texts
 
 
+@pytest.mark.parametrize("bad", ["256.0.0.1", "10.0.0.01", "0.00.0.1"])
+def test_addresses_refuses_what_the_row_path_refuses(bad):
+    # an octet above 255 or with a leading zero, in any row
+    with pytest.raises(ValueError):
+        addresses(["10.0.0.1", bad])
+
+
 # dotted quads clustered near the edges of small networks, plus any address
 QUADS = st.one_of(
     st.integers(0, 2**32 - 1),
@@ -216,12 +223,6 @@ def _scenario_report(scenario, seed: int, rounded: bool) -> str:
     return json.dumps(_report(_scenario_flows(scenario, seed, rounded), EMPTY_WHITELIST))
 
 
-# The whole-pipeline properties skip shrinking: one of their examples takes
-# a scenario's full run, and a failure already names the scenario, the seed
-# and the drawn flows that reproduce it.
-_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
-
-
 def _shift_windows(report: dict, k: int, cfg) -> dict:
     """``report`` as it reads when every start_ts is later by k windows."""
     seconds = k * cfg.window_seconds
@@ -236,7 +237,7 @@ def _shift_windows(report: dict, k: int, cfg) -> dict:
     return report
 
 
-@settings(max_examples=8, deadline=None, phases=_NO_SHRINK)
+@settings(max_examples=8, deadline=None, phases=NO_SHRINK)
 @given(
     scenario=st.sampled_from([p2p_botnet_scenario, irc_botnet_scenario]),
     seed=st.integers(1, 50),
@@ -273,7 +274,7 @@ _WHITELISTED_KINDS = st.tuples(
 )
 
 
-@settings(max_examples=10, deadline=None, phases=_NO_SHRINK)
+@settings(max_examples=10, deadline=None, phases=NO_SHRINK)
 @given(
     scenario=st.sampled_from([p2p_botnet_scenario, irc_botnet_scenario, benign_scenario]),
     seed=st.integers(1, 50),
@@ -303,6 +304,62 @@ def test_whitelisted_flows_move_only_their_counters(scenario, seed, data):
     want["counters"]["flows_ingested"] += len(extra)
     want["counters"]["whitelisted"] += len(extra)
     assert _report(mixed, Whitelist(frozenset({WHITELISTED}))) == want
+
+
+_QUAD = re.compile(r"[0-9]+(?:\.[0-9]+){3}")
+# a cluster key's label: proto:sip->dip:dport for P2P, proto:sip:sport->dip:dport@bN for IRC
+_KEY_LABEL = re.compile(r"([a-z]+):([0-9.]+)(?::([0-9]+))?->([0-9.]+):([0-9]+)(?:@b([0-9]+))?")
+
+
+def _key_order(label: str) -> tuple:
+    """The grouping key's canonical sort order, read back from its label."""
+    proto, sip, sport, dip, dport, pat_bin = _KEY_LABEL.fullmatch(label).groups()
+    return IPv4Address(sip), IPv4Address(dip), int(sport or 0), int(dport), int(pat_bin or 0), proto
+
+
+def _relabeled(report: dict, rename) -> dict:
+    """``report`` with each address ``a`` renamed ``rename(a)``, sorted again
+    as ``detect`` sorts: hosts and keys within a group, then the groups by
+    window, path, first host and first key."""
+    for group in report["groups"]:
+        evidence = group["evidence"]
+        group["hosts"] = sorted(map(rename, group["hosts"]), key=IPv4Address)
+        keys = [_QUAD.sub(lambda m: rename(m[0]), key) for key in evidence["cluster_keys"]]
+        evidence["cluster_keys"] = sorted(keys, key=_key_order)
+        evidence["activity"] = {rename(host): flags for host, flags in evidence["activity"].items()}
+
+    def order(group):
+        first_key = _key_order(group["evidence"]["cluster_keys"][0])
+        return group["window"]["index"], group["path"], IPv4Address(group["hosts"][0]), first_key
+
+    report["groups"].sort(key=order)
+    return report
+
+
+@settings(max_examples=25, deadline=None, phases=NO_SHRINK)
+@given(
+    scenario=st.sampled_from([p2p_botnet_scenario, irc_botnet_scenario]),
+    seed=st.integers(1, 50),
+    data=st.data(),
+)
+def test_relabeling_internal_addresses_relabels_the_report(scenario, seed, data):
+    """Renaming the internal addresses by a bijection that stays inside
+    ``INTERNAL`` renames them in the report and changes nothing else, once
+    the report is sorted again."""
+    flows = _scenario_flows(scenario, seed, rounded=False)
+    inside_hosts = {a for rec in flows for a in (rec.sip, rec.dip) if IPv4Address(a) in INTERNAL}
+    hosts = sorted(inside_hosts, key=IPv4Address)
+    offset = st.integers(0, INTERNAL.num_addresses - 1)
+    offsets = st.lists(offset, min_size=len(hosts), max_size=len(hosts), unique=True)
+    relabel = {host: str(INTERNAL[k]) for host, k in zip(hosts, data.draw(offsets))}
+
+    def rename(address: str) -> str:
+        return relabel.get(address, address)
+
+    moved = [rec._replace(sip=rename(rec.sip), dip=rename(rec.dip)) for rec in flows]
+    base = json.loads(_scenario_report(scenario, seed, rounded=False))
+    assert base["groups"]  # the planted group is reported, so there is something to relabel
+    assert _report(moved, EMPTY_WHITELIST) == _relabeled(base, rename)
 
 
 @given(st.lists(wide_flows().filter(lambda rec: rec.npkts > 0), max_size=12), st.sampled_from([0.001, 1.0]))
