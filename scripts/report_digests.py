@@ -22,7 +22,11 @@ sha256 of every curve's xs, ys, floor and peak float64 bytes (the
 ``curves`` command prints only 12 significant digits), and of every pair
 of groups' score, with the ``repr`` of its two group keys.  Those lines
 pin every bit of the curves and of the scorer, whichever pairs clustering
-visits and in whatever order.  The workloads are the inputs that exercise the
+visits and in whatever order.  An ``activity`` line is the sha256 of every
+window's ``window_activity``: each host's address, its four scores as
+float64 bytes, and its counts and verdicts (``scan-score`` prints 12
+significant digits and ``detect`` only flags, so neither shows a last-bit
+change in a score).  The workloads are the inputs that exercise the
 whitelist filter, scanners and spammers; ``scan_mix``'s own whitelist is
 empty, so only under ``deep_day``'s rule does the filter meet scanner
 traffic.
@@ -39,6 +43,7 @@ import importlib.util
 import struct
 import sys
 import tempfile
+from ipaddress import IPv4Network
 from itertools import combinations
 from pathlib import Path
 
@@ -46,6 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # this checkout's program, whatever else is installed or on PYTHONPATH
 sys.path.insert(0, str(ROOT / "src"))
 
+from botdetect.activity import window_activity
 from botdetect.cli import main as cli
 from botdetect.filtering import EMPTY_WHITELIST, parse_whitelist
 from botdetect.flowfile import parse_flow_file, write_flow_file
@@ -131,19 +137,32 @@ def records_digest(table: FlowTable) -> str:
     return hashlib.sha256(repr(list(table)).encode()).hexdigest()
 
 
-def curve_digests(flows: Path, whitelist: Path | None) -> tuple[str, str]:
-    """The sha256 of every curve and of every pair's score, per window and
-    path of ``detect``'s default config, in canonical key order: each
-    curve's xs, ys, floor and peak bytes, and each pair's two keys and
-    score."""
+def window_digests(flows: Path, whitelist: Path | None) -> tuple[str, str, str]:
+    """The sha256 of every window's activity, of every curve and of every
+    pair's score, per window and path of ``detect``'s default config, in
+    host and canonical key order: each host's address, scores, counts and
+    verdicts, each curve's xs, ys, floor and peak bytes, and each pair's
+    two keys and score."""
     cfg = default_config()
+    internal = IPv4Network(INTERNAL[1])
     records = parse_flow_file(flows.read_bytes())
     if whitelist is None:
         rules = EMPTY_WHITELIST
     else:
         rules = parse_whitelist(whitelist.read_text(encoding="utf-8"))
-    curve_digest, score_digest = hashlib.sha256(), hashlib.sha256()
+    activity_digest, curve_digest, score_digest = (hashlib.sha256() for _ in range(3))
     for streams in window_streams(records, rules, cfg):
+        activity = window_activity(streams.filtered.clean, streams.filtered.failed, internal, cfg)
+        activity_digest.update(struct.pack("<qq", streams.window.index, len(activity)))
+        for host, act in activity.items():
+            scores, spam = act.scores, act.spam
+            activity_digest.update(
+                struct.pack(
+                    "<I4d7q", int(host), scores.s1, scores.s2, scores.s3, act.isd_s,
+                    scores.scans, scores.targets, scores.flagged,
+                    spam.smtp_flows, spam.distinct_servers, spam.flagged, act.isd_flagged,
+                )  # fmt: skip
+            )
         for path in BotPath:
             groups, _ = group_path(path, streams, cfg)
             ordered = sorted(groups, key=lambda g: g.key)
@@ -154,7 +173,7 @@ def curve_digests(flows: Path, whitelist: Path | None) -> tuple[str, str]:
             for (a, curve_a), (b, curve_b) in combinations(zip(ordered, curves), 2):
                 score_digest.update(repr((a.key, b.key)).encode())
                 score_digest.update(struct.pack("<d", curve_similarity(curve_a, curve_b)))
-    return curve_digest.hexdigest(), score_digest.hexdigest()
+    return activity_digest.hexdigest(), curve_digest.hexdigest(), score_digest.hexdigest()
 
 
 def main() -> int:
@@ -172,7 +191,8 @@ def main() -> int:
                 assert cli([*command, "--flows", str(flows), *extra, "--out", str(out)]) == 0
                 digest = hashlib.sha256(out.read_bytes()).hexdigest()
                 print(f"{digest}  {' '.join(command)}  {name}")
-            curves, scores = curve_digests(flows, whitelist)
+            activity, curves, scores = window_digests(flows, whitelist)
+            print(f"{activity}  activity  {name}")
             print(f"{curves}  curves  {name}")
             print(f"{scores}  scores  {name}")
     return 0

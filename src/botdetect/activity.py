@@ -20,16 +20,20 @@ never inspected.
 Direction is inferred from a configured internal network: a flow with an
 internal sip is outbound, one with an internal dip is inbound.  Only
 traffic crossing that boundary is scored.
+
+``window_activity`` computes every score as a numpy column over a window's
+hosts.  The scalar helpers ``entropy_norm``, ``osd_s2``, ``isd_score`` and
+``osd_vote`` are the references those columns equal, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from ipaddress import IPv4Address, IPv4Network
 from itertools import repeat
-from operator import gt, lt, mul, truediv
+from operator import add, gt, lt, mul, neg, truediv
 
 import numpy as np
 
@@ -119,7 +123,8 @@ def entropy_norm(counts: list[int]) -> float:
         return 0.0
     total = sum(positive)
     shares = list(map(truediv, positive, repeat(total)))
-    h = -sum(map(mul, shares, map(math.log, shares)))
+    # summed left to right: ``sum`` of floats compensates on Python 3.12+
+    h = -reduce(add, map(mul, shares, map(math.log, shares)), 0.0)
     return min(max(h / math.log(m), 0.0), 1.0)
 
 
@@ -136,22 +141,11 @@ def osd_vote(s1: float, s2: float, s3: float, cfg: DetectorConfig) -> bool:
     return votes >= 2
 
 
-# Each per-host score below is computed for n hosts at once from a table and
-# ``host``, the index in 0..n-1 of the host each of its rows is charged to;
-# counts come from bincount over those indices, and only the final float
-# arithmetic runs per host, in Python, on Python ints.
-
-
-def _per_host(host: np.ndarray, n: int) -> list[int]:
-    return np.bincount(host, minlength=n).tolist()
-
-
-def _distinct_per_host(host: np.ndarray, values: np.ndarray, n: int) -> tuple[list[int], list[int]]:
-    """For each host, how many distinct ``values`` (uint32) its rows hold,
-    and how many rows hold each: the counts of host 0's values first, then
-    host 1's, and so on."""
-    pairs, counts = np.unique(host.astype(np.uint64) << 32 | values, return_counts=True)
-    return _per_host((pairs >> 32).astype(np.intp), n), counts.tolist()
+# Each score below is a column over a window's n hosts, made from a table and
+# ``host``, the index in 0..n-1 of the host each of its rows is charged to:
+# counts come from bincount over those indices, and the float arithmetic is
+# the scalar helpers' above, one float64 operation for each of theirs, so
+# every column equals what they give host by host.
 
 
 def _to_ports(flows: FlowTable, ports: frozenset[tuple[Proto, int]]) -> np.ndarray:
@@ -162,63 +156,108 @@ def _to_ports(flows: FlowTable, ports: frozenset[tuple[Proto, int]]) -> np.ndarr
     return found
 
 
-def _failed_counts(
-    host: np.ndarray, failed: FlowTable, n: int, hs_ports: frozenset[tuple[Proto, int]]
-) -> list[FailedCounts]:
-    severe = _to_ports(failed, hs_ports)
-    return list(map(FailedCounts, _per_host(host[severe], n), _per_host(host[~severe], n)))
+def _distinct_per_host(host: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The host of each distinct ``(host, value)`` of the rows (``values``
+    uint32), in order of host, and how many rows hold each."""
+    pairs, counts = np.unique(host.astype(np.uint64) << 32 | values, return_counts=True)
+    return (pairs >> 32).astype(np.intp), counts
 
 
-def _scan_scores(
-    host_clean: np.ndarray,
-    clean: FlowTable,
-    host_failed: np.ndarray,
-    failed: FlowTable,
-    n: int,
-    cfg: DetectorConfig,
-) -> list[ScanScores]:
-    attempts = np.bincount(host_clean, minlength=n) + np.bincount(host_failed, minlength=n)
-    targets, target_counts = _distinct_per_host(
-        np.concatenate([host_clean, host_failed]), np.concatenate([clean.dip, failed.dip]), n
+def _severity_counts(host: np.ndarray, severe: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """fhs and fls per host, of the failed attempts charged to ``host``,
+    ``severe`` marking those at a high-severity port."""
+    return np.bincount(host[severe], minlength=n), np.bincount(host[~severe], minlength=n)
+
+
+def _isd_column(fhs: np.ndarray, fls: np.ndarray, w1: float, w2: float) -> np.ndarray:
+    """``isd_score`` of each host's counts."""
+    return w1 * fhs + w2 * fls
+
+
+def _s2_column(
+    fhs: np.ndarray, fls: np.ndarray, w1: float, w2: float, scans: np.ndarray
+) -> np.ndarray:
+    """``osd_s2`` of each host's counts."""
+    s2 = np.zeros(len(scans))
+    np.divide(_isd_column(fhs, fls, w1, w2), scans, out=s2, where=scans > 0)
+    return s2
+
+
+# the votes of the three outbound detectors that each mode needs
+_VOTES_NEEDED = {OsdMode.AND: 3, OsdMode.MAJORITY: 2, OsdMode.OR: 1}
+
+
+def _vote_column(s1: np.ndarray, s2: np.ndarray, s3: np.ndarray, cfg: DetectorConfig) -> np.ndarray:
+    """``osd_vote`` of each host's scores."""
+    votes = (
+        (s1 >= cfg.osd_s1_threshold).astype(np.intp)
+        + (s2 >= cfg.osd_s2_threshold)
+        + (s3 >= cfg.osd_s3_threshold)
     )
-    scores = []
-    end = 0
-    for scans, m, fc in zip(
-        attempts.tolist(), targets, _failed_counts(host_failed, failed, n, cfg.hs_ports)
-    ):
-        start, end = end, end + m
-        s1 = m / (cfg.window_seconds / 60.0)
-        s2 = osd_s2(fc, cfg.w1, cfg.w2, scans)
-        s3 = entropy_norm(target_counts[start:end]) if scans else 0.0
-        flagged = scans >= cfg.osd_min_scans and osd_vote(s1, s2, s3, cfg)
-        scores.append(ScanScores(s1=s1, s2=s2, s3=s3, scans=scans, targets=m, flagged=flagged))
-    return scores
+    return votes >= _VOTES_NEEDED[cfg.osd_mode]
 
 
-def _spam_reports(host: np.ndarray, flows: FlowTable, n: int, cfg: DetectorConfig) -> list[SpamReport]:
-    smtp = _to_ports(flows, _SMTP)
-    servers, _ = _distinct_per_host(host[smtp], flows.dip[smtp], n)
-    return [
-        SpamReport(
-            smtp_flows=total,
-            distinct_servers=distinct,
-            flagged=distinct >= cfg.spam_distinct_servers or total >= cfg.spam_total_flows,
-        )
-        for total, distinct in zip(_per_host(host[smtp], n), servers)
-    ]
+def _entropy_column(
+    pair_host: np.ndarray, counts: np.ndarray, totals: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """``entropy_norm`` of each host's target counts, bit for bit; 0 for a
+    host with fewer than two targets.
+
+    ``counts`` are the counts of every host's targets, ``pair_host`` the
+    host of each, ``totals`` each host's sum of counts and ``targets`` its
+    m.  Each host's counts are sorted ascending and divided by its total, as
+    ``entropy_norm`` does; ``math.log`` is taken once per run of equal
+    shares and once per host's m (numpy's ``log`` may differ from libm's in
+    the last bit).  The terms are summed left to right, as ``entropy_norm``
+    sums them, by ``np.add.accumulate`` along the rows of a zero-padded
+    matrix (``np.add.reduce`` and ``reduceat`` would sum pairwise).  Hosts
+    are grouped by the bit length of m - 1, so a row is less than twice its
+    host's m long.
+    """
+    s3 = np.zeros(len(targets))
+    spread = targets >= 2  # one target has zero spread
+    keep = spread[pair_host]
+    pair_host, counts = pair_host[keep], counts[keep]
+    bits = np.frexp(targets - 1)[1].astype(np.intp)  # intp, as the other row arithmetic
+    # rows in order of width, then host; each row's counts ascending
+    order = np.lexsort((counts, pair_host, bits[pair_host]))
+    pair_host, counts = pair_host[order], counts[order]
+    rows = np.flatnonzero(spread)
+    rows = rows[np.argsort(bits[rows], kind="stable")]
+    m, width = targets[rows], 1 << bits[rows]
+    shares = counts / totals[pair_host]
+    # equal shares sit side by side: one log and one term per run of them; a
+    # term is p * -ln p, exactly entropy_norm's p * ln p negated, so a row
+    # sums to H itself
+    starts = np.ones(len(shares), dtype=bool)
+    starts[1:] = shares[1:] != shares[:-1]
+    first = np.flatnonzero(starts)
+    run_shares = shares[first]
+    minus_logs = np.fromiter(map(neg, map(math.log, run_shares.tolist())), np.float64, len(first))
+    terms = np.repeat(run_shares * minus_logs, np.diff(first, append=len(shares)))
+    # a row's j-th term lands at its row's start plus j
+    row_start = np.cumsum(width) - width
+    padded = np.zeros(width.sum())
+    padded[np.arange(len(terms)) + np.repeat(row_start - (np.cumsum(m) - m), m)] = terms
+    h = np.empty(len(rows))
+    row = at = 0
+    for b, k in enumerate(np.bincount(bits[rows]).tolist()):
+        if k:  # k rows of width 2**b
+            block = padded[at : at + (k << b)].reshape(k, 1 << b)
+            h[row : row + k] = np.add.accumulate(block, axis=1)[:, -1]
+            row, at = row + k, at + (k << b)
+    log_m = np.fromiter(map(math.log, m.tolist()), np.float64, len(m))
+    s3[rows] = np.minimum(np.maximum(h / log_m, 0.0), 1.0)
+    return s3
 
 
-def _crossing(
-    flows: FlowTable, internal: IPv4Network, outbound: bool
-) -> tuple[np.ndarray, FlowTable]:
-    """The flows leaving the internal network (``outbound``) or entering
-    it: exactly one endpoint is inside, and it is the source or the
-    destination respectively; with that endpoint's address per flow."""
+def _crossing(flows: FlowTable, internal: IPv4Network) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the flows leaving the internal network and of those
+    entering it: exactly one endpoint is inside, and it is the source or
+    the destination respectively."""
     src_internal = inside(flows.sip, (internal,))
     dst_internal = inside(flows.dip, (internal,))
-    crossing = src_internal & ~dst_internal if outbound else dst_internal & ~src_internal
-    rows = flows[crossing]
-    return (rows.sip if outbound else rows.dip), rows
+    return src_internal & ~dst_internal, dst_internal & ~src_internal
 
 
 def window_activity(
@@ -232,27 +271,40 @@ def window_activity(
     runs over the distinct destination addresses of all of them.  Spam is
     judged on completed flows only.
 
-    The hosts of the three crossing streams are indexed together by one
-    ``np.unique`` with its inverse (a plain ``np.unique`` would import
-    ``numpy.ma`` on numpy 2.4, a cost paid by every fresh ``detect``).
+    Every score is a column over the window's hosts; only the result
+    objects are made per host.  The hosts of the three crossing streams are
+    indexed together by one ``np.unique`` with its inverse (a plain
+    ``np.unique`` would import ``numpy.ma`` on numpy 2.4, a cost paid by
+    every fresh ``detect``).
     """
-    out_hosts, outbound = _crossing(clean, internal, outbound=True)
-    out_failed_hosts, outbound_failed = _crossing(failed, internal, outbound=True)
-    in_hosts, inbound_failed = _crossing(failed, internal, outbound=False)
-    found = np.concatenate([out_hosts, out_failed_hosts, in_hosts])
-    hosts, host = np.unique(found, return_inverse=True)
+    outbound, _ = _crossing(clean, internal)
+    outbound_failed, inbound_failed = _crossing(failed, internal)
+    found = [clean.sip[outbound], failed.sip[outbound_failed], failed.dip[inbound_failed]]
+    hosts, host = np.unique(np.concatenate(found), return_inverse=True)
     n = len(hosts)
-    out, out_failed, into = np.split(host, np.cumsum([len(out_hosts), len(out_failed_hosts)]))
-    scores = _scan_scores(out, outbound, out_failed, outbound_failed, n, cfg)
-    spam = _spam_reports(out, outbound, n, cfg)
-    inbound_fc = _failed_counts(into, inbound_failed, n, cfg.hs_ports)
-    activity: dict[IPv4Address, HostActivity] = {}
-    for host, host_scores, host_spam, fc in zip(hosts.tolist(), scores, spam, inbound_fc):
-        isd_s = isd_score(fc, cfg.w1, cfg.w2)
-        activity[IPv4Address(host)] = HostActivity(
-            scores=host_scores,
-            spam=host_spam,
-            isd_s=isd_s,
-            isd_flagged=isd_s >= cfg.isd_threshold,
-        )
-    return activity
+    # rows of host: outbound completed, outbound failed, then inbound failed
+    a = np.count_nonzero(outbound)
+    b = a + np.count_nonzero(outbound_failed)
+    severe = _to_ports(failed, cfg.hs_ports)
+    # the C attempts and m distinct targets of each host, and each target's count
+    dips = np.concatenate([clean.dip[outbound], failed.dip[outbound_failed]])
+    pair_host, counts = _distinct_per_host(host[:b], dips)
+    scans = np.bincount(host[:b], minlength=n)
+    targets = np.bincount(pair_host, minlength=n)
+    s1 = targets / (cfg.window_seconds / 60.0)
+    fhs, fls = _severity_counts(host[a:b], severe[outbound_failed], n)
+    s2 = _s2_column(fhs, fls, cfg.w1, cfg.w2, scans)
+    s3 = _entropy_column(pair_host, counts, scans, targets)
+    flagged = (scans >= cfg.osd_min_scans) & _vote_column(s1, s2, s3, cfg)
+    smtp = _to_ports(clean, _SMTP)[outbound]
+    smtp_flows = np.bincount(host[:a][smtp], minlength=n)
+    servers = np.bincount(_distinct_per_host(host[:a][smtp], dips[:a][smtp])[0], minlength=n)
+    spam = (servers >= cfg.spam_distinct_servers) | (smtp_flows >= cfg.spam_total_flows)
+    isd_s = _isd_column(*_severity_counts(host[b:], severe[inbound_failed], n), cfg.w1, cfg.w2)
+    scores = zip(*(column.tolist() for column in (s1, s2, s3, scans, targets, flagged)))
+    mail = zip(smtp_flows.tolist(), servers.tolist(), spam.tolist())
+    inbound = zip(isd_s.tolist(), (isd_s >= cfg.isd_threshold).tolist())
+    return {
+        IPv4Address(address): HostActivity(ScanScores(*score), SpamReport(*spam), *isd)
+        for address, score, spam, isd in zip(hosts.tolist(), scores, mail, inbound)
+    }

@@ -381,11 +381,12 @@ def cluster_groups(
             component[members[moved]] = into
             members[into] += members[moved]
             members[moved] = []
+    # indices in order are keys in order, since ``ordered`` is sorted, and
+    # keys sort by sip first: so hosts come out sorted, and clusters in order
+    # of their smallest index are in order of (smallest host, smallest key)
     clusters = []
-    for comp in filter(None, members):
-        # indices in order are keys in order, since ``ordered`` is sorted
-        keys = tuple(ordered[i].key for i in sorted(comp))
-        hosts = tuple(sorted({k.sip for k in keys}))
+    for comp in sorted(map(sorted, filter(None, members))):
+        keys = tuple(ordered[i].key for i in comp)
+        hosts = tuple(dict.fromkeys(k.sip for k in keys))
         clusters.append(SimilarityCluster(group_keys=keys, hosts=hosts))
-    clusters.sort(key=lambda c: (c.hosts[0], c.group_keys[0]))
     return clusters

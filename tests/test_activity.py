@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 from ipaddress import IPv4Address, IPv4Network
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +13,10 @@ from botdetect.activity import (
     HostActivity,
     ScanScores,
     SpamReport,
+    _entropy_column,
+    _isd_column,
+    _s2_column,
+    _vote_column,
     entropy_norm,
     isd_score,
     osd_s2,
@@ -130,6 +135,58 @@ class TestVote:
         m = osd_vote(s1, s2, s3, dataclasses.replace(CFG, osd_mode=OsdMode.MAJORITY))
         o = osd_vote(s1, s2, s3, dataclasses.replace(CFG, osd_mode=OsdMode.OR))
         assert (not a or m) and (not m or o)
+
+
+def host_counts():
+    """One host's target counts: m from 0 to 300, so rows of every width up
+    to 512 are drawn (the small ones as often as the large), and counts up to
+    2**40, repeated or not, in any order."""
+    count = st.one_of(st.integers(1, 3), st.integers(1, 2**40))
+    m = st.one_of(st.integers(0, 17), st.integers(0, 300))
+    return m.flatmap(lambda m: st.lists(count, min_size=m, max_size=m))
+
+
+# each score at random or at its threshold, where the comparison flips
+THRESHOLDS = (CFG.osd_s1_threshold, CFG.osd_s2_threshold, CFG.osd_s3_threshold)
+VOTE_SCORES = st.tuples(*(st.one_of(st.floats(0, 10), st.just(t)) for t in THRESHOLDS))
+
+
+class TestScoreColumns:
+    """Each column ``window_activity`` computes for a window's hosts equals
+    the scalar helper it stands for, host by host, to the last bit."""
+
+    @given(st.lists(host_counts(), min_size=1, max_size=3), st.randoms(use_true_random=False))
+    def test_entropy_column_is_entropy_norm(self, hosts, rng):
+        pairs = [(h, c) for h, host in enumerate(hosts) for c in host]
+        rng.shuffle(pairs)
+        pair_host = np.array([h for h, _ in pairs], dtype=np.intp)
+        counts = np.array([c for _, c in pairs], dtype=np.int64)
+        totals = np.array([sum(host) for host in hosts], dtype=np.int64)
+        targets = np.array([len(host) for host in hosts], dtype=np.int64)
+        got = _entropy_column(pair_host, counts, totals, targets).tolist()
+        # a host with no attempts has no spread, as window_activity has it
+        want = [entropy_norm(host) if host else 0.0 for host in hosts]
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+    @given(
+        st.lists(st.tuples(*[st.integers(0, 2**40)] * 3), min_size=1, max_size=20),
+        st.floats(0, 10),
+        st.floats(0, 10),
+    )
+    def test_s2_and_isd_columns_are_the_scalar_scores(self, per_host, w1, w2):
+        fhs, fls, scans = (np.array(column, dtype=np.int64) for column in zip(*per_host))
+        s2 = _s2_column(fhs, fls, w1, w2, scans).tolist()
+        isd = _isd_column(fhs, fls, w1, w2).tolist()
+        for (h, l, c), got_s2, got_isd in zip(per_host, s2, isd):
+            assert got_s2.hex() == osd_s2(FailedCounts(h, l), w1, w2, c).hex()
+            assert got_isd.hex() == isd_score(FailedCounts(h, l), w1, w2).hex()
+
+    @pytest.mark.parametrize("mode", list(OsdMode), ids=lambda mode: mode.value)
+    @given(st.lists(VOTE_SCORES, min_size=1, max_size=20))
+    def test_vote_column_is_osd_vote(self, mode, scores):
+        cfg = dataclasses.replace(CFG, osd_mode=mode)
+        s1, s2, s3 = (np.array(column) for column in zip(*scores))
+        assert _vote_column(s1, s2, s3, cfg).tolist() == [osd_vote(*host, cfg) for host in scores]
 
 
 class TestOsdScores:

@@ -59,9 +59,10 @@ def test_report_digests_cover_every_command_and_input(monkeypatch, capsys):
     inputs = {name for _, _, name in lines}
     assert len(inputs) == 9 and "p2p_botnet_scenario(1)" in inputs
     assert {"deep_day(1)", "scan_mix(1)", "scan_mix(1) under deep_day whitelist"} <= inputs
-    # + one parse, one annotated-parse, one from-records, one curves and one scores line each
+    # + one parse, one annotated-parse, one from-records, one activity, one
+    # curves and one scores line each
     kinds = [" ".join(command) for command in digests.COMMANDS]
-    kinds += ["parse", "annotated-parse", "from-records", "curves", "scores"]
+    kinds += ["parse", "annotated-parse", "from-records", "activity", "curves", "scores"]
     assert {command for _, command, _ in lines} == set(kinds)
     assert len(lines) == len(inputs) * len(kinds)
     # comments, a blank line and CRLF line ends change no record, nor does
