@@ -34,6 +34,7 @@ from functools import partial, reduce
 from ipaddress import IPv4Address, IPv4Network
 from itertools import repeat
 from operator import add, gt, lt, mul, neg, truediv
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +57,7 @@ class FailedCounts:
     fls: int
 
 
-@dataclass(frozen=True)
-class ScanScores:
+class ScanScores(NamedTuple):
     """Per-host scan scores for one window.
 
     ``scans`` is C, the total outbound connection attempts; ``targets`` is
@@ -73,15 +73,13 @@ class ScanScores:
     flagged: bool
 
 
-@dataclass(frozen=True)
-class SpamReport:
+class SpamReport(NamedTuple):
     smtp_flows: int
     distinct_servers: int
     flagged: bool
 
 
-@dataclass(frozen=True)
-class HostActivity:
+class HostActivity(NamedTuple):
     """One host's window: outbound scan scores, spam fan-out, and the inbound
     score ``isd_s`` with its threshold verdict."""
 

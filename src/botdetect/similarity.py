@@ -122,7 +122,9 @@ class Curve:
     ``x_range`` is the (min, max) nbpp of the source points.  A curve is
     ``degenerate`` when that range is one point; ``floor`` and ``peak`` are
     the min and max of ``ys`` (nan if any sample is nan), the envelope that
-    every resampling of the curve stays within.
+    every resampling of the curve stays within.  ``mean`` is the mean of
+    ``ys`` (inf if their sum overflows), which bounds a score in which the
+    curve keeps its own samples (see :func:`curve_similarity`).
     """
 
     xs: np.ndarray
@@ -131,6 +133,7 @@ class Curve:
     degenerate: bool
     floor: float
     peak: float
+    mean: float
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -159,13 +162,13 @@ def build_curve(points: np.ndarray | Sequence[FlowFeatures], resample_points: in
         raise EmptyGroup("cannot build a curve from zero points")
     points = np.asarray(points, dtype=np.float64)
     nbpp, nbps = points[:, 0], points[:, 1]
+    k = len(nbpp)
     # a one-point run's mean is 0.0 + y, which is y + 0.0 (-0.0 included)
-    if (nbpp[1:] > nbpp[:-1]).all():  # a tie, -0.0 before 0.0 or a nan is sorted
+    if np.count_nonzero(nbpp[1:] > nbpp[:-1]) == k - 1:  # a tie, -0.0 before 0.0 or a nan is sorted
         xs, ys = nbpp, nbps + 0.0
     else:
         order = np.lexsort((nbps, nbpp))
         nbpp, nbps = nbpp[order], nbps[order]
-        k = len(nbpp)
         # a longer run's nbps are added in Python, in order, as the mean was
         # always taken: np.add.reduce sums pairwise, so its bits may differ
         ends = (nbpp[1:] != nbpp[:-1]).nonzero()[0]  # the last point of each run but the last
@@ -182,13 +185,20 @@ def build_curve(points: np.ndarray | Sequence[FlowFeatures], resample_points: in
     else:
         sample_xs = _linspace(lo, hi, resample_points)
         sample_ys = _interp(sample_xs, xs, ys)
+    # an extreme taken by index is the reduction's value; only a zero's sign
+    # (a run of negative nbps may average to -0.0) and a nan's bits are the
+    # reduction's own pick, so those curves take the reduction
+    floor, peak = float(sample_ys[sample_ys.argmin()]), float(sample_ys[sample_ys.argmax()])
+    if not floor or not peak or floor != floor:
+        floor, peak = float(np.minimum.reduce(sample_ys)), float(np.maximum.reduce(sample_ys))
     return Curve(
         xs=_readonly(sample_xs),
         ys=_readonly(sample_ys),
         x_range=(lo, hi),
         degenerate=lo == hi,
-        floor=float(np.minimum.reduce(sample_ys)),
-        peak=float(np.maximum.reduce(sample_ys)),
+        floor=floor,
+        peak=peak,
+        mean=float(np.add.reduce(sample_ys)) / resample_points,
     )
 
 
@@ -202,11 +212,17 @@ def curve_similarity(a: Curve, b: Curve, at_least: float = -math.inf) -> float:
     ``at_least`` is the least score the caller acts on.  Resampling keeps
     each curve within its ``[floor, peak]`` envelope, so the score is at
     most ``1 - gap / top``, with ``gap`` the distance between the two
-    envelopes and ``top`` the larger peak.  When that bound is below
-    ``at_least`` (by a 1e-9 margin for rounding) it is returned instead
-    of the score: a value at or above ``at_least`` is returned exactly
-    when the score is, and is then the score itself.  The bound is taken
-    only for a normal positive ``top`` and non-negative floors.
+    envelopes and ``top`` the larger peak.  If that envelope bound is not
+    below ``at_least``, a tighter one is tried: a side that keeps its own
+    samples (degenerate, or scored on its own range) stands for its
+    ``mean`` instead of its envelope, as mean |ya - yb| >= |mean ya -
+    mean yb|; a mean that is not finite leaves the envelope.  When a bound
+    is below ``at_least`` (by a 1e-9 margin for rounding) it is returned
+    instead of the score: a value at or above ``at_least`` is returned
+    exactly when the score is, and is then the score itself.  The bounds
+    are taken only for a normal positive ``top`` and non-negative floors.
+    A call that stops at a bound is still one scored pair: a traced bench
+    run's ``pairs_scored`` counts every call.
     """
     r = len(a.ys)
     if len(b.ys) != r:
@@ -228,7 +244,8 @@ def curve_similarity(a: Curve, b: Curve, at_least: float = -math.inf) -> float:
     # a curve with a nan sample has a nan floor, so such a pair takes the exact path
     peak_a, peak_b, floor_a, floor_b = a.peak, b.peak, a.floor, b.floor
     top = peak_b if peak_b > peak_a else peak_a
-    if _SMALLEST_NORMAL <= top <= _LARGEST and floor_a >= 0.0 and floor_b >= 0.0:
+    bounded = _SMALLEST_NORMAL <= top <= _LARGEST and floor_a >= 0.0 and floor_b >= 0.0
+    if bounded:
         gap_a, gap_b = floor_a - peak_b, floor_b - peak_a
         bound = 1.0 - (gap_b if gap_b > gap_a else gap_a) / top
         if bound < at_least - 1e-9:
@@ -242,17 +259,29 @@ def curve_similarity(a: Curve, b: Curve, at_least: float = -math.inf) -> float:
     # np.interp's bits for these float64 arrays.
     own_a = a.degenerate or range_a == (lo, hi)
     own_b = b.degenerate or range_b == (lo, hi)
+    if bounded and (own_a or own_b):
+        # mean |ya - yb| >= |mean ya - mean yb|, and a resampled side's mean
+        # lies within its envelope
+        mean_a, mean_b = a.mean, b.mean
+        low_a, high_a = (mean_a, mean_a) if own_a and mean_a <= _LARGEST else (floor_a, peak_a)
+        low_b, high_b = (mean_b, mean_b) if own_b and mean_b <= _LARGEST else (floor_b, peak_b)
+        gap_a, gap_b = low_a - high_b, low_b - high_a
+        bound = 1.0 - (gap_b if gap_b > gap_a else gap_a) / top
+        if bound < at_least - 1e-9:
+            return bound
     positions = a.xs if own_a else b.xs if own_b else _linspace(lo, hi, r)
     if own_a:
         ya = a.ys
     else:
         ya = _interp(positions, a.xs, a.ys)
-        peak_a = np.maximum.reduce(ya)
+        peak_a = ya[ya.argmax()]
     if own_b:
         yb = b.ys
     else:
         yb = _interp(positions, b.xs, b.ys)
-        peak_b = np.maximum.reduce(yb)
+        peak_b = yb[yb.argmax()]
+    # a nan peak comes with a nan sample, so the score is the sum's nan
+    # whichever nan the peak is
     peak = float(peak_b if peak_b > peak_a else peak_a)
     if peak == 0.0:
         return 1.0
@@ -352,8 +381,8 @@ def cluster_groups(
     else when it is reached.  The components do not depend on the visit
     order, and every pair spanning two components is scored, so only which
     pairs inside a cluster get scored changes with it.  Each pair is scored
-    with the threshold as its limit, so a pair whose envelope bound rules
-    out a link is not resampled; every decision stays the exact score's.
+    with the threshold as its limit, so a pair whose envelope or mean bound
+    rules out a link is not resampled; every decision stays the exact score's.
 
     Output is canonical: clusters ordered by (smallest member host, smallest
     key), keys and hosts sorted within each cluster — invariant under any

@@ -4,6 +4,7 @@ import importlib
 import math
 import random
 import struct
+import sys
 from ipaddress import IPv4Address
 from itertools import combinations
 from pathlib import Path
@@ -126,6 +127,32 @@ class TestBuildCurve:
         curve = build_curve([FlowFeatures(nbps=math.nan, nbpp=1), FlowFeatures(nbps=9, nbpp=4)], 4)
         assert math.isnan(curve.peak)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from((0.0, 1.0, 2.5, 1e300)),
+                st.one_of(
+                    st.sampled_from((0.0, -0.0, math.nan, -math.nan, 5e-324, -5e-324, -1.0)),
+                    st.floats(-1e9, 1e9),
+                    st.floats(-1e-300, 1e-300),
+                    st.floats(),
+                ),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from((2, 3, 32)),
+    )
+    # a run of 0.0 and -5e-324 averages to -0.0, tied with a sample 0.0;
+    # a -nan sample, whose sign np.min does not keep
+    @example(pts=[(0.0, 0.0), (0.0, -5e-324), (1.0, 0.0)], r=2)
+    @example(pts=[(0.0, -math.nan)], r=2)
+    def test_floor_and_peak_are_min_and_max_bit_for_bit(self, pts, r):
+        curve = build_curve(np.array(pts, dtype=np.float64), r)
+        assert struct.pack("<d", curve.floor) == struct.pack("<d", np.min(curve.ys))
+        assert struct.pack("<d", curve.peak) == struct.pack("<d", np.max(curve.ys))
+
     def test_empty_group_raises(self):
         with pytest.raises(EmptyGroup):
             build_curve([], 4)
@@ -227,7 +254,7 @@ def _curve_bits(curve) -> tuple:
     return (
         curve.xs.tobytes(),
         curve.ys.tobytes(),
-        struct.pack("<4d", *curve.x_range, curve.floor, curve.peak),
+        struct.pack("<5d", *curve.x_range, curve.floor, curve.peak, curve.mean),
         curve.degenerate,
     )
 
@@ -253,25 +280,34 @@ def _per_point_curve(pts: list[tuple[float, float]], r: int) -> similarity.Curve
         sample_xs = np.linspace(lo, hi, r)
         sample_ys = np.interp(sample_xs, xs, ys)
     return similarity.Curve(
-        sample_xs, sample_ys, (lo, hi), lo == hi, float(np.min(sample_ys)), float(np.max(sample_ys))
+        sample_xs,
+        sample_ys,
+        (lo, hi),
+        lo == hi,
+        float(np.min(sample_ys)),
+        float(np.max(sample_ys)),
+        float(np.mean(sample_ys)),
     )
 
 
 # tiny nbps values keep the slopes over subnormal spans finite
 Y_VALUES = st.one_of(st.just(0.0), st.floats(0, 1e9), st.floats(0, 1e-300))
+# and huge ones make sums of samples overflow
+WIDE_Y_VALUES = Y_VALUES | st.floats(0, sys.float_info.max) | st.floats(1e306, sys.float_info.max)
 
 
 @st.composite
-def curve_pairs(draw):
+def curve_pairs(draw, y_values=Y_VALUES):
     """Two curves whose nbpp values come from one small pool, so pairs
     overlap, touch at one point, are disjoint, or are degenerate; or whose
-    second range lies within the first's, or has the same ends."""
+    second range lies within the first's, or has the same ends.  Their nbps
+    values are drawn from ``y_values``."""
     r = draw(st.sampled_from((2, 3, 32)))
     pool = draw(st.lists(X_VALUES, min_size=1, max_size=4, unique=True))
 
     def curve(xs, *ends):
-        pts = draw(st.lists(st.tuples(st.sampled_from(xs), Y_VALUES), min_size=1, max_size=6))
-        pts += [(x, draw(Y_VALUES)) for x in ends]
+        pts = draw(st.lists(st.tuples(st.sampled_from(xs), y_values), min_size=1, max_size=6))
+        pts += [(x, draw(y_values)) for x in ends]
         return build_curve([FlowFeatures(nbps=y, nbpp=x) for x, y in pts], r)
 
     a = curve(pool)
@@ -377,7 +413,7 @@ class TestCurveSimilarity:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=500)
-    @given(curve_pairs(), st.one_of(st.sampled_from((0.0, 0.85, 1.0)), st.floats(0, 1)))
+    @given(curve_pairs(WIDE_Y_VALUES), st.one_of(st.sampled_from((0.0, 0.85, 1.0)), st.floats(0, 1)))
     def test_the_limit_never_changes_a_decision(self, pair, threshold):
         for a, b in (pair, pair[::-1]):
             exact, limited = curve_similarity(a, b), curve_similarity(a, b, threshold)
@@ -402,6 +438,50 @@ class TestCurveSimilarity:
         monkeypatch.setattr(similarity, "_linspace", no_resampling)
         assert curve_similarity(a, b, 0.85) == bound
         assert curve_similarity(b, a, 0.85) == bound
+
+    def test_the_mean_bound_skips_resampling(self, monkeypatch):
+        # a constant 90 lies inside line's envelope [0, 100] but far from its
+        # mean, 17.9: both keep their samples, and the means' distance bounds
+        # the score
+        flat = build_curve([FlowFeatures(nbps=90, nbpp=5)], 8)
+        line = build_curve([FlowFeatures(nbps=100, nbpp=1), FlowFeatures(nbps=0, nbpp=1.5),
+                            FlowFeatures(nbps=0, nbpp=3)], 8)
+        # spike's samples on its own range 2-8 lie in [0, 100] around the
+        # flat 50 of wide, which is resampled there
+        spike = build_curve([FlowFeatures(nbps=0, nbpp=2), FlowFeatures(nbps=0, nbpp=7.5),
+                             FlowFeatures(nbps=100, nbpp=8)], 8)
+        wide = build_curve([FlowFeatures(nbps=50, nbpp=0), FlowFeatures(nbps=50, nbpp=10)], 8)
+        bounds = {
+            (flat, line): 1.0 - (flat.mean - line.mean) / line.peak,
+            (spike, wide): 1.0 - (wide.floor - spike.mean) / spike.peak,
+        }
+        for (a, b), bound in bounds.items():
+            # one envelope holds the other, so the envelope bound rules out nothing
+            assert b.floor <= a.floor <= a.peak <= b.peak or a.floor <= b.floor <= b.peak <= a.peak
+            exact = reference_similarity(a, b)
+            assert curve_similarity(a, b) == exact
+            assert exact < bound < 0.85
+
+        def no_resampling(*args):
+            raise AssertionError("resampled a pair the mean bound rules out")
+
+        monkeypatch.setattr(similarity, "_interp", no_resampling)
+        monkeypatch.setattr(similarity, "_linspace", no_resampling)
+        for (a, b), bound in bounds.items():
+            assert curve_similarity(a, b, 0.85) == bound
+            assert curve_similarity(b, a, 0.85) == bound
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_mean_whose_sum_overflows_leaves_the_envelope(self):
+        # huge's two samples sum past float max, so its mean is inf; its
+        # envelope, a point, still bounds the score, which is 0.88
+        huge = build_curve([FlowFeatures(nbps=1e308, nbpp=5)], 2)
+        near = build_curve([FlowFeatures(nbps=0.86e308, nbpp=1), FlowFeatures(nbps=0.9e308, nbpp=2)], 2)
+        assert huge.mean == math.inf and near.mean == 0.88e308
+        exact = curve_similarity(huge, near)
+        assert exact >= 0.85
+        assert curve_similarity(huge, near, 0.85) == exact
+        assert curve_similarity(near, huge, 0.85) == exact
 
     def test_a_score_rounded_above_its_bound_is_kept(self):
         # the mean of three equal gaps rounds below the gap, so the score
