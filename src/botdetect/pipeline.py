@@ -1,9 +1,10 @@
 """The per-window stage graph: window once, then filter, classify, score,
 group, cluster and correlate each window.
 
-``window_streams`` and ``path_clusters`` carry the whole graph; ``detect``
-and the ``curves``/``scan-score``/``spam-score`` subcommands all go
-through them, so every stage runs on the same windows.
+``window_streams`` and ``group_path`` carry the graph up to grouping;
+``detect`` and the ``curves``/``scan-score``/``spam-score`` subcommands all
+go through them, so every stage runs on the same windows.  The pipeline
+only runs stages: what is reported is decided by ``report.correlate``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .filtering import FilterOutput, Whitelist, run_filter
 from .model import DetectorConfig
 from .monitors import GroupingResult, WindowIndex, group_flows_irc, group_flows_p2p, window_partition
 from .report import BotnetReport, BotPath, build_report, correlate_irc, correlate_p2p
-from .similarity import SimilarityCluster, cluster_groups
+from .similarity import cluster_groups
 from .table import FlowTable
 
 
@@ -54,16 +55,6 @@ def group_path(path: BotPath, streams: WindowStreams, cfg: DetectorConfig) -> Gr
     return group_flows_p2p(streams.other, cfg.duration_floor)
 
 
-def path_clusters(
-    path: BotPath, streams: WindowStreams, cfg: DetectorConfig
-) -> list[SimilarityCluster]:
-    """Group and cluster one path of a window; keep the multi-host clusters."""
-    groups, _ = group_path(path, streams, cfg)
-    clusters = cluster_groups(groups, cfg.similarity_threshold, cfg.resample_points)
-    # a cluster confined to one source host carries no cross-host evidence
-    return [c for c in clusters if len(c.hosts) >= 2]
-
-
 def run_detection(
     flows: FlowTable, whitelist: Whitelist, internal: IPv4Network, cfg: DetectorConfig
 ) -> BotnetReport:
@@ -84,10 +75,10 @@ def run_detection(
             other=len(streams.other),
         )
         activity = window_activity(filtered.clean, filtered.failed, internal, cfg)
-        p2p = path_clusters(BotPath.P2P, streams, cfg)
-        groups.extend(correlate_p2p(p2p, activity, cfg, streams.window))
-        irc = path_clusters(BotPath.IRC, streams, cfg)
-        groups.extend(correlate_irc(irc, activity, cfg, streams.window))
+        for path, correlate_path in ((BotPath.P2P, correlate_p2p), (BotPath.IRC, correlate_irc)):
+            flow_groups, _ = group_path(path, streams, cfg)
+            clusters = cluster_groups(flow_groups, cfg.similarity_threshold, cfg.resample_points)
+            groups.extend(correlate_path(clusters, activity, cfg, streams.window))
 
     counters = {
         "flows_ingested": len(flows),

@@ -1,13 +1,8 @@
 """Correlation of similarity clusters with malicious activity, and the report.
 
-One gate, ``correlate``, serves both paths.  A P2P botnet group is a
-similarity cluster's hosts that the window's activity map marks malicious,
-kept only when at least ``min_group_size`` hosts survive.  IRC clusters are
-emitted directly at the same size gate: their grouping key (source port +
-arrival-time bin) is already strong evidence of one-to-many C&C pushes.
-Setting ``irc_require_malicious`` applies the malicious-intersection rule to
-the IRC path as well.  ``correlate_p2p`` and ``correlate_irc`` are
-``correlate`` with its path bound.
+One function, ``correlate``, decides what is reported on both paths: its
+gates, in order, are multi-host, malicious and size.  ``correlate_p2p`` and
+``correlate_irc`` are ``correlate`` with its path bound.
 
 The report is a pure function of its inputs and serializes to stable JSON:
 top-level keys ``config``, ``counters``, ``groups``.
@@ -70,13 +65,23 @@ def correlate(
     cfg: DetectorConfig,
     window: WindowIndex,
 ) -> list[BotnetGroup]:
-    """One group per cluster whose hosts number at least ``min_group_size``,
-    counting only the malicious ones on the P2P path, and on the IRC path
-    under ``irc_require_malicious``."""
+    """The report's groups from one window's clusters on one path.
+
+    A cluster becomes a group only if it passes every gate, in this order:
+
+    1. *multi-host*: its keys name at least two source hosts; a cluster
+       confined to one host carries no cross-host evidence;
+    2. *malicious*: on the P2P path, and on the IRC path under
+       ``irc_require_malicious``, only the hosts that ``activity`` marks
+       malicious are kept;
+    3. *size*: at least ``min_group_size`` hosts remain.
+    """
     malicious_only = path is BotPath.P2P or cfg.irc_require_malicious
     groups = []
     for cluster in clusters:
         hosts = cluster.hosts
+        if len(hosts) < 2:
+            continue
         if malicious_only:
             hosts = tuple(h for h in hosts if h in activity and activity[h].malicious)
         if len(hosts) >= cfg.min_group_size:

@@ -15,7 +15,7 @@ from botdetect.monitors import (
     group_flows_p2p,
     window_partition,
 )
-from botdetect.pipeline import path_clusters, window_streams
+from botdetect.pipeline import group_path, window_streams
 from botdetect.report import BotPath
 from botdetect.similarity import FlowGroup, cluster_groups, flow_features
 from botdetect.synth import Xorshift64Star, generate, irc_botnet_scenario, p2p_botnet_scenario
@@ -27,11 +27,14 @@ CFG = default_config()
 
 
 def candidates(flows, path: BotPath):
-    """Each window's multi-host clusters on one path, as the pipeline finds them."""
-    return [
-        (streams.window, path_clusters(path, streams, CFG))
-        for streams in window_streams(FlowTable.from_records(flows), EMPTY_WHITELIST, CFG)
-    ]
+    """Each window's multi-host clusters on one path, grouped and clustered
+    as the pipeline does it."""
+    results = []
+    for streams in window_streams(FlowTable.from_records(flows), EMPTY_WHITELIST, CFG):
+        groups, _ = group_path(path, streams, CFG)
+        clusters = cluster_groups(groups, CFG.similarity_threshold, CFG.resample_points)
+        results.append((streams.window, [c for c in clusters if len(c.hosts) >= 2]))
+    return results
 
 
 class TestWindowPartition:

@@ -4,6 +4,8 @@ import dataclasses
 import json
 from ipaddress import IPv4Address
 
+import pytest
+
 from botdetect.activity import HostActivity, ScanScores, SpamReport
 from botdetect.model import default_config
 from botdetect.monitors import IRCGroupKey, P2PGroupKey, WindowIndex
@@ -11,6 +13,7 @@ from botdetect.report import (
     BotPath,
     build_report,
     config_echo,
+    correlate,
     correlate_irc,
     correlate_p2p,
     report_to_json,
@@ -51,6 +54,29 @@ def activity_map(malicious=(), benign=()) -> dict[IPv4Address, HostActivity]:
     activity = {IPv4Address(ip): host_activity(False) for ip in benign}
     activity.update((IPv4Address(ip), host_activity(True)) for ip in malicious)
     return activity
+
+
+def one_host_cluster(irc: bool) -> SimilarityCluster:
+    """Two groups of one host, both talking to ``SERVER``."""
+    host = IPv4Address("10.0.0.1")
+    if irc:
+        keys = tuple(IRCGroupKey(host, SERVER, sport, 6667, 3, "tcp") for sport in (40000, 40001))
+    else:
+        keys = tuple(P2PGroupKey(host, SERVER, dport, "tcp") for dport in (6881, 6882))
+    return SimilarityCluster(group_keys=keys, hosts=(host,))
+
+
+class TestCorrelateGates:
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("path", list(BotPath))
+    def test_a_single_host_cluster_is_never_reported(self, path, strict):
+        cfg = dataclasses.replace(CFG, min_group_size=1, irc_require_malicious=strict)
+        activity = activity_map(("10.0.0.1", "10.0.0.2"))
+        irc = path is BotPath.IRC
+        assert correlate(path, [one_host_cluster(irc)], activity, cfg, WINDOW) == []
+        # a second host is cross-host evidence, and the size gate is 1
+        (group,) = correlate(path, [cluster("10.0.0.1", "10.0.0.2", irc=irc)], activity, cfg, WINDOW)
+        assert hosts_of(group) == ["10.0.0.1", "10.0.0.2"]
 
 
 class TestCorrelateP2P:

@@ -18,7 +18,7 @@ from botdetect import similarity
 from botdetect.filtering import EMPTY_WHITELIST, parse_whitelist
 from botdetect.flowfile import parse_flow_file, write_flow_file
 from botdetect.model import default_config
-from botdetect.pipeline import group_path, path_clusters, window_streams
+from botdetect.pipeline import group_path, window_streams
 from botdetect.report import BotPath
 from botdetect.similarity import (
     EmptyGroup,
@@ -916,5 +916,6 @@ def test_rank_neighbours_first_bounds_the_pairs_scored(monkeypatch, workload, mo
     scores = count_scores(monkeypatch)
     for streams in window_streams(flows, whitelist, cfg):
         for path in BotPath:
-            path_clusters(path, streams, cfg)
+            groups, _ = group_path(path, streams, cfg)
+            cluster_groups(groups, cfg.similarity_threshold, cfg.resample_points)
     assert len(scores) <= most
