@@ -1,8 +1,9 @@
 """Correlation of similarity clusters with malicious activity, and the report.
 
-One function, ``correlate``, decides what is reported on both paths: its
-gates, in order, are multi-host, malicious and size.  ``correlate_p2p`` and
-``correlate_irc`` are ``correlate`` with its path bound.
+One function, ``correlate``, decides what is reported on both paths: it
+splits an IRC cluster by server, then applies its gates, in order:
+multi-host, malicious and size.  ``correlate_p2p`` and ``correlate_irc``
+are ``correlate`` with its path bound.
 
 The report is a pure function of its inputs and serializes to stable JSON:
 top-level keys ``config``, ``counters``, ``groups``.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import json
+from collections import defaultdict
 from dataclasses import dataclass, fields
 from functools import partial
 from ipaddress import IPv4Address
@@ -58,6 +60,18 @@ def _flags_for(
     return flags
 
 
+def _by_server(cluster: SimilarityCluster) -> list[SimilarityCluster]:
+    """``cluster``'s keys split by their ``(dip, dport)``: parts in order of
+    their first key, keys in order within each."""
+    parts = defaultdict(list)
+    for key in cluster.group_keys:
+        parts[key.dip, key.dport].append(key)
+    return [
+        SimilarityCluster(group_keys=tuple(keys), hosts=tuple(dict.fromkeys(k.sip for k in keys)))
+        for keys in parts.values()
+    ]
+
+
 def correlate(
     path: BotPath,
     clusters: list[SimilarityCluster],
@@ -67,7 +81,11 @@ def correlate(
 ) -> list[BotnetGroup]:
     """The report's groups from one window's clusters on one path.
 
-    A cluster becomes a group only if it passes every gate, in this order:
+    On the IRC path each cluster is first split by server, the
+    ``(dip, dport)`` of its keys: one IRC botnet's bots talk to one C&C
+    server (BotSniffer, Gu, Zhang & Lee, NDSS 2008), so hosts that only
+    chat alike on different servers are judged apart.  A cluster, or such a
+    part, becomes a group only if it passes every gate, in this order:
 
     1. *multi-host*: its keys name at least two source hosts; a cluster
        confined to one host carries no cross-host evidence;
@@ -77,6 +95,8 @@ def correlate(
     3. *size*: at least ``min_group_size`` hosts remain.
     """
     malicious_only = path is BotPath.P2P or cfg.irc_require_malicious
+    if path is BotPath.IRC:
+        clusters = [part for cluster in clusters for part in _by_server(cluster)]
     groups = []
     for cluster in clusters:
         hosts = cluster.hosts

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from ipaddress import IPv4Address
+from ipaddress import IPv4Address, IPv4Network
 
 import pytest
 
 from botdetect.activity import HostActivity, ScanScores, SpamReport
+from botdetect.filtering import EMPTY_WHITELIST
 from botdetect.model import default_config
 from botdetect.monitors import IRCGroupKey, P2PGroupKey, WindowIndex
+from botdetect.pipeline import group_path, run_detection, window_streams
 from botdetect.report import (
     BotPath,
     build_report,
@@ -18,24 +20,33 @@ from botdetect.report import (
     correlate_p2p,
     report_to_json,
 )
-from botdetect.similarity import SimilarityCluster
+from botdetect.similarity import SimilarityCluster, cluster_groups
+from botdetect.synth import generate, irc_botnet_scenario
+from botdetect.table import FlowTable
 
 CFG = default_config()
 WINDOW = WindowIndex(index=0, start=0.0, end=21600.0)
 
 
 SERVER = IPv4Address("198.51.100.7")
+OTHER_SERVER = IPv4Address("198.51.100.8")
 
 
-def cluster(*ips: str, irc: bool = False) -> SimilarityCluster:
-    """A cluster of one group per host, every group talking to ``SERVER``:
+def cluster(*ips: str, irc: bool = False, server: IPv4Address = SERVER) -> SimilarityCluster:
+    """A cluster of one group per host, every group talking to ``server``:
     P2P grouping keys, or IRC ones of one arrival-time bin."""
     hosts = tuple(sorted(IPv4Address(ip) for ip in ips))
     keys = tuple(
-        IRCGroupKey(host, SERVER, 40000, 6667, 3, "tcp") if irc else P2PGroupKey(host, SERVER, 6881, "tcp")
+        IRCGroupKey(host, server, 40000, 6667, 3, "tcp") if irc else P2PGroupKey(host, server, 6881, "tcp")
         for host in hosts
     )
     return SimilarityCluster(group_keys=keys, hosts=hosts)
+
+
+def merged(*clusters: SimilarityCluster) -> SimilarityCluster:
+    """One cluster of every key of ``clusters``, in key order."""
+    keys = tuple(sorted(k for c in clusters for k in c.group_keys))
+    return SimilarityCluster(group_keys=keys, hosts=tuple(dict.fromkeys(k.sip for k in keys)))
 
 
 def hosts_of(group) -> list[str]:
@@ -118,6 +129,34 @@ class TestCorrelateIRC:
 
     def test_empty(self):
         assert correlate_irc([], {}, CFG, WINDOW) == []
+
+    def test_a_cluster_that_spans_two_servers_is_judged_per_server(self):
+        on_one = cluster("10.0.0.1", "10.0.0.2", "10.0.0.3", irc=True)
+        on_other = cluster("10.0.0.4", "10.0.0.5", irc=True, server=OTHER_SERVER)
+        # five hosts in all, but only three of them on one server
+        (group,) = correlate_irc([merged(on_one, on_other)], {}, CFG, WINDOW)
+        assert hosts_of(group) == ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
+        assert group.cluster_keys == tuple(k.label() for k in on_one.group_keys)
+        on_other = cluster("10.0.0.4", "10.0.0.5", "10.0.0.6", irc=True, server=OTHER_SERVER)
+        groups = correlate_irc([merged(on_one, on_other)], {}, CFG, WINDOW)
+        assert [hosts_of(g) for g in groups] == [
+            ["10.0.0.1", "10.0.0.2", "10.0.0.3"], ["10.0.0.4", "10.0.0.5", "10.0.0.6"],
+        ]
+
+    def test_a_host_chatting_alike_on_its_own_server_is_not_reported(self):
+        # benign 10.0.1.16 chats with its own IRC server, and its curve is
+        # close enough to a bot's to join the bots' cluster
+        flows, truth = generate(irc_botnet_scenario(11))
+        table = FlowTable.from_records(flows)
+        benign = IPv4Address("10.0.1.16")
+        (streams,) = window_streams(table, EMPTY_WHITELIST, CFG)
+        groups, _ = group_path(BotPath.IRC, streams, CFG)
+        clusters = cluster_groups(groups, CFG.similarity_threshold, CFG.resample_points)
+        bots = set(truth.groups[0].hosts)
+        assert any(benign in c.hosts and bots <= set(c.hosts) for c in clusters)
+        report = run_detection(table, EMPTY_WHITELIST, IPv4Network("10.0.0.0/16"), CFG)
+        (group,) = report.groups
+        assert set(group.hosts) == bots
 
     def test_strict_mode_requires_malicious(self):
         strict = dataclasses.replace(CFG, irc_require_malicious=True)

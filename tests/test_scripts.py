@@ -135,7 +135,7 @@ c05427f47566371dc3a611f6d739caf89f843832ab96d61d646833d6509011aa  scores  deep_d
 fb9e8cdf2a1df2659434180997f8fbb80ae2fda2ebf3a3a018931b4e06f5a64a  parse  scan_mix(1)
 fb9e8cdf2a1df2659434180997f8fbb80ae2fda2ebf3a3a018931b4e06f5a64a  annotated-parse  scan_mix(1)
 fb9e8cdf2a1df2659434180997f8fbb80ae2fda2ebf3a3a018931b4e06f5a64a  from-records  scan_mix(1)
-9f55737d6ec41889216298d0a13e64242ee5eaa4490874585d2ced2c12c2b708  detect --internal 10.0.0.0/16  scan_mix(1)
+63b0c9d8a566017a02321b227649427d53ad99b2707ab65f26671aecaab8eb0a  detect --internal 10.0.0.0/16  scan_mix(1)
 8d20aebb4d235d65061750e04108ca7b91f1e56ce34acb1ace0a567217242b59  curves --path p2p  scan_mix(1)
 76c1226af529296ac037ea867e8f9c1de31448b7144daa652eaa511bddd0d822  curves --path irc  scan_mix(1)
 38cac05ad855114001c72c00349ba7d789d07f062223db35d2aca454be7dbfbb  scan-score --internal 10.0.0.0/16  scan_mix(1)
@@ -146,7 +146,7 @@ b8ddf2ec1eca4c91e6943ab4539f8344ae6286b0b46d324887ad2ea79ea4d092  curves  scan_m
 fb9e8cdf2a1df2659434180997f8fbb80ae2fda2ebf3a3a018931b4e06f5a64a  parse  scan_mix(1) under deep_day whitelist
 fb9e8cdf2a1df2659434180997f8fbb80ae2fda2ebf3a3a018931b4e06f5a64a  annotated-parse  scan_mix(1) under deep_day whitelist
 fb9e8cdf2a1df2659434180997f8fbb80ae2fda2ebf3a3a018931b4e06f5a64a  from-records  scan_mix(1) under deep_day whitelist
-36ba9119769c13dc2f72f94b21894e0c14aebe324a9656b9d782769abbc0c211  detect --internal 10.0.0.0/16  scan_mix(1) under deep_day whitelist
+744a73a062cc22922733e23ce68765d306babc3e135b80081da622795eef247f  detect --internal 10.0.0.0/16  scan_mix(1) under deep_day whitelist
 f0fd24d12234b45ad1e6042cc5ae4f4f3d1989fbd70d440f91484b7b02e2c8da  curves --path p2p  scan_mix(1) under deep_day whitelist
 76c1226af529296ac037ea867e8f9c1de31448b7144daa652eaa511bddd0d822  curves --path irc  scan_mix(1) under deep_day whitelist
 c4902132d75f3f57cf5eaa78e81c18e572fddd8b2050eb94787d0bc551fc47c1  scan-score --internal 10.0.0.0/16  scan_mix(1) under deep_day whitelist
