@@ -206,46 +206,31 @@ def _entropy_column(
     m.  Each host's counts are sorted ascending and divided by its total, as
     ``entropy_norm`` does; ``math.log`` is taken once per run of equal
     shares and once per host's m (numpy's ``log`` may differ from libm's in
-    the last bit).  The terms are summed left to right, as ``entropy_norm``
-    sums them, by ``np.add.accumulate`` along the rows of a zero-padded
-    matrix (``np.add.reduce`` and ``reduceat`` would sum pairwise).  Hosts
-    are grouped by the bit length of m - 1, so a row is less than twice its
-    host's m long.
+    the last bit).  The terms are summed by ``np.bincount``, which adds each
+    host's weights to 0.0 one at a time in row order: with the rows ordered
+    by host, then count, that is ``entropy_norm``'s left-to-right sum
+    (``np.add.reduce`` and ``reduceat`` would sum pairwise).
     """
     s3 = np.zeros(len(targets))
     spread = targets >= 2  # one target has zero spread
     keep = spread[pair_host]
     pair_host, counts = pair_host[keep], counts[keep]
-    bits = np.frexp(targets - 1)[1].astype(np.intp)  # intp, as the other row arithmetic
-    # rows in order of width, then host; each row's counts ascending
-    order = np.lexsort((counts, pair_host, bits[pair_host]))
+    # rows in order of host, each host's counts ascending
+    order = np.lexsort((counts, pair_host))
     pair_host, counts = pair_host[order], counts[order]
-    rows = np.flatnonzero(spread)
-    rows = rows[np.argsort(bits[rows], kind="stable")]
-    m, width = targets[rows], 1 << bits[rows]
     shares = counts / totals[pair_host]
     # equal shares sit side by side: one log and one term per run of them; a
-    # term is p * -ln p, exactly entropy_norm's p * ln p negated, so a row
-    # sums to H itself
+    # term is p * -ln p, exactly entropy_norm's p * ln p negated, so a host's
+    # terms sum to H itself
     starts = np.ones(len(shares), dtype=bool)
     starts[1:] = shares[1:] != shares[:-1]
     first = np.flatnonzero(starts)
     run_shares = shares[first]
     minus_logs = np.fromiter(map(neg, map(math.log, run_shares.tolist())), np.float64, len(first))
     terms = np.repeat(run_shares * minus_logs, np.diff(first, append=len(shares)))
-    # a row's j-th term lands at its row's start plus j
-    row_start = np.cumsum(width) - width
-    padded = np.zeros(width.sum())
-    padded[np.arange(len(terms)) + np.repeat(row_start - (np.cumsum(m) - m), m)] = terms
-    h = np.empty(len(rows))
-    row = at = 0
-    for b, k in enumerate(np.bincount(bits[rows]).tolist()):
-        if k:  # k rows of width 2**b
-            block = padded[at : at + (k << b)].reshape(k, 1 << b)
-            h[row : row + k] = np.add.accumulate(block, axis=1)[:, -1]
-            row, at = row + k, at + (k << b)
-    log_m = np.fromiter(map(math.log, m.tolist()), np.float64, len(m))
-    s3[rows] = np.minimum(np.maximum(h / log_m, 0.0), 1.0)
+    h = np.bincount(pair_host, weights=terms, minlength=len(targets))[spread]
+    log_m = np.fromiter(map(math.log, targets[spread].tolist()), np.float64, len(h))
+    s3[spread] = np.minimum(np.maximum(h / log_m, 0.0), 1.0)
     return s3
 
 

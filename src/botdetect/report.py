@@ -66,10 +66,7 @@ def _by_server(cluster: SimilarityCluster) -> list[SimilarityCluster]:
     parts = defaultdict(list)
     for key in cluster.group_keys:
         parts[key.dip, key.dport].append(key)
-    return [
-        SimilarityCluster(group_keys=tuple(keys), hosts=tuple(dict.fromkeys(k.sip for k in keys)))
-        for keys in parts.values()
-    ]
+    return [SimilarityCluster(group_keys=tuple(keys)) for keys in parts.values()]
 
 
 def correlate(

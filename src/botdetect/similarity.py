@@ -317,7 +317,11 @@ class SimilarityCluster:
     """A connected component of mutually similar groups."""
 
     group_keys: tuple
-    hosts: tuple[IPv4Address, ...]
+
+    @property
+    def hosts(self) -> tuple[IPv4Address, ...]:
+        """The keys' source hosts, each once, in order of their first key."""
+        return tuple(dict.fromkeys(k.sip for k in self.group_keys))
 
 
 # the most pairs _candidate_pairs builds in one numpy pass, unless one rank
@@ -413,9 +417,7 @@ def cluster_groups(
     # indices in order are keys in order, since ``ordered`` is sorted, and
     # keys sort by sip first: so hosts come out sorted, and clusters in order
     # of their smallest index are in order of (smallest host, smallest key)
-    clusters = []
-    for comp in sorted(map(sorted, filter(None, members))):
-        keys = tuple(ordered[i].key for i in comp)
-        hosts = tuple(dict.fromkeys(k.sip for k in keys))
-        clusters.append(SimilarityCluster(group_keys=keys, hosts=hosts))
-    return clusters
+    return [
+        SimilarityCluster(group_keys=tuple(ordered[i].key for i in comp))
+        for comp in sorted(map(sorted, filter(None, members)))
+    ]

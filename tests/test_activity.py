@@ -138,9 +138,8 @@ class TestVote:
 
 
 def host_counts():
-    """One host's target counts: m from 0 to 300, so rows of every width up
-    to 512 are drawn (the small ones as often as the large), and counts up to
-    2**40, repeated or not, in any order."""
+    """One host's target counts: m from 0 to 300 (a small m as often as a
+    large one), and counts up to 2**40, repeated or not, in any order."""
     count = st.one_of(st.integers(1, 3), st.integers(1, 2**40))
     m = st.one_of(st.integers(0, 17), st.integers(0, 300))
     return m.flatmap(lambda m: st.lists(count, min_size=m, max_size=m))

@@ -19,6 +19,7 @@ from botdetect.model import (
     parse_config,
     validate_flow,
 )
+from botdetect.synth import InvalidSpec, parse_scenario
 
 from .conftest import NON_FINITE, float_fields, make_flow, setting_text
 
@@ -139,6 +140,40 @@ class TestDefaults:
         assert (Proto.TCP, 1434) not in cfg.hs_ports
 
 
+# each rule of ``config_violations`` (but duration_floor's, tested on its
+# own): a config text breaking it, and its message
+CONFIG_RULES = {
+    "window_seconds = 0": "window_seconds must be > 0",
+    "similarity_threshold = -0.1": "similarity_threshold must be in [0, 1]",
+    "resample_points = 1": "resample_points must be >= 2",
+    "min_group_size = 0": "min_group_size must be >= 1",
+    "pat_bin_seconds = 0": "pat_bin_seconds must be > 0",
+    **{
+        f"{name} = -1": f"{name} must be >= 0"
+        for name in (
+            "w1",
+            "w2",
+            "isd_threshold",
+            "osd_s1_threshold",
+            "osd_s2_threshold",
+            "osd_s3_threshold",
+            "osd_min_scans",
+            "spam_distinct_servers",
+            "spam_total_flows",
+        )
+    },
+    # every broken rule is named, in the order checked
+    "resample_points = 1\nwindow_seconds = -1": "window_seconds must be > 0; resample_points must be >= 2",
+}
+
+# each refused ``hs_ports`` port and the message naming it
+HS_PORTS_ERRORS = {
+    "tcp:http": "hs_ports port 'http' is not an integer",
+    "tcp:65536": "hs_ports port out of range: 65536",
+    "udp:-1": "hs_ports port out of range: -1",
+}
+
+
 class TestConfigFile:
     def test_parse_overrides_and_comments(self):
         cfg = parse_config(
@@ -205,6 +240,24 @@ class TestConfigFile:
             parse_config("hs_ports = 445")
         with pytest.raises(ConfigError, match="hs_ports"):
             parse_config("hs_ports = icmp:445")
+
+    @pytest.mark.parametrize("text", CONFIG_RULES)
+    def test_each_broken_rule_is_named(self, text):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == CONFIG_RULES[text]
+
+    @pytest.mark.parametrize("entry", HS_PORTS_ERRORS)
+    def test_each_bad_hs_ports_port_is_named(self, entry):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"# ports\nhs_ports = tcp:445, {entry}")
+        assert str(err.value) == f"line 2: {HS_PORTS_ERRORS[entry]}"
+
+    @pytest.mark.parametrize("parse, error", [(parse_config, ConfigError), (parse_scenario, InvalidSpec)])
+    def test_a_line_without_equals_is_named(self, parse, error):
+        with pytest.raises(error) as err:
+            parse("# header\n\nseed 42  # no equals sign\n")
+        assert str(err.value) == "line 3: expected key = value, got 'seed 42'"
 
     def test_readme_table_lists_every_key_in_order(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")

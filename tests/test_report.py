@@ -40,13 +40,13 @@ def cluster(*ips: str, irc: bool = False, server: IPv4Address = SERVER) -> Simil
         IRCGroupKey(host, server, 40000, 6667, 3, "tcp") if irc else P2PGroupKey(host, server, 6881, "tcp")
         for host in hosts
     )
-    return SimilarityCluster(group_keys=keys, hosts=hosts)
+    return SimilarityCluster(group_keys=keys)
 
 
 def merged(*clusters: SimilarityCluster) -> SimilarityCluster:
     """One cluster of every key of ``clusters``, in key order."""
     keys = tuple(sorted(k for c in clusters for k in c.group_keys))
-    return SimilarityCluster(group_keys=keys, hosts=tuple(dict.fromkeys(k.sip for k in keys)))
+    return SimilarityCluster(group_keys=keys)
 
 
 def hosts_of(group) -> list[str]:
@@ -74,7 +74,7 @@ def one_host_cluster(irc: bool) -> SimilarityCluster:
         keys = tuple(IRCGroupKey(host, SERVER, sport, 6667, 3, "tcp") for sport in (40000, 40001))
     else:
         keys = tuple(P2PGroupKey(host, SERVER, dport, "tcp") for dport in (6881, 6882))
-    return SimilarityCluster(group_keys=keys, hosts=(host,))
+    return SimilarityCluster(group_keys=keys)
 
 
 class TestCorrelateGates:

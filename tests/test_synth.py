@@ -396,6 +396,63 @@ class TestGeneratorBytes:
         assert {f.sip.rsplit(".", 1)[0] for f in flows} == {f"10.0.{i}" for i in range(1, 6)}
 
 
+P2P_GROUP = PlantedGroup(kind=PlantedKind.P2P_BOT_GROUP, size=3)
+
+
+def planted(*groups: PlantedGroup) -> ScenarioSpec:
+    return ScenarioSpec(planted=groups)
+
+
+# each rule of ``validate_spec`` (but the size and scanner rules, tested with
+# ``generate``): a spec breaking it, and its message
+SPEC_RULES = {
+    "duration": (ScenarioSpec(duration=0.0), "duration must be > 0"),
+    "benign_flow_rate": (ScenarioSpec(benign_flow_rate=-0.5), "benign_flow_rate must be >= 0"),
+    "planted_cap": (planted(*[P2P_GROUP] * 201), "too many planted groups (max 200)"),
+    "nbpp": (planted(dataclasses.replace(P2P_GROUP, nbpp=0.0)), "planted.0: nbpp and nbps must be > 0"),
+    "nbps": (planted(dataclasses.replace(P2P_GROUP, nbps=-1.0)), "planted.0: nbpp and nbps must be > 0"),
+    "jitter_pct_100": (
+        planted(dataclasses.replace(P2P_GROUP, jitter_pct=100.0)),
+        "planted.0: jitter_pct must be in [0, 100)",
+    ),
+    "jitter_pct_negative": (
+        planted(dataclasses.replace(P2P_GROUP, jitter_pct=-1.0)),
+        "planted.0: jitter_pct must be in [0, 100)",
+    ),
+    "peers": (planted(dataclasses.replace(P2P_GROUP, peers=0)), "planted.0: peers must be >= 1"),
+    "flows_per_peer": (
+        planted(dataclasses.replace(P2P_GROUP, flows_per_peer=0)),
+        "planted.0: flows_per_peer must be >= 1",
+    ),
+    "scan_targets": (
+        planted(dataclasses.replace(P2P_GROUP, scan_targets=-1)),
+        "planted.0: scan_targets and smtp_fanout must be >= 0",
+    ),
+    "smtp_fanout": (
+        planted(dataclasses.replace(P2P_GROUP, smtp_fanout=-1)),
+        "planted.0: scan_targets and smtp_fanout must be >= 0",
+    ),
+    "spammer": (
+        planted(PlantedGroup(kind=PlantedKind.SPAMMER, size=1)),
+        "planted.0: spammer needs smtp_fanout >= 1",
+    ),
+    "second_group": (
+        planted(P2P_GROUP, dataclasses.replace(P2P_GROUP, peers=0)),
+        "planted.1: peers must be >= 1",
+    ),
+}
+
+
+class TestValidateSpec:
+    @pytest.mark.parametrize("rule", SPEC_RULES)
+    def test_each_broken_rule_is_named(self, rule):
+        spec, message = SPEC_RULES[rule]
+        assert validate_spec(spec) == [message]
+
+    def test_the_planted_cap_is_inclusive(self):
+        assert validate_spec(planted(*[P2P_GROUP] * 200)) == []
+
+
 SPEC_TEXT = """
 # three-bot scenario
 seed = 42
@@ -424,6 +481,12 @@ class TestScenarioFiles:
     def test_unknown_planted_key_rejected(self):
         with pytest.raises(InvalidSpec, match="unknown planted key"):
             parse_scenario("planted.0.kind = scanner\nplanted.0.size = 1\nplanted.0.speed = 9")
+
+    @pytest.mark.parametrize("key", ["planted.x.kind", "planted.0", "planted..size"])
+    def test_bad_planted_key_is_named(self, key):
+        with pytest.raises(InvalidSpec) as err:
+            parse_scenario(f"seed = 1\n{key} = scanner")
+        assert str(err.value) == f"line 2: bad planted key {key!r}"
 
     def test_missing_kind_rejected(self):
         with pytest.raises(InvalidSpec, match="missing kind"):

@@ -68,6 +68,11 @@ class TestRecords:
         assert list(table) == flows
         assert [table[i] for i in range(len(flows))] == flows
 
+    def test_repr_lists_the_records(self):
+        assert repr(FlowTable.from_records([])) == "FlowTable([])"
+        flows = [make_flow(), make_flow(proto=Proto.UDP, dport=53)]
+        assert repr(FlowTable.from_records(flows)) == f"FlowTable([{flows[0]!r}, {flows[1]!r}])"
+
     @given(st.lists(wide_flows(), max_size=12))
     def test_parse_of_written_flows_yields_the_records(self, flows):
         assert list(parse_flow_file(write_flow_file(flows))) == flows
