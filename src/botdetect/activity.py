@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import DetectorConfig, OsdMode, Proto
-from .table import PROTO_CODE, FlowTable, inside
+from .table import PROTO_CODE, FlowTable, inside, runs
 
 SMTP_PORTS = (25, 587)
 _SMTP = frozenset((Proto.TCP, port) for port in SMTP_PORTS)
@@ -203,12 +203,13 @@ def _entropy_column(
 
     ``counts`` are the counts of every host's targets, ``pair_host`` the
     host of each, ``totals`` each host's sum of counts and ``targets`` its
-    m.  Each host's counts are sorted ascending and divided by its total, as
-    ``entropy_norm`` does; ``math.log`` is taken once per run of equal
-    shares and once per host's m (numpy's ``log`` may differ from libm's in
-    the last bit).  The terms are summed by ``np.bincount``, which adds each
-    host's weights to 0.0 one at a time in row order: with the rows ordered
-    by host, then count, that is ``entropy_norm``'s left-to-right sum
+    m.  Each host's counts are sorted ascending into runs of equal counts
+    (:func:`table.runs`) and divided by its total, as ``entropy_norm``
+    does; a run takes one share and one ``math.log``, and each host's m
+    one ``math.log`` (numpy's ``log`` may differ from libm's in the last
+    bit).  The terms are summed by ``np.bincount``, which adds each host's
+    weights to 0.0 one at a time in row order: with the rows ordered by
+    host, then count, that is ``entropy_norm``'s left-to-right sum
     (``np.add.reduce`` and ``reduceat`` would sum pairwise).
     """
     s3 = np.zeros(len(targets))
@@ -216,19 +217,14 @@ def _entropy_column(
     keep = spread[pair_host]
     pair_host, counts = pair_host[keep], counts[keep]
     # rows in order of host, each host's counts ascending
-    order = np.lexsort((counts, pair_host))
-    pair_host, counts = pair_host[order], counts[order]
-    shares = counts / totals[pair_host]
-    # equal shares sit side by side: one log and one term per run of them; a
-    # term is p * -ln p, exactly entropy_norm's p * ln p negated, so a host's
-    # terms sum to H itself
-    starts = np.ones(len(shares), dtype=bool)
-    starts[1:] = shares[1:] != shares[:-1]
-    first = np.flatnonzero(starts)
-    run_shares = shares[first]
+    order, starts = runs([pair_host, counts])
+    first = order[starts[:-1]]
+    run_shares = counts[first] / totals[pair_host[first]]
+    # a term is p * -ln p, exactly entropy_norm's p * ln p negated, so a
+    # host's terms sum to H itself
     minus_logs = np.fromiter(map(neg, map(math.log, run_shares.tolist())), np.float64, len(first))
-    terms = np.repeat(run_shares * minus_logs, np.diff(first, append=len(shares)))
-    h = np.bincount(pair_host, weights=terms, minlength=len(targets))[spread]
+    terms = np.repeat(run_shares * minus_logs, np.diff(starts))
+    h = np.bincount(pair_host[order], weights=terms, minlength=len(targets))[spread]
     log_m = np.fromiter(map(math.log, targets[spread].tolist()), np.float64, len(h))
     s3[spread] = np.minimum(np.maximum(h / log_m, 0.0), 1.0)
     return s3

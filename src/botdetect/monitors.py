@@ -24,7 +24,7 @@ import numpy as np
 
 from .model import ConfigError, DetectorConfig, Proto
 from .similarity import FlowGroup, batch_features
-from .table import PROTOS, FlowTable
+from .table import PROTOS, FlowTable, runs
 
 # whether flows of each protocol are grouped, by protocol code; the two that
 # are come in the order of their values ("tcp" < "udp"), so keys sorted by
@@ -48,19 +48,6 @@ def _bins(start_ts: np.ndarray, seconds: float, name: str) -> np.ndarray:
     return np.floor_divide(start_ts, seconds)
 
 
-def _runs(keys: list[np.ndarray], ties: tuple[np.ndarray, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """The rows in key order (``keys[0]`` first, then the ``ties`` columns
-    in turn, remaining ties in row order) and the start of each run of
-    equal ``keys`` in that order, then the row count."""
-    order = np.lexsort([*keys, *ties][::-1])
-    changed = np.zeros(len(order), dtype=bool)
-    changed[:1] = True
-    for key in keys:
-        column = key[order]
-        changed[1:] |= column[1:] != column[:-1]
-    return order, np.append(np.flatnonzero(changed), len(order))
-
-
 @dataclass(frozen=True)
 class WindowIndex:
     """Half-open analysis interval [start, end), aligned to absolute time."""
@@ -80,7 +67,7 @@ def window_partition(table: FlowTable, window_seconds: float) -> list[tuple[Wind
     window's rows are gathered into a table of their own.
     """
     bins = _bins(table.start_ts, window_seconds, "window_seconds")
-    order, starts = _runs([bins])
+    order, starts = runs([bins])
     windows = []
     for start, stop in zip(starts[:-1].tolist(), starts[1:].tolist()):
         rows = order[start:stop]  # ascending: the sort is stable
@@ -133,7 +120,7 @@ def _collect_groups(
     # Proto.value once per group, and the groups come in numeric key order,
     # each group's points sorted by nbpp, then nbps
     nbpp, nbps = batch_features(table.npkts, table.nbytes, table.duration, duration_floor)
-    order, starts = _runs(key_columns, (nbpp, nbps))
+    order, starts = runs(key_columns, (nbpp, nbps))
     points = np.column_stack((nbpp[order], nbps[order]))
     points.flags.writeable = False
     firsts = order[starts[:-1]]

@@ -23,9 +23,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from ipaddress import IPv4Address
-from operator import add, truediv
+from operator import truediv
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ except ImportError:  # numpy 1.x
     from numpy.core.multiarray import interp as _interp
 
 from .model import FlowRecord
+from .table import runs
 
 
 # the normal range of a float64: below it the relative rounding error is unbounded
@@ -92,13 +93,12 @@ def batch_features(
 
 
 def flow_features(rec: FlowRecord, duration_floor: float) -> FlowFeatures:
-    """One flow's features: the one-row case of :func:`batch_features`.
-
-    The scalar reference for :func:`batch_features`, and tested against
-    it, as :func:`curve_similarity` is for the clustering's scorer.
-    """
-    nbpp, nbps = batch_features([rec.npkts], [rec.nbytes], [rec.duration], duration_floor)
-    return FlowFeatures(nbpp.item(), nbps.item())
+    """One flow's features in Python's own division: the scalar reference
+    for :func:`batch_features`, and tested against it, as
+    :func:`curve_similarity` is for the clustering's scorer."""
+    if rec.npkts < 1:
+        raise ZeroPackets(f"flow has npkts={rec.npkts}; features undefined")
+    return FlowFeatures(rec.nbytes / rec.npkts, rec.nbytes / max(rec.duration, duration_floor))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,17 +167,12 @@ def build_curve(points: np.ndarray | Sequence[FlowFeatures], resample_points: in
     if np.count_nonzero(nbpp[1:] > nbpp[:-1]) == k - 1:  # a tie, -0.0 before 0.0 or a nan is sorted
         xs, ys = nbpp, nbps + 0.0
     else:
-        order = np.lexsort((nbps, nbpp))
-        nbpp, nbps = nbpp[order], nbps[order]
-        # a longer run's nbps are added in Python, in order, as the mean was
-        # always taken: np.add.reduce sums pairwise, so its bits may differ
-        ends = (nbpp[1:] != nbpp[:-1]).nonzero()[0]  # the last point of each run but the last
-        bounds = [0, *(ends + 1).tolist(), k]
-        xs, ys = nbpp[bounds[:-1]], nbps[bounds[:-1]] + 0.0
-        values = nbps.tolist()
-        for run, (start, stop) in enumerate(zip(bounds, bounds[1:])):
-            if stop - start > 1:
-                ys[run] = reduce(add, values[start:stop], 0.0) / (stop - start)
+        order, starts = runs([nbpp], (nbps,))
+        # np.bincount adds each run's nbps to 0.0 one at a time, in order: the
+        # left-to-right sum (np.add.reduce sums pairwise, so its bits may differ)
+        sizes = np.diff(starts)
+        sums = np.bincount(np.repeat(np.arange(len(sizes)), sizes), weights=nbps[order])
+        xs, ys = nbpp[order[starts[:-1]]], sums / sizes
     lo, hi = float(xs[0]), float(xs[-1])
     if len(xs) == 1:
         sample_xs = np.full(resample_points, lo)
@@ -324,35 +319,20 @@ class SimilarityCluster:
         return tuple(dict.fromkeys(k.sip for k in self.group_keys))
 
 
-# the most pairs _candidate_pairs builds in one numpy pass, unless one rank
+# the most pairs _rank_neighbours builds in one numpy pass, unless one rank
 # distance alone holds more; it bounds the walk's transient memory
 _BLOCK_PAIRS = 4096
 
 
-def _candidate_pairs(
-    curves: list[Curve], threshold: float, component: np.ndarray
-) -> Iterator[tuple[int, int]]:
-    """The candidate pairs ``i < j``, as ints, rank neighbours first.
-
-    Below a positive threshold, disjoint non-degenerate ranges score exactly
-    0 and cannot link, so a pair is a candidate only if its ranges overlap.
-    A degenerate curve reaches every range, and at a threshold of 0 or less
-    every curve does.  The curves are ranked once by floor, then by peak
-    (nan last), and the pairs come by rank distance 1, 2, ..., then by rank
-    position.  They are built a block of consecutive distances at a time,
-    at most ``_BLOCK_PAIRS`` pairs (or one distance's, if more), so the
-    memory held is linear in the curves.
-
-    ``component`` holds each curve's component label, and the caller may
-    relabel as it links: a pair whose curves share a label when its block
-    is built is dropped there, with one comparison for the whole block.
-    Pairs joined later in the block still come, so a caller that skips
-    joined pairs checks the labels itself.
+def _rank_neighbours(rank: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every pair of the indices that ``rank`` orders, as blocks of index
+    arrays ``(i, j)`` with ``i < j``, by rank distance 1, 2, ..., then by
+    rank position.  A block holds consecutive distances, at most
+    ``_BLOCK_PAIRS`` pairs (or one distance's, if more), so the memory held
+    is linear in the indices.  It only orders: which pairs are scored is
+    :func:`cluster_groups`' to decide.
     """
-    spans = [(-np.inf, np.inf) if c.degenerate or threshold <= 0.0 else c.x_range for c in curves]
-    lows, highs = np.array(spans, dtype=np.float64).reshape(-1, 2).T
-    rank = np.lexsort(([c.peak for c in curves], [c.floor for c in curves]))
-    n = len(curves)
+    n = len(rank)
     d = 1
     while d < n:
         # distances d .. e-1, of n-d, n-d-1, ... pairs each
@@ -361,14 +341,12 @@ def _candidate_pairs(
             size += n - e
             e += 1
         counts = np.arange(n - d, n - e, -1)
-        # the rank positions of each pair's curves: for n = 4, d = 1, e = 3,
+        # the rank positions of each pair's indices: for n = 4, d = 1, e = 3,
         # near is 0 1 2 0 1 and far is 1 2 3 2 3
         near = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)
         far = near + np.repeat(np.arange(d, e), counts)
         near, far = rank[near], rank[far]
-        i, j = np.minimum(near, far), np.maximum(near, far)
-        keep = (lows[j] <= highs[i]) & (highs[j] >= lows[i]) & (component[i] != component[j])
-        yield from zip(i[keep].tolist(), j[keep].tolist())
+        yield np.minimum(near, far), np.maximum(near, far)
         d = e
 
 
@@ -377,16 +355,24 @@ def cluster_groups(
 ) -> list[SimilarityCluster]:
     """Single-linkage clustering of groups at the similarity threshold.
 
-    Candidate pairs are scored rank neighbours first: the curves are ranked
-    by floor, then by peak, and pairs are visited by rank distance, so
-    curves of similar level meet early; they are built a bounded block of
-    consecutive distances at a time.  A pair already inside one component
-    is skipped: when its block is built if its groups are joined by then,
-    else when it is reached.  The components do not depend on the visit
-    order, and every pair spanning two components is scored, so only which
-    pairs inside a cluster get scored changes with it.  Each pair is scored
-    with the threshold as its limit, so a pair whose envelope or mean bound
-    rules out a link is not resampled; every decision stays the exact score's.
+    The curves are ranked by floor, then by peak (nan last), and their
+    pairs come rank neighbours first (see :func:`_rank_neighbours`), so
+    curves of similar level meet early.  Each block of pairs passes these
+    rules in turn, and a pair that passes them all links if it scores at
+    least the threshold:
+
+    - below a positive threshold, disjoint non-degenerate ranges score
+      exactly 0, so a pair whose ranges do not overlap is dropped;
+    - a pair already inside one component when its block comes is dropped,
+      with one comparison for the whole block;
+    - a pair joined since then, by a link earlier in the block, is skipped;
+    - the pair is scored with the threshold as its limit, so a pair whose
+      envelope or mean bound rules out a link is not resampled; every
+      decision stays the exact score's.
+
+    The components do not depend on the visit order, and every pair
+    spanning two components is scored, so only which pairs inside a cluster
+    get scored changes with it.
 
     Output is canonical: clusters ordered by (smallest member host, smallest
     key), keys and hosts sorted within each cluster — invariant under any
@@ -396,24 +382,30 @@ def cluster_groups(
         return []
     ordered = sorted(groups, key=lambda g: g.key)
     curves = [build_curve(g.points, resample_points) for g in ordered]
+    spans = [(-np.inf, np.inf) if c.degenerate or threshold <= 0.0 else c.x_range for c in curves]
+    lows, highs = np.array(spans, dtype=np.float64).T
+    rank = np.lexsort(([c.peak for c in curves], [c.floor for c in curves]))
     # label[i] is the component of group i, members[c] the groups in component c;
-    # component mirrors label for _candidate_pairs' one comparison per block
+    # component mirrors label for one comparison per block
     label = list(range(len(ordered)))
     component = np.arange(len(ordered))
     members = [[i] for i in label]
-    for i, j in _candidate_pairs(curves, threshold, component):
-        if label[i] == label[j]:
-            # already joined: single linkage keeps only the components
-            continue
-        if curve_similarity(curves[i], curves[j], threshold) >= threshold:
-            into, moved = label[i], label[j]
-            if len(members[into]) < len(members[moved]):
-                into, moved = moved, into
-            for k in members[moved]:
-                label[k] = into
-            component[members[moved]] = into
-            members[into] += members[moved]
-            members[moved] = []
+    for i, j in _rank_neighbours(rank):
+        # the overlap mask and the component drop, once for the whole block
+        keep = (lows[j] <= highs[i]) & (highs[j] >= lows[i]) & (component[i] != component[j])
+        for a, b in zip(i[keep].tolist(), j[keep].tolist()):
+            if label[a] == label[b]:
+                # already joined: single linkage keeps only the components
+                continue
+            if curve_similarity(curves[a], curves[b], threshold) >= threshold:
+                into, moved = label[a], label[b]
+                if len(members[into]) < len(members[moved]):
+                    into, moved = moved, into
+                for k in members[moved]:
+                    label[k] = into
+                component[members[moved]] = into
+                members[into] += members[moved]
+                members[moved] = []
     # indices in order are keys in order, since ``ordered`` is sorted, and
     # keys sort by sip first: so hosts come out sorted, and clusters in order
     # of their smallest index are in order of (smallest host, smallest key)

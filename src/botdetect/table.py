@@ -8,7 +8,8 @@ block by block (:class:`TableBuilder`) and makes no record; windowing,
 filtering, classification, grouping and activity index and reduce its
 columns.  Iterating a table yields the records it holds.  A table has one
 way in, the parser: :meth:`FlowTable.from_records` parses what the writer
-writes of the records.  :func:`addresses` is the one dotted-quad parser.
+writes of the records.  :func:`addresses` is the one dotted-quad parser,
+and :func:`runs` the one sort into runs of equal keys.
 """
 
 from __future__ import annotations
@@ -43,6 +44,19 @@ def addresses(texts: list[str]) -> np.ndarray:
         raise ValueError("an octet above 255 or with a leading zero")
     octets = octets.reshape(-1, 4)
     return octets[:, 0] << 24 | octets[:, 1] << 16 | octets[:, 2] << 8 | octets[:, 3]
+
+
+def runs(keys: list[np.ndarray], ties: tuple[np.ndarray, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """The rows in key order (``keys[0]`` first, then the ``ties`` columns
+    in turn, remaining ties in row order) and the start of each run of
+    equal ``keys`` in that order, then the row count."""
+    order = np.lexsort([*keys, *ties][::-1])
+    changed = np.zeros(len(order), dtype=bool)
+    changed[:1] = True
+    for key in keys:
+        column = key[order]
+        changed[1:] |= column[1:] != column[:-1]
+    return order, np.append(np.flatnonzero(changed), len(order))
 
 
 def dotted(values: np.ndarray) -> list[str]:

@@ -794,6 +794,14 @@ class TestClusterGroups:
         clusters = cluster_groups([g1, g2], 0.85, 8)
         assert [str(h) for h in clusters[0].hosts] == ["10.0.0.2", "10.0.0.10"]
 
+    @settings(max_examples=200)
+    @given(cluster_inputs())
+    def test_scores_only_pairs_that_can_link(self, case):
+        groups, threshold, r = case
+        curves = {g.key: build_curve(g.points, r) for g in groups}
+        for a, b, _ in scored_pairs(*case):
+            assert is_candidate(curves[a], curves[b], threshold)
+
     def test_threshold_zero_joins_disjoint_ranges(self):
         g1 = group("g1", "10.0.0.1", (1, 5), (2, 5))
         g2 = group("g2", "10.0.0.2", (70, 5), (90, 5))
@@ -801,107 +809,58 @@ class TestClusterGroups:
         assert len(clusters) == 1
 
 
-def mixed_curves() -> list:
-    """Sixty curves: degenerate, all-zero, copied and overlapping ones."""
-    from botdetect.synth import Xorshift64Star
-
-    rng = Xorshift64Star(12)
-    shapes = []
-    for k in range(60):
-        lo = rng.uniform(1, 40)
-        if k % 5 == 0:
-            shapes.append([(lo, rng.uniform(1, 1000))])
-        elif k % 7 == 0:
-            shapes.append([(lo, 0.0), (lo + 5, 0.0)])
-        elif k % 11 == 0:
-            shapes.append(shapes[-1])
-        else:
-            hi = lo + rng.uniform(1, 30)
-            shapes.append([(lo, rng.uniform(1, 1000)), (hi, rng.uniform(1, 1000))])
-    return [build_curve([FlowFeatures(nbps=y, nbpp=x) for x, y in pts], 8) for pts in shapes]
+def neighbour_order(rank) -> list[tuple[int, int]]:
+    """Every pair of the items of ``rank``, lower first, by rank distance,
+    then by rank position."""
+    n = len(rank)
+    return [tuple(sorted((rank[p], rank[p + d]))) for d in range(1, n) for p in range(n - d)]
 
 
-@pytest.mark.parametrize("threshold", [0.0, 0.85])
-def test_candidate_pairs_yields_each_candidate_once_rank_neighbours_first(threshold):
-    curves = mixed_curves()
-    n = len(curves)
-    candidates = {
-        (i, j) for i, j in combinations(range(n), 2) if is_candidate(curves[i], curves[j], threshold)
-    }
-    pairs = list(similarity._candidate_pairs(curves, threshold, np.arange(len(curves))))
-    assert len(pairs) == len(set(pairs))
-    assert set(pairs) == candidates
-    assert all(type(i) is int and type(j) is int and i < j for i, j in pairs)
-    rank = sorted(range(n), key=lambda k: (curves[k].floor, curves[k].peak))
-    position = {k: p for p, k in enumerate(rank)}
-    # by rank distance, then by rank position
-    order = [(abs(position[i] - position[j]), min(position[i], position[j])) for i, j in pairs]
-    assert order == sorted(order)
+def rank_pairs(rank) -> list[tuple[int, int]]:
+    """The pairs ``_rank_neighbours`` yields for ``rank``, in order."""
+    blocks = similarity._rank_neighbours(np.array(rank, dtype=np.intp))
+    return [pair for i, j in blocks for pair in zip(i.tolist(), j.tolist())]
 
 
-def relabelling_walk(curves, threshold) -> tuple[list, int]:
-    """The pairs ``_candidate_pairs`` yields to a caller that relabels
-    ``component`` as it links, as ``cluster_groups`` does, kept when their
-    labels differ on arrival; and how many were dropped by that check."""
-    label = list(range(len(curves)))
-    component = np.arange(len(curves))
-    members = [[k] for k in label]
-    kept, dropped = [], 0
-    for i, j in similarity._candidate_pairs(curves, threshold, component):
-        if label[i] == label[j]:
-            dropped += 1
-            continue
-        kept.append((i, j))
-        if curve_similarity(curves[i], curves[j]) >= threshold:
-            into, moved = label[i], label[j]
-            for k in members[moved]:
-                label[k] = into
-            component[members[moved]] = into
-            members[into] += members[moved]
-            members[moved] = []
-    return kept, dropped
+@settings(max_examples=100)
+@given(st.integers(0, 70).flatmap(lambda n: st.permutations(range(n))))
+def test_rank_neighbours_yields_every_pair_once_by_distance_then_position(rank):
+    pairs = rank_pairs(rank)
+    assert sorted(pairs) == list(combinations(range(len(rank)), 2))
+    assert pairs == neighbour_order(rank)
 
 
-@pytest.mark.parametrize("threshold", [0.0, 0.5, 0.85])
-def test_candidate_pairs_come_in_the_same_order_whatever_the_block(monkeypatch, threshold):
-    curves = mixed_curves()
+@pytest.mark.parametrize("block", [1, 7, similarity._BLOCK_PAIRS])
+def test_rank_neighbours_come_in_the_same_order_whatever_the_block(monkeypatch, block):
+    rank = np.random.default_rng(12).permutation(60)
+    monkeypatch.setattr(similarity, "_BLOCK_PAIRS", block)
+    sizes = [len(i) for i, _ in similarity._rank_neighbours(rank)]
+    assert rank_pairs(rank) == neighbour_order(rank.tolist())
     # rank distance 1 alone holds more pairs than a block of 7
-    assert len(curves) - 1 > 7
-    plain = list(similarity._candidate_pairs(curves, threshold, np.arange(len(curves))))
-    relabelled, dropped = relabelling_walk(curves, threshold)
-    # at the default every pair is in one block, so pairs joined in it still come
-    assert len(curves) * (len(curves) - 1) // 2 <= similarity._BLOCK_PAIRS
-    assert dropped > 0
-    for block in (1, 7):
-        monkeypatch.setattr(similarity, "_BLOCK_PAIRS", block)
-        assert list(similarity._candidate_pairs(curves, threshold, np.arange(len(curves)))) == plain
-        assert relabelling_walk(curves, threshold)[0] == relabelled
+    assert max(sizes) <= max(block, len(rank) - 1)
 
 
 @pytest.mark.parametrize("n", [0, 1])
-def test_candidate_pairs_of_fewer_than_two_curves_is_empty(n):
-    curves = [build_curve([FlowFeatures(nbps=5.0, nbpp=2.0)], 8)] * n
-    assert list(similarity._candidate_pairs(curves, 0.85, np.arange(len(curves)))) == []
+def test_rank_neighbours_of_fewer_than_two_items_is_empty(n):
+    assert rank_pairs(range(n)) == []
 
 
-def test_candidate_pairs_memory_is_linear_in_the_curves():
+def test_rank_neighbours_memory_is_linear_in_the_items():
     import tracemalloc
 
     def peak(n):
-        curves = [build_curve([FlowFeatures(nbps=float(k), nbpp=1.0)], 4) for k in range(n)]
+        rank = np.arange(n)
         tracemalloc.start()
         try:
-            for _ in similarity._candidate_pairs(curves, 0.85, np.arange(len(curves))):
+            for _ in similarity._rank_neighbours(rank):
                 pass
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    # degenerate curves reach every range, so every pair is a candidate
+    # 4x the items: 4x is linear, 16x quadratic
     small, large = peak(250), peak(1000)
     assert large < 1_000_000
-    # 4x the curves: 4x is linear, 16x quadratic (above 4x here because
-    # indices below 256 are Python's shared small ints, later ones are not)
     assert large <= 6 * small
 
 

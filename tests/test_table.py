@@ -1,5 +1,6 @@
-"""The flow table: records in and out, the address columns, and the bins
-that windowing and IRC grouping take from its ``start_ts`` column."""
+"""The flow table: records in and out, the address columns, the sort into
+runs of equal keys, and the bins that windowing and IRC grouping take from
+its ``start_ts`` column."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from botdetect.pipeline import run_detection
 from botdetect.report import report_to_json
 from botdetect.similarity import batch_features
 from botdetect.synth import benign_scenario, generate, irc_botnet_scenario, p2p_botnet_scenario
-from botdetect.table import FlowTable, addresses, dotted, inside
+from botdetect.table import FlowTable, addresses, dotted, inside, runs
 
 from .conftest import NO_SHRINK, make_flow
 
@@ -157,6 +158,36 @@ def test_inside_is_network_membership(texts, networks):
     want = [any(IPv4Address(t) in n for n in networks) for t in texts + edges]
     assert inside(addresses(texts + edges), networks).tolist() == want
     assert inside(addresses([]), networks).tolist() == []
+
+
+@st.composite
+def run_columns(draw):
+    """Key columns and tie columns of one length: small ints, or floats
+    with nan, both zeros and infinities, so that values tie often."""
+    n = draw(st.integers(0, 30))
+
+    def column():
+        values = st.integers(-2, 2) if draw(st.booleans()) else st.sampled_from([math.nan, -0.0, 0.0, 1.5, -math.inf])
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    return [column() for _ in range(draw(st.integers(1, 3)))], [column() for _ in range(draw(st.integers(0, 2)))]
+
+
+def _sort_key(value) -> tuple:
+    # numpy's order: nan last, -0.0 equal to 0.0
+    return (value != value, 0.0 if value != value else value)
+
+
+@given(run_columns())
+def test_runs_is_a_stable_sort_into_runs_of_equal_keys(columns):
+    keys, ties = columns
+    n = len(keys[0])
+    want = sorted(range(n), key=lambda row: [_sort_key(column[row]) for column in keys + ties])
+    # a run starts where any key differs from the row before (a nan from every value)
+    starts = [p for p in range(n) if p == 0 or any(c[want[p]] != c[want[p - 1]] for c in keys)]
+    order, got = runs([np.array(c) for c in keys], tuple(np.array(c) for c in ties))
+    assert order.tolist() == want
+    assert got.tolist() == [*starts, n]
 
 
 # start times and bin widths at the edges of float floor division: zero,
