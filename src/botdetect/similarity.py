@@ -204,20 +204,20 @@ def curve_similarity(a: Curve, b: Curve, at_least: float = -math.inf) -> float:
     curve contributes its constant across the other curve's range.  When
     both curves are everywhere zero the score is defined as 1.0.
 
-    ``at_least`` is the least score the caller acts on.  Resampling keeps
-    each curve within its ``[floor, peak]`` envelope, so the score is at
-    most ``1 - gap / top``, with ``gap`` the distance between the two
-    envelopes and ``top`` the larger peak.  If that envelope bound is not
-    below ``at_least``, a tighter one is tried: a side that keeps its own
-    samples (degenerate, or scored on its own range) stands for its
-    ``mean`` instead of its envelope, as mean |ya - yb| >= |mean ya -
-    mean yb|; a mean that is not finite leaves the envelope.  When a bound
-    is below ``at_least`` (by a 1e-9 margin for rounding) it is returned
-    instead of the score: a value at or above ``at_least`` is returned
-    exactly when the score is, and is then the score itself.  The bounds
-    are taken only for a normal positive ``top`` and non-negative floors.
-    A call that stops at a bound is still one scored pair: a traced bench
-    run's ``pairs_scored`` counts every call.
+    ``at_least`` is the least score the caller acts on.  The score is at
+    most ``1 - gap / top``, with ``top`` the larger peak and ``gap`` the
+    distance between what the two sides stand for.  A side that keeps its
+    own samples (degenerate, or scored on its own range) and has a finite
+    ``mean`` stands for that mean, as mean |ya - yb| >= |mean ya - mean
+    yb|; any other side stands for its ``[floor, peak]`` envelope, which
+    resampling keeps it within.  A mean lies within its envelope, so this
+    one bound is never looser than the envelopes' alone.  When it is below
+    ``at_least`` (by a 1e-9 margin for rounding) it is returned instead of
+    the score: a value at or above ``at_least`` is returned exactly when
+    the score is, and is then the score itself.  The bound is taken only
+    for a normal positive ``top`` and non-negative floors.  A call that
+    stops at the bound is still one scored pair: a traced bench run's
+    ``pairs_scored`` counts every call.
     """
     r = len(a.ys)
     if len(b.ys) != r:
@@ -236,15 +236,6 @@ def curve_similarity(a: Curve, b: Curve, at_least: float = -math.inf) -> float:
         hi = hi_b if hi_b < hi_a else hi_a
         if hi < lo:
             return 0.0
-    # a curve with a nan sample has a nan floor, so such a pair takes the exact path
-    peak_a, peak_b, floor_a, floor_b = a.peak, b.peak, a.floor, b.floor
-    top = peak_b if peak_b > peak_a else peak_a
-    bounded = _SMALLEST_NORMAL <= top <= _LARGEST and floor_a >= 0.0 and floor_b >= 0.0
-    if bounded:
-        gap_a, gap_b = floor_a - peak_b, floor_b - peak_a
-        bound = 1.0 - (gap_b if gap_b > gap_a else gap_a) / top
-        if bound < at_least - 1e-9:
-            return bound
     # A side scored on its own range keeps its samples: _linspace rebuilds
     # its xs bit for bit, interp returns fp[j] where x == xp[j], and a
     # degenerate curve's ys is already its constant.  When only one side
@@ -254,9 +245,12 @@ def curve_similarity(a: Curve, b: Curve, at_least: float = -math.inf) -> float:
     # np.interp's bits for these float64 arrays.
     own_a = a.degenerate or range_a == (lo, hi)
     own_b = b.degenerate or range_b == (lo, hi)
-    if bounded and (own_a or own_b):
-        # mean |ya - yb| >= |mean ya - mean yb|, and a resampled side's mean
-        # lies within its envelope
+    # a curve with a nan sample has a nan floor, so such a pair takes the exact path
+    peak_a, peak_b, floor_a, floor_b = a.peak, b.peak, a.floor, b.floor
+    top = peak_b if peak_b > peak_a else peak_a
+    if _SMALLEST_NORMAL <= top <= _LARGEST and floor_a >= 0.0 and floor_b >= 0.0:
+        # mean |ya - yb| >= |mean ya - mean yb|, and a resampled side lies
+        # within its envelope
         mean_a, mean_b = a.mean, b.mean
         low_a, high_a = (mean_a, mean_a) if own_a and mean_a <= _LARGEST else (floor_a, peak_a)
         low_b, high_b = (mean_b, mean_b) if own_b and mean_b <= _LARGEST else (floor_b, peak_b)
@@ -367,8 +361,8 @@ def cluster_groups(
       with one comparison for the whole block;
     - a pair joined since then, by a link earlier in the block, is skipped;
     - the pair is scored with the threshold as its limit, so a pair whose
-      envelope or mean bound rules out a link is not resampled; every
-      decision stays the exact score's.
+      score bound rules out a link is not resampled; every decision stays
+      the exact score's.
 
     The components do not depend on the visit order, and every pair
     spanning two components is scored, so only which pairs inside a cluster

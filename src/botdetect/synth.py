@@ -22,9 +22,13 @@ Behavior models:
   shapes, occasional ICMP, an HTTP mix, and rare legitimate IRC chatter.
 
 Every planted kind is emitted by one function, as one block a group: its
-members' command flows (none for scanners and spammers) and their
+members' command flows (none for scanners and spammers), then their
 ``scan_targets`` probes each, whatever the kind, then their mail to
-``smtp_fanout`` servers each.
+``smtp_fanout`` servers each.  Each external address is allocated once,
+so the only flows the sort below leaves in generation order (equal on its
+whole key) are one member's command flows to one destination, or its mail
+to one server: the order within a block, which keeps each of those runs,
+does not change the file.
 
 Addresses: internal hosts live in 10.0.0.0/16.  Benign host i is
 10.0.1.(i+1) for the first 250; later ones fill 10.0.202.0/24 upward, 250
@@ -37,11 +41,11 @@ group's command flows and scan probes) take their draws in one
 :meth:`Xorshift64Star.draws` call, the same xorshift64* sequence computed a
 block at a time, and do their float arithmetic on numpy columns with the
 same IEEE-754 operations as the scalar draws, so every byte is what one draw
-at a time would give.  A planted group's draws form one (members, draws per
-member) matrix: one call for the whole group, or one row per member when the
-group mails, since the mail between them draws scalars.  The flows are put in
-order by one stable sort on the start time, then a sort of each run of equal
-starts by (start, sip, dip, sport, dport).
+at a time would give.  A planted group's command-flow and probe draws form
+one (members, draws per member) matrix: one call for the whole group, or one
+row per member when the group mails, since the mail between them draws
+scalars.  The flows are put in order by one stable sort on the start time,
+then a sort of each run of equal starts by (start, sip, dip, sport, dport).
 """
 
 from __future__ import annotations
@@ -355,7 +359,7 @@ def _smtp_flows(rng, spec, sip, fanout, alloc) -> list[FlowRecord]:
 
 
 def _planted_flows(rng, spec, group, members, alloc) -> list[FlowRecord]:
-    """Every member's command flows and scan probes, then the group's mail.
+    """The group's command flows, then its scan probes, then its mail.
 
     A P2P group talks to its peers on one random port at any time of the
     scenario; an IRC group talks to one server on 6667 inside one
@@ -363,8 +367,15 @@ def _planted_flows(rng, spec, group, members, alloc) -> list[FlowRecord]:
     member sends every anchor of the shared ladder to every destination.
 
     Each member's command-flow and probe draws are one row of a
-    (members, draws per member) matrix: one bulk draw for the group, or,
-    when the group mails, one per member between its mail's scalar draws.
+    (members, draws per member) matrix, taken a part at a time: a group
+    that mails has one part per member, as its mail between the rows draws
+    scalars; any other group has one part of all its members.  The command
+    flows are one block in (member, destination, anchor) order and the
+    probes one in (member, probe) order.  Which block comes first does not
+    change the sorted file: each external address is allocated once, so
+    the only flows equal on the whole sort key are one member's command
+    flows to one destination, or its mail to one server, and each of those
+    keeps its order here.
     """
     irc = group.kind is PlantedKind.IRC_BOT_GROUP
     dport, dests, first, span, last = 0, [], 0.0, 0.0, 0.0
@@ -382,62 +393,44 @@ def _planted_flows(rng, spec, group, members, alloc) -> list[FlowRecord]:
     # a member's row: per destination its sport, then each anchor's
     # duration jitter and start; then per probe its start, sport and port
     width = len(dests) * (1 + 2 * n)
-    mail = []
-    if group.smtp_fanout:
-        rows, probe_dips = [], []
-        for sip in members:
-            rows.append(rng.draws(width + 3 * targets))
-            probe_dips += alloc.externals(targets)
+    rows, probe_dips, mail = [], [], []
+    for part in [[sip] for sip in members] if group.smtp_fanout else [members]:
+        rows.append(rng.draws(len(part) * (width + 3 * targets)))
+        probe_dips += alloc.externals(len(part) * targets)
+        for sip in part:
             mail += _smtp_flows(rng, spec, sip, group.smtp_fanout, alloc)
-        draws = np.stack(rows)
-    else:
-        draws = rng.draws(size * (width + 3 * targets)).reshape(size, -1)
-        probe_dips = alloc.externals(size * targets)
+    draws = np.concatenate(rows).reshape(size, width + 3 * targets)
     command = draws[:, :width].reshape(size, len(dests), 1 + 2 * n)
     probe = draws[:, width:].reshape(size, targets, 3)
-    commands = len(dests) * n
-
-    def column(command_field, probe_field, dtype) -> list:
-        """One field of the records, member by member: each member's
-        command flows in (destination, anchor) order, then its probes."""
-        out = np.empty((size, commands + targets), dtype=dtype)
-        out[:, :commands] = command_field
-        out[:, commands:] = probe_field
-        return out.ravel().tolist()
-
     jitter = group.jitter_pct / 100.0
     nominal = np.array(durations)
-    sip = np.array(members, dtype=object)[:, None]
     nick = [f"NICK b{j:03d}\r\n".encode() if irc else b"" for j in range(size)]
     flows = _records(
-        column(
-            _q6_column(np.minimum(first + _uniform(command[:, :, 2::2], 0.0, span), last)).reshape(size, -1),
-            _q6_column(_uniform(probe[:, :, 0], 0.0, spec.duration * 0.99)),
-            float,
-        ),
-        column(
-            _q6_column(nominal * (1.0 + _uniform(command[:, :, 1::2], -jitter, jitter))).reshape(size, -1),
-            0.0,
-            float,
-        ),
+        _q6_column(np.minimum(first + _uniform(command[:, :, 2::2], 0.0, span), last)).ravel().tolist(),
+        _q6_column(nominal * (1.0 + _uniform(command[:, :, 1::2], -jitter, jitter))).ravel().tolist(),
         repeat(Proto.TCP),
-        column(sip, sip, object),
-        column(
-            np.repeat(1024 + _randint(command[:, :, 0], 64511), n, axis=1),
-            1024 + _randint(probe[:, :, 1], 64511),
-            int,
-        ),
-        column(
-            np.repeat(dests, n).astype(object), np.array(probe_dips, dtype=object).reshape(size, -1), object
-        ),
-        column(dport, np.array(_SCAN_PORTS)[_randint(probe[:, :, 2], len(_SCAN_PORTS))], int),
-        column(npkts * len(dests), 1, int),
-        column(nbytes * len(dests), 60, int),
-        column(TcpState.ESTABLISHED, TcpState.SYN_ONLY, object),
-        column(np.array(nick, dtype=object)[:, None], b"", object),
+        np.repeat(members, len(dests) * n).tolist(),
+        np.repeat(1024 + _randint(command[:, :, 0], 64511), n).tolist(),
+        np.repeat(dests, n).tolist() * size,
+        repeat(dport),
+        npkts * len(dests) * size,
+        nbytes * len(dests) * size,
+        repeat(TcpState.ESTABLISHED),
+        np.repeat(np.array(nick, dtype=object), len(dests) * n).tolist(),
     )
-    # each external address is allocated once, so no mail flow shares a dip
-    # with the block's flows, and where it goes here leaves the sorted order
+    flows += _records(
+        _q6_column(_uniform(probe[:, :, 0], 0.0, spec.duration * 0.99)).ravel().tolist(),
+        repeat(0.0),
+        repeat(Proto.TCP),
+        np.repeat(members, targets).tolist(),
+        (1024 + _randint(probe[:, :, 1], 64511)).ravel().tolist(),
+        probe_dips,
+        np.array(_SCAN_PORTS)[_randint(probe[:, :, 2], len(_SCAN_PORTS))].ravel().tolist(),
+        repeat(1),
+        repeat(60),
+        repeat(TcpState.SYN_ONLY),
+        repeat(b""),
+    )
     return flows + mail
 
 
@@ -666,9 +659,10 @@ def write_truth(truth: GroundTruth) -> str:
 
 def parse_truth(text: str) -> GroundTruth:
     """Parse a ground-truth sidecar; any bad line raises :class:`InvalidSpec`
-    naming it."""
+    naming it.  Group lines are numbered from 0 in order and name at least
+    one host; there is at most one ``malicious`` line."""
     groups = []
-    malicious: tuple[IPv4Address, ...] = ()
+    malicious: tuple[IPv4Address, ...] | None = None
     for lineno, line in content_lines(text):
         head, *rest = line.split()
         if head not in ("group", "malicious"):
@@ -677,9 +671,13 @@ def parse_truth(text: str) -> GroundTruth:
             if head == "group":
                 kind = PlantedKind(rest[1])
                 hosts = tuple(sorted(IPv4Address(p) for p in rest[2:]))
+                ok = rest[0] == str(len(groups)) and len(hosts) > 0
                 groups.append(PlantedTruth(kind=kind, hosts=hosts))
             else:
+                ok = malicious is None
                 malicious = tuple(sorted(IPv4Address(p) for p in rest))
         except (IndexError, ValueError):
-            raise InvalidSpec(f"line {lineno}: bad truth line: {line!r}") from None
-    return GroundTruth(groups=tuple(groups), malicious=malicious)
+            ok = False
+        if not ok:
+            raise InvalidSpec(f"line {lineno}: bad truth line: {line!r}")
+    return GroundTruth(groups=tuple(groups), malicious=malicious or ())

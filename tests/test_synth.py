@@ -395,6 +395,23 @@ class TestGeneratorBytes:
         assert any(f.dport == 6667 for f in benign)
         assert {f.sip.rsplit(".", 1)[0] for f in flows} == {f"10.0.{i}" for i in range(1, 6)}
 
+    def test_each_external_address_has_one_owner(self, monkeypatch):
+        # every flow to one external address comes from one benign host or
+        # from members of one planted group, so the only flows equal on the
+        # whole sort key are one host's to one address, and a planted
+        # group's layout within its block does not change the file
+        specs = [EVERY_KIND] + [w.make_spec(1, 1.0) for w in bench_workloads(monkeypatch).values()]
+        for spec in specs:
+            flows, truth = generate(spec)
+            group_of = {str(h): g for g, entry in enumerate(truth.groups) for h in entry.hosts}
+            sources: dict[str, set[str]] = {}
+            for f in flows:
+                sources.setdefault(f.dip, set()).add(f.sip)
+            for dip, hosts in sources.items():
+                assert not dip.startswith("10.") and len({group_of.get(h, h) for h in hosts}) == 1, dip
+            if spec is EVERY_KIND:  # its P2P and IRC groups share their destinations
+                assert max(map(len, sources.values())) > 1
+
 
 P2P_GROUP = PlantedGroup(kind=PlantedKind.P2P_BOT_GROUP, size=3)
 
@@ -580,6 +597,9 @@ class TestTruthFile:
             "group 0",
             "group 0 botnet 10.0.2.1",
             "group 0 scanner 10.0.2.1 10.0.2.300",
+            "group x scanner 10.0.2.1",
+            "group 7 scanner 10.0.2.1",
+            "group 0 scanner",
             "malicious 1.2.3",
             "hosts 10.0.2.1",
         ],
@@ -589,3 +609,8 @@ class TestTruthFile:
             parse_truth(f"# truth\n{line}\n")
         assert str(err.value).startswith("line 2: ")
         assert str(err.value).endswith(repr(line))
+
+    def test_second_malicious_line_named(self):
+        text = "group 0 scanner 10.0.2.1\nmalicious 10.0.2.1\nmalicious 10.0.2.2\n"
+        with pytest.raises(InvalidSpec, match=r"^line 3: bad truth line: 'malicious 10\.0\.2\.2'$"):
+            parse_truth(text)
