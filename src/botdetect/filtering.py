@@ -9,7 +9,7 @@ failed-connection evidence the scan scorer needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ipaddress import IPv4Address, IPv4Network
+from ipaddress import IPv4Network
 
 import numpy as np
 
@@ -24,14 +24,10 @@ class WhitelistError(ValueError):
     """Raised for malformed whitelist input."""
 
 
-@dataclass(frozen=True)
-class Whitelist:
-    """Deduplicated set of IPv4 CIDR prefixes matched against flow dips."""
+# the deduplicated IPv4 CIDR prefixes matched against flow dips
+Whitelist = frozenset[IPv4Network]
 
-    entries: frozenset[IPv4Network]
-
-
-EMPTY_WHITELIST = Whitelist(frozenset())
+EMPTY_WHITELIST = Whitelist()
 
 
 def parse_whitelist(text: str) -> Whitelist:
@@ -42,13 +38,11 @@ def parse_whitelist(text: str) -> Whitelist:
     entries: set[IPv4Network] = set()
     for lineno, line in content_lines(text):
         try:
-            if "/" in line:
-                entries.add(IPv4Network(line, strict=False))
-            else:
-                entries.add(IPv4Network(f"{IPv4Address(line)}/32"))
+            # a bare address parses to its /32
+            entries.add(IPv4Network(line, strict=False))
         except ValueError:
             raise WhitelistError(f"line {lineno}: not an IPv4 address or CIDR: {line!r}") from None
-    return Whitelist(frozenset(entries))
+    return Whitelist(entries)
 
 
 @dataclass(frozen=True)
@@ -68,7 +62,7 @@ def run_filter(table: FlowTable, wl: Whitelist) -> FilterOutput:
     tcp_state decides the split, so non-TCP flows stay clean.  Order is
     preserved within each stream.
     """
-    kept = ~inside(table.dip, wl.entries)
+    kept = ~inside(table.dip, wl)
     failed = _FAILED[table.tcp_state]
     return FilterOutput(
         clean=table[kept & ~failed],

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 from .activity import HostActivity
 from .model import DetectorConfig
 from .monitors import WindowIndex
-from .similarity import SimilarityCluster
+from .similarity import cluster_hosts
 
 
 class BotPath(enum.Enum):
@@ -60,18 +60,18 @@ def _flags_for(
     return flags
 
 
-def _by_server(cluster: SimilarityCluster) -> list[SimilarityCluster]:
+def _by_server(cluster: tuple) -> list[tuple]:
     """``cluster``'s keys split by their ``(dip, dport)``: parts in order of
     their first key, keys in order within each."""
     parts = defaultdict(list)
-    for key in cluster.group_keys:
+    for key in cluster:
         parts[key.dip, key.dport].append(key)
-    return [SimilarityCluster(group_keys=tuple(keys)) for keys in parts.values()]
+    return [tuple(keys) for keys in parts.values()]
 
 
 def correlate(
     path: BotPath,
-    clusters: list[SimilarityCluster],
+    clusters: list[tuple],
     activity: Mapping[IPv4Address, HostActivity],
     cfg: DetectorConfig,
     window: WindowIndex,
@@ -96,7 +96,7 @@ def correlate(
         clusters = [part for cluster in clusters for part in _by_server(cluster)]
     groups = []
     for cluster in clusters:
-        hosts = cluster.hosts
+        hosts = cluster_hosts(cluster)
         if len(hosts) < 2:
             continue
         if malicious_only:
@@ -107,7 +107,7 @@ def correlate(
                     window=window,
                     path=path,
                     hosts=hosts,
-                    cluster_keys=tuple(k.label() for k in cluster.group_keys),
+                    cluster_keys=tuple(k.label() for k in cluster),
                     activity_flags=_flags_for(hosts, activity),
                 )
             )

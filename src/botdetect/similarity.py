@@ -301,16 +301,9 @@ def _linspace(lo: float, hi: float, r: int) -> np.ndarray:
     return positions
 
 
-@dataclass(frozen=True)
-class SimilarityCluster:
-    """A connected component of mutually similar groups."""
-
-    group_keys: tuple
-
-    @property
-    def hosts(self) -> tuple[IPv4Address, ...]:
-        """The keys' source hosts, each once, in order of their first key."""
-        return tuple(dict.fromkeys(k.sip for k in self.group_keys))
+def cluster_hosts(keys: tuple) -> tuple[IPv4Address, ...]:
+    """A cluster's source hosts, each once, in order of their first key."""
+    return tuple(dict.fromkeys(k.sip for k in keys))
 
 
 # the most pairs _rank_neighbours builds in one numpy pass, unless one rank
@@ -346,7 +339,7 @@ def _rank_neighbours(rank: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]
 
 def cluster_groups(
     groups: list[FlowGroup], threshold: float, resample_points: int
-) -> list[SimilarityCluster]:
+) -> list[tuple]:
     """Single-linkage clustering of groups at the similarity threshold.
 
     The curves are ranked by floor, then by peak (nan last), and their
@@ -368,9 +361,10 @@ def cluster_groups(
     spanning two components is scored, so only which pairs inside a cluster
     get scored changes with it.
 
-    Output is canonical: clusters ordered by (smallest member host, smallest
-    key), keys and hosts sorted within each cluster — invariant under any
-    permutation of the input.
+    Each cluster is the tuple of its groups' keys; :func:`cluster_hosts`
+    gives its hosts.  Output is canonical: clusters ordered by (smallest
+    member host, smallest key), keys and hosts sorted within each cluster —
+    invariant under any permutation of the input.
     """
     if not groups:
         return []
@@ -403,7 +397,4 @@ def cluster_groups(
     # indices in order are keys in order, since ``ordered`` is sorted, and
     # keys sort by sip first: so hosts come out sorted, and clusters in order
     # of their smallest index are in order of (smallest host, smallest key)
-    return [
-        SimilarityCluster(group_keys=tuple(ordered[i].key for i in comp))
-        for comp in sorted(map(sorted, filter(None, members)))
-    ]
+    return [tuple(ordered[i].key for i in comp) for comp in sorted(map(sorted, filter(None, members)))]

@@ -660,24 +660,29 @@ def write_truth(truth: GroundTruth) -> str:
 def parse_truth(text: str) -> GroundTruth:
     """Parse a ground-truth sidecar; any bad line raises :class:`InvalidSpec`
     naming it.  Group lines are numbered from 0 in order and name at least
-    one host; there is at most one ``malicious`` line."""
+    one host; one ``malicious`` line comes last and names only grouped
+    hosts; no line names a host twice."""
     groups = []
+    grouped: set[IPv4Address] = set()
     malicious: tuple[IPv4Address, ...] | None = None
     for lineno, line in content_lines(text):
         head, *rest = line.split()
         if head not in ("group", "malicious"):
             raise InvalidSpec(f"line {lineno}: unknown truth line: {line!r}")
         try:
+            hosts = tuple(sorted(IPv4Address(p) for p in (rest[2:] if head == "group" else rest)))
+            ok = malicious is None and len(set(hosts)) == len(hosts)
             if head == "group":
-                kind = PlantedKind(rest[1])
-                hosts = tuple(sorted(IPv4Address(p) for p in rest[2:]))
-                ok = rest[0] == str(len(groups)) and len(hosts) > 0
-                groups.append(PlantedTruth(kind=kind, hosts=hosts))
+                ok = ok and rest[0] == str(len(groups)) and len(hosts) > 0
+                groups.append(PlantedTruth(kind=PlantedKind(rest[1]), hosts=hosts))
+                grouped.update(hosts)
             else:
-                ok = malicious is None
-                malicious = tuple(sorted(IPv4Address(p) for p in rest))
+                ok = ok and grouped.issuperset(hosts)
+                malicious = hosts
         except (IndexError, ValueError):
             ok = False
         if not ok:
             raise InvalidSpec(f"line {lineno}: bad truth line: {line!r}")
-    return GroundTruth(groups=tuple(groups), malicious=malicious or ())
+    if malicious is None:
+        raise InvalidSpec("missing malicious line")
+    return GroundTruth(groups=tuple(groups), malicious=malicious)

@@ -39,11 +39,16 @@ class TestWhitelist:
 
     def test_comments_blanks_and_dedup(self):
         wl = parse_whitelist("# corp\n8.8.8.0/24\n\n8.8.8.0/24  # repeat\n")
-        assert len(wl.entries) == 1
+        assert len(wl) == 1
 
     def test_bad_line_reports_number(self):
         with pytest.raises(WhitelistError, match="line 2"):
             parse_whitelist("8.8.8.0/24\nnot-an-ip\n")
+
+    @pytest.mark.parametrize("line", ["010.0.0.1", "256.0.0.1", "1.2.3", "::1"])
+    def test_non_canonical_or_non_ipv4_address_refused(self, line):
+        with pytest.raises(WhitelistError, match=f"^line 2: .*{line!r}$"):
+            parse_whitelist(f"8.8.8.0/24\n{line}\n")
 
     def test_idempotent(self):
         wl = parse_whitelist("198.51.100.0/24")

@@ -17,7 +17,7 @@ from botdetect.monitors import (
 )
 from botdetect.pipeline import group_path, window_streams
 from botdetect.report import BotPath
-from botdetect.similarity import FlowGroup, cluster_groups, flow_features
+from botdetect.similarity import FlowGroup, cluster_groups, cluster_hosts, flow_features
 from botdetect.synth import Xorshift64Star, generate, irc_botnet_scenario, p2p_botnet_scenario
 from botdetect.table import FlowTable
 
@@ -33,7 +33,7 @@ def candidates(flows, path: BotPath):
     for streams in window_streams(FlowTable.from_records(flows), EMPTY_WHITELIST, CFG):
         groups, _ = group_path(path, streams, CFG)
         clusters = cluster_groups(groups, CFG.similarity_threshold, CFG.resample_points)
-        results.append((streams.window, [c for c in clusters if len(c.hosts) >= 2]))
+        results.append((streams.window, [c for c in clusters if len(cluster_hosts(c)) >= 2]))
     return results
 
 
@@ -195,8 +195,8 @@ class TestCanonicalOrder:
         groups, _ = group_flows_p2p(FlowTable.from_records(self.p2p_flows()), CFG.duration_floor)
         clusters = cluster_groups(list(reversed(groups)), CFG.similarity_threshold, CFG.resample_points)
         assert len(clusters) == 1
-        assert [k.label() for k in clusters[0].group_keys] == self.P2P_LABELS
-        assert [str(h) for h in clusters[0].hosts] == ["10.0.0.9", "10.0.0.10"]
+        assert [k.label() for k in clusters[0]] == self.P2P_LABELS
+        assert [str(h) for h in cluster_hosts(clusters[0])] == ["10.0.0.9", "10.0.0.10"]
 
 
 def oracle_groups(flows, key_fn, duration_floor: float) -> GroupingResult:
@@ -268,7 +268,7 @@ class TestDetection:
         window, clusters = results[0]
         assert window.index == 0
         bots = set(truth.groups[0].hosts)
-        assert any(bots <= set(c.hosts) for c in clusters)
+        assert any(bots <= set(cluster_hosts(c)) for c in clusters)
 
     def test_planted_p2p_bots_never_split_across_clusters(self):
         # the monitor stage is deliberately permissive (a cluster may pick up
@@ -279,10 +279,10 @@ class TestDetection:
             results = candidates(flows, BotPath.P2P)
             bots = set(truth.groups[0].hosts)
             containing = [
-                c for _, clusters in results for c in clusters if bots & set(c.hosts)
+                c for _, clusters in results for c in clusters if bots & set(cluster_hosts(c))
             ]
             assert len(containing) == 1
-            assert bots <= set(containing[0].hosts)
+            assert bots <= set(cluster_hosts(containing[0]))
 
     def test_benign_irc_chatter_produces_no_multi_host_clusters(self):
         from botdetect.synth import benign_scenario
@@ -308,7 +308,7 @@ class TestDetection:
         flows, truth = generate(irc_botnet_scenario(7))
         results = candidates(flows, BotPath.IRC)
         bots = set(truth.groups[0].hosts)
-        found = [c for _, clusters in results for c in clusters if bots <= set(c.hosts)]
+        found = [c for _, clusters in results for c in clusters if bots <= set(cluster_hosts(c))]
         assert found
 
     def test_empty_stream(self):

@@ -20,7 +20,7 @@ from botdetect.report import (
     correlate_p2p,
     report_to_json,
 )
-from botdetect.similarity import SimilarityCluster, cluster_groups
+from botdetect.similarity import cluster_groups, cluster_hosts
 from botdetect.synth import generate, irc_botnet_scenario
 from botdetect.table import FlowTable
 
@@ -32,21 +32,19 @@ SERVER = IPv4Address("198.51.100.7")
 OTHER_SERVER = IPv4Address("198.51.100.8")
 
 
-def cluster(*ips: str, irc: bool = False, server: IPv4Address = SERVER) -> SimilarityCluster:
+def cluster(*ips: str, irc: bool = False, server: IPv4Address = SERVER) -> tuple:
     """A cluster of one group per host, every group talking to ``server``:
     P2P grouping keys, or IRC ones of one arrival-time bin."""
     hosts = tuple(sorted(IPv4Address(ip) for ip in ips))
-    keys = tuple(
+    return tuple(
         IRCGroupKey(host, server, 40000, 6667, 3, "tcp") if irc else P2PGroupKey(host, server, 6881, "tcp")
         for host in hosts
     )
-    return SimilarityCluster(group_keys=keys)
 
 
-def merged(*clusters: SimilarityCluster) -> SimilarityCluster:
+def merged(*clusters: tuple) -> tuple:
     """One cluster of every key of ``clusters``, in key order."""
-    keys = tuple(sorted(k for c in clusters for k in c.group_keys))
-    return SimilarityCluster(group_keys=keys)
+    return tuple(sorted(k for c in clusters for k in c))
 
 
 def hosts_of(group) -> list[str]:
@@ -67,14 +65,12 @@ def activity_map(malicious=(), benign=()) -> dict[IPv4Address, HostActivity]:
     return activity
 
 
-def one_host_cluster(irc: bool) -> SimilarityCluster:
+def one_host_cluster(irc: bool) -> tuple:
     """Two groups of one host, both talking to ``SERVER``."""
     host = IPv4Address("10.0.0.1")
     if irc:
-        keys = tuple(IRCGroupKey(host, SERVER, sport, 6667, 3, "tcp") for sport in (40000, 40001))
-    else:
-        keys = tuple(P2PGroupKey(host, SERVER, dport, "tcp") for dport in (6881, 6882))
-    return SimilarityCluster(group_keys=keys)
+        return tuple(IRCGroupKey(host, SERVER, sport, 6667, 3, "tcp") for sport in (40000, 40001))
+    return tuple(P2PGroupKey(host, SERVER, dport, "tcp") for dport in (6881, 6882))
 
 
 class TestCorrelateGates:
@@ -136,7 +132,7 @@ class TestCorrelateIRC:
         # five hosts in all, but only three of them on one server
         (group,) = correlate_irc([merged(on_one, on_other)], {}, CFG, WINDOW)
         assert hosts_of(group) == ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
-        assert group.cluster_keys == tuple(k.label() for k in on_one.group_keys)
+        assert group.cluster_keys == tuple(k.label() for k in on_one)
         on_other = cluster("10.0.0.4", "10.0.0.5", "10.0.0.6", irc=True, server=OTHER_SERVER)
         groups = correlate_irc([merged(on_one, on_other)], {}, CFG, WINDOW)
         assert [hosts_of(g) for g in groups] == [
@@ -153,7 +149,7 @@ class TestCorrelateIRC:
         groups, _ = group_path(BotPath.IRC, streams, CFG)
         clusters = cluster_groups(groups, CFG.similarity_threshold, CFG.resample_points)
         bots = set(truth.groups[0].hosts)
-        assert any(benign in c.hosts and bots <= set(c.hosts) for c in clusters)
+        assert any(benign in cluster_hosts(c) and bots <= set(cluster_hosts(c)) for c in clusters)
         report = run_detection(table, EMPTY_WHITELIST, IPv4Network("10.0.0.0/16"), CFG)
         (group,) = report.groups
         assert set(group.hosts) == bots

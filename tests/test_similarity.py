@@ -29,6 +29,7 @@ from botdetect.similarity import (
     batch_features,
     build_curve,
     cluster_groups,
+    cluster_hosts,
     curve_similarity,
     flow_features,
 )
@@ -652,12 +653,12 @@ class TestClusterGroups:
         g3 = group("g3", "10.0.0.3", (1, 10), (2, 20))
         g4 = group("g4", "10.0.0.4", (50, 999), (60, 999))
         clusters = cluster_groups([g4, g2, g1, g3], 0.85, 8)
-        key_sets = [set(k.name for k in c.group_keys) for c in clusters]
+        key_sets = [set(k.name for k in c) for c in clusters]
         assert key_sets == [{"g1", "g2", "g3"}, {"g4"}]
 
     def test_single_group_is_singleton_cluster(self):
         clusters = cluster_groups([group("g", "10.0.0.1", (1, 1))], 0.85, 8)
-        assert len(clusters) == 1 and len(clusters[0].group_keys) == 1
+        assert len(clusters) == 1 and len(clusters[0]) == 1
 
     def test_chain_links_transitively(self):
         # constant levels 100 / 90 / 81: adjacent pairs ~0.9, ends at 0.81 < threshold
@@ -670,7 +671,7 @@ class TestClusterGroups:
         assert c12 == pytest.approx(0.9) and c23 == pytest.approx(0.9)
         assert c13 == pytest.approx(0.81) and c13 < 0.85
         clusters = cluster_groups([g1, g2, g3], 0.85, 8)
-        assert len(clusters) == 1 and len(clusters[0].group_keys) == 3
+        assert len(clusters) == 1 and len(clusters[0]) == 3
 
     def test_matches_brute_force_oracle(self):
         from botdetect.synth import Xorshift64Star
@@ -687,14 +688,14 @@ class TestClusterGroups:
             ]
             groups.append(group(f"g{i:02d}", host, *pts))
         expected = brute_force_clusters(groups, 0.85, 16)
-        got = {frozenset(c.group_keys) for c in cluster_groups(groups, 0.85, 16)}
+        got = {frozenset(c) for c in cluster_groups(groups, 0.85, 16)}
         assert got == expected
 
     @settings(max_examples=200)
     @given(cluster_inputs())
     def test_matches_brute_force_oracle_on_any_input(self, case):
         groups, threshold, r = case
-        got = {frozenset(c.group_keys) for c in cluster_groups(groups, threshold, r)}
+        got = {frozenset(c) for c in cluster_groups(groups, threshold, r)}
         assert got == brute_force_clusters(groups, threshold, r)
 
     @settings(max_examples=200)
@@ -722,7 +723,7 @@ class TestClusterGroups:
     def test_scores_every_candidate_pair_that_ends_in_two_clusters(self, case):
         groups, threshold, r = case
         scored = {(a, b) for a, b, _ in scored_pairs(*case)}
-        cluster_of = {k: c for c in cluster_groups(*case) for k in c.group_keys}
+        cluster_of = {k: c for c in cluster_groups(*case) for k in c}
         curves = {g.key: build_curve(g.points, r) for g in groups}
         for a, b in combinations(sorted(curves), 2):
             if cluster_of[a] != cluster_of[b] and is_candidate(curves[a], curves[b], threshold):
@@ -767,7 +768,7 @@ class TestClusterGroups:
     def test_every_group_in_exactly_one_cluster(self):
         groups = [constant_group(f"g{i}", f"10.0.0.{i + 1}", 10.0 * (i + 1)) for i in range(9)]
         clusters = cluster_groups(groups, 0.9, 8)
-        seen = [k for c in clusters for k in c.group_keys]
+        seen = [k for c in clusters for k in c]
         assert sorted(k.name for k in seen) == sorted(g.key.name for g in groups)
 
     def test_permutation_invariance(self):
@@ -792,7 +793,7 @@ class TestClusterGroups:
         g1 = group("g1", "10.0.0.10", (1, 10), (2, 20))
         g2 = group("g2", "10.0.0.2", (1, 10), (2, 20))
         clusters = cluster_groups([g1, g2], 0.85, 8)
-        assert [str(h) for h in clusters[0].hosts] == ["10.0.0.2", "10.0.0.10"]
+        assert [str(h) for h in cluster_hosts(clusters[0])] == ["10.0.0.2", "10.0.0.10"]
 
     @settings(max_examples=200)
     @given(cluster_inputs())

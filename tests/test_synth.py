@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 from ipaddress import IPv4Address
 from itertools import combinations
 from operator import itemgetter
@@ -590,6 +591,34 @@ class TestTruthFile:
     def test_empty_malicious_line(self):
         truth = GroundTruth(groups=(), malicious=())
         assert parse_truth(write_truth(truth)) == truth
+
+    def test_round_trip_of_shipped_and_bench_specs(self, monkeypatch):
+        shipped = sorted(TestShippedScenarios.SCENARIO_DIR.glob("*.spec"))
+        specs = [parse_scenario(path.read_text()) for path in shipped]
+        specs += [w.make_spec(1, 1.0) for w in bench_workloads(monkeypatch).values()] + [EVERY_KIND]
+        assert len(specs) == 7
+        for spec in specs:
+            _, truth = generate(spec)
+            assert parse_truth(write_truth(truth)) == truth
+
+    def test_missing_malicious_line_refused(self):
+        with pytest.raises(InvalidSpec, match=r"^missing malicious line$"):
+            parse_truth("group 0 scanner 10.0.2.1\n")
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("group 0 scanner 10.0.2.1 10.0.2.1\nmalicious 10.0.2.1\n", 1),
+            ("group 0 scanner 10.0.2.1\nmalicious 10.0.2.1 10.0.2.1\n", 2),
+            ("group 0 scanner 10.0.2.1\nmalicious 10.9.9.9\n", 2),
+            ("group 0 scanner 10.0.2.1\nmalicious 10.0.2.1\ngroup 1 scanner 10.0.2.2\n", 3),
+        ],
+        ids=["repeat-in-group", "repeat-in-malicious", "malicious-in-no-group", "group-after-malicious"],
+    )
+    def test_sidecar_write_truth_cannot_produce_is_named(self, text, lineno):
+        line = text.splitlines()[lineno - 1]
+        with pytest.raises(InvalidSpec, match=f"^line {lineno}: bad truth line: {re.escape(repr(line))}$"):
+            parse_truth(text)
 
     @pytest.mark.parametrize(
         "line",
